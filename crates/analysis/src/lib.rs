@@ -18,11 +18,10 @@
 //!
 //! Every verdict is sound — backed by syntactic identity, an UNSAT pair,
 //! or an implication chain — and is packaged as a machine-checkable
-//! witness in a [`StaticRedundancyReport`]. The ATPG engine consumes the
-//! verdicts as a prescreen (statically proved faults skip the solver;
-//! merged nodes shrink the CNF), `kms-lint` surfaces them as semantic
-//! diagnostics, and `kms-core`'s verifier cross-checks them against the
-//! SAT oracle.
+//! witness in a [`StaticRedundancyReport`]. `kms-sweep` reports the
+//! verdicts, `kms-lint` surfaces them as semantic diagnostics, and
+//! `kms-core`'s verifier cross-checks them against the ATPG and SAT
+//! oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

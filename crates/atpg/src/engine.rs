@@ -25,13 +25,6 @@ pub enum Engine {
     /// Builds a fresh solver and re-encodes the fault's cone per query.
     #[default]
     Sat,
-    /// PODEM first (cheap structural search with a small budget), SAT as
-    /// the complete fallback for aborted queries — the classic two-stage
-    /// deterministic ATPG flow.
-    Hybrid {
-        /// PODEM backtrack budget before falling back to SAT.
-        podem_backtracks: u64,
-    },
     /// The shared-CNF incremental engine ([`crate::classify_faults`]):
     /// the good circuit is encoded once per network state, faults are
     /// classified under per-fault activation literals, SAT-derived test
@@ -44,7 +37,7 @@ pub enum Engine {
 /// Why a fault's classification did not reach a verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnknownReason {
-    /// PODEM's backtrack budget ran out (no SAT fallback configured).
+    /// PODEM's backtrack budget ran out ([`Engine::Podem`] only).
     Podem,
     /// The per-fault SAT conflict budget ran out.
     Conflicts,
@@ -132,13 +125,6 @@ pub fn is_testable(net: &Network, fault: Fault, engine: Engine) -> Testability {
             PodemResult::Aborted => Testability::Unknown(UnknownReason::Podem),
         },
         Engine::Sat => sat_testable(net, fault),
-        Engine::Hybrid { podem_backtracks } => match podem(net, fault, podem_backtracks) {
-            PodemResult::Test(cube) => {
-                Testability::Testable(cube.iter().map(|v| v.to_bool().unwrap_or(false)).collect())
-            }
-            PodemResult::Redundant => Testability::Redundant,
-            PodemResult::Aborted => sat_testable(net, fault),
-        },
         Engine::SharedSat(_) => crate::classify::classify_one(net, fault),
     }
 }
@@ -618,34 +604,6 @@ mod tests {
             assert_ne!(ta, tb, "seeds {a} and {b} collided");
             // Same seed must stay reproducible.
             assert_eq!(ta, random_tests(&net, 16, a));
-        }
-    }
-}
-
-#[cfg(test)]
-mod hybrid_tests {
-    use super::*;
-    use kms_netlist::{Delay, GateKind, Network};
-
-    #[test]
-    fn hybrid_agrees_with_sat_and_never_aborts() {
-        let mut net = Network::new("h");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let c = net.add_input("c");
-        let t = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
-        let y = net.add_gate(GateKind::Or, &[a, t], Delay::UNIT);
-        let z = net.add_gate(GateKind::Xor, &[y, c], Delay::UNIT);
-        net.add_output("z", z);
-        // A zero-budget PODEM forces the SAT fallback on every query.
-        let hybrid = Engine::Hybrid {
-            podem_backtracks: 0,
-        };
-        for f in collapsed_faults(&net) {
-            let vh = is_testable(&net, f, hybrid);
-            let vs = is_testable(&net, f, Engine::Sat);
-            assert!(!vh.is_unknown(), "{f}");
-            assert_eq!(vh.is_redundant(), vs.is_redundant(), "{f}");
         }
     }
 }

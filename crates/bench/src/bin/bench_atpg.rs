@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use kms_atpg::{analyze, Engine, FaultBudget, ParallelOptions, TestabilityReport};
-use kms_bench::table1_csa;
+use kms_bench::{json_escape, table1_csa};
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
@@ -120,10 +120,6 @@ struct Row {
     /// armed: its distance from `scaling` is the whole cost of the budget
     /// plumbing — the counter samples at the solver's conflict boundary.
     scaling_budget: Vec<(usize, f64)>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use kms_bench::table1_csa;
+use kms_bench::{json_escape, table1_csa};
 use kms_core::{kms_on_copy, KmsOptions, KmsReport};
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
@@ -170,10 +170,6 @@ fn assert_bit_identical(name: &str, inc: &(Network, KmsReport), full: &(Network,
             "{name}: iteration bookkeeping diverged"
         );
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn phase_json(p: &Phases) -> String {

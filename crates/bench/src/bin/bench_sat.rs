@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use kms_atpg::{classify_faults_report, collapsed_faults, ParallelOptions};
-use kms_bench::table1_csa;
+use kms_bench::{json_escape, table1_csa};
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_sat::{parse_dimacs, to_dimacs, Cnf, Lit, SatResult, Stats, Var};
@@ -209,9 +209,9 @@ fn dimacs_row(name: &str, cnf: &Cnf, expect: SatResult, reps: usize) -> Row {
     }
 }
 
-/// `kind = "atpg"` uses the production defaults (random pre-screen,
-/// no static tiers), where most faults never reach the solver.
-/// `kind = "atpg-raw"` strips the random pre-screen too, forcing every fault
+/// `kind = "atpg"` uses the production defaults (random pre-screen),
+/// where most faults never reach the solver.
+/// `kind = "atpg-raw"` strips the random pre-screen, forcing every fault
 /// through the shared-CNF engine — the solver-dominated configuration
 /// whose propagations-per-second is the acceptance gate's fallback
 /// criterion when wall-clock is machine-noisy.
@@ -220,7 +220,6 @@ fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
         ParallelOptions {
             jobs: 1,
             drop_patterns: 0,
-            static_prescreen: false,
             ..Default::default()
         }
     } else {
@@ -249,10 +248,6 @@ fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
         wall_s,
         solver: report.solver,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

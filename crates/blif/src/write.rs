@@ -4,34 +4,88 @@
 //! kind; the result round-trips through [`crate::parse_blif`] to an
 //! equivalent network (structure may differ — covers are re-elaborated).
 
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use kms_netlist::{GateId, GateKind, Network};
 
-fn signal_name(net: &Network, id: GateId) -> String {
-    match &net.gate(id).name {
-        Some(n) => n.clone(),
-        None => format!("n{}", id.index()),
+/// Every gate slot's BLIF signal name: the gate's own name, or for an
+/// unnamed gate the generated `n<id>`. A generated name that is already
+/// some gate's name, or the name of an output driven by another gate,
+/// gets the smallest free suffix `_<k>` instead — a network read from
+/// BLIF keeps `n<k>` names on gates whose ids have moved, so the plain
+/// form could otherwise drive one signal twice. Generated names never
+/// collide with each other: the digits before any `_` are the gate id.
+fn signal_names(net: &Network) -> Vec<Cow<'_, str>> {
+    // Only names of the generated shape can collide, and most networks
+    // have none, so the lookup tables stay small.
+    let generated_shape = |n: &str| {
+        n.strip_prefix('n')
+            .is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit()))
+    };
+    let taken: HashSet<&str> = net
+        .gate_ids()
+        .filter_map(|g| net.gate(g).name.as_deref())
+        .filter(|n| generated_shape(n))
+        .collect();
+    let outputs: HashMap<&str, GateId> = net
+        .outputs()
+        .iter()
+        .filter(|o| generated_shape(&o.name))
+        .map(|o| (o.name.as_str(), o.src))
+        .collect();
+    let mut names = vec![Cow::Borrowed(""); net.num_gate_slots()];
+    for g in net.gate_ids() {
+        names[g.index()] = match &net.gate(g).name {
+            Some(n) => Cow::Borrowed(n.as_str()),
+            None => {
+                let free = |c: &String| {
+                    !taken.contains(c.as_str())
+                        && outputs.get(c.as_str()).is_none_or(|&src| src == g)
+                };
+                let plain = format!("n{}", g.index());
+                Cow::Owned(if free(&plain) {
+                    plain
+                } else {
+                    (1..)
+                        .map(|k| format!("{plain}_{k}"))
+                        .find(free)
+                        .expect("some suffix is free")
+                })
+            }
+        };
     }
+    names
 }
 
 /// Renders `net` as BLIF text.
 ///
-/// Unnamed gates get generated names `n<id>`. Gate and wire delays are not
-/// representable in BLIF and are dropped; re-apply a
-/// [`kms_netlist::DelayModel`] after reading back.
+/// Unnamed gates get generated names `n<id>` (suffixed `_<k>` where that
+/// name is already in use). Gate and wire delays are not representable
+/// in BLIF and are dropped; re-apply a [`kms_netlist::DelayModel`] after
+/// reading back.
 pub fn write_blif(net: &Network) -> String {
+    let names = signal_names(net);
     let mut s = String::new();
     let _ = writeln!(s, ".model {}", net.name());
-    let inames: Vec<String> = net.inputs().iter().map(|&i| signal_name(net, i)).collect();
+    let inames: Vec<&str> = net
+        .inputs()
+        .iter()
+        .map(|&i| names[i.index()].as_ref())
+        .collect();
     let _ = writeln!(s, ".inputs {}", inames.join(" "));
-    let onames: Vec<String> = net.outputs().iter().map(|o| o.name.clone()).collect();
+    let onames: Vec<&str> = net.outputs().iter().map(|o| o.name.as_str()).collect();
     let _ = writeln!(s, ".outputs {}", onames.join(" "));
 
     for id in net.topo_order() {
         let g = net.gate(id);
-        let out = signal_name(net, id);
-        let ins: Vec<String> = g.pins.iter().map(|p| signal_name(net, p.src)).collect();
+        let out = &names[id.index()];
+        let ins: Vec<&str> = g
+            .pins
+            .iter()
+            .map(|p| names[p.src.index()].as_ref())
+            .collect();
         match g.kind {
             GateKind::Input => {}
             GateKind::Const(v) => {
@@ -87,8 +141,8 @@ pub fn write_blif(net: &Network) -> String {
     // Emit buffers for outputs driven by inputs or by gates whose names
     // differ from the output name.
     for o in net.outputs() {
-        let drv = signal_name(net, o.src);
-        if drv != o.name {
+        let drv = &names[o.src.index()];
+        if *drv != o.name {
             let _ = writeln!(s, ".names {drv} {}\n1 1", o.name);
         }
     }
@@ -137,6 +191,26 @@ mod tests {
         net.add_output("ao", a); // output driven directly by an input
         net.add_output("one", c1);
         net.add_output("zero", c0);
+        roundtrip(&net);
+    }
+
+    #[test]
+    fn generated_names_avoid_existing_signal_names() {
+        // Gate 2 is unnamed, so its plain generated name is `n2` — but a
+        // gate already carries that name, and the output `n3` is driven
+        // by a gate other than the unnamed gate 3.
+        let mut net = Network::new("clash");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let g2 = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
+        let g3 = net.add_gate(GateKind::Xor, &[a, b], Delay::UNIT);
+        let g4 = net.add_gate(GateKind::Or, &[g2, g3], Delay::UNIT);
+        net.set_gate_name(g4, "n2");
+        net.add_output("n3", g4);
+        net.add_output("x", g3);
+        let text = write_blif(&net);
+        assert!(text.contains(".names a b n2_1\n"), "{text}");
+        assert!(text.contains(".names a b n3_1\n"), "{text}");
         roundtrip(&net);
     }
 

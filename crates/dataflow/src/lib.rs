@@ -17,13 +17,12 @@
 //!    case-splitting on unjustified gates with consequence
 //!    intersection, refuting fault detection conditions the one-hop
 //!    implication learner cannot reach and deriving indirect binary
-//!    implications that seed ATPG SAT queries as axioms.
+//!    implications (counted in [`DataflowStats`]).
 //!
 //! Every verdict carries a [`DfWitness`] that an independent checker
 //! replays against SAT miters; `kms-core::cross_check_static_analysis`
-//! does so (certified under `--certify`). The ATPG prescreen
-//! (`kms-atpg::ParallelOptions::prescreen_dataflow`), the `kms-lint`
-//! dataflow tier, and `kms-sweep --dataflow` all consume the results.
+//! does so (certified under `--certify`). The `kms-lint` dataflow tier
+//! and `kms-sweep --dataflow` consume the results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,8 +88,8 @@ impl Default for DataflowOptions {
 }
 
 /// The combined dataflow analysis of one network: proved constants with
-/// derivation origins, CODC observability, and learned indirect
-/// implications, plus the per-fault proof machinery.
+/// derivation origins and CODC observability, plus the per-fault proof
+/// machinery.
 ///
 /// Built *on top of* a [`StaticAnalysis`] (whose constants seed the
 /// fixpoint and whose implication database drives the learning), but
@@ -100,7 +99,6 @@ pub struct DataflowAnalysis<'n> {
     net: &'n Network,
     consts: TernaryConsts,
     codc: Codc,
-    learned: Vec<LearnedImp>,
     fanouts: Vec<Vec<ConnRef>>,
     is_po: Vec<bool>,
     topo: Vec<GateId>,
@@ -203,7 +201,6 @@ impl<'n> DataflowAnalysis<'n> {
             net,
             consts,
             codc,
-            learned,
             fanouts,
             is_po,
             topo,
@@ -254,12 +251,6 @@ impl<'n> DataflowAnalysis<'n> {
             g,
             self.opts.codc_region_cap,
         )
-    }
-
-    /// The indirect binary implications learned at build time. Globally
-    /// valid: safe to add as clauses to any SAT query over this network.
-    pub fn learned_implications(&self) -> &[LearnedImp] {
-        &self.learned
     }
 
     /// Aggregate counters of this analysis.

@@ -1,6 +1,6 @@
 //! Property-based validation of the dataflow engine on random networks:
-//! every untestability proof must be confirmed by a non-prescreened ATPG
-//! oracle, and every constant claim must agree with exhaustive
+//! every untestability proof must be confirmed by the ATPG oracle, and
+//! every constant claim must agree with exhaustive
 //! simulation over all input vectors.
 
 use proptest::prelude::*;
@@ -17,12 +17,11 @@ fn built(net: &Network) -> (StaticAnalysis<'_>, DataflowAnalysis<'_>) {
     (base, df)
 }
 
-/// An ATPG oracle that never consults the static passes under test.
+/// The shared-CNF ATPG oracle, which never consults the passes under
+/// test.
 fn oracle_engine() -> Engine {
     Engine::SharedSat(ParallelOptions {
         jobs: 1,
-        static_prescreen: false,
-        prescreen_dataflow: false,
         ..Default::default()
     })
 }
@@ -88,9 +87,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Soundness: a fault the dataflow tier proves untestable is
-    /// classified redundant by the full ATPG oracle — which runs with
-    /// both static prescreens disabled, so the verdict is independent
-    /// of the pass under test.
+    /// classified redundant by the full ATPG oracle, whose verdict is
+    /// independent of the pass under test.
     #[test]
     fn dataflow_proofs_confirmed_by_oracle(
         seed in any::<u64>(),
@@ -152,38 +150,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Agreement with the prescreened engine: classifying through the
-    /// dataflow prescreen yields verdict-identical reports to the
-    /// SAT-only path (the acceptance bit-identity claim, on random
-    /// networks rather than the named benchmarks).
-    #[test]
-    fn prescreen_reports_match_oracle(
-        seed in any::<u64>(),
-        inputs in 3usize..7,
-        gates in 5usize..20,
-    ) {
-        let net = random_network(seed, RandomNetworkSpec {
-            inputs,
-            gates,
-            outputs: 2,
-            max_fanin: 3,
-            max_delay: 2,
-        });
-        let with_prescreen = analyze(
-            &net,
-            // Prescreen tiers are opt-in since the E14 re-measurement;
-            // enable both explicitly so this still tests the claim.
-            Engine::SharedSat(ParallelOptions {
-                jobs: 1,
-                static_prescreen: true,
-                prescreen_dataflow: true,
-                ..Default::default()
-            }),
-        );
-        let without = analyze(&net, oracle_engine());
-        prop_assert_eq!(with_prescreen, without);
     }
 }
 

@@ -432,16 +432,6 @@ impl Solver {
         }
     }
 
-    /// Adds the binary clause encoding the implication `a -> b`
-    /// (i.e. `!a \/ b`). Convenience for axiom seeding: statically
-    /// learned implications over circuit nodes are valid in every model,
-    /// so adding them to a query formula never changes its verdict, only
-    /// prunes the search. Same level-0 contract as
-    /// [`Solver::add_clause`].
-    pub fn add_implication(&mut self, a: Lit, b: Lit) -> bool {
-        self.add_clause(&[!a, b])
-    }
-
     /// Allocates `lits` in the arena and installs its two watchers. The
     /// watched literals are `lits[0]` and `lits[1]`; each watcher caches
     /// the *other* watched literal as its blocker.
@@ -1091,18 +1081,6 @@ mod tests {
         assert_eq!(s.model_value(a.positive()), Some(true));
         assert!(!s.add_clause(&[a.negative()]));
         assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn add_implication_is_binary_clause() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        assert!(s.add_implication(a.positive(), b.positive()));
-        assert!(s.add_clause(&[a.positive()]));
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert_eq!(s.model_value(b.positive()), Some(true));
-        assert_eq!(s.solve_with(&[b.negative()]), SatResult::Unsat);
     }
 
     #[test]

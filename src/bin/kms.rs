@@ -10,25 +10,16 @@
 //!                           while-loop condition (default: static)
 //!   -a, --arrival <input>=<time>
 //!                           per-input arrival offset (repeatable)
-//!   -e, --engine <shared|sat>
-//!                           classification engine for the removal phase
-//!                           (default: shared — per-worker incremental
-//!                           solvers; sat re-encodes per fault)
-//!   -j, --jobs <N>          worker threads for the shared engine
+//!   -j, --jobs <N>          worker threads for the removal phase's
+//!                           shared-CNF classification engine
 //!                           (default 0 = available parallelism, capped;
 //!                           1 forces fully in-line execution)
-//!       --prescreen <static|dataflow>
-//!                           with the shared engine: run the named static
-//!                           prescreen tier before the per-fault queries
-//!                           (dataflow implies static); the report is
-//!                           bit-identical either way, only the cost moves
 //!       --certify           log a DRAT proof for every UNSAT verdict the
 //!                           run depends on and re-check each with the
 //!                           independent proof checker
 //!       --fault-budget <spec>
-//!                           per-fault solver budget for the removal phase
-//!                           (shared engine only): a bare number caps
-//!                           conflicts; or comma-separated
+//!                           per-fault solver budget for the removal phase:
+//!                           a bare number caps conflicts; or comma-separated
 //!                           conflicts=N,props=N,ms=N. A fault whose query
 //!                           exhausts the budget is reported Unknown and
 //!                           the run completes degraded (exit 3)
@@ -53,7 +44,7 @@
 use std::error::Error;
 use std::io::Read as _;
 
-use kms::atpg::FaultBudget;
+use kms::atpg::{Engine, FaultBudget, ParallelOptions};
 use kms::blif::{parse_blif, write_blif};
 use kms::core::{kms_with_control, Checkpoint, Condition, KmsOptions, RunControl};
 use kms::netlist::{transform, DelayModel};
@@ -65,10 +56,7 @@ struct Args {
     model: DelayModel,
     condition: Condition,
     arrivals: Vec<(String, i64)>,
-    shared_engine: bool,
     jobs: usize,
-    prescreen_static: bool,
-    prescreen_dataflow: bool,
     certify: bool,
     fault_budget: Option<FaultBudget>,
     checkpoint: Option<String>,
@@ -84,10 +72,7 @@ fn parse_args() -> Result<Args, String> {
         model: DelayModel::Unit,
         condition: Condition::StaticSensitization,
         arrivals: Vec::new(),
-        shared_engine: true,
         jobs: 0,
-        prescreen_static: false,
-        prescreen_dataflow: false,
         certify: false,
         fault_budget: None,
         checkpoint: None,
@@ -121,25 +106,10 @@ fn parse_args() -> Result<Args, String> {
                 let t: i64 = t.parse().map_err(|_| format!("bad time in {spec:?}"))?;
                 args.arrivals.push((name.to_string(), t));
             }
-            "-e" | "--engine" => {
-                args.shared_engine = match it.next().as_deref() {
-                    Some("shared") => true,
-                    Some("sat") => false,
-                    other => return Err(format!("unknown engine {other:?}")),
-                }
-            }
             "-j" | "--jobs" => {
                 let n = it.next().ok_or("missing value for --jobs")?;
                 args.jobs = n.parse().map_err(|_| format!("bad job count {n:?}"))?;
             }
-            "--prescreen" => match it.next().as_deref() {
-                Some("static") => args.prescreen_static = true,
-                Some("dataflow") => {
-                    args.prescreen_static = true;
-                    args.prescreen_dataflow = true;
-                }
-                other => return Err(format!("unknown prescreen tier {other:?}")),
-            },
             "--certify" => args.certify = true,
             "--fault-budget" => {
                 let spec = it.next().ok_or("missing value for --fault-budget")?;
@@ -158,7 +128,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [-e shared|sat] [-j N] [--prescreen static|dataflow] [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
+                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [-j N] [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
                 std::process::exit(0);
             }
             other if args.input.is_empty() => args.input = other.to_string(),
@@ -167,9 +137,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.input.is_empty() {
         return Err("missing input file (use '-' for stdin)".into());
-    }
-    if args.fault_budget.is_some() && !args.shared_engine {
-        return Err("--fault-budget requires the shared engine (-e shared)".into());
     }
     Ok(args)
 }
@@ -212,20 +179,13 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
         arrivals.set(id, *t);
     }
 
-    let engine = if args.shared_engine {
-        kms::atpg::Engine::SharedSat(kms::atpg::ParallelOptions {
-            jobs: args.jobs,
-            static_prescreen: args.prescreen_static,
-            prescreen_dataflow: args.prescreen_dataflow,
-            fault_budget: args.fault_budget,
-            ..Default::default()
-        })
-    } else {
-        kms::atpg::Engine::Sat
-    };
     let options = KmsOptions {
         condition: args.condition,
-        engine,
+        engine: Engine::SharedSat(ParallelOptions {
+            jobs: args.jobs,
+            fault_budget: args.fault_budget,
+            ..Default::default()
+        }),
         certify: args.certify,
         ..Default::default()
     };

@@ -1,6 +1,7 @@
 //! End-to-end interchange pipeline: PLA suite → networks → BLIF text →
 //! re-parse → KMS → BLIF again, checking equivalence at every hop.
 
+use kms::atpg::{Engine, ParallelOptions};
 use kms::blif::{parse_blif, write_blif, PlaFile};
 use kms::core::{kms_on_copy, KmsOptions};
 use kms::gen::mcnc;
@@ -47,6 +48,36 @@ fn kms_output_survives_blif_interchange() {
     fixed.exhaustive_equiv(&back).unwrap();
     // And the re-parsed circuit is still fully testable.
     assert!(kms::atpg::analyze(&back, kms::atpg::Engine::Sat).fully_testable());
+}
+
+/// The `kms` command line twice over: a carry-skip adder written as
+/// BLIF, optimized, written, read back and optimized again. The first
+/// pass reads gates named `n<k>` whose ids have moved, and its output
+/// must not reuse those names for the gates it adds.
+#[test]
+fn kms_output_reads_back_after_two_passes() {
+    let options = KmsOptions {
+        engine: Engine::SharedSat(ParallelOptions {
+            jobs: 1,
+            ..Default::default()
+        }),
+        ..KmsOptions::default()
+    };
+    let pass = |text: &str| {
+        let mut net = parse_blif(text).expect("written BLIF parses").network;
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(DelayModel::Unit);
+        let (fixed, _) = kms_on_copy(&net, &InputArrivals::zero(), options).unwrap();
+        assert!(check_equivalence(&net, &fixed).is_equivalent());
+        write_blif(&fixed)
+    };
+    let adder = kms::gen::adders::carry_skip_adder(8, 4, DelayModel::Unit);
+    let once = pass(&write_blif(&adder));
+    let twice = pass(&once);
+    let first = parse_blif(&once).unwrap().network;
+    let second = parse_blif(&twice).unwrap().network;
+    assert!(check_equivalence(&adder, &first).is_equivalent());
+    assert!(check_equivalence(&first, &second).is_equivalent());
 }
 
 #[test]
