@@ -1,20 +1,19 @@
 //! Regenerates Table I of the paper (experiments E1 and E2).
 //!
-//! Usage: `table1 [--csa] [--mcnc] [--no-verify] [--engine shared|sat]
-//! [--jobs N] [--certify] [--budget SECONDS] [--fault-budget SPEC]` (no
-//! selection flags = both suites). The ATPG defaults to the shared-CNF
-//! classification engine with `--jobs 0` (available parallelism, capped);
-//! `--jobs 1` forces fully in-line execution and `--engine sat` selects
-//! the per-fault re-encoding engine. `--certify` re-checks every UNSAT
-//! verdict behind each row with the independent proof checker, prints the
-//! merged ledger, and exits 1 if any certificate fails to check.
+//! Usage: `table1 [--csa] [--mcnc] [--no-verify] [--jobs N] [--certify]
+//! [--budget SECONDS] [--fault-budget SPEC]` (no selection flags = both
+//! suites). The ATPG runs the shared-CNF classification engine with
+//! `--jobs 0` (available parallelism, capped); `--jobs 1` forces fully
+//! in-line execution. `--certify` re-checks every UNSAT verdict behind
+//! each row with the independent proof checker, prints the merged ledger,
+//! and exits 1 if any certificate fails to check.
 //! `--budget` enforces a wall-clock ceiling on the whole run and exits 1
 //! when exceeded — CI uses it as a performance-regression tripwire for
-//! the SAT kernel on the certified Table I path. `--fault-budget` (shared
-//! engine only) caps each per-fault solver query — a bare number caps
-//! conflicts, or comma-separated `conflicts=N,props=N,ms=N`; rows whose
-//! queries exhaust the budget report Unknown faults and the run exits 3
-//! ("completed, degraded").
+//! the SAT kernel on the certified Table I path. `--fault-budget` caps
+//! each per-fault solver query — a bare number caps conflicts, or
+//! comma-separated `conflicts=N,props=N,ms=N`; rows whose queries exhaust
+//! the budget report Unknown faults and the run exits 3 ("completed,
+//! degraded").
 //!
 //! Columns: redundancy count, initial/final simple-gate counts, viable
 //! delay before/after, topological delay before/after, loop iterations,
@@ -49,28 +48,11 @@ fn main() {
         }));
         args.drain(i..i + 2);
     }
-    let mut engine = kms_atpg::Engine::SharedSat(kms_atpg::ParallelOptions {
+    let engine = kms_atpg::Engine::SharedSat(kms_atpg::ParallelOptions {
         jobs,
         fault_budget,
         ..Default::default()
     });
-    if let Some(i) = args.iter().position(|a| a == "--engine" || a == "-e") {
-        match args.get(i + 1).map(String::as_str) {
-            Some("shared") => {}
-            Some("sat") => {
-                if fault_budget.is_some() {
-                    eprintln!("error: --fault-budget requires the shared engine");
-                    std::process::exit(2);
-                }
-                engine = kms_atpg::Engine::Sat;
-            }
-            other => {
-                eprintln!("error: unknown engine {other:?}");
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..i + 2);
-    }
     let budget: Option<f64> = if let Some(i) = args.iter().position(|a| a == "--budget") {
         let secs = args
             .get(i + 1)

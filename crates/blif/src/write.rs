@@ -10,50 +10,60 @@ use std::fmt::Write as _;
 
 use kms_netlist::{GateId, GateKind, Network};
 
-/// Every gate slot's BLIF signal name: the gate's own name, or for an
-/// unnamed gate the generated `n<id>`. A generated name that is already
-/// some gate's name, or the name of an output driven by another gate,
-/// gets the smallest free suffix `_<k>` instead — a network read from
-/// BLIF keeps `n<k>` names on gates whose ids have moved, so the plain
-/// form could otherwise drive one signal twice. Generated names never
-/// collide with each other: the digits before any `_` are the gate id.
+/// Every gate slot's BLIF signal name, such that no signal is driven
+/// twice. An output name belongs to the gate driving that output;
+/// otherwise a gate keeps its own name, and an unnamed gate gets the
+/// generated `n<id>`. A name held by another gate gets the smallest free
+/// suffix `_<k>` instead. Clashes arise on networks read from BLIF,
+/// whose gates keep the names of the signals they drove: a transform may
+/// move an output to a new gate while the old gate lives on, and gate
+/// ids — hence `n<id>` — move.
 fn signal_names(net: &Network) -> Vec<Cow<'_, str>> {
-    // Only names of the generated shape can collide, and most networks
-    // have none, so the lookup tables stay small.
+    // The names a gate can clash on: every output name, held by the
+    // gate that drives the output, and gate names of the generated
+    // shape, which an unnamed gate's `n<id>` can meet. Outputs come
+    // first, so no other gate takes an output's name. Other gate names
+    // are distinct (a BLIF signal is driven once), so they stay out and
+    // the table stays small.
     let generated_shape = |n: &str| {
         n.strip_prefix('n')
             .is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit()))
     };
-    let taken: HashSet<&str> = net
-        .gate_ids()
-        .filter_map(|g| net.gate(g).name.as_deref())
-        .filter(|n| generated_shape(n))
-        .collect();
-    let outputs: HashMap<&str, GateId> = net
-        .outputs()
-        .iter()
-        .filter(|o| generated_shape(&o.name))
-        .map(|o| (o.name.as_str(), o.src))
-        .collect();
+    let mut owner: HashMap<&str, GateId> = HashMap::new();
+    for o in net.outputs() {
+        owner.entry(o.name.as_str()).or_insert(o.src);
+    }
+    for g in net.gate_ids() {
+        if let Some(n) = net.gate(g).name.as_deref().filter(|n| generated_shape(n)) {
+            owner.entry(n).or_insert(g);
+        }
+    }
+    // Every name in use, built at the first clash and extended by the
+    // suffixes handed out. Plain generated names can stay out: they
+    // have no `_`.
+    let mut in_use: Option<HashSet<Cow<'_, str>>> = None;
     let mut names = vec![Cow::Borrowed(""); net.num_gate_slots()];
     for g in net.gate_ids() {
-        names[g.index()] = match &net.gate(g).name {
+        let want = match &net.gate(g).name {
             Some(n) => Cow::Borrowed(n.as_str()),
-            None => {
-                let free = |c: &String| {
-                    !taken.contains(c.as_str())
-                        && outputs.get(c.as_str()).is_none_or(|&src| src == g)
-                };
-                let plain = format!("n{}", g.index());
-                Cow::Owned(if free(&plain) {
-                    plain
-                } else {
-                    (1..)
-                        .map(|k| format!("{plain}_{k}"))
-                        .find(free)
-                        .expect("some suffix is free")
-                })
-            }
+            None => Cow::Owned(format!("n{}", g.index())),
+        };
+        names[g.index()] = if owner.get(want.as_ref()).is_none_or(|&o| o == g) {
+            want
+        } else {
+            let in_use = in_use.get_or_insert_with(|| {
+                net.gate_ids()
+                    .filter_map(|g| net.gate(g).name.as_deref())
+                    .chain(net.outputs().iter().map(|o| o.name.as_str()))
+                    .map(Cow::Borrowed)
+                    .collect()
+            });
+            let free = (1..)
+                .map(|k| format!("{want}_{k}"))
+                .find(|c| !in_use.contains(c.as_str()))
+                .expect("some suffix is free");
+            in_use.insert(Cow::Owned(free.clone()));
+            Cow::Owned(free)
         };
     }
     names
@@ -61,10 +71,10 @@ fn signal_names(net: &Network) -> Vec<Cow<'_, str>> {
 
 /// Renders `net` as BLIF text.
 ///
-/// Unnamed gates get generated names `n<id>` (suffixed `_<k>` where that
-/// name is already in use). Gate and wire delays are not representable
-/// in BLIF and are dropped; re-apply a [`kms_netlist::DelayModel`] after
-/// reading back.
+/// Unnamed gates get generated names `n<id>`; a gate whose name is
+/// already held by another signal is written as `<name>_<k>`. Gate and
+/// wire delays are not representable in BLIF and are dropped; re-apply a
+/// [`kms_netlist::DelayModel`] after reading back.
 pub fn write_blif(net: &Network) -> String {
     let names = signal_names(net);
     let mut s = String::new();
@@ -211,6 +221,29 @@ mod tests {
         let text = write_blif(&net);
         assert!(text.contains(".names a b n2_1\n"), "{text}");
         assert!(text.contains(".names a b n3_1\n"), "{text}");
+        roundtrip(&net);
+    }
+
+    #[test]
+    fn gate_named_after_an_output_it_no_longer_drives() {
+        // After KMS duplication moves output `z` to a copy, the original
+        // gate still carries the name `z` and feeds other logic. Writing
+        // it as `z` too would drive `z` twice.
+        let mut net = Network::new("moved");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let old = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
+        net.set_gate_name(old, "z");
+        let copy = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
+        let user = net.add_gate(GateKind::Or, &[old, b], Delay::UNIT);
+        net.set_gate_name(user, "z_1");
+        let other = net.add_gate(GateKind::Xor, &[old, user], Delay::UNIT);
+        net.add_output("z", copy);
+        net.add_output("w", other);
+        let text = write_blif(&net);
+        assert_eq!(text.matches(" z\n").count(), 1, "{text}");
+        assert!(text.contains(".names a b z_2\n"), "{text}");
+        assert!(text.contains(".names z_2 b z_1\n"), "{text}");
         roundtrip(&net);
     }
 

@@ -44,17 +44,6 @@ impl Default for LearnOptions {
     }
 }
 
-/// A derived indirect binary implication: whenever `a.0 = a.1` holds,
-/// `b.0 = b.1` follows. Globally valid (not conditioned on a fault),
-/// hence safe to seed into any SAT query over the same network.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LearnedImp {
-    /// The antecedent literal.
-    pub a: (GateId, bool),
-    /// The consequent literal.
-    pub b: (GateId, bool),
-}
-
 /// Marker for a refuted assumption set.
 pub(crate) struct Refuted;
 
@@ -266,21 +255,17 @@ pub fn refute(
 
 /// Build-time derivation over the whole network: for every live logic
 /// gate (capped at `gate_limit`) and both output values, run one-level
-/// learning and harvest (a) refutations, which prove the node constant
-/// at the opposite value, and (b) consequences beyond direct
-/// propagation, which become indirect binary implications (capped at
-/// `per_literal_cap` per antecedent literal).
+/// learning; a refuted value proves the node constant at the opposite
+/// value. Returns the proved constants and the case-splits spent.
 pub fn learn_network(
     net: &Network,
     db: &Implications,
     consts: &[Option<bool>],
     opts: &LearnOptions,
     gate_limit: usize,
-    per_literal_cap: usize,
     budget: &mut usize,
-) -> (Vec<(GateId, bool)>, Vec<LearnedImp>, usize) {
+) -> (Vec<(GateId, bool)>, usize) {
     let mut constants = Vec::new();
-    let mut imps = Vec::new();
     let mut splits = 0usize;
     let build_opts = LearnOptions { depth: 1, ..*opts };
     let mut examined = 0usize;
@@ -294,48 +279,24 @@ pub fn learn_network(
         }
         examined += 1;
         for v in [false, true] {
-            let assumptions = [(g, v)];
-            let base = match propagate_checked(net, db, consts, &assumptions, budget) {
-                Err(Refuted) => {
-                    constants.push((g, !v));
-                    break;
-                }
-                Ok(m) => m,
-            };
-            match analyze(
+            let refuted = analyze(
                 net,
                 db,
                 consts,
-                &assumptions,
+                &[(g, v)],
                 build_opts.depth,
                 &build_opts,
                 budget,
                 &mut splits,
-            ) {
-                Err(Refuted) => {
-                    constants.push((g, !v));
-                    break;
-                }
-                Ok(full) => {
-                    let mut added = 0usize;
-                    for (&h, &w) in &full {
-                        if h == g || base.contains_key(&h) {
-                            continue;
-                        }
-                        imps.push(LearnedImp {
-                            a: (g, v),
-                            b: (h, w),
-                        });
-                        added += 1;
-                        if added >= per_literal_cap {
-                            break;
-                        }
-                    }
-                }
+            )
+            .is_err();
+            if refuted {
+                constants.push((g, !v));
+                break;
             }
         }
     }
-    (constants, imps, splits)
+    (constants, splits)
 }
 
 #[cfg(test)]
@@ -372,69 +333,6 @@ mod tests {
         consts[a.index()] = Some(false);
         let refuted = refute(&net, &db, &consts, &[(y, true)], &opts, &mut budget);
         assert!(refuted.is_some(), "expected a case-split refutation");
-    }
-
-    #[test]
-    fn learned_implications_are_indirect_and_sound() {
-        // y = (h|m) & (h|!m): y=1 implies h=1 in every justification,
-        // but h=0 does not forward-propagate to y=0 (both ORs go to X),
-        // so neither direct propagation nor one-level contrapositive
-        // learning can derive it — only the case-split intersection.
-        let mut net = Network::new("t");
-        let h = net.add_input("h");
-        let m = net.add_input("m");
-        let nm = net.add_gate(GateKind::Not, &[m], Delay::UNIT);
-        let o1 = net.add_gate(GateKind::Or, &[h, m], Delay::UNIT);
-        let o2 = net.add_gate(GateKind::Or, &[h, nm], Delay::UNIT);
-        let y = net.add_gate(GateKind::And, &[o1, o2], Delay::UNIT);
-        net.add_output("y", y);
-        // Disable the SAT sweep so y is not merged with h outright; the
-        // point is to exercise the learner, not the sweep.
-        let strash = StrashTable::build(&net);
-        let classes = EquivClasses::build(
-            &net,
-            &strash,
-            &AnalysisOptions {
-                sat_sweep: false,
-                ..AnalysisOptions::default()
-            },
-        );
-        let db = Implications::build(&net, &classes, true);
-        let consts = vec![None; net.num_gate_slots()];
-        let mut budget = 10_000;
-        let (constants, imps, _) = learn_network(
-            &net,
-            &db,
-            &consts,
-            &LearnOptions::default(),
-            1_000,
-            64,
-            &mut budget,
-        );
-        assert!(constants.is_empty());
-        assert!(
-            imps.contains(&LearnedImp {
-                a: (y, true),
-                b: (h, true)
-            }),
-            "expected y=1 -> h=1 among {imps:?}"
-        );
-        // Soundness of every learned implication, by exhaustive simulation.
-        let n_in = net.inputs().len();
-        for imp in &imps {
-            for vec in 0..(1u32 << n_in) {
-                let ins: Vec<bool> = (0..n_in).map(|i| vec >> i & 1 == 1).collect();
-                let vals = net.node_words(
-                    &ins.iter()
-                        .map(|&b| if b { !0u64 } else { 0 })
-                        .collect::<Vec<_>>(),
-                );
-                let bit = |g: GateId| vals[g.index()] & 1 == 1;
-                if bit(imp.a.0) == imp.a.1 {
-                    assert_eq!(bit(imp.b.0), imp.b.1, "unsound {imp:?} on {ins:?}");
-                }
-            }
-        }
     }
 
     #[test]

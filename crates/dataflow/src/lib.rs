@@ -16,8 +16,7 @@
 //! 3. **Depth-k recursive learning** ([`learn`]) — Kunz–Pradhan style
 //!    case-splitting on unjustified gates with consequence
 //!    intersection, refuting fault detection conditions the one-hop
-//!    implication learner cannot reach and deriving indirect binary
-//!    implications (counted in [`DataflowStats`]).
+//!    implication learner cannot reach and proving nodes constant.
 //!
 //! Every verdict carries a [`DfWitness`] that an independent checker
 //! replays against SAT miters; `kms-core::cross_check_static_analysis`
@@ -43,7 +42,7 @@ pub use codc::{blocker, Codc, CodcBlock};
 pub use equiv::conditional_equiv;
 pub use framework::{fixpoint, Direction, Frame};
 pub use lattice::{Lattice, Obs, Ternary};
-pub use learn::{LearnOptions, LearnedImp};
+pub use learn::LearnOptions;
 pub use merge::{observability_merges, ObsMerge, ObsMergeResult};
 pub use report::{DataflowReport, DataflowStats, DfFaultProof, DfWitness};
 pub use ternary::{ConstOrigin, TernaryConsts};
@@ -68,8 +67,6 @@ pub struct DataflowOptions {
     pub learn_budget: usize,
     /// Propagation budget of each per-fault refutation query.
     pub query_budget: usize,
-    /// Indirect implications kept per antecedent literal.
-    pub implication_cap: usize,
 }
 
 impl Default for DataflowOptions {
@@ -82,7 +79,6 @@ impl Default for DataflowOptions {
             learn_gate_limit: 2_000,
             learn_budget: 200_000,
             query_budget: 2_000,
-            implication_cap: 64,
         }
     }
 }
@@ -125,13 +121,12 @@ impl<'n> DataflowAnalysis<'n> {
         let mut consts = ternary::ternary_constants(net, &seed, opts.cofactor_input_limit);
 
         let mut budget = opts.learn_budget;
-        let (learned_consts, learned, learn_splits) = learn::learn_network(
+        let (learned_consts, learn_splits) = learn::learn_network(
             net,
             base.implications(),
             &consts.value,
             &opts.learn,
             opts.learn_gate_limit,
-            opts.implication_cap,
             &mut budget,
         );
         if !learned_consts.is_empty() {
@@ -160,7 +155,6 @@ impl<'n> DataflowAnalysis<'n> {
         }
 
         let mut stats = DataflowStats {
-            learned_implications: learned.len(),
             learn_splits,
             ternary_passes: consts.passes,
             blocked_connections: codc.blocked.len(),
@@ -623,7 +617,7 @@ mod tests {
         let r = df.report(&base, &faults);
         assert!(r.proved_count() >= 1);
         let json = r.render_json();
-        assert!(json.contains("\"schema_version\": 1"), "{json}");
+        assert!(json.contains("\"schema_version\": 2"), "{json}");
         let text = r.render_text();
         assert!(text.contains("faults proved untestable"), "{text}");
     }

@@ -207,8 +207,6 @@ pub struct DataflowStats {
     pub unobservable_nodes: usize,
     /// Blocked connections found by the CODC pass.
     pub blocked_connections: usize,
-    /// Indirect binary implications learned at build time.
-    pub learned_implications: usize,
     /// Case-splits spent by build-time learning.
     pub learn_splits: usize,
     /// Outer constant-propagation passes.
@@ -254,13 +252,12 @@ impl DataflowReport {
         let _ = writeln!(
             s,
             "  constants: {} ternary, {} cofactor, {} learned; {} unobservable nodes, \
-             {} blocked connections; {} learned implications ({} splits), {} passes",
+             {} blocked connections; {} learning splits, {} passes",
             st.ternary_constants,
             st.cofactor_constants,
             st.learned_constants,
             st.unobservable_nodes,
             st.blocked_connections,
-            st.learned_implications,
             st.learn_splits,
             st.ternary_passes
         );
@@ -277,13 +274,14 @@ impl DataflowReport {
         s
     }
 
-    /// JSON rendering (`schema_version` 1 of the dataflow report).
+    /// JSON rendering (`schema_version` 2 of the dataflow report; version
+    /// 1 also carried a `learned_implications` stats counter).
     pub fn render_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\n  \"schema_version\": 1,\n  \"network\": {},\n  \"total_faults\": {},\n  \
+            "{{\n  \"schema_version\": 2,\n  \"network\": {},\n  \"total_faults\": {},\n  \
              \"proved_untestable\": {},\n  \"beyond_implic\": {},\n",
             json_string(&self.network),
             self.total_faults,
@@ -295,14 +293,12 @@ impl DataflowReport {
             s,
             "  \"stats\": {{\"ternary_constants\": {}, \"cofactor_constants\": {}, \
              \"learned_constants\": {}, \"unobservable_nodes\": {}, \
-             \"blocked_connections\": {}, \"learned_implications\": {}, \
-             \"learn_splits\": {}, \"ternary_passes\": {}}},",
+             \"blocked_connections\": {}, \"learn_splits\": {}, \"ternary_passes\": {}}},",
             st.ternary_constants,
             st.cofactor_constants,
             st.learned_constants,
             st.unobservable_nodes,
             st.blocked_connections,
-            st.learned_implications,
             st.learn_splits,
             st.ternary_passes
         );
