@@ -52,7 +52,10 @@
 //!    to the earliest committed vector that detects it. All of this is a
 //!    function of slot order alone, so the cascade — and therefore the
 //!    whole [`TestabilityReport`] — is identical at any job count, bit for
-//!    bit.
+//!    bit. A redundancy scan ([`scan_for_redundancy`]) never flushes: it
+//!    seeds the checker with the caller's cached tests and screens each
+//!    slot only when its turn comes, so it stops simulating at the first
+//!    redundancy.
 //! 3. **Deterministic assembly.** Verdict slots are indexed by fault-list
 //!    position; thread scheduling can change only how much speculative work
 //!    is wasted, never what is reported.
@@ -78,7 +81,7 @@ use crate::engine::{
 };
 use crate::fault::{Fault, FaultSite};
 use crate::fsim::{fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim};
-use crate::podem::{podem, PodemResult};
+use crate::podem::{Podem, PodemResult};
 
 /// PODEM backtrack budget for the structural pre-pass of
 /// [`SharedCnf::classify`]. Deliberately modest: on the MCNC circuits every
@@ -606,7 +609,7 @@ impl<'n> SharedCnf<'n> {
     ///   learnt clauses this solver happens to carry.
     pub(crate) fn classify(&mut self, fault: Fault) -> Testability {
         self.engine_calls += 1;
-        let result = podem(self.net, fault, PODEM_BUDGET);
+        let result = Podem::new(self.net, self.topo, fault, PODEM_BUDGET).run();
         match result.test_vector() {
             Some(t) => Testability::Testable(t),
             // In certify mode PODEM's redundancy verdicts (decision-tree
@@ -832,7 +835,7 @@ pub fn classify_faults_report(
     faults: Vec<Fault>,
     opts: ParallelOptions,
 ) -> ClassifyReport {
-    let outcome = run(net, &faults, opts, &[], true, false);
+    let outcome = run(net, &faults, opts, None);
     // A healthy run decides every slot. A slot still `None` means its
     // worker died before the panic shield could park a verdict for it;
     // the report degrades such slots to `Unknown` rather than panicking
@@ -850,19 +853,21 @@ pub fn classify_faults_report(
     }
 }
 
-/// Finds the first redundant fault in `faults` order, pre-screening with
-/// `cached_tests` (no fresh random patterns) and stopping the worker pool
-/// as soon as the in-order commit hits a redundancy. Because no test
-/// vector can ever detect a redundant fault, pre-screening and dropping
-/// never change *which* fault is reported — only how much SAT work finding
-/// it costs.
+/// Finds the first redundant fault in `faults` order, screening each fault
+/// against `cached_tests` (no fresh random patterns) and every vector
+/// committed before it, and stopping as soon as the in-order commit hits
+/// a redundancy. The screen runs in list order as the commit reaches each
+/// fault, so nothing past the first redundancy is ever simulated. Because
+/// no test vector can ever detect a redundant fault, screening and
+/// dropping never change *which* fault is reported — only how much SAT
+/// work finding it costs.
 pub fn scan_for_redundancy(
     net: &Network,
     faults: &[Fault],
     opts: ParallelOptions,
     cached_tests: &[Vec<bool>],
 ) -> RedundancyScan {
-    let outcome = run(net, faults, opts, cached_tests, false, true);
+    let outcome = run(net, faults, opts, Some(cached_tests));
     let unknown = outcome
         .verdicts
         .iter()
@@ -894,22 +899,23 @@ enum WorkerMsg {
     Skipped,
 }
 
+/// Classifies `faults` in list order. `scan: None` is classify mode:
+/// every fault gets a verdict, and the random patterns screen the whole
+/// list up front, since every verdict is needed anyway. `scan:
+/// Some(cached)` is scan mode: the run stops at the first redundancy, and
+/// the cached tests screen each fault only when the in-order commit
+/// reaches it (see [`Committer::resolve`]).
 fn run(
     net: &Network,
     faults: &[Fault],
     opts: ParallelOptions,
-    cached_tests: &[Vec<bool>],
-    with_random: bool,
-    stop_at_redundant: bool,
+    scan: Option<&[Vec<bool>]>,
 ) -> Outcome {
     let jobs = opts.effective_jobs();
     let topo = Topology::build(net);
-    let mut tests: Vec<Vec<bool>> = cached_tests.to_vec();
-    if with_random && opts.drop_patterns > 0 {
-        tests.extend(random_tests(net, opts.drop_patterns, opts.seed));
-    }
     let mut verdicts: Vec<Option<Testability>> = vec![None; faults.len()];
-    if !tests.is_empty() {
+    if scan.is_none() && opts.drop_patterns > 0 {
+        let tests = random_tests(net, opts.drop_patterns, opts.seed);
         let coverage = fault_simulate_cone_jobs_with(net, &topo, faults, &tests, jobs);
         for (slot, hit) in verdicts.iter_mut().zip(&coverage.detected_by) {
             if let Some(ti) = hit {
@@ -939,7 +945,7 @@ fn run(
             &survivors,
             opts.certify,
             opts.fault_budget,
-            stop_at_redundant,
+            scan,
             &mut outcome,
         );
     } else {
@@ -951,7 +957,7 @@ fn run(
             jobs.min(survivors.len()),
             opts.certify,
             opts.fault_budget,
-            stop_at_redundant,
+            scan,
             &mut outcome,
         );
     }
@@ -960,7 +966,8 @@ fn run(
 
 /// The in-order commit state shared by the sequential and parallel runs:
 /// resolves survivor slots strictly in fault-list order and runs the
-/// batched drop cascade. Everything here is a function of slot order and
+/// batched drop cascade (classify mode) or the in-order screen (scan
+/// mode). Everything here is a function of slot order and
 /// the canonical per-fault verdicts, so the sequential path and any
 /// worker-pool schedule produce bit-identical outcomes.
 struct Committer<'s> {
@@ -968,13 +975,15 @@ struct Committer<'s> {
     topo: &'s Topology,
     faults: &'s [Fault],
     survivors: &'s [usize],
+    /// Scan mode: stop at the first redundancy, screen in order, never
+    /// flush.
     stop_at_redundant: bool,
     /// Committed vectors not yet flushed across the undecided survivors,
-    /// in commit order.
+    /// in commit order (classify mode only).
     pending: Vec<Vec<bool>>,
-    /// Incremental checker over **all** committed vectors: per-slot drop
-    /// checks are one cone walk against cached good values instead of a
-    /// fresh pack-and-simulate per slot.
+    /// Incremental checker over the cached tests (scan mode) and **all**
+    /// committed vectors: per-slot drop checks are one cone walk against
+    /// cached good values instead of a fresh pack-and-simulate per slot.
     sim: ConeSim<'s>,
     /// Advisory per-survivor drop flags read by pool workers (set at
     /// flush time, after the verdict is recorded); `None` in-line.
@@ -984,9 +993,41 @@ struct Committer<'s> {
     log: Option<&'s CommitLog>,
 }
 
+/// A drop checker over `tests`, in order.
+fn seeded_sim<'n>(net: &'n Network, topo: &'n Topology, tests: &[Vec<bool>]) -> ConeSim<'n> {
+    let mut sim = ConeSim::new(net, topo);
+    for t in tests {
+        sim.push(t);
+    }
+    sim
+}
+
 impl<'s> Committer<'s> {
+    /// A committer over `survivors`; in scan mode its checker starts out
+    /// holding the cached tests.
+    fn new(
+        net: &'s Network,
+        topo: &'s Topology,
+        faults: &'s [Fault],
+        survivors: &'s [usize],
+        scan: Option<&[Vec<bool>]>,
+    ) -> Committer<'s> {
+        Committer {
+            net,
+            topo,
+            faults,
+            survivors,
+            stop_at_redundant: scan.is_some(),
+            pending: Vec::new(),
+            sim: seeded_sim(net, topo, scan.unwrap_or_default()),
+            dropped: None,
+            log: None,
+        }
+    }
+
     /// Resolves survivor slot `k`. `verdict` is consulted only if no
-    /// committed vector already detects the fault (so the sequential
+    /// committed vector (nor, in scan mode, cached test) already detects
+    /// the fault (so the sequential
     /// caller can pass the classification itself as the closure and skip
     /// the solve entirely on a drop). Returns `true` when the run is done
     /// (first redundancy committed in stop mode).
@@ -1000,14 +1041,22 @@ impl<'s> Committer<'s> {
         if outcome.verdicts[fi].is_some() {
             return false; // decided by an earlier flush
         }
-        if !self.pending.is_empty() {
-            // Drop check, word-parallel over the committed vectors. The
-            // checker scans all of them, but for an undecided slot the
-            // earliest detecting vector is necessarily still pending:
-            // every flushed vector was already simulated across this slot
-            // at flush time and would have decided it. So the credit —
-            // the first detecting vector in commit order — is exactly
-            // what an eager per-vector cascade would assign.
+        // Drop check, word-parallel over the checker's vectors. In scan
+        // mode there is no up-front screen and no flush, so every slot is
+        // screened here, in list order, against the cached tests and
+        // every vector committed before it. In classify mode the checker
+        // scans all committed vectors, but for an undecided slot the
+        // earliest detecting vector is necessarily still pending: every
+        // flushed vector was already simulated across this slot at flush
+        // time and would have decided it. So the credit — the first
+        // detecting vector in commit order — is exactly what an eager
+        // per-vector cascade would assign.
+        let screen = if self.stop_at_redundant {
+            !self.sim.is_empty()
+        } else {
+            !self.pending.is_empty()
+        };
+        if screen {
             if let Some(ti) = self.sim.first_detecting(self.faults[fi]) {
                 outcome.verdicts[fi] = Some(Testability::Testable(self.sim.test(ti).to_vec()));
                 return false;
@@ -1027,11 +1076,16 @@ impl<'s> Committer<'s> {
                 }
                 self.sim.push(&t);
                 outcome.sat_tests.push(t.clone());
-                self.pending.push(t.clone());
-                outcome.verdicts[fi] = Some(Testability::Testable(t));
-                if self.pending.len() >= DROP_FLUSH {
-                    self.flush(k, outcome);
+                // A flush simulates every later undecided slot; scan mode
+                // screens each slot when its turn comes instead, so it
+                // never simulates past the first redundancy.
+                if !self.stop_at_redundant {
+                    self.pending.push(t.clone());
+                    if self.pending.len() >= DROP_FLUSH {
+                        self.flush(k, outcome);
+                    }
                 }
+                outcome.verdicts[fi] = Some(Testability::Testable(t));
             }
             Testability::Unknown(r) => {
                 // Budget exhaustion or an isolated worker panic: commit
@@ -1125,7 +1179,7 @@ fn run_sequential(
     survivors: &[usize],
     certify: bool,
     budget: Option<FaultBudget>,
-    stop_at_redundant: bool,
+    scan: Option<&[Vec<bool>]>,
     outcome: &mut Outcome,
 ) {
     let rebuild = || {
@@ -1135,17 +1189,7 @@ fn run_sequential(
     };
     let mut ctx = rebuild();
     let mut lost = LostWork::default();
-    let mut committer = Committer {
-        net,
-        topo,
-        faults,
-        survivors,
-        stop_at_redundant,
-        pending: Vec::new(),
-        sim: ConeSim::new(net, topo),
-        dropped: None,
-        log: None,
-    };
+    let mut committer = Committer::new(net, topo, faults, survivors, scan);
     for (k, &fi) in survivors.iter().enumerate() {
         let done = committer.resolve(k, outcome, || {
             classify_isolated(&mut ctx, faults[fi], rebuild, &mut lost)
@@ -1182,6 +1226,28 @@ struct CommitState<'o, 's> {
     frontier: usize,
 }
 
+/// Stops the pool if its worker unwinds out of the commit path (a broken
+/// commit invariant, not a shielded per-fault panic), so paced-out peers
+/// wake and exit and the panic surfaces instead of hanging the run.
+struct StopOnUnwind<'a, 'o, 's> {
+    stop: &'a AtomicBool,
+    state: &'a Mutex<CommitState<'o, 's>>,
+    frontier_cv: &'a Condvar,
+}
+
+impl Drop for StopOnUnwind<'_, '_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Set under the lock, as the normal stop path does, so the
+            // wakeup cannot slip between a waiter's check and its wait.
+            let guard = lock_unpoisoned(self.state);
+            self.stop.store(true, Ordering::Release);
+            drop(guard);
+            self.frontier_cv.notify_all();
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_parallel(
     net: &Network,
@@ -1191,7 +1257,7 @@ fn run_parallel(
     jobs: usize,
     certify: bool,
     budget: Option<FaultBudget>,
-    stop_at_redundant: bool,
+    scan: Option<&[Vec<bool>]>,
     outcome: &mut Outcome,
 ) {
     let n = survivors.len();
@@ -1219,15 +1285,9 @@ fn run_parallel(
     let pool = (!certify).then(LemmaPool::new);
     let state = Mutex::new(CommitState {
         committer: Committer {
-            net,
-            topo,
-            faults,
-            survivors,
-            stop_at_redundant,
-            pending: Vec::new(),
-            sim: ConeSim::new(net, topo),
             dropped: Some(&dropped),
             log: Some(&log),
+            ..Committer::new(net, topo, faults, survivors, scan)
         },
         outcome,
         parked: BTreeMap::new(),
@@ -1247,6 +1307,11 @@ fn run_parallel(
             let (next, stop, state, frontier_cv) = (&next, &stop, &state, &frontier_cv);
             let (dropped, agg, pool, log) = (&dropped, &agg, &pool, &log);
             s.spawn(move || {
+                let _wake = StopOnUnwind {
+                    stop,
+                    state,
+                    frontier_cv,
+                };
                 let rebuild = || {
                     let mut ctx = SharedCnf::new(net, topo, certify);
                     if pool.is_some() {
@@ -1259,7 +1324,9 @@ fn run_parallel(
                 let mut lost = LostWork::default();
                 let mut cursor = 0usize;
                 let mut vec_cursor = 0usize;
-                let mut sim = ConeSim::new(net, topo);
+                // Seeded like the committer's checker, so in scan mode a
+                // cached test skips a fault here as well.
+                let mut sim = seeded_sim(net, topo, scan.unwrap_or_default());
                 'claims: loop {
                     let c = next.fetch_add(1, Ordering::Relaxed);
                     let lo = c * chunk;
@@ -1412,7 +1479,9 @@ fn run_parallel(
 mod tests {
     use super::*;
     use crate::fault::collapsed_faults;
-    use kms_netlist::{Delay, GateKind, Network};
+    use kms_gen::adders::carry_skip_adder;
+    use kms_gen::random::{random_network, RandomNetworkSpec};
+    use kms_netlist::{transform, Delay, DelayModel, GateKind, Network};
 
     /// A carry-skip-shaped circuit: the skip gate's stuck-at-0 is
     /// redundant (the effect reconverges and cancels), the rest is
@@ -1530,5 +1599,89 @@ mod tests {
             let par = classify_faults_report(&net, faults.clone(), opts(jobs));
             assert_eq!(seq.testability, par.testability, "jobs={jobs}");
         }
+    }
+
+    /// The in-order scan is one path at every job count: with a non-empty
+    /// cached-test set, jobs 1/2/4 with and without certification report
+    /// the same redundancy, the same committed vectors and the same
+    /// unknown count, and the redundancy is the first `Redundant` verdict
+    /// a full classification of the list gives. Under certification every
+    /// proof checks. The pool runs here with cached tests seeded into
+    /// every worker's and the committer's checker — the ThreadSanitizer
+    /// target for the scan-mode pool.
+    #[test]
+    fn scan_identical_across_jobs_and_certify() {
+        let mut csa = carry_skip_adder(6, 3, DelayModel::Unit);
+        transform::decompose_to_simple(&mut csa);
+        let spec = RandomNetworkSpec {
+            inputs: 8,
+            gates: 60,
+            outputs: 3,
+            max_fanin: 3,
+            max_delay: 1,
+        };
+        let (mut found, mut committed) = (0, 0);
+        for net in [
+            skip_net(),
+            csa,
+            random_network(3, spec),
+            random_network(11, spec),
+        ] {
+            let faults = collapsed_faults(&net);
+            let cached = random_tests(&net, 4, 7);
+            let scan = |jobs, certify| {
+                let opts = ParallelOptions {
+                    jobs,
+                    certify,
+                    ..ParallelOptions::default()
+                };
+                scan_for_redundancy(&net, &faults, opts, &cached)
+            };
+            let base = scan(1, false);
+            // Independently: a fault reaches the engine exactly when
+            // neither a cached test nor a vector committed before it
+            // detects it, and each such fault before the redundancy
+            // commits one vector.
+            let (mut calls, mut used) = (0, 0);
+            for &f in &faults {
+                let mut known = cached.clone();
+                known.extend_from_slice(&base.tests[..used]);
+                if crate::fsim::fault_simulate(&net, &[f], &known).detected_by[0].is_some() {
+                    continue;
+                }
+                calls += 1;
+                if Some(f) == base.redundant {
+                    break;
+                }
+                used += 1;
+            }
+            assert_eq!(base.engine_calls, calls, "{}", net.name());
+            assert_eq!(base.tests.len(), used, "{}", net.name());
+            for certify in [false, true] {
+                for jobs in [1, 2, 4] {
+                    let s = scan(jobs, certify);
+                    let at = format!("{} jobs={jobs} certify={certify}", net.name());
+                    assert_eq!(s.redundant, base.redundant, "{at}");
+                    assert_eq!(s.tests, base.tests, "{at}");
+                    assert_eq!(s.unknown, base.unknown, "{at}");
+                    if let Some(cert) = &s.certification {
+                        assert_eq!(cert.proofs_failed, 0, "{at}");
+                    }
+                }
+            }
+            let full = classify_faults_report(&net, faults.clone(), ParallelOptions::default());
+            let first = full
+                .testability
+                .faults
+                .iter()
+                .zip(&full.testability.verdicts)
+                .find(|(_, v)| v.is_redundant())
+                .map(|(&f, _)| f);
+            assert_eq!(base.redundant, first, "{}", net.name());
+            found += usize::from(first.is_some());
+            committed += base.tests.len();
+        }
+        assert!(found >= 2, "too few circuits with a redundancy: {found}");
+        assert!(committed > 0, "no fault got past the cached tests");
     }
 }

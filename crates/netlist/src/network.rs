@@ -283,11 +283,6 @@ impl Network {
         self.outputs.iter().position(|o| o.name == name)
     }
 
-    /// The index of `input` within [`Network::inputs`], if it is one.
-    pub fn input_position(&self, input: GateId) -> Option<usize> {
-        self.inputs.iter().position(|&i| i == input)
-    }
-
     /// Total number of gate slots (including tombstones).
     pub fn num_gate_slots(&self) -> usize {
         self.gates.len()

@@ -7,7 +7,8 @@
 //! * redundancy verdicts agree with the per-fault SAT engine;
 //! * dynamic fault-dropping (any `drop_patterns` setting) never changes the
 //!   redundant-fault set;
-//! * the naive removal trajectory under `SharedSat` matches `Sat`'s.
+//! * the naive removal trajectory under `SharedSat` matches `Sat`'s, on the
+//!   carry-skip adder and on 100–200-gate random networks.
 
 use proptest::prelude::*;
 
@@ -209,5 +210,40 @@ fn naive_removal_trajectory_matches() {
         );
         assert_eq!(ra.gates_after, rb.gates_after);
         a.exhaustive_equiv(&b).unwrap();
+    }
+}
+
+/// The shared engine's removal loop screens each fault in list order
+/// against the cached tests and stops at the first redundancy; the
+/// per-fault `Sat` loop screens with its own random patterns. Both must
+/// remove the same faults in the same order on random networks large
+/// enough to need many restarts.
+#[test]
+fn naive_removal_matches_sat_on_random_networks() {
+    for (seed, gates) in [
+        (0x5EED_0001u64, 100usize),
+        (0x5EED_0002, 150),
+        (0x5EED_0003, 200),
+    ] {
+        let net = random_network(
+            seed,
+            RandomNetworkSpec {
+                inputs: 12,
+                gates,
+                outputs: 6,
+                max_fanin: 3,
+                max_delay: 2,
+            },
+        );
+        let mut a = net.clone();
+        let mut b = net.clone();
+        let ra = naive_redundancy_removal(&mut a, Engine::Sat);
+        let rb = naive_redundancy_removal(&mut b, shared(1));
+        assert!(!ra.removed.is_empty(), "seed {seed:#x}: nothing to remove");
+        assert_eq!(
+            ra.removed, rb.removed,
+            "seed {seed:#x}: removal sequences diverged"
+        );
+        assert_eq!(ra.gates_after, rb.gates_after);
     }
 }
