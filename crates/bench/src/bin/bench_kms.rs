@@ -1,21 +1,14 @@
-//! Incremental-engine benchmark for the KMS loop: end-to-end
-//! `kms_algorithm` wall-clock and the per-phase split, incremental engine
-//! vs per-iteration rebuild, measured in the same run on the same
-//! prepared circuits. Emits `BENCH_kms.json`.
+//! KMS loop benchmark: end-to-end `kms_algorithm` wall-clock, its
+//! per-phase split, and the loop's timing-pass and verdict-cache
+//! counters on prepared Table I circuits. Emits `BENCH_kms.json`.
 //!
 //! Usage: `bench_kms [--smoke] [--jobs N] [--out FILE]`
 //!
-//! * `--smoke` — two small circuits, one rep: CI schema/determinism check.
+//! * `--smoke` — two small circuits, one rep: CI schema check.
 //! * `--jobs N` — oracle worker threads inside each iteration (default 1,
-//!   the paper-faithful sequential walk; the engine is bit-identical at
+//!   the paper-faithful sequential walk; the loop is bit-identical at
 //!   any job count).
 //! * `--out FILE` — output path (default `BENCH_kms.json`).
-//!
-//! Every row is also a correctness gate: the incremental run's final
-//! netlist must dump byte-identically to the non-incremental run's, and
-//! the iteration traces (chosen paths, duplication counts, asserted
-//! constants) and removed-redundancy lists must match exactly — the
-//! engine is a performance switch, not a semantic one.
 
 use std::time::Instant;
 
@@ -105,17 +98,13 @@ struct Row {
     duplicated: usize,
     removed: usize,
     dropped_longest: u64,
-    incremental_updates: u64,
-    full_recomputes: u64,
+    timing_passes: u64,
     cache_hits: u64,
     cache_misses: u64,
-    inc_s: f64,
-    full_s: f64,
-    inc_phases: Phases,
-    full_phases: Phases,
+    wall_s: f64,
+    phases: Phases,
 }
 
-#[derive(Clone, Copy)]
 struct Phases {
     engine_s: f64,
     path_enum_s: f64,
@@ -125,59 +114,30 @@ struct Phases {
 }
 
 impl Phases {
-    /// Wall time of the phases the incremental engine actually touches —
-    /// the KMS loop proper. The trailing ATPG/removal pass is identical
-    /// work in both modes and dwarfs the loop on circuits with few
-    /// iterations, so end-to-end totals mostly measure it.
+    fn of(r: &KmsReport) -> Phases {
+        Phases {
+            engine_s: r.timings.engine.as_secs_f64(),
+            path_enum_s: r.timings.path_enum.as_secs_f64(),
+            oracle_s: r.timings.oracle.as_secs_f64(),
+            transform_s: r.timings.transform.as_secs_f64(),
+            atpg_s: r.timings.atpg.as_secs_f64(),
+        }
+    }
+
+    /// Wall time of the KMS loop proper. The trailing ATPG/removal pass
+    /// dwarfs the loop on circuits with few iterations, so end-to-end
+    /// totals mostly measure it.
     fn loop_s(&self) -> f64 {
         self.engine_s + self.path_enum_s + self.oracle_s + self.transform_s
     }
-}
 
-fn phases(r: &KmsReport) -> Phases {
-    Phases {
-        engine_s: r.timings.engine.as_secs_f64(),
-        path_enum_s: r.timings.path_enum.as_secs_f64(),
-        oracle_s: r.timings.oracle.as_secs_f64(),
-        transform_s: r.timings.transform.as_secs_f64(),
-        atpg_s: r.timings.atpg.as_secs_f64(),
+    fn json(&self) -> String {
+        format!(
+            "{{\"engine_s\": {:.6}, \"path_enum_s\": {:.6}, \"oracle_s\": {:.6}, \
+             \"transform_s\": {:.6}, \"atpg_s\": {:.6}}}",
+            self.engine_s, self.path_enum_s, self.oracle_s, self.transform_s, self.atpg_s
+        )
     }
-}
-
-/// The two runs must be observably identical: same netlist bytes, same
-/// iteration trace, same removal list.
-fn assert_bit_identical(name: &str, inc: &(Network, KmsReport), full: &(Network, KmsReport)) {
-    assert_eq!(
-        inc.0.dump(),
-        full.0.dump(),
-        "{name}: incremental and rebuild runs produced different netlists"
-    );
-    let (ri, rf) = (&inc.1, &full.1);
-    assert_eq!(
-        ri.removed_redundancies, rf.removed_redundancies,
-        "{name}: removal lists diverged"
-    );
-    assert_eq!(
-        ri.iterations.len(),
-        rf.iterations.len(),
-        "{name}: iteration counts diverged"
-    );
-    for (a, b) in ri.iterations.iter().zip(&rf.iterations) {
-        assert_eq!(a.path, b.path, "{name}: chosen paths diverged");
-        assert_eq!(
-            (a.longest_length, a.duplicated, a.constant, a.dropped),
-            (b.longest_length, b.duplicated, b.constant, b.dropped),
-            "{name}: iteration bookkeeping diverged"
-        );
-    }
-}
-
-fn phase_json(p: &Phases) -> String {
-    format!(
-        "{{\"engine_s\": {:.6}, \"path_enum_s\": {:.6}, \"oracle_s\": {:.6}, \
-         \"transform_s\": {:.6}, \"atpg_s\": {:.6}}}",
-        p.engine_s, p.path_enum_s, p.oracle_s, p.transform_s, p.atpg_s
-    )
 }
 
 fn main() {
@@ -211,34 +171,22 @@ fn main() {
         v
     };
 
-    let incremental = KmsOptions {
-        incremental: true,
-        jobs: cfg.jobs,
-        ..Default::default()
-    };
-    let rebuild = KmsOptions {
-        incremental: false,
+    let options = KmsOptions {
         jobs: cfg.jobs,
         ..Default::default()
     };
 
     let mut rows = Vec::new();
     for (name, net, arr) in &circuits {
-        let (inc_s, inc_run) = time_min(reps, || kms_on_copy(net, arr, incremental).unwrap());
-        let (full_s, full_run) = time_min(reps, || kms_on_copy(net, arr, rebuild).unwrap());
-        assert_bit_identical(name, &inc_run, &full_run);
-        let r = &inc_run.1;
-        let (inc_loop, full_loop) = (phases(r).loop_s(), phases(&full_run.1).loop_s());
+        let (wall_s, (_, r)) = time_min(reps, || kms_on_copy(net, arr, options).unwrap());
+        let phases = Phases::of(&r);
         eprintln!(
-            "{name:<10} {:>3} iters  {:>4} dup  {:>3} removed  inc {inc_s:.4}s  \
-             full {full_s:.4}s  ({:.2}x; loop {:.2}x)  \
-             [{} inc updates, {} rebuilds, cache {}/{}]",
+            "{name:<10} {:>3} iters  {:>4} dup  {:>3} removed  {wall_s:.4}s  \
+             (loop {:.4}s)  [{} timing passes, cache {}/{}]",
             r.iterations.len(),
             r.duplicated_gates,
             r.removed_redundancies.len(),
-            full_s / inc_s,
-            full_loop / inc_loop,
-            r.engine.incremental_updates,
+            phases.loop_s(),
             r.engine.full_recomputes,
             r.engine.cache_hits,
             r.engine.cache_hits + r.engine.cache_misses,
@@ -250,21 +198,18 @@ fn main() {
             duplicated: r.duplicated_gates,
             removed: r.removed_redundancies.len(),
             dropped_longest: r.dropped_longest_paths,
-            incremental_updates: r.engine.incremental_updates,
-            full_recomputes: r.engine.full_recomputes,
+            timing_passes: r.engine.full_recomputes,
             cache_hits: r.engine.cache_hits,
             cache_misses: r.engine.cache_misses,
-            inc_s,
-            full_s,
-            inc_phases: phases(r),
-            full_phases: phases(&full_run.1),
+            wall_s,
+            phases,
         });
     }
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"kms_incremental\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \
+        "  \"bench\": \"kms_loop\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \
          \"reps\": {},\n  \"rows\": [\n",
         if cfg.smoke { "smoke" } else { "full" },
         cfg.jobs,
@@ -274,30 +219,20 @@ fn main() {
         json.push_str(&format!(
             "    {{\"circuit\": \"{}\", \"gates\": {}, \"iterations\": {}, \
              \"duplicated\": {}, \"removed\": {}, \"dropped_longest_paths\": {}, \
-             \"incremental_updates\": {}, \"full_recomputes\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"incremental_s\": {:.6}, \"rebuild_s\": {:.6}, \"speedup\": {:.3}, \
-             \"incremental_loop_s\": {:.6}, \"rebuild_loop_s\": {:.6}, \
-             \"loop_speedup\": {:.3}, \
-             \"incremental_phases\": {}, \"rebuild_phases\": {}}}{}\n",
+             \"timing_passes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+             \"wall_s\": {:.6}, \"loop_s\": {:.6}, \"phases\": {}}}{}\n",
             json_escape(&r.name),
             r.gates,
             r.iterations,
             r.duplicated,
             r.removed,
             r.dropped_longest,
-            r.incremental_updates,
-            r.full_recomputes,
+            r.timing_passes,
             r.cache_hits,
             r.cache_misses,
-            r.inc_s,
-            r.full_s,
-            r.full_s / r.inc_s,
-            r.inc_phases.loop_s(),
-            r.full_phases.loop_s(),
-            r.full_phases.loop_s() / r.inc_phases.loop_s(),
-            phase_json(&r.inc_phases),
-            phase_json(&r.full_phases),
+            r.wall_s,
+            r.phases.loop_s(),
+            r.phases.json(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -3,15 +3,12 @@
 //! A checkpoint freezes the loop's cross-iteration state at an
 //! iteration boundary: the mid-run network (exact arena serialization,
 //! tombstones included), the iteration trace and counters accumulated so
-//! far, the oracle-phase solver totals, the certification ledger, and —
-//! in incremental mode — the verdict cache plus the signature-interner
-//! table that keys it. A resumed run rebuilds the timing view and the
-//! enumeration frontier from the restored network instead of restoring
-//! them; the repository's repair-vs-rebuild equivalence (asserted by
-//! `incremental_and_parallel_are_bit_identical` and the
-//! `debug-invariants` fresh-enumerator cross-check) makes that
-//! reconstruction observably identical to the uninterrupted run, so the
-//! final report matches bit-for-bit on everything but wall-clock.
+//! far, the oracle-phase solver totals, the certification ledger, and the
+//! verdict cache plus the signature-interner table that keys it. The
+//! timing pass and the path frontier need no saving: the loop builds both
+//! afresh from the network at the start of every iteration, so a resumed
+//! run's final report matches the uninterrupted run's bit-for-bit on
+//! everything but wall-clock.
 //!
 //! The file is versioned, digest-guarded (FNV-1a over the payload, so a
 //! truncated or bit-rotted file is rejected rather than resumed), and
@@ -82,6 +79,12 @@ fn bad(context: impl Into<String>) -> CheckpointError {
     CheckpointError::Malformed(context.into())
 }
 
+/// The first line of every checkpoint file. v2 dropped the
+/// `partials_reseeded` engine counter and made the cache and interner
+/// sections mandatory; v1 files are rejected as
+/// [`CheckpointError::Version`].
+const HEADER: &str = "kms-checkpoint v2";
+
 /// FNV-1a 64-bit, the workspace's standard content digest.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -93,9 +96,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The run-identity fingerprint: circuit, arrivals, and the options that
-/// change observable behavior. `incremental` and `jobs` are deliberately
-/// excluded — both are proven bit-identity switches, so a run may resume
-/// with a different job count or engine mode.
+/// change observable behavior. `jobs` is deliberately excluded — it is a
+/// proven bit-identity switch, so a run may resume with a different job
+/// count.
 pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &KmsOptions) -> u64 {
     let mut s = net.dump();
     for (pos, &input) in net.inputs().iter().enumerate() {
@@ -131,10 +134,9 @@ pub struct Checkpoint {
     pub(crate) oracle_solver: Stats,
     pub(crate) certification: Option<CertificationReport>,
     pub(crate) iterations: Vec<KmsIteration>,
-    /// Verdict-cache entries plus (hits, misses); `None` when the
-    /// checkpointed run had caching off.
-    pub(crate) cache: Option<(Vec<CacheEntry>, u64, u64)>,
-    pub(crate) interner: Option<SignatureInterner>,
+    /// Verdict-cache entries plus (hits, misses).
+    pub(crate) cache: (Vec<CacheEntry>, u64, u64),
+    pub(crate) interner: SignatureInterner,
     pub(crate) net: Network,
 }
 
@@ -177,7 +179,7 @@ impl Checkpoint {
         }
         let payload = self.render();
         let text = format!(
-            "kms-checkpoint v1\ndigest {:016x}\n{payload}",
+            "{HEADER}\ndigest {:016x}\n{payload}",
             fnv1a64(payload.as_bytes())
         );
         let tmp = path.with_extension("tmp");
@@ -201,12 +203,11 @@ impl Checkpoint {
         let e = &self.engine_stats;
         let _ = writeln!(
             s,
-            "engine {} {} {} {} {} {} {}",
+            "engine {} {} {} {} {} {}",
             e.incremental_updates,
             e.full_recomputes,
             e.partials_retained,
             e.partials_dropped,
-            e.partials_reseeded,
             e.cache_hits,
             e.cache_misses,
         );
@@ -266,40 +267,27 @@ impl Checkpoint {
                 escape_token(&it.path),
             );
         }
-        match &self.cache {
-            None => {
-                let _ = writeln!(s, "cache -");
+        let (entries, hits, misses) = &self.cache;
+        let _ = writeln!(s, "cache {} {hits} {misses}", entries.len());
+        for (key, (verdict, digest)) in entries {
+            let _ = write!(s, "k {}", key.len());
+            for (sig, val) in key {
+                let _ = write!(s, " {sig}:{}", u8::from(*val));
             }
-            Some((entries, hits, misses)) => {
-                let _ = writeln!(s, "cache {} {hits} {misses}", entries.len());
-                for (key, (verdict, digest)) in entries {
-                    let _ = write!(s, "k {}", key.len());
-                    for (sig, val) in key {
-                        let _ = write!(s, " {sig}:{}", u8::from(*val));
-                    }
-                    let _ = write!(s, " v {}", u8::from(*verdict));
-                    match digest {
-                        Some(d) => {
-                            let _ = writeln!(s, " {d:016x}");
-                        }
-                        None => {
-                            let _ = writeln!(s, " -");
-                        }
-                    }
+            let _ = write!(s, " v {}", u8::from(*verdict));
+            match digest {
+                Some(d) => {
+                    let _ = writeln!(s, " {d:016x}");
+                }
+                None => {
+                    let _ = writeln!(s, " -");
                 }
             }
         }
-        match &self.interner {
-            None => {
-                let _ = writeln!(s, "interner -");
-            }
-            Some(interner) => {
-                let lines = interner.export_lines();
-                let _ = writeln!(s, "interner {}", lines.len());
-                for line in lines {
-                    let _ = writeln!(s, "s {line}");
-                }
-            }
+        let lines = self.interner.export_lines();
+        let _ = writeln!(s, "interner {}", lines.len());
+        for line in lines {
+            let _ = writeln!(s, "s {line}");
         }
         let net = self.net.serialize_exact();
         let _ = writeln!(s, "net {}", net.lines().count());
@@ -311,7 +299,7 @@ impl Checkpoint {
     pub(crate) fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
         let mut lines = text.lines();
         let header = lines.next().ok_or_else(|| bad("empty file"))?;
-        if header != "kms-checkpoint v1" {
+        if header != HEADER {
             return Err(CheckpointError::Version(header.to_string()));
         }
         let digest_line = lines.next().ok_or_else(|| bad("missing digest line"))?;
@@ -380,7 +368,6 @@ impl Checkpoint {
             full_recomputes: field(&mut f, "engine counter")?,
             partials_retained: field(&mut f, "engine counter")?,
             partials_dropped: field(&mut f, "engine counter")?,
-            partials_reseeded: field(&mut f, "engine counter")?,
             cache_hits: field(&mut f, "engine counter")?,
             cache_misses: field(&mut f, "engine counter")?,
         };
@@ -453,68 +440,53 @@ impl Checkpoint {
         }
 
         let mut f = tagged(&mut lines, "cache")?;
-        let cache = match f.next() {
-            Some("-") => None,
-            Some(first) => {
-                let n: usize = first.parse().map_err(|_| bad("bad cache entry count"))?;
-                let hits = field(&mut f, "cache hits")?;
-                let misses = field(&mut f, "cache misses")?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut f = tagged(&mut lines, "k")?;
-                    let npairs: usize = field(&mut f, "cache key length")?;
-                    let mut key = Vec::with_capacity(npairs);
-                    for _ in 0..npairs {
-                        let tok = f.next().ok_or_else(|| bad("truncated cache key"))?;
-                        let (sig, val) = tok
-                            .split_once(':')
-                            .ok_or_else(|| bad(format!("bad cache pair {tok:?}")))?;
-                        let sig = sig.parse().map_err(|_| bad("bad cache signature"))?;
-                        let val = match val {
-                            "0" => false,
-                            "1" => true,
-                            _ => return Err(bad("bad cache value")),
-                        };
-                        key.push((sig, val));
-                    }
-                    if f.next() != Some("v") {
-                        return Err(bad("missing cache verdict marker"));
-                    }
-                    let verdict = parse_bool01(&mut f, "cache verdict")?;
-                    let digest = match f.next() {
-                        Some("-") => None,
-                        Some(d) => {
-                            Some(u64::from_str_radix(d, 16).map_err(|_| bad("bad cache digest"))?)
-                        }
-                        None => return Err(bad("missing cache digest")),
-                    };
-                    entries.push((key, (verdict, digest)));
-                }
-                Some((entries, hits, misses))
+        let n: usize = field(&mut f, "cache entry count")?;
+        let hits = field(&mut f, "cache hits")?;
+        let misses = field(&mut f, "cache misses")?;
+        // No capacity from the file's counts: they are unchecked input.
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            let mut f = tagged(&mut lines, "k")?;
+            let npairs: usize = field(&mut f, "cache key length")?;
+            let mut key = Vec::new();
+            for _ in 0..npairs {
+                let tok = f.next().ok_or_else(|| bad("truncated cache key"))?;
+                let (sig, val) = tok
+                    .split_once(':')
+                    .ok_or_else(|| bad(format!("bad cache pair {tok:?}")))?;
+                let sig = sig.parse().map_err(|_| bad("bad cache signature"))?;
+                let val = match val {
+                    "0" => false,
+                    "1" => true,
+                    _ => return Err(bad("bad cache value")),
+                };
+                key.push((sig, val));
             }
-            None => return Err(bad("empty cache line")),
-        };
+            if f.next() != Some("v") {
+                return Err(bad("missing cache verdict marker"));
+            }
+            let verdict = parse_bool01(&mut f, "cache verdict")?;
+            let digest = match f.next() {
+                Some("-") => None,
+                Some(d) => Some(u64::from_str_radix(d, 16).map_err(|_| bad("bad cache digest"))?),
+                None => return Err(bad("missing cache digest")),
+            };
+            entries.push((key, (verdict, digest)));
+        }
+        let cache = (entries, hits, misses);
 
         let mut f = tagged(&mut lines, "interner")?;
-        let interner = match f.next() {
-            Some("-") => None,
-            Some(first) => {
-                let n: usize = first.parse().map_err(|_| bad("bad interner count"))?;
-                let mut shape_lines = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let line = lines.next().ok_or_else(|| bad("truncated interner"))?;
-                    shape_lines.push(
-                        line.strip_prefix("s ")
-                            .ok_or_else(|| bad(format!("expected shape line, got {line:?}")))?,
-                    );
-                }
-                Some(
-                    SignatureInterner::import_lines(shape_lines)
-                        .ok_or_else(|| bad("invalid interner table"))?,
-                )
-            }
-            None => return Err(bad("empty interner line")),
-        };
+        let n: usize = field(&mut f, "interner count")?;
+        let mut shape_lines = Vec::new();
+        for _ in 0..n {
+            let line = lines.next().ok_or_else(|| bad("truncated interner"))?;
+            shape_lines.push(
+                line.strip_prefix("s ")
+                    .ok_or_else(|| bad(format!("expected shape line, got {line:?}")))?,
+            );
+        }
+        let interner = SignatureInterner::import_lines(shape_lines)
+            .ok_or_else(|| bad("invalid interner table"))?;
 
         let mut f = tagged(&mut lines, "net")?;
         let n_net_lines: usize = field(&mut f, "net line count")?;
@@ -574,7 +546,6 @@ mod tests {
                 full_recomputes: 1,
                 partials_retained: 10,
                 partials_dropped: 3,
-                partials_reseeded: 1,
                 cache_hits: 0,
                 cache_misses: 0,
             },
@@ -599,15 +570,15 @@ mod tests {
                 gates_after: 40,
                 dropped: 1,
             }],
-            cache: Some((
+            cache: (
                 vec![
                     (vec![(0, true), (3, false)], (false, Some(0xabcd))),
                     (vec![(1, true)], (true, None)),
                 ],
                 7,
                 5,
-            )),
-            interner: Some(interner),
+            ),
+            interner,
             net,
         }
     }
@@ -617,7 +588,7 @@ mod tests {
         let ck = sample();
         let payload = ck.render();
         let text = format!(
-            "kms-checkpoint v1\ndigest {:016x}\n{payload}",
+            "{HEADER}\ndigest {:016x}\n{payload}",
             super::fnv1a64(payload.as_bytes())
         );
         let back = Checkpoint::parse(&text).unwrap();
@@ -631,7 +602,7 @@ mod tests {
         let cert = back.certification.as_ref().unwrap();
         assert_eq!(cert.failures, vec!["an example failure".to_string()]);
         assert_eq!(cert.check_time, Duration::from_nanos(1234));
-        assert_eq!(back.cache.as_ref().unwrap().0.len(), 2);
+        assert_eq!(back.cache.0.len(), 2);
     }
 
     #[test]
@@ -652,7 +623,7 @@ mod tests {
         let ck = sample();
         let payload = ck.render();
         let good = format!(
-            "kms-checkpoint v1\ndigest {:016x}\n{payload}",
+            "{HEADER}\ndigest {:016x}\n{payload}",
             super::fnv1a64(payload.as_bytes())
         );
         // Flip one payload byte: digest must catch it.
@@ -672,5 +643,31 @@ mod tests {
             Checkpoint::parse("kms-checkpoint v9\ndigest 0\n"),
             Err(CheckpointError::Version(_))
         ));
+    }
+
+    /// A file in the v1 format (written before the cone-scoped timing
+    /// engine was retired) is refused with a typed error, even when its
+    /// digest is intact: its engine line has an extra counter and its
+    /// cache/interner sections may be absent.
+    #[test]
+    fn v1_checkpoint_is_a_version_error() {
+        let payload = "fingerprint 00000000deadbeef\n\
+                       progress 1 3 2 1 0 0\n\
+                       engine 1 1 4 2 1 0 3\n\
+                       oracle 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n\
+                       cert -\n\
+                       iters 0\n\
+                       cache -\n\
+                       interner -\n\
+                       net 0\n\
+                       end\n";
+        let text = format!(
+            "kms-checkpoint v1\ndigest {:016x}\n{payload}",
+            super::fnv1a64(payload.as_bytes())
+        );
+        match Checkpoint::parse(&text) {
+            Err(CheckpointError::Version(h)) => assert_eq!(h, "kms-checkpoint v1"),
+            other => panic!("expected a version error, got {other:?}"),
+        }
     }
 }

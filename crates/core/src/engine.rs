@@ -1,6 +1,6 @@
-//! The incremental engine room of the KMS loop: the cross-iteration
-//! verdict cache, the (optionally parallel) oracle phase, and the
-//! critical-path counter behind the no-silent-caps accounting.
+//! The engine room of the KMS loop: the cross-iteration verdict cache,
+//! the (optionally parallel) oracle phase, and the critical-path counter
+//! behind the no-silent-caps accounting.
 //!
 //! The loop in [`crate::kms`] asks one question per longest path each
 //! iteration: "does this path satisfy the condition (static
@@ -35,36 +35,30 @@ use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{
     early_side_constraints, static_side_constraints, InputArrivals, LatenessRule,
-    SensitizationOracle, TimingView, ViabilityAnalysis, NEVER,
+    SensitizationOracle, Sta, ViabilityAnalysis, NEVER,
 };
 
 use crate::algorithm::Condition;
 
-/// Counters from the incremental engine of a [`crate::kms`] run: how
-/// often the timing view was patched vs rebuilt, what the enumerator
-/// repair retained, and how the cross-iteration verdict cache performed.
-/// All zeros when `incremental` is off except `full_recomputes` (one per
-/// per-iteration rebuild, plus the initial build).
+/// Counters from the timing upkeep and the verdict cache of a
+/// [`crate::kms`] run. The three fields that are always 0 counted the
+/// retired cone-scoped STA and path-frontier repair; they are kept
+/// because the end-to-end benchmark's replay
+/// (`benchmark/src/replay.rs`) reads them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Cone-scoped timing updates that stayed incremental.
+    /// Always 0 (see the type docs).
     pub incremental_updates: u64,
-    /// Full timing recomputes: the initial build, per-iteration rebuilds
-    /// in non-incremental mode, and incremental-mode fallbacks (dirty
-    /// region over the threshold or an output-list reshape).
+    /// Static timing passes the loop ran: one per while-loop iteration,
+    /// including the final one that exits the loop.
     pub full_recomputes: u64,
-    /// Heap/emitted partials the enumerator repair kept across an update.
+    /// Always 0 (see the type docs).
     pub partials_retained: u64,
-    /// Partials invalidated by the dirty region and discarded.
+    /// Always 0 (see the type docs).
     pub partials_dropped: u64,
-    /// Primary outputs re-seeded from scratch (their frontier had been
-    /// wiped out entirely).
-    pub partials_reseeded: u64,
     /// Oracle queries answered by the cross-iteration verdict cache.
     pub cache_hits: u64,
-    /// Oracle queries that missed the cache (includes every query of a
-    /// non-cached run: the counter tracks lookups, and with caching off
-    /// there are none — both counters stay zero).
+    /// Oracle queries that missed the cache and went to an oracle.
     pub cache_misses: u64,
 }
 
@@ -181,19 +175,19 @@ impl VerdictCache {
 /// The canonical cache key of `path` under `condition`: its constraint
 /// set with gates replaced by their interned signatures. Viability keys
 /// include only the *early* side-inputs (late ones are smoothed), so the
-/// current timing view participates in key construction — which is what
+/// current timing pass participates in key construction — which is what
 /// makes the key sound under timing drift: the key *is* the verdict's
 /// full input.
 fn constraint_key(
     net: &Network,
-    view: &impl TimingView,
+    sta: &Sta,
     path: &Path,
     condition: Condition,
     sigs: &Signatures,
 ) -> Result<Vec<(u32, bool)>, NetlistError> {
     let raw = match condition {
         Condition::StaticSensitization => static_side_constraints(net, path)?,
-        Condition::Viability => early_side_constraints(net, view, path, LatenessRule::default())?,
+        Condition::Viability => early_side_constraints(net, sta, path, LatenessRule::default())?,
     };
     let mut key: Vec<(u32, bool)> = raw.into_iter().map(|(g, nc)| (sigs.of(g), nc)).collect();
     key.sort_unstable();
@@ -230,8 +224,8 @@ fn decide(verdicts: &[Option<bool>]) -> Option<(bool, Option<usize>)> {
     Some((false, first_false))
 }
 
-/// Runs the while-loop header check over `longest`, with optional
-/// verdict caching and optional parallel miss resolution.
+/// Runs the while-loop header check over `longest`, with verdict caching
+/// and optional parallel miss resolution.
 ///
 /// Observable behavior is bit-identical to the sequential uncached walk
 /// ("query in order, stop at the first satisfying path"): verdicts are
@@ -243,31 +237,27 @@ fn decide(verdicts: &[Option<bool>]) -> Option<(bool, Option<usize>)> {
 pub(crate) fn oracle_phase(
     net: &Network,
     arrivals: &InputArrivals,
-    view: &(impl TimingView + Sync),
+    sta: &Sta,
     longest: &[Path],
     condition: Condition,
     jobs: usize,
-    cache: Option<(&mut VerdictCache, &mut SignatureInterner)>,
+    cache: &mut VerdictCache,
+    interner: &mut SignatureInterner,
     mut certify: Option<&mut CertificationReport>,
     oracle_stats: &mut Stats,
 ) -> Result<OracleOutcome, NetlistError> {
-    let mut verdicts: Vec<Option<bool>> = vec![None; longest.len()];
-    let mut keys: Vec<Option<Vec<(u32, bool)>>> = vec![None; longest.len()];
-    let mut cache_ref = None;
-    if let Some((cache, interner)) = cache {
-        let sigs = interner.sign_network(net);
-        for (i, p) in longest.iter().enumerate() {
-            let key = constraint_key(net, view, p, condition, &sigs)?;
-            match cache.map.get(&key) {
-                Some(&(v, _digest)) => {
-                    verdicts[i] = Some(v);
-                    cache.hits += 1;
-                }
-                None => cache.misses += 1,
-            }
-            keys[i] = Some(key);
+    let sigs = interner.sign_network(net);
+    let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(longest.len());
+    let mut keys: Vec<Option<Vec<(u32, bool)>>> = Vec::with_capacity(longest.len());
+    for p in longest {
+        let key = constraint_key(net, sta, p, condition, &sigs)?;
+        let hit = cache.map.get(&key).map(|&(v, _digest)| v);
+        match hit {
+            Some(_) => cache.hits += 1,
+            None => cache.misses += 1,
         }
-        cache_ref = Some(cache);
+        verdicts.push(hit);
+        keys.push(Some(key));
     }
     // Paths past the first cached-satisfying one never need a query.
     let stop_at = verdicts
@@ -291,8 +281,8 @@ pub(crate) fn oracle_phase(
                     None => (o.satisfies(net, &longest[i])?, None),
                 };
                 verdicts[i] = Some(v);
-                if let (Some(c), Some(k)) = (cache_ref.as_deref_mut(), keys[i].take()) {
-                    c.map.insert(k, (v, digest));
+                if let Some(k) = keys[i].take() {
+                    cache.map.insert(k, (v, digest));
                 }
             }
             if let Some(o) = &oracle {
@@ -310,8 +300,8 @@ pub(crate) fn oracle_phase(
                 certify,
                 oracle_stats,
                 |i, v, digest| {
-                    if let (Some(c), Some(k)) = (cache_ref.as_deref_mut(), keys[i].take()) {
-                        c.map.insert(k, (v, digest));
+                    if let Some(k) = keys[i].take() {
+                        cache.map.insert(k, (v, digest));
                     }
                 },
             )?;
@@ -522,8 +512,8 @@ fn resolve_parallel(
 /// is precisely why the enumerator caps and why this counter exists (the
 /// no-silent-caps rule: report what the cap dropped, never enumerate
 /// it).
-pub(crate) fn count_critical_paths(net: &Network, view: &impl TimingView) -> u64 {
-    let delay = view.delay();
+pub(crate) fn count_critical_paths(net: &Network, sta: &Sta) -> u64 {
+    let delay = sta.delay();
     let mut cnt = vec![0u64; net.num_gate_slots()];
     for id in net.topo_order() {
         let g = net.gate(id);
@@ -531,13 +521,13 @@ pub(crate) fn count_critical_paths(net: &Network, view: &impl TimingView) -> u64
             GateKind::Input => 1,
             GateKind::Const(_) => 0,
             _ => {
-                let a = view.arrival(id);
+                let a = sta.arrival(id);
                 if a == NEVER {
                     0
                 } else {
                     let mut total = 0u64;
                     for p in &g.pins {
-                        let sa = view.arrival(p.src);
+                        let sa = sta.arrival(p.src);
                         if sa != NEVER && sa + p.wire_delay.units() + g.delay.units() == a {
                             total = total.saturating_add(cnt[p.src.index()]);
                         }
@@ -552,7 +542,7 @@ pub(crate) fn count_critical_paths(net: &Network, view: &impl TimingView) -> u64
         if net.gate(o.src).kind.is_source() {
             continue; // no enumerable path ends at a source-driven output
         }
-        if view.arrival(o.src) == delay {
+        if sta.arrival(o.src) == delay {
             total = total.saturating_add(cnt[o.src.index()]);
         }
     }
@@ -563,7 +553,7 @@ pub(crate) fn count_critical_paths(net: &Network, view: &impl TimingView) -> u64
 mod tests {
     use super::*;
     use kms_netlist::{Delay, GateKind};
-    use kms_timing::{IncrementalSta, PathEnumerator, Sta};
+    use kms_timing::PathEnumerator;
 
     /// A wide reconvergent fabric: layers of 2-input ANDs over shared
     /// fanin give exponentially many equal-length paths.
@@ -595,15 +585,19 @@ mod tests {
         }
     }
 
+    /// The loop counts on a fresh [`Sta`] of the network it just
+    /// transformed: constants and tombstones included.
     #[test]
-    fn count_works_on_incremental_view() {
-        let net = wide(3);
+    fn count_works_after_transform() {
+        let mut net = wide(4);
         let arr = InputArrivals::zero();
+        let y = net.outputs()[0].src;
+        kms_netlist::transform::set_conn_const(&mut net, kms_netlist::ConnRef::new(y, 0), true);
         let sta = Sta::run(&net, &arr);
-        let inc = IncrementalSta::new(&net, arr);
-        assert_eq!(
-            count_critical_paths(&net, &sta),
-            count_critical_paths(&net, &inc)
-        );
+        let enumerated = PathEnumerator::new(&net, &arr)
+            .take_while(|&(_, len)| len == sta.delay())
+            .count() as u64;
+        assert!(enumerated > 0);
+        assert_eq!(count_critical_paths(&net, &sta), enumerated);
     }
 }

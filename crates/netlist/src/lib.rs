@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod delay;
-mod dirty;
 mod error;
 mod gate;
 mod network;
@@ -54,7 +53,6 @@ pub mod hash;
 pub mod transform;
 
 pub use delay::{Delay, DelayModel};
-pub use dirty::DirtySet;
 pub use error::NetlistError;
 pub use gate::{ConnRef, GateId, GateKind, Pin};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

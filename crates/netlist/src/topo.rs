@@ -20,13 +20,10 @@
 //!
 //! # Invalidation
 //!
-//! The cache is as stale as the caller lets it get. The contract mirrors the
-//! rest of the workspace's incremental layers: accumulate structural edits in
-//! a [`DirtySet`] and call [`Topology::refresh`], which rebuilds only when
-//! the set is non-empty. A `Topology` built from a network is valid for
-//! exactly that network until a gate is added, removed, or rewired.
+//! The cache is as stale as the caller lets it get. A `Topology` built from
+//! a network is valid for exactly that network until a gate is added,
+//! removed, or rewired; rebuild it after such an edit.
 
-use crate::dirty::DirtySet;
 use crate::error::NetlistError;
 use crate::gate::{ConnRef, GateId};
 use crate::network::Network;
@@ -182,21 +179,6 @@ impl Topology {
     pub fn max_level(&self) -> usize {
         self.max_level as usize
     }
-
-    /// Re-validates the cache against `net` after the edits recorded in
-    /// `dirty`: a no-op when `dirty` is empty, a full rebuild otherwise.
-    /// Callers clear `dirty` themselves once every dependent cache has seen
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rebuild is needed and the network now contains a cycle.
-    pub fn refresh(&mut self, net: &Network, dirty: &DirtySet) {
-        if dirty.is_empty() && self.slots == net.num_gate_slots() {
-            return;
-        }
-        *self = Topology::build(net);
-    }
 }
 
 #[cfg(test)]
@@ -255,22 +237,5 @@ mod tests {
             topo.max_level(),
             topo.order().iter().map(|&g| topo.level(g)).max().unwrap()
         );
-    }
-
-    #[test]
-    fn refresh_rebuilds_only_when_dirty() {
-        let mut net = sample();
-        let mut topo = Topology::build(&net);
-        let clean = DirtySet::default();
-        topo.refresh(&net, &clean);
-        assert_eq!(topo.order(), net.topo_order().as_slice());
-
-        let mut dirty = DirtySet::default();
-        let a = net.inputs()[0];
-        let extra = net.add_gate(GateKind::Not, &[a], Delay::new(1));
-        dirty.mark_added(extra);
-        topo.refresh(&net, &dirty);
-        assert_eq!(topo.order(), net.topo_order().as_slice());
-        assert_eq!(topo.num_slots(), net.num_gate_slots());
     }
 }

@@ -16,7 +16,6 @@
 use std::collections::VecDeque;
 
 use crate::delay::Delay;
-use crate::dirty::DirtySet;
 use crate::error::NetlistError;
 use crate::gate::{ConnRef, GateId, GateKind, Pin};
 use crate::network::Network;
@@ -282,15 +281,6 @@ fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
 /// becomes a **zero-delay buffer** (its residual delay is dropped), so path
 /// lengths through it can only shrink.
 pub fn propagate_constants(net: &mut Network) -> usize {
-    propagate_constants_tracked(net, &mut DirtySet::new())
-}
-
-/// [`propagate_constants`] with change tracking: every gate rewritten
-/// (folded to a constant or simplified in place) is recorded in `dirty`,
-/// swept gates land in its `removed` role, and any gates minted along the
-/// way in its `added` role.
-pub fn propagate_constants_tracked(net: &mut Network, dirty: &mut DirtySet) -> usize {
-    let slots_before = net.num_gate_slots();
     let mut queue: VecDeque<GateId> = net.gate_ids().collect();
     let mut became_const = 0;
     while let Some(id) = queue.pop_front() {
@@ -300,7 +290,6 @@ pub fn propagate_constants_tracked(net: &mut Network, dirty: &mut DirtySet) -> u
         match simplify_gate(net, id) {
             Simplified::Const(v) => {
                 became_const += 1;
-                dirty.mark_changed(id);
                 let g = net.gate_mut(id);
                 g.kind = GateKind::Const(v);
                 g.pins.clear();
@@ -312,7 +301,6 @@ pub fn propagate_constants_tracked(net: &mut Network, dirty: &mut DirtySet) -> u
                 }
             }
             Simplified::InPlace => {
-                dirty.mark_changed(id);
                 // Pins were dropped; the gate itself may simplify further
                 // (e.g. Buf of a constant), so revisit it.
                 queue.push_back(id);
@@ -320,8 +308,7 @@ pub fn propagate_constants_tracked(net: &mut Network, dirty: &mut DirtySet) -> u
             Simplified::Unchanged => {}
         }
     }
-    dirty.note_appended(slots_before, net.num_gate_slots());
-    sweep_tracked(net, dirty);
+    sweep(net);
     became_const
 }
 
@@ -339,18 +326,6 @@ pub fn set_conn_const(net: &mut Network, conn: ConnRef, value: bool) {
     }
 }
 
-/// [`set_conn_const`] with change tracking (see
-/// [`propagate_constants_tracked`] for the recording rules).
-///
-/// # Panics
-///
-/// Panics if `conn` does not reference a live pin.
-pub fn set_conn_const_tracked(net: &mut Network, conn: ConnRef, value: bool, dirty: &mut DirtySet) {
-    if let Err(e) = try_set_conn_const_tracked(net, conn, value, dirty) {
-        panic!("{e}");
-    }
-}
-
 /// Fallible [`set_conn_const`].
 ///
 /// # Errors
@@ -362,33 +337,15 @@ pub fn try_set_conn_const(
     conn: ConnRef,
     value: bool,
 ) -> Result<(), NetlistError> {
-    try_set_conn_const_tracked(net, conn, value, &mut DirtySet::new())
-}
-
-/// Fallible [`set_conn_const_tracked`].
-///
-/// # Errors
-///
-/// Returns [`NetlistError::BadConn`] if `conn` does not reference a live
-/// pin; the network (and `dirty`) are unchanged on failure.
-pub fn try_set_conn_const_tracked(
-    net: &mut Network,
-    conn: ConnRef,
-    value: bool,
-    dirty: &mut DirtySet,
-) -> Result<(), NetlistError> {
     let valid = conn.gate.index() < net.num_gate_slots()
         && !net.gate(conn.gate).is_dead()
         && conn.pin < net.gate(conn.gate).pins.len();
     if !valid {
         return Err(NetlistError::BadConn { conn });
     }
-    let slots_before = net.num_gate_slots();
     let c = net.add_const(value);
-    dirty.note_appended(slots_before, net.num_gate_slots());
     net.gate_mut(conn.gate).pins[conn.pin] = Pin::new(c);
-    dirty.mark_changed(conn.gate);
-    propagate_constants_tracked(net, dirty);
+    propagate_constants(net);
     Ok(())
 }
 
@@ -396,12 +353,6 @@ pub fn try_set_conn_const_tracked(
 /// inputs are never killed (the interface of the circuit is preserved).
 /// Returns the number of gates removed.
 pub fn sweep(net: &mut Network) -> usize {
-    sweep_tracked(net, &mut DirtySet::new())
-}
-
-/// [`sweep`] with change tracking: killed gates are recorded in `dirty`'s
-/// `removed` role.
-pub fn sweep_tracked(net: &mut Network, dirty: &mut DirtySet) -> usize {
     let mut live = vec![false; net.num_gate_slots()];
     let mut stack: Vec<GateId> = net.outputs().iter().map(|o| o.src).collect();
     while let Some(id) = stack.pop() {
@@ -418,7 +369,6 @@ pub fn sweep_tracked(net: &mut Network, dirty: &mut DirtySet) -> usize {
     for id in ids {
         if !live[id.index()] && net.gate(id).kind != GateKind::Input {
             net.kill(id);
-            dirty.mark_removed(id);
             removed += 1;
         }
     }
@@ -434,10 +384,6 @@ pub struct Duplication {
     /// Pairs `(original, duplicate)` for each duplicated gate, in path
     /// order.
     pub mapping: Vec<(GateId, GateId)>,
-    /// The structural changes this step made: the duplicates as `added`,
-    /// the retargeted edge's sink gate as `changed` (or the output flag
-    /// when edge `e` was a primary output).
-    pub dirty: DirtySet,
 }
 
 /// The Theorem 7.1 duplication step of the KMS algorithm.
@@ -459,8 +405,6 @@ pub struct Duplication {
 pub fn duplicate_path_prefix(net: &mut Network, path: &Path, upto: usize) -> Duplication {
     assert!(path.validate(net), "path does not validate");
     assert!(upto < path.len(), "duplication prefix out of range");
-    let slots_before = net.num_gate_slots();
-    let mut dirty = DirtySet::new();
     let mut mapping: Vec<(GateId, GateId)> = Vec::with_capacity(upto + 1);
     let mut prev_dup: Option<GateId> = None;
     for (i, &conn) in path.conns().iter().take(upto + 1).enumerate() {
@@ -482,12 +426,9 @@ pub fn duplicate_path_prefix(net: &mut Network, path: &Path, upto: usize) -> Dup
     if upto + 1 < path.len() {
         let e = path.conns()[upto + 1];
         net.gate_mut(e.gate).pins[e.pin].src = n_dup;
-        dirty.mark_changed(e.gate);
     } else {
         net.set_output_src(path.output_index(), n_dup);
-        dirty.mark_outputs();
     }
-    dirty.note_appended(slots_before, net.num_gate_slots());
     let new_conns: Vec<ConnRef> = path
         .conns()
         .iter()
@@ -502,11 +443,7 @@ pub fn duplicate_path_prefix(net: &mut Network, path: &Path, upto: usize) -> Dup
         .collect();
     let new_path = Path::new(new_conns, path.output_index());
     debug_assert!(new_path.validate(net));
-    Duplication {
-        new_path,
-        mapping,
-        dirty,
-    }
+    Duplication { new_path, mapping }
 }
 
 /// Rewires every consumer of `old` (pins and primary outputs) to `new`,

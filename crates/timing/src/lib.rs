@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod incremental;
 mod paths;
 mod report;
 mod sensitize;
@@ -44,12 +43,11 @@ mod sta;
 mod viability;
 
 pub use analysis::{computed_delay, computed_delay_with_rule, DelayReport, PathCondition};
-pub use incremental::{IncrementalSta, IncrementalStats};
-pub use paths::{longest_paths, PathEnumerator, RepairStats, ResumablePathEnumerator};
+pub use paths::{longest_paths, PathEnumerator, ResumablePathEnumerator};
 pub use report::{critical_paths, CriticalPathReport, PathVerdict};
 pub use sensitize::{
     is_statically_sensitizable, sensitization_cube, sensitization_function,
     static_side_constraints, SensitizationOracle,
 };
-pub use sta::{topological_delay, InputArrivals, Sta, Time, TimingView, NEVER};
+pub use sta::{topological_delay, IncrementalSta, InputArrivals, Sta, Time, NEVER};
 pub use viability::{early_side_constraints, LatenessRule, ViabilityAnalysis};

@@ -1,17 +1,17 @@
 //! Best-first enumeration of IO-paths in non-increasing length order.
 //!
-//! The KMS loop repeatedly asks for "the longest paths" and, after a
-//! transformation, for the next-longest (Fig. 3). The enumerator grows
-//! partial path suffixes backward from the primary outputs; the admissible
-//! bound `arrival(open end) + suffix length` is exact (arrival times are
-//! tight maxima), so paths pop in exactly non-increasing length order.
+//! The KMS loop asks for "the longest paths" after every transformation
+//! (Fig. 3). The enumerator grows partial path suffixes backward from the
+//! primary outputs; the admissible bound `arrival(open end) + suffix
+//! length` is exact (arrival times are tight maxima), so paths pop in
+//! exactly non-increasing length order.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use kms_netlist::{ConnRef, DirtySet, GateId, GateKind, Network, Path};
+use kms_netlist::{ConnRef, GateId, GateKind, Network, Path};
 
-use crate::sta::{InputArrivals, Sta, Time, TimingView, NEVER};
+use crate::sta::{InputArrivals, Sta, Time, NEVER};
 
 /// A partial path suffix: connections stored in reverse (last conn first);
 /// `open` is the gate driving the earliest chosen connection.
@@ -27,9 +27,8 @@ struct Partial {
 impl Partial {
     /// The deterministic tie-break key: the suffix identity, independent
     /// of bounds. An ancestor's key is a lexicographic prefix of every
-    /// leaf in its subtree, which is what makes the emission order a pure
-    /// function of the remaining *path set* rather than of the frontier
-    /// shape — the property the resumable enumerator's repair relies on.
+    /// leaf in its subtree, so among equal-length paths the emission order
+    /// is a function of the path set alone, not of how the heap was built.
     fn key(&self) -> (usize, &[ConnRef]) {
         (self.po, &self.rev_conns)
     }
@@ -56,71 +55,12 @@ impl Ord for Partial {
     }
 }
 
-/// The seed partial for primary output `po` (empty suffix, open at the
-/// driver), or `None` when the output is driven by a source gate or never
-/// sees an event.
-fn seed_partial(net: &Network, view: &impl TimingView, po: usize) -> Option<Partial> {
-    let d = net.outputs()[po].src;
-    if net.gate(d).kind.is_source() {
-        return None; // a PO wired straight to a PI/constant has no path
-    }
-    let bound = view.arrival(d);
-    if bound == NEVER {
-        return None;
-    }
-    Some(Partial {
-        rev_conns: Vec::new(),
-        open: d,
-        bound,
-        extra: 0,
-        po,
-    })
-}
-
-/// Extends `p` backward through each pin of its open gate, pushing the
-/// children onto `heap`. Shared by the one-shot and resumable enumerators
-/// so their bounds are computed by the same code.
-fn expand_partial(
-    net: &Network,
-    view: &impl TimingView,
-    floor: Option<Time>,
-    p: &Partial,
-    heap: &mut BinaryHeap<Partial>,
-) {
-    let gate_delay = net.gate(p.open).delay.units();
-    for (pin_idx, pin) in net.gate(p.open).pins.iter().enumerate() {
-        let src_kind = net.gate(pin.src).kind;
-        if matches!(src_kind, GateKind::Const(_)) {
-            continue;
-        }
-        let arr = view.arrival(pin.src);
-        if arr == NEVER {
-            continue;
-        }
-        let extra = p.extra + gate_delay + pin.wire_delay.units();
-        let bound = arr + extra;
-        if let Some(floor) = floor {
-            if bound < floor {
-                continue;
-            }
-        }
-        let mut rev = p.rev_conns.clone();
-        rev.push(ConnRef::new(p.open, pin_idx));
-        heap.push(Partial {
-            rev_conns: rev,
-            open: pin.src,
-            bound,
-            extra,
-            po: p.po,
-        });
-    }
-}
-
 /// Iterator over all IO-paths of a network, longest first.
 ///
 /// Yields `(path, length)` pairs where `length` includes the path source's
 /// input-arrival offset. Paths through constants are skipped (constants
-/// never produce events).
+/// never produce events). Runs its own [`Sta`] pass and walks it with a
+/// [`ResumablePathEnumerator`].
 ///
 /// ```
 /// use kms_netlist::{Network, GateKind, Delay};
@@ -141,25 +81,84 @@ fn expand_partial(
 pub struct PathEnumerator<'a> {
     net: &'a Network,
     sta: Sta,
-    heap: BinaryHeap<Partial>,
-    floor: Option<Time>,
-    max_pops: usize,
-    pops: usize,
+    walk: ResumablePathEnumerator,
 }
 
 impl<'a> PathEnumerator<'a> {
     /// Starts an enumeration over `net` with the given input arrivals.
     pub fn new(net: &'a Network, arrivals: &InputArrivals) -> Self {
         let sta = Sta::run(net, arrivals);
+        let walk = ResumablePathEnumerator::new(net, &sta);
+        PathEnumerator { net, sta, walk }
+    }
+
+    /// Discards all paths shorter than `floor` (pruning the search).
+    pub fn with_floor(mut self, floor: Time) -> Self {
+        self.walk = self.walk.with_floor(floor);
+        self
+    }
+
+    /// Caps the total search effort; the iterator ends after this many
+    /// queue pops even if paths remain.
+    pub fn with_effort_cap(mut self, max_pops: usize) -> Self {
+        self.walk = self.walk.with_effort_cap(max_pops);
+        self
+    }
+
+    /// The STA pass backing this enumeration.
+    pub fn sta(&self) -> &Sta {
+        &self.sta
+    }
+
+    /// `true` if the effort cap stopped the enumeration early.
+    pub fn truncated(&self) -> bool {
+        self.walk.truncated()
+    }
+}
+
+impl Iterator for PathEnumerator<'_> {
+    type Item = (Path, Time);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.walk.next_path(self.net, &self.sta)
+    }
+}
+
+/// The best-first walk behind [`PathEnumerator`], holding no borrow of
+/// the network or its [`Sta`]: every call takes them, which lets the KMS
+/// loop own the timing pass it also hands to the oracle phase.
+///
+/// The walk grows partial path suffixes backward from the primary
+/// outputs; the admissible bound `arrival(open end) + suffix length` is
+/// exact, so paths pop in non-increasing length order.
+pub struct ResumablePathEnumerator {
+    heap: BinaryHeap<Partial>,
+    floor: Option<Time>,
+    max_pops: usize,
+    pops: usize,
+}
+
+impl ResumablePathEnumerator {
+    /// Seeds the enumeration over `net` as timed by `sta`: one empty
+    /// suffix per primary output driven by a gate that sees an event.
+    pub fn new(net: &Network, sta: &Sta) -> Self {
         let mut heap = BinaryHeap::new();
-        for po in 0..net.outputs().len() {
-            if let Some(seed) = seed_partial(net, &sta, po) {
-                heap.push(seed);
+        for (po, out) in net.outputs().iter().enumerate() {
+            let d = out.src;
+            let bound = sta.arrival(d);
+            // A PO wired straight to a PI/constant has no path.
+            if net.gate(d).kind.is_source() || bound == NEVER {
+                continue;
             }
+            heap.push(Partial {
+                rev_conns: Vec::new(),
+                open: d,
+                bound,
+                extra: 0,
+                po,
+            });
         }
-        PathEnumerator {
-            net,
-            sta,
+        ResumablePathEnumerator {
             heap,
             floor: None,
             max_pops: usize::MAX,
@@ -173,327 +172,64 @@ impl<'a> PathEnumerator<'a> {
         self
     }
 
-    /// Caps the total search effort; the iterator ends after this many
-    /// queue pops even if paths remain.
+    /// Caps the total search effort; the walk ends after this many queue
+    /// pops even if paths remain.
     pub fn with_effort_cap(mut self, max_pops: usize) -> Self {
         self.max_pops = max_pops;
         self
-    }
-
-    /// The STA pass backing this enumeration.
-    pub fn sta(&self) -> &Sta {
-        &self.sta
     }
 
     /// `true` if the effort cap stopped the enumeration early.
     pub fn truncated(&self) -> bool {
         self.pops >= self.max_pops && !self.heap.is_empty()
     }
-}
 
-impl Iterator for PathEnumerator<'_> {
-    type Item = (Path, Time);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some(p) = {
-            if self.pops >= self.max_pops {
-                return None;
-            }
-            self.heap.pop()
-        } {
+    /// The next path, longest first. `net` and `sta` must be the ones the
+    /// enumeration was seeded with.
+    pub fn next_path(&mut self, net: &Network, sta: &Sta) -> Option<(Path, Time)> {
+        while self.pops < self.max_pops {
+            let p = self.heap.pop()?;
             self.pops += 1;
-            if let Some(floor) = self.floor {
-                if p.bound < floor {
-                    return None; // everything left is shorter
-                }
+            if self.floor.is_some_and(|floor| p.bound < floor) {
+                return None; // everything left is shorter
             }
-            let kind = self.net.gate(p.open).kind;
-            if kind == GateKind::Input {
-                let mut conns = p.rev_conns.clone();
+            if net.gate(p.open).kind == GateKind::Input {
+                let mut conns = p.rev_conns;
                 conns.reverse();
                 debug_assert!(!conns.is_empty());
                 return Some((Path::new(conns, p.po), p.bound));
             }
-            // Extend backward through each pin of the open gate.
-            expand_partial(self.net, &self.sta, self.floor, &p, &mut self.heap);
-        }
-        None
-    }
-}
-
-/// Counters for one [`ResumablePathEnumerator::repair`] pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RepairStats {
-    /// Partials whose suffix avoided the dirty region: kept with their
-    /// exact bound (recomputed from the open end's fresh arrival).
-    pub retained: u64,
-    /// Partials invalidated by the transform (suffix through a dirty or
-    /// dead gate, stale output driver, unreachable open end).
-    pub dropped: u64,
-    /// Fresh partials pushed to re-cover the subtrees the dropped
-    /// partials abandoned.
-    pub reseeded: u64,
-}
-
-impl RepairStats {
-    /// Accumulates another pass's counters.
-    pub fn absorb(&mut self, other: RepairStats) {
-        self.retained += other.retained;
-        self.dropped += other.dropped;
-        self.reseeded += other.reseeded;
-    }
-}
-
-/// A prefix tree over retained partial suffixes, used by the repair walk
-/// to re-cover exactly the dropped subtrees without double-covering the
-/// retained ones. Edges are connections (in suffix order, PO end first);
-/// a terminal holds the retained partial whose suffix ends at that node.
-#[derive(Default)]
-struct SuffixTrie {
-    children: HashMap<ConnRef, SuffixTrie>,
-    terminal: Option<Partial>,
-}
-
-impl SuffixTrie {
-    fn insert(&mut self, conns: &[ConnRef], p: Partial) {
-        match conns.split_first() {
-            None => {
-                debug_assert!(self.terminal.is_none(), "frontier must be an antichain");
-                self.terminal = Some(p);
-            }
-            Some((c, rest)) => self.children.entry(*c).or_default().insert(rest, p),
-        }
-    }
-}
-
-/// A best-first path enumerator that survives network transforms: after a
-/// mutation, [`ResumablePathEnumerator::repair`] patches the frontier in
-/// place instead of restarting the search, so the next "longest paths"
-/// query costs O(dirty region), not O(network).
-///
-/// The enumerator holds no borrow of the network — every call takes the
-/// current `&Network` and a [`TimingView`] — which is what lets the KMS
-/// loop mutate the network between queries. The emission order is
-/// identical to a fresh [`PathEnumerator`] over the same network: among
-/// equal-length paths the deterministic suffix order decides, and that
-/// order is a function of the remaining path set only (see
-/// [`Partial::key`]), not of how the frontier was built.
-///
-/// Already-emitted paths are remembered and re-inserted by `repair`: each
-/// KMS iteration re-enumerates the full equal-longest set of the *new*
-/// network, which may include paths untouched by the transform.
-pub struct ResumablePathEnumerator {
-    heap: BinaryHeap<Partial>,
-    emitted: Vec<Partial>,
-    max_pops: usize,
-    pops: usize,
-}
-
-impl ResumablePathEnumerator {
-    /// Seeds the enumeration over the current network state.
-    pub fn new(net: &Network, view: &impl TimingView) -> Self {
-        let mut heap = BinaryHeap::new();
-        for po in 0..net.outputs().len() {
-            if let Some(seed) = seed_partial(net, view, po) {
-                heap.push(seed);
-            }
-        }
-        ResumablePathEnumerator {
-            heap,
-            emitted: Vec::new(),
-            max_pops: usize::MAX,
-            pops: 0,
-        }
-    }
-
-    /// Caps the queue pops per enumeration round (between
-    /// [`ResumablePathEnumerator::reset_effort`] calls).
-    pub fn with_effort_cap(mut self, max_pops: usize) -> Self {
-        self.max_pops = max_pops;
-        self
-    }
-
-    /// Starts a new enumeration round: the effort counter resets, the cap
-    /// stays.
-    pub fn reset_effort(&mut self) {
-        self.pops = 0;
-    }
-
-    /// `true` if the effort cap stopped the current round early.
-    pub fn truncated(&self) -> bool {
-        self.pops >= self.max_pops && !self.heap.is_empty()
-    }
-
-    /// The next path, longest first. `net` and `view` must describe the
-    /// state the enumerator was seeded or last repaired against.
-    pub fn next_path(&mut self, net: &Network, view: &impl TimingView) -> Option<(Path, Time)> {
-        while self.pops < self.max_pops {
-            let p = self.heap.pop()?;
-            self.pops += 1;
-            if net.gate(p.open).kind == GateKind::Input {
-                let mut conns = p.rev_conns.clone();
-                conns.reverse();
-                debug_assert!(!conns.is_empty());
-                let item = (Path::new(conns, p.po), p.bound);
-                self.emitted.push(p);
-                return Some(item);
-            }
-            expand_partial(net, view, None, &p, &mut self.heap);
+            self.expand(net, sta, &p);
         }
         None
     }
 
-    /// Repairs the frontier after a transform described by `dirty` (the
-    /// [`DirtySet`] contract: every structurally changed gate is listed).
-    /// `net` and `view` are the *post-transform* state; `view` must
-    /// already be updated.
-    ///
-    /// Partials whose suffix avoids the dirty gates keep their exact
-    /// suffix length (`extra`) and get their bound refreshed from the
-    /// open end's new arrival; the rest are dropped and their subtrees
-    /// re-covered by fresh partials. Emitted paths re-enter the frontier
-    /// so the next round re-enumerates the full path set of the new
-    /// network.
-    pub fn repair(
-        &mut self,
-        net: &Network,
-        view: &impl TimingView,
-        dirty: &DirtySet,
-    ) -> RepairStats {
-        let n = net.num_gate_slots();
-        let mut dirty_mask = vec![false; n];
-        for g in dirty.touched() {
-            if g.index() < n {
-                dirty_mask[g.index()] = true;
-            }
-        }
-        let mut candidates: Vec<Partial> = self.heap.drain().collect();
-        candidates.append(&mut self.emitted);
-        let mut stats = RepairStats::default();
-        let mut tries: HashMap<usize, SuffixTrie> = HashMap::new();
-        'cand: for mut p in candidates {
-            if p.po >= net.outputs().len() {
-                stats.dropped += 1;
+    /// Extends `p` backward through each pin of its open gate.
+    fn expand(&mut self, net: &Network, sta: &Sta, p: &Partial) {
+        let gate_delay = net.gate(p.open).delay.units();
+        for (pin_idx, pin) in net.gate(p.open).pins.iter().enumerate() {
+            if matches!(net.gate(pin.src).kind, GateKind::Const(_)) {
                 continue;
             }
-            let driver = net.outputs()[p.po].src;
-            // Validate the suffix chain against the new network. Gates on
-            // the suffix must be clean (their pins, delays, and liveness
-            // are unchanged, so `extra` is still exact); the open end may
-            // be dirty — its pins are re-read on expansion.
-            if p.rev_conns.is_empty() {
-                if p.open != driver || net.gate(driver).kind.is_source() {
-                    stats.dropped += 1;
-                    continue;
-                }
-            } else if p.rev_conns[0].gate != driver {
-                stats.dropped += 1;
-                continue;
-            }
-            for (w, &c) in p.rev_conns.iter().enumerate() {
-                let g = net.gate(c.gate);
-                if g.is_dead() || dirty_mask[c.gate.index()] || c.pin >= g.pins.len() {
-                    stats.dropped += 1;
-                    continue 'cand;
-                }
-                let expect = p.rev_conns.get(w + 1).map_or(p.open, |next| next.gate);
-                if g.pins[c.pin].src != expect {
-                    stats.dropped += 1;
-                    continue 'cand;
-                }
-            }
-            if net.gate(p.open).is_dead() {
-                stats.dropped += 1;
-                continue;
-            }
-            let arr = view.arrival(p.open);
+            let arr = sta.arrival(pin.src);
             if arr == NEVER {
-                stats.dropped += 1;
                 continue;
             }
-            p.bound = arr + p.extra;
-            let po = p.po;
-            let conns = std::mem::take(&mut p.rev_conns);
-            let mut q = p;
-            q.rev_conns = conns.clone();
-            tries.entry(po).or_default().insert(&conns, q);
-            stats.retained += 1;
-        }
-        for po in 0..net.outputs().len() {
-            match tries.remove(&po) {
-                None => {
-                    // Nothing retained for this output: reseed it whole.
-                    if let Some(seed) = seed_partial(net, view, po) {
-                        self.heap.push(seed);
-                        stats.reseeded += 1;
-                    }
-                }
-                Some(trie) => {
-                    let driver = net.outputs()[po].src;
-                    let mut rev = Vec::new();
-                    self.walk_cover(net, view, trie, driver, &mut rev, 0, po, &mut stats);
-                }
+            let extra = p.extra + gate_delay + pin.wire_delay.units();
+            let bound = arr + extra;
+            if self.floor.is_some_and(|floor| bound < floor) {
+                continue;
             }
+            let mut rev = p.rev_conns.clone();
+            rev.push(ConnRef::new(p.open, pin_idx));
+            self.heap.push(Partial {
+                rev_conns: rev,
+                open: pin.src,
+                bound,
+                extra,
+                po: p.po,
+            });
         }
-        stats
-    }
-
-    /// Depth-first re-cover: descends into retained suffixes (pushing the
-    /// retained partial at each terminal) and pushes one fresh partial at
-    /// every branch the trie does not cover. Together with the retained
-    /// set this is an exact cover of the remaining path set — no leaf is
-    /// covered twice (the frontier is an antichain) and none is lost.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_cover(
-        &mut self,
-        net: &Network,
-        view: &impl TimingView,
-        mut node: SuffixTrie,
-        open: GateId,
-        rev: &mut Vec<ConnRef>,
-        extra: Time,
-        po: usize,
-        stats: &mut RepairStats,
-    ) {
-        if let Some(p) = node.terminal.take() {
-            debug_assert!(node.children.is_empty(), "frontier must be an antichain");
-            self.heap.push(p);
-            return;
-        }
-        let gate_delay = net.gate(open).delay.units();
-        let fanin = net.gate(open).pins.len();
-        for pin_idx in 0..fanin {
-            let conn = ConnRef::new(open, pin_idx);
-            let pin = net.gate(open).pins[pin_idx];
-            let extra2 = extra + gate_delay + pin.wire_delay.units();
-            if let Some(child) = node.children.remove(&conn) {
-                rev.push(conn);
-                self.walk_cover(net, view, child, pin.src, rev, extra2, po, stats);
-                rev.pop();
-            } else {
-                if matches!(net.gate(pin.src).kind, GateKind::Const(_)) {
-                    continue;
-                }
-                let arr = view.arrival(pin.src);
-                if arr == NEVER {
-                    continue;
-                }
-                let mut rc = rev.clone();
-                rc.push(conn);
-                self.heap.push(Partial {
-                    rev_conns: rc,
-                    open: pin.src,
-                    bound: arr + extra2,
-                    extra: extra2,
-                    po,
-                });
-                stats.reseeded += 1;
-            }
-        }
-        debug_assert!(
-            node.children.is_empty(),
-            "every retained suffix edge must match a live pin"
-        );
     }
 }
 

@@ -46,31 +46,6 @@ impl InputArrivals {
     }
 }
 
-/// Read-only access to an arrival-time analysis, implemented by both the
-/// from-scratch [`Sta`] pass and the incremental engine
-/// ([`crate::IncrementalSta`]). The path enumerator and the viability
-/// lateness rules are generic over this trait, so the same (proven) code
-/// runs against either backend.
-pub trait TimingView {
-    /// The arrival time at the output of `id` ([`NEVER`] for constants and
-    /// cones driven only by constants).
-    fn arrival(&self, id: GateId) -> Time;
-
-    /// The network's topological delay (longest-path length including
-    /// input arrival offsets).
-    fn delay(&self) -> Time;
-}
-
-impl TimingView for Sta {
-    fn arrival(&self, id: GateId) -> Time {
-        Sta::arrival(self, id)
-    }
-
-    fn delay(&self) -> Time {
-        Sta::delay(self)
-    }
-}
-
 /// The result of a static timing analysis pass over a network.
 #[derive(Clone, Debug)]
 pub struct Sta {
@@ -190,7 +165,21 @@ impl Sta {
     pub fn critical_gates(&self, net: &Network) -> Vec<GateId> {
         net.gate_ids().filter(|&id| self.slack(id) == 0).collect()
     }
+
+    /// [`Sta::run`] taking the arrivals by value: the constructor of the
+    /// retired cone-scoped engine, kept with [`IncrementalSta`] because
+    /// the end-to-end benchmark (`benchmark/src/replay.rs`) still calls
+    /// it.
+    #[doc(hidden)]
+    pub fn new(net: &Network, arrivals: InputArrivals) -> Sta {
+        Sta::run(net, &arrivals)
+    }
 }
+
+/// The retired cone-scoped incremental engine's name, now an alias: the
+/// KMS loop runs a fresh [`Sta`] every iteration.
+#[doc(hidden)]
+pub type IncrementalSta = Sta;
 
 /// Convenience: the topological delay of `net` with zero input arrivals.
 pub fn topological_delay(net: &Network) -> Delay {

@@ -17,7 +17,7 @@
 use kms_bdd::{Bdd, BddManager, NodeFunctions};
 use kms_netlist::{GateId, GateKind, NetlistError, Network, Path};
 
-use crate::sta::{InputArrivals, Sta, Time, TimingView, NEVER};
+use crate::sta::{InputArrivals, Sta, Time, NEVER};
 
 /// When is a side-input of gate `gi` "early"?
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -39,8 +39,7 @@ pub enum LatenessRule {
 /// side-inputs. Late side-inputs are smoothed (omitted), XOR/XNOR
 /// side-inputs are unconstrained. The path is viable iff some input cube
 /// satisfies every listed constraint — this is the cacheable abstraction
-/// of [`ViabilityAnalysis::viability_function`], generic over
-/// [`TimingView`] so it runs against the incremental engine too.
+/// of [`ViabilityAnalysis::viability_function`].
 ///
 /// The caller must ensure the path's source actually launches events
 /// (arrival ≠ [`NEVER`]); a never-eventing source makes the path
@@ -52,11 +51,11 @@ pub enum LatenessRule {
 /// fanout.
 pub fn early_side_constraints(
     net: &Network,
-    view: &impl TimingView,
+    sta: &Sta,
     path: &Path,
     rule: LatenessRule,
 ) -> Result<Vec<(GateId, bool)>, NetlistError> {
-    let source_arrival = view.arrival(path.source(net));
+    let source_arrival = sta.arrival(path.source(net));
     debug_assert_ne!(source_arrival, NEVER, "path source never events");
     let mut out = Vec::new();
     for (i, conn) in path.side_inputs(net) {
@@ -89,7 +88,7 @@ pub fn early_side_constraints(
             }
         };
         let pin = net.pin(conn);
-        let settle = match view.arrival(pin.src) {
+        let settle = match sta.arrival(pin.src) {
             NEVER => NEVER, // constants settled at -∞: always early
             a => a + pin.wire_delay.units(),
         };

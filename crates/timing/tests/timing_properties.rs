@@ -1,15 +1,12 @@
-//! Property-based tests of the incremental timing engine: after any
-//! sequence of tracked transforms, the patched [`IncrementalSta`] must be
-//! bit-identical to a from-scratch [`Sta::run`] (arrival, required, and
-//! delay), and a repaired [`ResumablePathEnumerator`] must emit exactly
-//! the sequence a fresh enumerator produces on the mutated network.
+//! Property-based tests of path enumeration on random networks and on
+//! the networks the KMS loop's transforms leave behind: both enumerators
+//! walk the same frontier, and every emitted length agrees with the
+//! static timing pass.
 
 use proptest::prelude::*;
 
-use kms_netlist::{transform, ConnRef, Delay, DirtySet, GateId, GateKind, Network, Path};
-use kms_timing::{
-    IncrementalSta, InputArrivals, PathEnumerator, ResumablePathEnumerator, Sta, NEVER,
-};
+use kms_netlist::{transform, ConnRef, Delay, GateId, GateKind, Network, Path};
+use kms_timing::{InputArrivals, PathEnumerator, ResumablePathEnumerator, Sta, NEVER};
 
 /// A compact recipe for a random simple-gate network plus a mutation
 /// script, generated by proptest and elaborated deterministically.
@@ -77,9 +74,9 @@ fn build(recipe: &Recipe) -> (Network, InputArrivals) {
     (net, arr)
 }
 
-/// One tracked mutation on `net`, chosen by `(sel, pick)`; returns `false`
-/// if no applicable site existed (the op is skipped).
-fn apply_op(net: &mut Network, sel: u8, pick: usize, dirty: &mut DirtySet) -> bool {
+/// One KMS-loop transform on `net`, chosen by `(sel, pick)`; returns
+/// `false` if no applicable site existed (the op is skipped).
+fn apply_op(net: &mut Network, sel: u8, pick: usize) -> bool {
     match sel % 4 {
         0 | 1 => {
             // Force a random live connection to a constant (the KMS
@@ -93,7 +90,7 @@ fn apply_op(net: &mut Network, sel: u8, pick: usize, dirty: &mut DirtySet) -> bo
                 return false;
             }
             let conn = conns[pick % conns.len()];
-            transform::set_conn_const_tracked(net, conn, sel.is_multiple_of(2), dirty);
+            transform::set_conn_const(net, conn, sel.is_multiple_of(2));
             true
         }
         2 => {
@@ -102,12 +99,11 @@ fn apply_op(net: &mut Network, sel: u8, pick: usize, dirty: &mut DirtySet) -> bo
                 return false;
             };
             let upto = pick % path.len();
-            let dup = transform::duplicate_path_prefix(net, &path, upto);
-            dirty.merge(&dup.dirty);
+            transform::duplicate_path_prefix(net, &path, upto);
             true
         }
         _ => {
-            transform::sweep_tracked(net, dirty);
+            transform::sweep(net);
             true
         }
     }
@@ -138,140 +134,88 @@ fn walk_back_path(net: &Network, seed: usize) -> Option<Path> {
     path.validate(net).then_some(path)
 }
 
-/// Full-table comparison of the patched view against a fresh `Sta::run`.
-fn assert_view_matches(net: &Network, arr: &InputArrivals, inc: &IncrementalSta) {
-    let fresh = Sta::run(net, arr);
-    assert_eq!(inc.delay(), fresh.delay(), "delay diverged");
-    for g in net.gate_ids() {
-        assert_eq!(inc.arrival(g), fresh.arrival(g), "arrival({g:?})");
-        assert_eq!(inc.required(g), fresh.required(g), "required({g:?})");
-    }
-}
-
-/// Drains up to `cap` paths from a repaired resumable enumerator and a
-/// fresh one, in lockstep; the sequences must agree element for element.
-fn assert_same_emission(
+/// Drains both enumerators over `net` in lockstep, with the same floor
+/// and effort cap: the `(path, length)` sequences and the truncation flag
+/// must agree element for element.
+fn assert_enumerators_agree(
     net: &Network,
     arr: &InputArrivals,
-    inc: &IncrementalSta,
-    resumed: &mut ResumablePathEnumerator,
-    cap: usize,
+    floor: Option<i64>,
+    cap: Option<usize>,
 ) {
-    let mut fresh = PathEnumerator::new(net, arr);
-    for i in 0..cap {
-        let a = resumed.next_path(net, inc).map(|(p, l)| (p.to_string(), l));
-        let b = fresh.next().map(|(p, l)| (p.to_string(), l));
+    let sta = Sta::run(net, arr);
+    let mut owned = PathEnumerator::new(net, arr);
+    let mut walk = ResumablePathEnumerator::new(net, &sta);
+    if let Some(floor) = floor {
+        owned = owned.with_floor(floor);
+        walk = walk.with_floor(floor);
+    }
+    if let Some(cap) = cap {
+        owned = owned.with_effort_cap(cap);
+        walk = walk.with_effort_cap(cap);
+    }
+    for i in 0..300 {
+        let a = owned.next().map(|(p, l)| (p.to_string(), l));
+        let b = walk.next_path(net, &sta).map(|(p, l)| (p.to_string(), l));
         assert_eq!(a, b, "emission diverged at position {i}");
+        if let (Some(floor), Some((_, len))) = (floor, &a) {
+            assert!(*len >= floor, "path below the floor");
+        }
         if a.is_none() {
             break;
         }
     }
+    assert_eq!(owned.truncated(), walk.truncated());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// After every tracked transform, `IncrementalSta::update` lands on
-    /// exactly the arrival/required/delay tables of a from-scratch run.
+    /// `PathEnumerator` and `ResumablePathEnumerator` emit the identical
+    /// `(path, length)` sequence — with and without a floor and an effort
+    /// cap — on the input network and after every transform of its
+    /// script.
     #[test]
-    fn incremental_sta_matches_fresh_run(recipe in recipe_strategy()) {
+    fn enumerators_agree(
+        recipe in recipe_strategy(),
+        floor_drop in 0i64..6,
+        cap in 1usize..40,
+    ) {
         let (mut net, arr) = build(&recipe);
-        let mut inc = IncrementalSta::new(&net, arr.clone());
-        assert_view_matches(&net, &arr, &inc);
+        let round = |net: &Network| {
+            let floor = Sta::run(net, &arr).delay() - floor_drop;
+            for floor in [None, Some(floor)] {
+                for cap in [None, Some(cap)] {
+                    assert_enumerators_agree(net, &arr, floor, cap);
+                }
+            }
+        };
+        round(&net);
         for &(sel, pick) in &recipe.ops {
-            let mut dirty = DirtySet::new();
-            if !apply_op(&mut net, sel, pick, &mut dirty) {
+            if !apply_op(&mut net, sel, pick) {
                 continue;
             }
             net.validate().unwrap();
-            inc.update(&net, &dirty);
-            assert_view_matches(&net, &arr, &inc);
-        }
-    }
-
-    /// A low fallback threshold (always rebuild) and a high one (always
-    /// patch) land on the same tables — the fallback is a pure
-    /// performance valve.
-    #[test]
-    fn fallback_threshold_is_semantically_invisible(recipe in recipe_strategy()) {
-        let (mut net, arr) = build(&recipe);
-        let mut patching = IncrementalSta::new(&net, arr.clone()).with_fallback_fraction(1.0);
-        let mut rebuilding = IncrementalSta::new(&net, arr.clone()).with_fallback_fraction(0.0);
-        for &(sel, pick) in &recipe.ops {
-            let mut dirty = DirtySet::new();
-            if !apply_op(&mut net, sel, pick, &mut dirty) {
-                continue;
-            }
-            patching.update(&net, &dirty);
-            rebuilding.update(&net, &dirty);
-            prop_assert_eq!(patching.delay(), rebuilding.delay());
-            for g in net.gate_ids() {
-                prop_assert_eq!(patching.arrival(g), rebuilding.arrival(g));
-                prop_assert_eq!(patching.required(g), rebuilding.required(g));
-            }
-        }
-        // Threshold 0.0 forces a rebuild for every non-empty dirty region
-        // (empty regions stay "incremental" trivially — nothing to do).
-        prop_assert!(
-            rebuilding.stats().full_recomputes >= patching.stats().full_recomputes
-        );
-    }
-
-    /// A repaired enumerator — interrupted mid-enumeration by a tracked
-    /// transform — emits exactly the sequence a fresh enumerator produces
-    /// on the mutated network, regardless of how many paths it had
-    /// already handed out.
-    #[test]
-    fn repaired_enumerator_matches_fresh(
-        recipe in recipe_strategy(),
-        drained in 0usize..8,
-    ) {
-        let (mut net, arr) = build(&recipe);
-        let mut inc = IncrementalSta::new(&net, arr.clone());
-        let mut en = ResumablePathEnumerator::new(&net, &inc);
-        // Hand out a few paths before the mutation (the mid-iteration
-        // state of the KMS loop).
-        for _ in 0..drained {
-            if en.next_path(&net, &inc).is_none() {
-                break;
-            }
-        }
-        for &(sel, pick) in &recipe.ops {
-            let mut dirty = DirtySet::new();
-            if !apply_op(&mut net, sel, pick, &mut dirty) {
-                continue;
-            }
-            inc.update(&net, &dirty);
-            en.repair(&net, &inc, &dirty);
-            assert_same_emission(&net, &arr, &inc, &mut en, 200);
-            // The drain above consumed the frontier: rebuild it for the
-            // next round the way the KMS loop does (repair on an empty
-            // dirty set is a no-op, so re-seed via a fresh enumerator).
-            en = ResumablePathEnumerator::new(&net, &inc);
-            for _ in 0..drained {
-                if en.next_path(&net, &inc).is_none() {
-                    break;
-                }
-            }
+            round(&net);
         }
     }
 
     /// Path lengths reported by the enumerator agree with the timing
-    /// view: every emitted path's length equals its recomputed length and
+    /// pass: every emitted path's length equals its recomputed length and
     /// the first emission is the circuit delay.
     #[test]
     fn emitted_lengths_are_consistent(recipe in recipe_strategy()) {
         let (net, arr) = build(&recipe);
-        let inc = IncrementalSta::new(&net, arr.clone());
-        let mut en = ResumablePathEnumerator::new(&net, &inc);
+        let sta = Sta::run(&net, &arr);
+        let mut en = ResumablePathEnumerator::new(&net, &sta);
         let mut first = true;
         let mut prev = i64::MAX;
         let mut count = 0;
-        while let Some((p, len)) = en.next_path(&net, &inc) {
+        while let Some((p, len)) = en.next_path(&net, &sta) {
             prop_assert!(p.validate(&net));
             prop_assert_eq!(len, p.length(&net).units() + arr.get(p.source(&net)));
             if first {
-                prop_assert_eq!(len, inc.delay());
+                prop_assert_eq!(len, sta.delay());
                 prop_assert!(len != NEVER);
                 first = false;
             }
