@@ -1,28 +1,24 @@
 //! Testability verdicts and whole-circuit redundancy identification.
 //!
-//! Two complete engines answer "is this stuck-at fault testable?":
-//! [`Engine::Podem`] (structural search) and [`Engine::Sat`] (good/faulty
-//! miter, cf. Schulz–Auth [22] whose ATPG the paper's implementation
-//! used). They are cross-checked against each other in the test suites.
+//! Two complete engines answer "is this stuck-at fault testable?". The
+//! shared-CNF engine ([`Engine::SharedSat`]) is the production one: the
+//! KMS removal phase, `table1` and the `kms` CLI all run it. The per-fault
+//! SAT miter ([`Engine::Sat`], cf. Schulz–Auth [22] whose ATPG the paper's
+//! implementation used) is kept as the independent reference oracle the
+//! test suites and the invariant checks compare against; [`crate::podem()`]
+//! is a third, structural cross-check.
 
 use kms_netlist::Network;
 
 use crate::classify::ParallelOptions;
 use crate::fault::{all_faults, collapsed_faults, Fault, FaultSite};
-use crate::podem::{podem, PodemResult};
 
 /// Which decision procedure to use for testability queries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// PODEM with the given backtrack limit (complete when the limit is
-    /// not hit; queries that hit the limit report
-    /// [`Testability::Unknown`]).
-    Podem {
-        /// Backtrack budget per fault.
-        backtrack_limit: u64,
-    },
     /// SAT miter between the good and faulty circuits — always complete.
-    /// Builds a fresh solver and re-encodes the fault's cone per query.
+    /// Builds a fresh solver and re-encodes the fault's cone per query:
+    /// the reference oracle, independent of the shared-CNF machinery.
     #[default]
     Sat,
     /// The shared-CNF incremental engine ([`crate::classify_faults`]):
@@ -30,15 +26,14 @@ pub enum Engine {
     /// classified under per-fault activation literals, SAT-derived test
     /// vectors immediately fault-drop the remaining faults, and surviving
     /// queries fan out across `jobs` worker threads. Always complete, and
-    /// deterministic for any `jobs` value.
+    /// deterministic for any `jobs` value. The engine the KMS pipeline
+    /// runs.
     SharedSat(ParallelOptions),
 }
 
 /// Why a fault's classification did not reach a verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnknownReason {
-    /// PODEM's backtrack budget ran out ([`Engine::Podem`] only).
-    Podem,
     /// The per-fault SAT conflict budget ran out.
     Conflicts,
     /// The per-fault SAT propagation budget ran out.
@@ -59,7 +54,6 @@ impl UnknownReason {
     /// Short lowercase mnemonic for report surfaces.
     pub fn mnemonic(self) -> &'static str {
         match self {
-            UnknownReason::Podem => "podem",
             UnknownReason::Conflicts => "conflicts",
             UnknownReason::Propagations => "propagations",
             UnknownReason::Deadline => "deadline",
@@ -117,13 +111,6 @@ impl Testability {
 /// Decides testability of one fault.
 pub fn is_testable(net: &Network, fault: Fault, engine: Engine) -> Testability {
     match engine {
-        Engine::Podem { backtrack_limit } => match podem(net, fault, backtrack_limit) {
-            PodemResult::Test(cube) => {
-                Testability::Testable(cube.iter().map(|v| v.to_bool().unwrap_or(false)).collect())
-            }
-            PodemResult::Redundant => Testability::Redundant,
-            PodemResult::Aborted => Testability::Unknown(UnknownReason::Podem),
-        },
         Engine::Sat => sat_testable(net, fault),
         Engine::SharedSat(_) => crate::classify::classify_one(net, fault),
     }
@@ -371,8 +358,7 @@ impl TestabilityReport {
     /// Unknown-verdict counts grouped by reason, in a fixed reason
     /// order (stable across runs for report rendering).
     pub fn unknown_reasons(&self) -> Vec<(UnknownReason, usize)> {
-        const ORDER: [UnknownReason; 7] = [
-            UnknownReason::Podem,
+        const ORDER: [UnknownReason; 6] = [
             UnknownReason::Conflicts,
             UnknownReason::Propagations,
             UnknownReason::Deadline,
@@ -452,7 +438,7 @@ fn analyze_faults(net: &Network, faults: Vec<Fault>, engine: Engine) -> Testabil
         return crate::classify::classify_faults(net, faults, opts);
     }
     // Random-pattern pre-screen: most testable faults fall to a few
-    // hundred cheap simulations; only the survivors pay for SAT/PODEM.
+    // hundred cheap simulations; only the survivors pay for SAT.
     let tests = random_tests(net, 256, 0x4B4D_5331);
     let coverage = crate::fsim::fault_simulate(net, &faults, &tests);
     let verdicts = faults
@@ -498,6 +484,7 @@ pub fn redundancy_count(net: &Network, engine: Engine) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PodemResult;
     use kms_netlist::{Delay, GateKind, Network};
 
     fn redundant_net() -> Network {
@@ -523,37 +510,33 @@ mod tests {
     #[test]
     fn engines_agree_on_redundant_circuit() {
         let net = redundant_net();
-        let podem_engine = Engine::Podem {
-            backtrack_limit: 100_000,
-        };
-        let rp = analyze(&net, podem_engine);
         let rs = analyze(&net, Engine::Sat);
-        assert_eq!(rp.faults, rs.faults);
-        for ((f, vp), vs) in rp.faults.iter().zip(&rp.verdicts).zip(&rs.verdicts) {
+        for (f, vs) in rs.faults.iter().zip(&rs.verdicts) {
+            let vp = crate::podem(&net, *f, 100_000);
+            assert!(!matches!(vp, PodemResult::Aborted), "PODEM aborted on {f}");
             assert_eq!(
-                vp.is_redundant(),
+                matches!(vp, PodemResult::Redundant),
                 vs.is_redundant(),
                 "engines disagree on {f}"
             );
         }
-        assert!(!rp.fully_testable());
-        assert!(!rp.redundant().is_empty());
+        assert!(!rs.fully_testable());
+        assert!(!rs.redundant().is_empty());
     }
 
     #[test]
     fn clean_circuit_fully_testable() {
         let net = clean_net();
-        for engine in [
-            Engine::Sat,
-            Engine::Podem {
-                backtrack_limit: 10_000,
-            },
-        ] {
-            let r = analyze(&net, engine);
-            assert!(r.fully_testable(), "{engine:?}");
-            assert_eq!(r.unknown_count(), 0);
-            assert!(find_redundant_fault(&net, engine).is_none());
-            assert_eq!(redundancy_count(&net, engine), 0);
+        let r = analyze(&net, Engine::Sat);
+        assert!(r.fully_testable());
+        assert_eq!(r.unknown_count(), 0);
+        assert!(find_redundant_fault(&net, Engine::Sat).is_none());
+        assert_eq!(redundancy_count(&net, Engine::Sat), 0);
+        for &f in &r.faults {
+            let test = crate::podem(&net, f, 10_000).test_vector();
+            let test = test.unwrap_or_else(|| panic!("PODEM found no test for {f}"));
+            let faulty = crate::inject::faulty_copy(&net, f);
+            assert_ne!(net.eval_bool(&test), faulty.eval_bool(&test), "{f}");
         }
     }
 

@@ -38,8 +38,8 @@ impl CoverageReport {
 /// Simulates `tests` (each one Boolean per input) against every fault in
 /// `faults`, 64 patterns at a time.
 ///
-/// Runs the cone-restricted propagation of [`fault_simulate_cone`]: the
-/// good circuit is evaluated once per 64-pattern batch and each fault
+/// Runs the cone-restricted propagation of [`fault_simulate_cone_with`]:
+/// the good circuit is evaluated once per 64-pattern batch and each fault
 /// re-evaluates only its transitive fanout. The report is bit-identical
 /// to the historical clone-per-fault simulation, which survives as the
 /// test-only reference below.
@@ -48,7 +48,7 @@ impl CoverageReport {
 ///
 /// Panics if a test vector's width differs from the input count.
 pub fn fault_simulate(net: &Network, faults: &[Fault], tests: &[Vec<bool>]) -> CoverageReport {
-    fault_simulate_cone(net, faults, tests)
+    fault_simulate_cone_with(net, &Topology::build(net), faults, tests)
 }
 
 /// The original whole-network simulation: clones the network with the
@@ -110,16 +110,13 @@ fn fault_simulate_reference(
 /// re-simulates only its transitive fanout with the stuck value injected.
 /// Per-fault cost drops from `O(network × batches)` (plus a full network
 /// clone) to `O(TFO × batches)` — the classic single-fault-propagation
-/// trade. The report is identical to [`fault_simulate`]'s: same
-/// first-detecting-test indices, batch by batch, output by output.
-pub fn fault_simulate_cone(net: &Network, faults: &[Fault], tests: &[Vec<bool>]) -> CoverageReport {
-    fault_simulate_cone_with(net, &Topology::build(net), faults, tests)
-}
-
-/// As [`fault_simulate_cone`], against a caller-held [`Topology`] cache so
-/// repeated calls on an unchanged network stop paying for a fresh fanout
-/// table and Kahn pass each time (the drop cascade of the classification
-/// engine calls this once per committed batch).
+/// trade. The report is identical to the clone-per-fault reference's:
+/// same first-detecting-test indices, batch by batch, output by output.
+///
+/// Takes a caller-held [`Topology`] cache so repeated calls on an
+/// unchanged network stop paying for a fresh fanout table and Kahn pass
+/// each time (the drop cascade of the classification engine calls this
+/// once per committed batch).
 pub fn fault_simulate_cone_with(
     net: &Network,
     topo: &Topology,
@@ -447,19 +444,12 @@ impl<'n> ConeSim<'n> {
     }
 }
 
-/// As [`fault_simulate_cone`], split across `jobs` scoped threads with
-/// deterministic chunk-order reassembly (see [`fault_simulate_jobs`]).
-pub fn fault_simulate_cone_jobs(
-    net: &Network,
-    faults: &[Fault],
-    tests: &[Vec<bool>],
-    jobs: usize,
-) -> CoverageReport {
-    fault_simulate_cone_jobs_with(net, &Topology::build(net), faults, tests, jobs)
-}
-
-/// As [`fault_simulate_cone_jobs`], against a caller-held [`Topology`]
-/// cache shared (by reference) across all worker threads.
+/// As [`fault_simulate_cone_with`], but splits the fault list across
+/// `jobs` scoped threads sharing the [`Topology`] cache by reference.
+/// Each chunk is simulated independently (serial-fault simulation has no
+/// cross-fault state) and the per-chunk results are concatenated in
+/// chunk order, so the report is identical to the sequential one for any
+/// `jobs`.
 pub fn fault_simulate_cone_jobs_with(
     net: &Network,
     topo: &Topology,
@@ -478,34 +468,6 @@ pub fn fault_simulate_cone_jobs_with(
             .map(|part| {
                 s.spawn(move || fault_simulate_cone_with(net, topo, part, tests).detected_by)
             })
-            .collect();
-        for h in handles {
-            detected_by.extend(h.join().expect("fault-simulation worker panicked"));
-        }
-    });
-    CoverageReport { detected_by }
-}
-
-/// As [`fault_simulate`], but splits the fault list across `jobs` scoped
-/// threads. Each chunk is simulated independently (serial-fault simulation
-/// has no cross-fault state) and the per-chunk results are concatenated in
-/// chunk order, so the report is identical to the sequential one for any
-/// `jobs`.
-pub fn fault_simulate_jobs(
-    net: &Network,
-    faults: &[Fault],
-    tests: &[Vec<bool>],
-    jobs: usize,
-) -> CoverageReport {
-    if jobs <= 1 || faults.len() < 2 * jobs {
-        return fault_simulate(net, faults, tests);
-    }
-    let chunk = faults.len().div_ceil(jobs);
-    let mut detected_by = Vec::with_capacity(faults.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .map(|part| s.spawn(move || fault_simulate(net, part, tests).detected_by))
             .collect();
         for h in handles {
             detected_by.extend(h.join().expect("fault-simulation worker panicked"));
@@ -581,12 +543,11 @@ mod tests {
             Vec::new(),
         ] {
             let reference = fault_simulate_reference(&net, &faults, &tests);
-            let cone = fault_simulate_cone(&net, &faults, &tests);
-            assert_eq!(reference.detected_by, cone.detected_by);
             let public = fault_simulate(&net, &faults, &tests);
             assert_eq!(reference.detected_by, public.detected_by);
+            let topo = Topology::build(&net);
             for jobs in [1, 3] {
-                let j = fault_simulate_cone_jobs(&net, &faults, &tests, jobs);
+                let j = fault_simulate_cone_jobs_with(&net, &topo, &faults, &tests, jobs);
                 assert_eq!(reference.detected_by, j.detected_by, "jobs={jobs}");
             }
         }
@@ -600,8 +561,9 @@ mod tests {
             .map(|m| (0..3).map(|i| (m >> i) & 1 == 1).collect())
             .collect();
         let seq = fault_simulate_reference(&net, &faults, &tests);
+        let topo = Topology::build(&net);
         for jobs in [0, 1, 2, 3, 8] {
-            let par = fault_simulate_jobs(&net, &faults, &tests, jobs);
+            let par = fault_simulate_cone_jobs_with(&net, &topo, &faults, &tests, jobs);
             assert_eq!(par.detected_by, seq.detected_by, "jobs={jobs}");
         }
     }

@@ -54,8 +54,8 @@ pub use engine::{
 };
 pub use fault::{all_faults, collapsed_faults, Fault, FaultSite};
 pub use fsim::{
-    fault_simulate, fault_simulate_cone, fault_simulate_cone_jobs, fault_simulate_cone_jobs_with,
-    fault_simulate_cone_with, fault_simulate_jobs, ConeSim, CoverageReport,
+    fault_simulate, fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim,
+    CoverageReport,
 };
 pub use inject::{faulty_copy, inject_fault_in_place};
 pub use podem::{podem, Podem, PodemResult};

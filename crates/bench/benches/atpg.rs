@@ -4,7 +4,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kms_atpg::{collapsed_faults, fault_simulate, is_testable, Engine};
+use kms_atpg::{collapsed_faults, fault_simulate, is_testable, podem, Engine, PodemResult};
 
 fn bench_engines(c: &mut Criterion) {
     let net = kms_bench::table1_csa(8, 4);
@@ -15,15 +15,7 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| {
             let mut redundant = 0;
             for &f in &faults {
-                if is_testable(
-                    black_box(&net),
-                    f,
-                    Engine::Podem {
-                        backtrack_limit: 100_000,
-                    },
-                )
-                .is_redundant()
-                {
+                if podem(black_box(&net), f, 100_000) == PodemResult::Redundant {
                     redundant += 1;
                 }
             }

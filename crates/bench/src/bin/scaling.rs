@@ -2,6 +2,7 @@
 //! block size (beyond the paper's four rows). Invariant verification is
 //! off by default for the larger rows; pass `--verify` to enable it.
 
+use kms_atpg::ParallelOptions;
 use kms_timing::InputArrivals;
 
 fn main() {
@@ -25,6 +26,7 @@ fn main() {
             &net,
             &InputArrivals::zero(),
             verify,
+            ParallelOptions::default(),
         );
         println!("{}   ({:.2?})", row.format(), t0.elapsed());
     }

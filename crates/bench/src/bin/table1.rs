@@ -48,11 +48,6 @@ fn main() {
         }));
         args.drain(i..i + 2);
     }
-    let engine = kms_atpg::Engine::SharedSat(kms_atpg::ParallelOptions {
-        jobs,
-        fault_budget,
-        ..Default::default()
-    });
     let budget: Option<f64> = if let Some(i) = args.iter().position(|a| a == "--budget") {
         let secs = args
             .get(i + 1)
@@ -73,6 +68,12 @@ fn main() {
     } else {
         false
     };
+    let popts = kms_atpg::ParallelOptions {
+        jobs,
+        certify,
+        fault_budget,
+        ..Default::default()
+    };
     let verify = !args.iter().any(|a| a == "--no-verify");
     let which_csa = args.is_empty()
         || args.iter().any(|a| a == "--csa")
@@ -92,14 +93,14 @@ fn main() {
     println!("Table I — redundancy removal with no delay increase");
     println!("{}", kms_bench::Table1Row::header());
     if which_csa {
-        for row in kms_bench::csa_rows_engine(verify, engine, certify) {
+        for row in kms_bench::csa_rows(verify, popts) {
             println!("{}", row.format());
             tally(&row);
         }
     }
     if which_mcnc {
         for b in kms_gen::mcnc::table1_suite() {
-            let row = kms_bench::mcnc_row_engine(&b, verify, engine, certify);
+            let row = kms_bench::mcnc_row(&b, verify, popts);
             println!("{}", row.format());
             tally(&row);
         }

@@ -136,25 +136,18 @@ pub fn table1_csa(bits: usize, block: usize) -> Network {
 ///
 /// `verify` additionally machine-checks the three KMS invariants
 /// (equivalence, full testability, no viable-delay increase) — slower, so
-/// the scaling sweeps can turn it off.
-pub fn run_row(name: &str, net: &Network, arrivals: &InputArrivals, verify: bool) -> Table1Row {
-    run_row_engine(name, net, arrivals, verify, Engine::Sat, false)
-}
-
-/// As [`run_row`], with an explicit ATPG engine used for the redundancy
-/// count, the removal phase, and the invariant check — pass
-/// [`Engine::SharedSat`] to measure the shared-CNF classification engine.
-/// With `certify`, every UNSAT verdict behind the row (redundancy count,
-/// KMS loop and removal phase, invariant miter) is certified by the
-/// independent proof checker and the merged ledger is attached to the
-/// row.
-pub fn run_row_engine(
+/// the scaling sweeps can turn it off. `popts` configures the shared-CNF
+/// engine behind the redundancy count, the removal phase, and the
+/// invariant check. With [`ParallelOptions::certify`], every UNSAT
+/// verdict behind the row (redundancy count, KMS loop and removal phase,
+/// invariant miter) is certified by the independent proof checker and the
+/// merged ledger is attached to the row.
+pub fn run_row(
     name: &str,
     net: &Network,
     arrivals: &InputArrivals,
     verify: bool,
-    engine: Engine,
-    certify: bool,
+    popts: ParallelOptions,
 ) -> Table1Row {
     // The BDD-backed viability oracle is exponential in the input count;
     // wide benchmarks are measured with the SAT-backed static-
@@ -167,52 +160,14 @@ pub fn run_row_engine(
         PathCondition::Viability
     };
     let cap = if wide { 200_000 } else { 1 << 22 };
-    let mut certification = certify.then(CertificationReport::default);
-    let popts = match engine {
-        Engine::SharedSat(p) => p,
-        _ => ParallelOptions::default(),
-    };
-    let mut unknown = 0usize;
-    let redundancies = match certification.as_mut() {
-        Some(total) => {
-            let classify = kms_atpg::classify_faults_report(
-                net,
-                kms_atpg::collapsed_faults(net),
-                ParallelOptions {
-                    certify: true,
-                    ..popts
-                },
-            );
-            if let Some(atpg) = classify.certification {
-                total.merge(&atpg);
-            }
-            unknown += classify
-                .testability
-                .verdicts
-                .iter()
-                .filter(|v| v.is_unknown())
-                .count();
-            classify
-                .testability
-                .verdicts
-                .iter()
-                .filter(|v| v.is_redundant())
-                .count()
-        }
-        None => {
-            let testability = kms_atpg::analyze(net, engine);
-            unknown += testability
-                .verdicts
-                .iter()
-                .filter(|v| v.is_unknown())
-                .count();
-            testability
-                .verdicts
-                .iter()
-                .filter(|v| v.is_redundant())
-                .count()
-        }
-    };
+    let mut certification = popts.certify.then(CertificationReport::default);
+    let classify = kms_atpg::classify_faults_report(net, kms_atpg::collapsed_faults(net), popts);
+    if let (Some(total), Some(atpg)) = (certification.as_mut(), classify.certification.as_ref()) {
+        total.merge(atpg);
+    }
+    let verdicts = &classify.testability.verdicts;
+    let redundancies = verdicts.iter().filter(|v| v.is_redundant()).count();
+    let mut unknown = verdicts.iter().filter(|v| v.is_unknown()).count();
     let delay_initial = computed_delay(net, arrivals, condition, cap)
         .expect("simple-gate network")
         .delay;
@@ -220,8 +175,8 @@ pub fn run_row_engine(
         net,
         arrivals,
         KmsOptions {
-            engine,
-            certify,
+            engine: Engine::SharedSat(popts),
+            certify: popts.certify,
             ..Default::default()
         },
     )
@@ -235,24 +190,22 @@ pub fn run_row_engine(
     let verified = if verify {
         match certification.as_mut() {
             Some(total) => {
-                let (inv, ledger) = verify_kms_invariants_certified(
-                    net,
-                    &after,
-                    arrivals,
-                    condition,
-                    cap,
-                    ParallelOptions {
-                        certify: true,
-                        ..popts
-                    },
-                )
-                .expect("simple-gate network");
+                let (inv, ledger) =
+                    verify_kms_invariants_certified(net, &after, arrivals, condition, cap, popts)
+                        .expect("simple-gate network");
                 total.merge(&ledger);
                 inv.holds()
             }
-            None => verify_kms_invariants_engine(net, &after, arrivals, condition, cap, engine)
-                .expect("simple-gate network")
-                .holds(),
+            None => verify_kms_invariants_engine(
+                net,
+                &after,
+                arrivals,
+                condition,
+                cap,
+                Engine::SharedSat(popts),
+            )
+            .expect("simple-gate network")
+            .holds(),
         }
     } else {
         false
@@ -275,25 +228,19 @@ pub fn run_row_engine(
     }
 }
 
-/// The carry-skip rows of Table I: csa 2.2, 4.4, 8.2, 8.4.
-pub fn csa_rows(verify: bool) -> Vec<Table1Row> {
-    csa_rows_engine(verify, Engine::Sat, false)
-}
-
-/// See [`csa_rows`]; `engine` selects the ATPG engine for every row and
-/// `certify` attaches a checked proof ledger per row.
-pub fn csa_rows_engine(verify: bool, engine: Engine, certify: bool) -> Vec<Table1Row> {
+/// The carry-skip rows of Table I: csa 2.2, 4.4, 8.2, 8.4, each run
+/// through [`run_row`] with `popts`.
+pub fn csa_rows(verify: bool, popts: ParallelOptions) -> Vec<Table1Row> {
     [(2, 2), (4, 4), (8, 2), (8, 4)]
         .into_iter()
         .map(|(bits, block)| {
             let net = table1_csa(bits, block);
-            run_row_engine(
+            run_row(
                 &format!("csa {bits}.{block}"),
                 &net,
                 &InputArrivals::zero(),
                 verify,
-                engine,
-                certify,
+                popts,
             )
         })
         .collect()
@@ -310,30 +257,20 @@ fn late_last_input(net: &Network) -> InputArrivals {
 }
 
 /// One MCNC-substitute row: PLA → area optimization → timing optimization
-/// (redundancy-introducing bypass) → KMS.
-pub fn mcnc_row(benchmark: &Benchmark, verify: bool) -> Table1Row {
-    mcnc_row_engine(benchmark, verify, Engine::Sat, false)
-}
-
-/// See [`mcnc_row`]; `engine` selects the ATPG engine and `certify`
-/// attaches a checked proof ledger.
-pub fn mcnc_row_engine(
-    benchmark: &Benchmark,
-    verify: bool,
-    engine: Engine,
-    certify: bool,
-) -> Table1Row {
+/// (redundancy-introducing bypass) → KMS, run through [`run_row`] with
+/// `popts`.
+pub fn mcnc_row(benchmark: &Benchmark, verify: bool, popts: ParallelOptions) -> Table1Row {
     let options = FlowOptions::default();
     let (net, _) = prepare_benchmark(&benchmark.pla, benchmark.name, late_last_input, options);
     let arrivals = late_last_input(&net);
-    run_row_engine(benchmark.name, &net, &arrivals, verify, engine, certify)
+    run_row(benchmark.name, &net, &arrivals, verify, popts)
 }
 
 /// The MCNC-substitute rows of Table I.
-pub fn mcnc_rows(verify: bool) -> Vec<Table1Row> {
+pub fn mcnc_rows(verify: bool, popts: ParallelOptions) -> Vec<Table1Row> {
     kms_gen::mcnc::table1_suite()
         .iter()
-        .map(|b| mcnc_row(b, verify))
+        .map(|b| mcnc_row(b, verify, popts))
         .collect()
 }
 
@@ -421,7 +358,13 @@ mod tests {
     #[test]
     fn csa_row_runs_and_verifies() {
         let net = table1_csa(2, 2);
-        let row = run_row("csa 2.2", &net, &InputArrivals::zero(), true);
+        let row = run_row(
+            "csa 2.2",
+            &net,
+            &InputArrivals::zero(),
+            true,
+            ParallelOptions::default(),
+        );
         assert_eq!(row.redundancies, 2);
         assert!(row.verified);
         assert!(row.delay_final <= row.delay_initial);

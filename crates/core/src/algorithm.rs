@@ -55,7 +55,11 @@ pub enum Condition {
 pub struct KmsOptions {
     /// The while-loop condition.
     pub condition: Condition,
-    /// The ATPG engine for the final remove-remaining-redundancies phase.
+    /// The ATPG engine options for the final remove-remaining-redundancies
+    /// phase. That phase always runs the shared-CNF engine:
+    /// [`Engine::SharedSat`] supplies its options, and [`Engine::Sat`]
+    /// stands for the default [`ParallelOptions`]. The removal sequence is
+    /// the same for any options.
     pub engine: Engine,
     /// Iteration cap for the while loop (safety net; the paper argues the
     /// count is bounded by the number of nonviable longest paths).
@@ -78,9 +82,9 @@ pub struct KmsOptions {
     /// checked proof: unsensitizable-path verdicts in the oracle phase
     /// (static sensitization only — viability verdicts are BDD-backed and
     /// carry no SAT proof, a documented gap) and redundant-fault verdicts
-    /// in the removal phase (which is forced onto the shared-CNF engine
-    /// with its own certification on). Verdicts are unchanged; the merged
-    /// ledger lands in [`KmsReport::certification`].
+    /// in the removal phase (whose engine options get
+    /// [`ParallelOptions::certify`] set). Verdicts are unchanged; the
+    /// merged ledger lands in [`KmsReport::certification`].
     pub certify: bool,
 }
 
@@ -88,7 +92,7 @@ impl Default for KmsOptions {
     fn default() -> Self {
         KmsOptions {
             condition: Condition::default(),
-            engine: Engine::Sat,
+            engine: Engine::SharedSat(ParallelOptions::default()),
             max_iterations: 10_000,
             max_longest_paths: 256,
             effort_cap: 1 << 22,
@@ -183,8 +187,8 @@ pub struct KmsReport {
     /// solvers, summed over all iterations and workers). All zeros under
     /// the BDD-backed viability condition.
     pub oracle_solver: Stats,
-    /// SAT search counters of the final removal phase (zeros for the
-    /// per-fault engines, which don't report).
+    /// SAT search counters of the final removal phase (the shared-CNF
+    /// engine, summed over every removal restart).
     pub atpg_solver: Stats,
     /// The merged proof-checking ledger of a [`KmsOptions::certify`] run:
     /// oracle-phase unsensitizability certificates plus removal-phase
@@ -643,25 +647,10 @@ pub fn kms_with_control(
     // removal phase.
     drop((cache, interner));
 
-    // Final phase: remove remaining redundancies in any order. Under
-    // certification the phase is forced onto the shared-CNF engine (the
-    // only one that emits certificates); the removal sequence is the same
-    // by the engines' agreement on redundancy (see `kms-opt`).
+    // Final phase: remove remaining redundancies in any order.
     let t0 = Instant::now();
     let pre_live = strash_snapshot(net);
-    let removal_engine = if options.certify {
-        let popts = match options.engine {
-            Engine::SharedSat(p) => p,
-            _ => ParallelOptions::default(),
-        };
-        Engine::SharedSat(ParallelOptions {
-            certify: true,
-            ..popts
-        })
-    } else {
-        options.engine
-    };
-    let naive = naive_redundancy_removal(net, removal_engine);
+    let naive = naive_redundancy_removal(net, Engine::SharedSat(removal_options(&options)));
     if let (Some(total), Some(atpg)) = (certification.as_mut(), naive.certification.as_ref()) {
         total.merge(atpg);
     }
@@ -705,6 +694,21 @@ pub fn kms_with_control(
         certification,
         unknown: naive.unknown,
     }))
+}
+
+/// The shared-CNF engine options of the removal phase: those of
+/// [`KmsOptions::engine`] (defaults for [`Engine::Sat`]), with
+/// certification on when either they or [`KmsOptions::certify`] ask for
+/// it.
+pub(crate) fn removal_options(options: &KmsOptions) -> ParallelOptions {
+    let popts = match options.engine {
+        Engine::SharedSat(p) => p,
+        Engine::Sat => ParallelOptions::default(),
+    };
+    ParallelOptions {
+        certify: popts.certify || options.certify,
+        ..popts
+    }
 }
 
 /// Runs [`kms`] on a copy, returning the transformed network and report.
@@ -1200,8 +1204,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Resume composes with the job count: a resumed run at jobs=4 still
-    /// reproduces the uninterrupted sequential run.
+    /// Resume composes with the job counts: a resumed run at jobs=4, or
+    /// at a different removal-engine job count, still reproduces the
+    /// uninterrupted sequential run.
     #[test]
     fn resume_is_bit_identical_across_modes() {
         let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
@@ -1242,6 +1247,45 @@ mod tests {
         // split the query stream.
         assert_reports_agree(&base_report, &report, "jobs=4 resume", false);
         std::fs::remove_file(&path).unwrap();
+
+        // The removal engine's job count is a bit-identity switch too: a
+        // checkpoint written at `ParallelOptions::jobs = 2` resumes at 1.
+        let two = KmsOptions {
+            engine: Engine::SharedSat(ParallelOptions {
+                jobs: 2,
+                ..Default::default()
+            }),
+            ..options
+        };
+        let mut first = net.clone();
+        kms_with_control(
+            &mut first,
+            &arr,
+            two,
+            RunControl {
+                checkpoint: Some(path.clone()),
+                stop_after: Some(1),
+                resume: None,
+            },
+        )
+        .unwrap();
+        let ck = Checkpoint::load(&path).unwrap();
+        assert!(ck.matches(&net, &arr, &options));
+        let mut resumed = net.clone();
+        let report = kms_with_control(
+            &mut resumed,
+            &arr,
+            options,
+            RunControl {
+                resume: Some(ck),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .expect("completes");
+        assert_eq!(base_net.dump(), resumed.dump());
+        assert_reports_identical(&base_report, &report, "removal jobs=2 -> 1 resume");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1256,6 +1300,18 @@ mod tests {
         // longer path than the longest they started from (Theorem 7.1/7.2).
         assert!(report.topological_after <= report.topological_before);
         assert!(report.max_fanout_before > 0);
+    }
+
+    /// The default removal phase runs the shared-CNF engine, so a run
+    /// that removes a redundancy reports the solver work behind it.
+    #[test]
+    fn default_removal_reports_solver_counters() {
+        let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(kms_netlist::DelayModel::Unit);
+        let (_, report) = kms_on_copy(&net, &InputArrivals::zero(), KmsOptions::default()).unwrap();
+        assert!(!report.removed_redundancies.is_empty());
+        assert_ne!(report.atpg_solver, Stats::default());
     }
 }
 

@@ -31,7 +31,7 @@ use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{InputArrivals, Time};
 
-use crate::algorithm::{KmsIteration, KmsOptions};
+use crate::algorithm::{removal_options, KmsIteration, KmsOptions};
 use crate::engine::{CacheEntry, EngineStats};
 
 /// Why a checkpoint could not be loaded.
@@ -96,19 +96,25 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The run-identity fingerprint: circuit, arrivals, and the options that
-/// change observable behavior. `jobs` is deliberately excluded — it is a
-/// proven bit-identity switch, so a run may resume with a different job
-/// count.
+/// change observable behavior. The removal engine enters as the options
+/// the removal phase actually runs with. Job counts — both
+/// [`KmsOptions::jobs`] and [`kms_atpg::ParallelOptions::jobs`] — are
+/// deliberately excluded: they are proven bit-identity switches, so a run
+/// may resume with a different job count.
 pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &KmsOptions) -> u64 {
     let mut s = net.dump();
     for (pos, &input) in net.inputs().iter().enumerate() {
         let _ = writeln!(s, "arrival {pos} {}", arrivals.get(input));
     }
+    let removal = kms_atpg::ParallelOptions {
+        jobs: 1,
+        ..removal_options(options)
+    };
     let _ = writeln!(
         s,
         "options {:?} {:?} {} {} {} {} {}",
         options.condition,
-        options.engine,
+        removal,
         options.max_iterations,
         options.max_longest_paths,
         options.effort_cap,

@@ -6,6 +6,11 @@
 //! the skip logic and *slows the circuit down* to ripple speed. The KMS
 //! algorithm (in `kms-core`) is the delay-safe alternative; the
 //! `naive_vs_kms` experiment (E5) regenerates the comparison.
+//!
+//! [`naive_redundancy_removal`] is also the loop behind the KMS
+//! algorithm's last step ("remove remaining redundancies in any order"):
+//! every restart scans the collapsed fault list with the shared-CNF
+//! engine and removes the first redundant fault it finds.
 
 use kms_atpg::{Engine, Fault, FaultSite};
 use kms_netlist::{transform, Network};
@@ -21,13 +26,12 @@ pub struct NaiveRemovalReport {
     pub gates_before: usize,
     /// See [`NaiveRemovalReport::gates_before`].
     pub gates_after: usize,
-    /// Solver search counters, aggregated across every restart of the
-    /// shared-CNF engine. All zeros for the per-fault engines (they build
-    /// a throwaway solver per query and don't report).
+    /// Solver search counters of the shared-CNF engine, summed over every
+    /// restart.
     pub solver: Stats,
-    /// The proof-checking ledger, present when the shared-CNF engine ran
-    /// with [`kms_atpg::ParallelOptions::certify`]: one checked
-    /// certificate per redundant verdict, aggregated across restarts.
+    /// The proof-checking ledger, present when the removal ran with
+    /// [`kms_atpg::ParallelOptions::certify`]: one checked certificate per
+    /// redundant verdict, aggregated across restarts.
     pub certification: Option<CertificationReport>,
     /// Faults left undecided by the final pass (per-fault budget
     /// exhaustion or an isolated worker panic). Non-zero means "fully
@@ -87,62 +91,21 @@ pub fn remove_fault(net: &mut Network, fault: Fault) {
 /// Fig. 3 note applies to the baseline too).
 ///
 /// No delay bookkeeping is done: this is deliberately the delay-oblivious
-/// baseline. As in classic ATPG flows, test vectors found along the way
-/// are cached and fault-simulated first, so most faults are proved
-/// testable without a decision-procedure call.
+/// baseline. Every restart runs the shared-CNF engine
+/// ([`kms_atpg::scan_for_redundancy`]): the good circuit is encoded once,
+/// the collapsed fault list is scanned in order against it, and every
+/// test vector found along the way is cached across restarts, so most
+/// faults are proved testable by simulation alone. `Engine::SharedSat(p)`
+/// runs with `p`; `Engine::Sat` runs with the default
+/// [`kms_atpg::ParallelOptions`]. A redundant fault is detected by no
+/// test, so the removal sequence (the first redundant fault in collapsed
+/// list order, per restart) is the same for any options.
 pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemovalReport {
-    use kms_atpg::{collapsed_faults, fault_simulate, is_testable, Testability};
-    if let Engine::SharedSat(opts) = engine {
-        return shared_redundancy_removal(net, opts);
-    }
-    let gates_before = net.simple_gate_count();
-    let mut removed = Vec::new();
-    let mut unknown;
-    let mut tests: Vec<Vec<bool>> = kms_atpg::random_tests(net, 128, 0x4B4D_5332);
-    'restart: loop {
-        let faults = collapsed_faults(net);
-        // Cheap pass: drop every fault the cached tests already detect.
-        let coverage = fault_simulate(net, &faults, &tests);
-        // Only the final (redundancy-free) pass's undecided faults
-        // persist; earlier passes re-examine theirs after the restart.
-        unknown = 0;
-        for (f, hit) in faults.iter().zip(&coverage.detected_by) {
-            if hit.is_some() {
-                continue;
-            }
-            match is_testable(net, *f, engine) {
-                Testability::Testable(t) => tests.push(t),
-                Testability::Redundant => {
-                    remove_fault(net, *f);
-                    removed.push(*f);
-                    continue 'restart;
-                }
-                Testability::Unknown(_) => unknown += 1,
-            }
-        }
-        break;
-    }
-    NaiveRemovalReport {
-        removed,
-        gates_before,
-        gates_after: net.simple_gate_count(),
-        solver: Stats::default(),
-        certification: None,
-        unknown,
-    }
-}
-
-/// The shared-CNF variant of [`naive_redundancy_removal`]: each restart
-/// encodes the good circuit once and scans the collapsed fault set against
-/// it, carrying every discovered test vector across restarts. Because a
-/// redundant fault is by definition detected by no test, pre-screening and
-/// dropping never change which fault is the first redundant one — the
-/// removal sequence matches the per-fault engines'.
-fn shared_redundancy_removal(
-    net: &mut Network,
-    opts: kms_atpg::ParallelOptions,
-) -> NaiveRemovalReport {
-    use kms_atpg::{collapsed_faults, scan_for_redundancy};
+    use kms_atpg::{collapsed_faults, scan_for_redundancy, ParallelOptions};
+    let opts = match engine {
+        Engine::SharedSat(p) => p,
+        Engine::Sat => ParallelOptions::default(),
+    };
     let gates_before = net.simple_gate_count();
     let mut removed = Vec::new();
     let unknown;

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use kms::atpg::{collapsed_faults, is_testable, Engine, Testability};
+use kms::atpg::{collapsed_faults, is_testable, podem, Engine, PodemResult};
 use kms::bdd::{bdd_equivalent, BddManager, NodeFunctions};
 use kms::gen::random::{random_network, RandomNetworkSpec};
 use kms::sat::check_equivalence;
@@ -32,16 +32,15 @@ proptest! {
     #[test]
     fn podem_and_sat_agree(seed in 1u64..4000) {
         let net = random_network(seed, spec());
-        let podem = Engine::Podem { backtrack_limit: 200_000 };
         for f in collapsed_faults(&net) {
-            let vp = is_testable(&net, f, podem);
+            let vp = podem(&net, f, 200_000);
             let vs = is_testable(&net, f, Engine::Sat);
             prop_assert!(
-                !matches!(vp, Testability::Unknown(_)),
+                !matches!(vp, PodemResult::Aborted),
                 "PODEM aborted on a small circuit: {f} (seed {seed})"
             );
             prop_assert_eq!(
-                vp.is_redundant(),
+                matches!(vp, PodemResult::Redundant),
                 vs.is_redundant(),
                 "engines disagree on {} (seed {})", f, seed
             );

@@ -2,7 +2,7 @@
 //! instances here; the full table regenerates via
 //! `cargo run -p kms-bench --bin table1`).
 
-use kms::atpg::{redundancy_count, Engine};
+use kms::atpg::{redundancy_count, Engine, ParallelOptions};
 use kms::core::{kms_on_copy, verify_kms_invariants, KmsOptions};
 use kms::timing::InputArrivals;
 use kms_bench::{mcnc_row, run_row, table1_csa};
@@ -25,7 +25,13 @@ fn csa_22_row_shape() {
     // Paper: csa 2.2 returns a circuit *smaller* than the original
     // (22 -> 21 in MIS-II gates); our counts differ, the direction holds.
     let net = table1_csa(2, 2);
-    let row = run_row("csa 2.2", &net, &InputArrivals::zero(), true);
+    let row = run_row(
+        "csa 2.2",
+        &net,
+        &InputArrivals::zero(),
+        true,
+        ParallelOptions::default(),
+    );
     assert!(row.verified);
     assert!(row.gates_final <= row.gates_initial);
     assert!(row.delay_final <= row.delay_initial);
@@ -35,7 +41,13 @@ fn csa_22_row_shape() {
 #[test]
 fn csa_44_row_shape() {
     let net = table1_csa(4, 4);
-    let row = run_row("csa 4.4", &net, &InputArrivals::zero(), true);
+    let row = run_row(
+        "csa 4.4",
+        &net,
+        &InputArrivals::zero(),
+        true,
+        ParallelOptions::default(),
+    );
     assert!(row.verified);
     assert_eq!(row.redundancies, 2);
     assert!(row.delay_final <= row.delay_initial);
@@ -57,7 +69,7 @@ fn mcnc_substitute_row_small() {
     // One exact-function row (rd73) end to end, invariants verified.
     let suite = kms::gen::mcnc::table1_suite();
     let rd73 = suite.iter().find(|b| b.name == "rd73").unwrap();
-    let row = mcnc_row(rd73, true);
+    let row = mcnc_row(rd73, true, ParallelOptions::default());
     assert!(row.verified, "{row:?}");
     assert!(row.delay_final <= row.delay_initial);
 }
