@@ -142,11 +142,6 @@ impl<'n> StaticAnalysis<'n> {
         &self.classes
     }
 
-    /// The implication database.
-    pub fn implications(&self) -> &Implications {
-        &self.implications
-    }
-
     /// Certification accounting of the SAT sweep, present when the
     /// analysis ran with [`AnalysisOptions::certify`].
     pub fn certification(&self) -> Option<&kms_proof::CertificationReport> {
@@ -235,7 +230,7 @@ impl<'n> StaticAnalysis<'n> {
         }
         // Rule 3: assemble the necessary detection conditions and try to
         // refute them.
-        let assumptions = self.detection_conditions(fault, stuck)?;
+        let assumptions = self.detection_conditions(fault, line_src, obs, stuck);
         match self.implications.propagate(net, &assumptions) {
             Err(conflict) => Some(Witness::ImplicationConflict {
                 assumptions,
@@ -245,30 +240,23 @@ impl<'n> StaticAnalysis<'n> {
         }
     }
 
-    /// The *necessary* detection conditions of a stuck-at fault: every
-    /// vector that detects the fault must satisfy all returned
+    /// The *necessary* detection conditions of a stuck-at fault on the
+    /// live line `line_src` whose effect enters the network at `obs`:
+    /// every vector that detects the fault must satisfy all returned
     /// `(node, value)` literals. The set comprises excitation of the
     /// faulted line, noncontrolling values on the side pins of the
     /// faulted connection's gate, and noncontrolling values on every
     /// fault-cone-external pin of every dominator of the fault site
-    /// (unique sensitization). Refuting the conjunction — by any sound
-    /// engine, e.g. [`Implications::propagate`] or the recursive-learning
-    /// pass in `kms-dataflow` — proves the fault untestable.
-    ///
-    /// Returns `None` when the fault site is dead.
-    pub fn detection_conditions(
+    /// (unique sensitization). [`StaticAnalysis::prove_untestable`]
+    /// refutes the conjunction with [`Implications::propagate`].
+    fn detection_conditions(
         &self,
         fault: FaultRef,
+        line_src: GateId,
+        obs: GateId,
         stuck: bool,
-    ) -> Option<Vec<(GateId, bool)>> {
+    ) -> Vec<(GateId, bool)> {
         let net = self.net;
-        let (line_src, obs) = match fault {
-            FaultRef::Output(g) => (g, g),
-            FaultRef::Conn(c) => (net.pin(c).src, c.gate),
-        };
-        if net.gate(line_src).is_dead() || net.gate(obs).is_dead() {
-            return None;
-        }
         let tfo = self.tfo_mask(obs);
         let mut assumptions: Vec<(GateId, bool)> = vec![(line_src, !stuck)];
         let assume = |asm: &mut Vec<(GateId, bool)>, g: GateId, v: bool| {
@@ -319,7 +307,7 @@ impl<'n> StaticAnalysis<'n> {
                 }
             }
         }
-        Some(assumptions)
+        assumptions
     }
 
     /// Builds the [`StaticRedundancyReport`] over a caller-supplied fault

@@ -3,10 +3,8 @@
 //! `BENCH_sweep.json`.
 //!
 //! Per circuit: the share of the ATPG oracle's redundant faults proved
-//! by the implication pass (`kms-analysis`) and by implications plus the
-//! dataflow pass (ternary/cofactor constants, CODCs, recursive learning —
-//! `kms-dataflow`), each pass's build time, and the shared-CNF oracle's
-//! classification time (EXPERIMENTS E13).
+//! by the implication pass (`kms-analysis`), the pass's build time, and
+//! the shared-CNF oracle's classification time (EXPERIMENTS E13).
 //!
 //! Usage: `bench_sweep [--smoke] [--jobs N] [--out FILE]`
 //!
@@ -15,9 +13,7 @@
 //! * `--out FILE` — output path (default `BENCH_sweep.json`).
 //!
 //! Every row is also a correctness gate: the statically proved faults
-//! (both passes) must be a subset of the oracle's redundant set
-//! (soundness), and on the carry-skip rows the dataflow pass must prove
-//! strictly more than the implication pass.
+//! must be a subset of the oracle's redundant set (soundness).
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -25,7 +21,6 @@ use std::time::Instant;
 use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms_atpg::{classify_faults_report, collapsed_faults, Fault, FaultSite, ParallelOptions};
 use kms_bench::{json_escape, table1_csa};
-use kms_dataflow::{DataflowAnalysis, DataflowOptions};
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
@@ -115,11 +110,8 @@ struct Row {
     faults: usize,
     redundant: usize,
     static_proved: usize,
-    dataflow_proved: usize,
     hit_rate: f64,
-    dataflow_hit_rate: f64,
     analysis_s: f64,
-    dataflow_s: f64,
     oracle_s: f64,
 }
 
@@ -150,7 +142,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut total_redundant = 0usize;
     let mut total_proved = 0usize;
-    let mut total_dataflow_proved = 0usize;
     for (name, net) in &circuits {
         let faults = collapsed_faults(net);
         let fault_refs: Vec<(FaultRef, bool)> = faults.iter().map(|&f| fault_ref(f)).collect();
@@ -179,29 +170,6 @@ fn main() {
             .collect();
         let proved: BTreeSet<(FaultRef, bool)> =
             report.proofs.iter().map(|p| (p.fault, p.stuck)).collect();
-        // Dataflow-tier coverage, measured on the redundant set (a sound
-        // pass can only ever prove those; attempting the testable faults
-        // here would just re-measure the refutation budget). The column
-        // is the *union* of implic and dataflow proofs.
-        let (dataflow_s, dataflow_proofs) = time_min(reps, || {
-            let an = StaticAnalysis::build(
-                net,
-                &AnalysisOptions {
-                    sat_sweep: false,
-                    ..AnalysisOptions::default()
-                },
-            );
-            let df = DataflowAnalysis::build(net, &an, &DataflowOptions::default());
-            let proved: BTreeSet<(FaultRef, bool)> = redundant
-                .iter()
-                .filter(|&&(site, stuck)| {
-                    an.prove_untestable(site, stuck).is_some()
-                        || df.prove_untestable(&an, site, stuck).is_some()
-                })
-                .copied()
-                .collect();
-            proved
-        });
         for p in &proved {
             assert!(
                 redundant.contains(p),
@@ -210,52 +178,20 @@ fn main() {
                 if p.1 { 1 } else { 0 }
             );
         }
-        for p in &dataflow_proofs {
-            assert!(
-                redundant.contains(p),
-                "{name}: dataflow proof for {}/{} not confirmed by the oracle",
-                p.0,
-                if p.1 { 1 } else { 0 }
-            );
-        }
-        // The combined tier can only add proofs on top of implic; on the
-        // paper's carry-skip rows the dataflow tier must also prove
-        // strictly more — the skip-gate redundancy cancels through
-        // reconvergence and only the conditional-equivalence rule
-        // catches it (E13's improvement gate).
-        if name.starts_with("csa") {
-            assert!(
-                dataflow_proofs.is_superset(&proved),
-                "{name}: dataflow tier lost an implic proof"
-            );
-            assert!(
-                dataflow_proofs.len() > proved.len(),
-                "{name}: dataflow tier adds no proof over implic \
-                 (carry-skip redundancy missed)"
-            );
-        }
-        let rate = |n: usize| {
-            if redundant.is_empty() {
-                1.0
-            } else {
-                n as f64 / redundant.len() as f64
-            }
+        let hit_rate = if redundant.is_empty() {
+            1.0
+        } else {
+            proved.len() as f64 / redundant.len() as f64
         };
-        let hit_rate = rate(proved.len());
-        let dataflow_hit_rate = rate(dataflow_proofs.len());
         total_redundant += redundant.len();
         total_proved += proved.len();
-        total_dataflow_proved += dataflow_proofs.len();
         eprintln!(
             "{name:<10} {:>5} faults  {:>3} redundant  {:>3} implic ({:>5.1}%)  \
-             {:>3} +dataflow ({:>5.1}%)  analysis {analysis_s:.4}s/{dataflow_s:.4}s  \
-             oracle {oracle_s:.4}s",
+             analysis {analysis_s:.4}s  oracle {oracle_s:.4}s",
             faults.len(),
             redundant.len(),
             proved.len(),
             100.0 * hit_rate,
-            dataflow_proofs.len(),
-            100.0 * dataflow_hit_rate,
         );
         rows.push(Row {
             name: name.clone(),
@@ -263,11 +199,8 @@ fn main() {
             faults: faults.len(),
             redundant: redundant.len(),
             static_proved: proved.len(),
-            dataflow_proved: dataflow_proofs.len(),
             hit_rate,
-            dataflow_hit_rate,
             analysis_s,
-            dataflow_s,
             oracle_s,
         });
     }
@@ -277,16 +210,9 @@ fn main() {
     } else {
         total_proved as f64 / total_redundant as f64
     };
-    let overall_dataflow = if total_redundant == 0 {
-        1.0
-    } else {
-        total_dataflow_proved as f64 / total_redundant as f64
-    };
     eprintln!(
-        "overall: {total_proved}/{total_redundant} redundant faults proved by implic ({:.1}%), \
-         {total_dataflow_proved}/{total_redundant} by implic+dataflow ({:.1}%)",
-        100.0 * overall,
-        100.0 * overall_dataflow
+        "overall: {total_proved}/{total_redundant} redundant faults proved by implic ({:.1}%)",
+        100.0 * overall
     );
 
     let mut json = String::new();
@@ -294,33 +220,26 @@ fn main() {
     json.push_str(&format!(
         "  \"bench\": \"static_sweep\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \"reps\": {},\n  \
          \"total_redundant\": {},\n  \"total_static_proved\": {},\n  \
-         \"total_dataflow_proved\": {},\n  \"overall_hit_rate\": {:.4},\n  \
-         \"overall_dataflow_hit_rate\": {:.4},\n  \"rows\": [\n",
+         \"overall_hit_rate\": {:.4},\n  \"rows\": [\n",
         if cfg.smoke { "smoke" } else { "full" },
         cfg.jobs,
         reps,
         total_redundant,
         total_proved,
-        total_dataflow_proved,
-        overall,
-        overall_dataflow
+        overall
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"circuit\": \"{}\", \"gates\": {}, \"faults\": {}, \"redundant\": {}, \
-             \"static_proved\": {}, \"dataflow_proved\": {}, \"hit_rate\": {:.4}, \
-             \"dataflow_hit_rate\": {:.4}, \"analysis_s\": {:.6}, \"dataflow_analysis_s\": {:.6}, \
+             \"static_proved\": {}, \"hit_rate\": {:.4}, \"analysis_s\": {:.6}, \
              \"oracle_s\": {:.6}}}{}\n",
             json_escape(&r.name),
             r.gates,
             r.faults,
             r.redundant,
             r.static_proved,
-            r.dataflow_proved,
             r.hit_rate,
-            r.dataflow_hit_rate,
             r.analysis_s,
-            r.dataflow_s,
             r.oracle_s,
             if i + 1 == rows.len() { "" } else { "," }
         ));

@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 
 use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
-use kms_dataflow::{DataflowAnalysis, DataflowOptions};
 use kms_netlist::{ConnRef, GateId, GateKind, Network};
 
 use crate::diagnostic::{CheckId, Diagnostic, Severity, Site};
@@ -42,12 +41,8 @@ pub(crate) fn run_check(
         CheckId::Unreachable => check_unreachable(net, &mut emit),
         CheckId::NotSimple => check_not_simple(net, &mut emit),
         CheckId::ConstAnomaly => check_const_anomaly(net, &mut emit),
-        CheckId::RedundantNode
-        | CheckId::EquivalentNodePair
-        | CheckId::ConstantNode
-        | CheckId::DataflowUntestable
-        | CheckId::CodcUnobservable => {
-            unreachable!("semantic and dataflow checks run through run_semantic_checks")
+        CheckId::RedundantNode | CheckId::EquivalentNodePair | CheckId::ConstantNode => {
+            unreachable!("semantic checks run through run_semantic_checks")
         }
     }
 }
@@ -80,12 +75,6 @@ pub(crate) fn run_semantic_checks(
         return;
     }
     let analysis = StaticAnalysis::build(net, &AnalysisOptions::default());
-    // The dataflow pass is built only when one of its checks is enabled —
-    // it costs a second fixpoint/learning pass on top of the analysis.
-    let dataflow = enabled
-        .iter()
-        .any(|&(c, _)| matches!(c, CheckId::DataflowUntestable | CheckId::CodcUnobservable))
-        .then(|| DataflowAnalysis::build(net, &analysis, &DataflowOptions::default()));
     for &(check, severity) in enabled {
         let mut emit = |site: Site, message: String, suggestion: Option<&str>| {
             out.push(Diagnostic {
@@ -100,17 +89,6 @@ pub(crate) fn run_semantic_checks(
             CheckId::RedundantNode => check_redundant_node(net, &analysis, &mut emit),
             CheckId::EquivalentNodePair => check_equivalent_node_pair(net, &analysis, &mut emit),
             CheckId::ConstantNode => check_constant_node(net, &analysis, &mut emit),
-            CheckId::DataflowUntestable => check_dataflow_untestable(
-                net,
-                &analysis,
-                dataflow.as_ref().expect("built when enabled"),
-                &mut emit,
-            ),
-            CheckId::CodcUnobservable => check_codc_unobservable(
-                net,
-                dataflow.as_ref().expect("built when enabled"),
-                &mut emit,
-            ),
             _ => unreachable!("structural checks run through run_check"),
         }
     }
@@ -188,85 +166,6 @@ fn check_constant_node(net: &Network, analysis: &StaticAnalysis<'_>, emit: &mut 
                     u8::from(v)
                 ),
                 Some("replace the gate with a constant and run transform::propagate_constants"),
-            );
-        }
-    }
-}
-
-/// Output-stuck-at faults only the dataflow tier proves untestable:
-/// findings the `redundant-node` check (implication tier) cannot reach,
-/// justified by a cofactor constant, a CODC cut, or a recursive-learning
-/// refutation. Faults the implication tier already proves are skipped so
-/// the two checks partition the redundancies instead of double-reporting.
-fn check_dataflow_untestable(
-    net: &Network,
-    analysis: &StaticAnalysis<'_>,
-    dataflow: &DataflowAnalysis<'_>,
-    emit: &mut Emit,
-) {
-    for id in net.gate_ids() {
-        if !net.gate(id).kind.is_logic() {
-            continue;
-        }
-        for stuck in [false, true] {
-            if analysis
-                .prove_untestable(FaultRef::Output(id), stuck)
-                .is_some()
-            {
-                continue;
-            }
-            if let Some(witness) = dataflow.prove_untestable(analysis, FaultRef::Output(id), stuck)
-            {
-                emit(
-                    Site::Gate(id),
-                    format!(
-                        "stuck-at-{} on gate {} is untestable by dataflow analysis ({})",
-                        u8::from(stuck),
-                        label(net, id),
-                        witness.kind()
-                    ),
-                    Some(
-                        "redundancy_removal can replace the node with the stuck value and simplify",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Live logic gates the CODC pass proves unobservable: every path to a
-/// primary output crosses a connection whose sibling pin holds a proved
-/// constant at the controlling value, with every blocker outside the
-/// gate's own fanout cone (the cone-safe verdict — in-cone blockers can
-/// flip together with the gate and do not mask it). Gates with no
-/// structural path to any output at all are the `unreachable` check's
-/// findings and are skipped here.
-fn check_codc_unobservable(net: &Network, dataflow: &DataflowAnalysis<'_>, emit: &mut Emit) {
-    // Structural reverse-reachability from the primary outputs.
-    let n = net.num_gate_slots();
-    let mut reaches_po = vec![false; n];
-    let mut stack: Vec<GateId> = net.outputs().iter().map(|o| o.src).collect();
-    while let Some(g) = stack.pop() {
-        if !live(net, g) || std::mem::replace(&mut reaches_po[g.index()], true) {
-            continue;
-        }
-        for pin in &net.gate(g).pins {
-            stack.push(pin.src);
-        }
-    }
-    for id in net.gate_ids() {
-        if !net.gate(id).kind.is_logic() || !reaches_po[id.index()] {
-            continue;
-        }
-        if dataflow.codc_unobservable(id).is_some() {
-            emit(
-                Site::Gate(id),
-                format!(
-                    "gate {} is unobservable: every path to a primary output is \
-                     blocked by a proved-constant controlling side input",
-                    label(net, id)
-                ),
-                Some("the gate and its exclusive fanin cone are dead logic; sweep them"),
             );
         }
     }
@@ -848,54 +747,6 @@ mod tests {
             .expect("constant-node fires");
         assert_eq!(d.site, Site::Gate(g));
         assert!(d.message.contains("constant 0"), "{}", d.message);
-    }
-
-    #[test]
-    fn dataflow_tier_fires_beyond_implic() {
-        // g = !c fans out to two ANDs, each blocked by a proved-constant
-        // 0 sibling. No single dominator chain covers both paths, so the
-        // implication tier's detection-condition rule cannot refute g's
-        // output faults — only the backward CODC pass proves g
-        // unobservable. `dataflow-untestable` and `codc-unobservable`
-        // must both fire on g.
-        let mut net = Network::new("t");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let c = net.add_input("c");
-        let d = net.add_input("d");
-        let na = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-        let k1 = net.add_gate(GateKind::And, &[a, na], Delay::UNIT); // == 0
-        let nb = net.add_gate(GateKind::Not, &[b], Delay::UNIT);
-        let k2 = net.add_gate(GateKind::And, &[b, nb], Delay::UNIT); // == 0
-        let g = net.add_gate(GateKind::Not, &[c], Delay::UNIT);
-        let m1 = net.add_gate(GateKind::And, &[g, k1], Delay::UNIT);
-        let m2 = net.add_gate(GateKind::And, &[g, k2], Delay::UNIT);
-        let o = net.add_gate(GateKind::Or, &[m1, m2, d], Delay::UNIT);
-        net.add_output("y", o);
-        let config = LintConfig::default()
-            .with_level(CheckId::DataflowUntestable, crate::Level::Warn)
-            .with_level(CheckId::CodcUnobservable, crate::Level::Warn);
-        let report = lint_network(&net, &config);
-        assert!(
-            report
-                .by_check(CheckId::DataflowUntestable)
-                .any(|diag| diag.site == Site::Gate(g)),
-            "{}",
-            report.to_text()
-        );
-        assert!(
-            report
-                .by_check(CheckId::CodcUnobservable)
-                .any(|diag| diag.site == Site::Gate(g)),
-            "{}",
-            report.to_text()
-        );
-        // Default config: the dataflow tier is off.
-        assert_eq!(
-            net.lint().by_check(CheckId::DataflowUntestable).count(),
-            0,
-            "dataflow tier must be off by default"
-        );
     }
 
     #[test]

@@ -20,10 +20,8 @@ pub enum Level {
 /// warn on the KMS conventions that are legal but suspicious
 /// (`unreachable`, `not-simple`, `const-anomaly`), and *allow* the
 /// semantic tier (`redundant-node`, `equivalent-node-pair`,
-/// `constant-node`) and the dataflow tier (`dataflow-untestable`,
-/// `codc-unobservable`): those checks run the `kms-analysis` SAT-backed
-/// pass (the dataflow tier adds the `kms-dataflow` pass on top), a cost
-/// callers opt into explicitly.
+/// `constant-node`): those checks run the `kms-analysis` SAT-backed
+/// pass, a cost callers opt into explicitly.
 ///
 /// ```
 /// use kms_lint::{CheckId, Level, LintConfig};
@@ -52,8 +50,6 @@ impl Default for LintConfig {
             CheckId::RedundantNode,
             CheckId::EquivalentNodePair,
             CheckId::ConstantNode,
-            CheckId::DataflowUntestable,
-            CheckId::CodcUnobservable,
         ] {
             config.set_level(check, Level::Allow);
         }
@@ -119,8 +115,6 @@ mod tests {
         assert_eq!(config.level(CheckId::RedundantNode), Level::Allow);
         assert_eq!(config.level(CheckId::EquivalentNodePair), Level::Allow);
         assert_eq!(config.level(CheckId::ConstantNode), Level::Allow);
-        assert_eq!(config.level(CheckId::DataflowUntestable), Level::Allow);
-        assert_eq!(config.level(CheckId::CodcUnobservable), Level::Allow);
     }
 
     #[test]

@@ -54,14 +54,6 @@ pub enum CheckId {
     /// Live logic gate proved to compute a constant function (semantic
     /// tier, `kms-analysis`).
     ConstantNode,
-    /// Gate carrying a stuck-at fault the dataflow pass proves untestable
-    /// where the implication tier cannot (dataflow tier, `kms-dataflow`:
-    /// ternary/cofactor constants, CODC cuts, recursive learning).
-    DataflowUntestable,
-    /// Live logic gate with no unblocked path to any primary output:
-    /// every route is cut by a proved-constant controlling side input
-    /// (dataflow tier, `kms-dataflow`).
-    CodcUnobservable,
 }
 
 /// Which analysis family a check belongs to.
@@ -76,10 +68,6 @@ pub enum Tier {
     Structural,
     /// Function-level facts proved by `kms-analysis`.
     Semantic,
-    /// Don't-care facts proved by `kms-dataflow` (ternary abstract
-    /// interpretation, CODCs, recursive learning) on top of the semantic
-    /// pass.
-    Dataflow,
 }
 
 impl fmt::Display for Tier {
@@ -87,15 +75,14 @@ impl fmt::Display for Tier {
         f.write_str(match self {
             Tier::Structural => "structural",
             Tier::Semantic => "semantic",
-            Tier::Dataflow => "dataflow",
         })
     }
 }
 
 impl CheckId {
     /// Every check, in execution order (structural errors first, then the
-    /// semantic tier, then the dataflow tier).
-    pub const ALL: [CheckId; 14] = [
+    /// semantic tier).
+    pub const ALL: [CheckId; 12] = [
         CheckId::Cycle,
         CheckId::Undriven,
         CheckId::Arity,
@@ -108,8 +95,6 @@ impl CheckId {
         CheckId::RedundantNode,
         CheckId::EquivalentNodePair,
         CheckId::ConstantNode,
-        CheckId::DataflowUntestable,
-        CheckId::CodcUnobservable,
     ];
 
     /// The stable string id, e.g. `"duplicate-name"`.
@@ -127,8 +112,6 @@ impl CheckId {
             CheckId::RedundantNode => "redundant-node",
             CheckId::EquivalentNodePair => "equivalent-node-pair",
             CheckId::ConstantNode => "constant-node",
-            CheckId::DataflowUntestable => "dataflow-untestable",
-            CheckId::CodcUnobservable => "codc-unobservable",
         }
     }
 
@@ -143,7 +126,6 @@ impl CheckId {
             CheckId::RedundantNode | CheckId::EquivalentNodePair | CheckId::ConstantNode => {
                 Tier::Semantic
             }
-            CheckId::DataflowUntestable | CheckId::CodcUnobservable => Tier::Dataflow,
             _ => Tier::Structural,
         }
     }
@@ -163,12 +145,6 @@ impl CheckId {
             CheckId::RedundantNode => "gate with a statically-proved-untestable stuck-at fault",
             CheckId::EquivalentNodePair => "two gates proved functionally equivalent or antivalent",
             CheckId::ConstantNode => "live logic gate proved to compute a constant",
-            CheckId::DataflowUntestable => {
-                "stuck-at fault proved untestable by the dataflow pass alone"
-            }
-            CheckId::CodcUnobservable => {
-                "gate whose every output path is blocked by a proved constant"
-            }
         }
     }
 }

@@ -24,16 +24,11 @@
 //! | `redundant-node` | semantic | allow | gate with a statically-proved-untestable stuck-at fault |
 //! | `equivalent-node-pair` | semantic | allow | two gates proved equivalent/antivalent (`kms-analysis`) |
 //! | `constant-node` | semantic | allow | live logic gate proved constant over all inputs |
-//! | `dataflow-untestable` | dataflow | allow | stuck-at fault only the `kms-dataflow` pass proves untestable |
-//! | `codc-unobservable` | dataflow | allow | gate whose every output path is blocked by a proved constant |
 //!
 //! The *structural* tier reads the graph only; the *semantic* tier runs
 //! the `kms-analysis` pass (structural hashing, SAT sweeping, implication
 //! learning) and can therefore invoke a SAT solver — it is allow-by-default
-//! and opt-in per check (`--warn redundant-node` on the CLI). The
-//! *dataflow* tier additionally runs the `kms-dataflow` pass (ternary
-//! abstract interpretation, CODCs, recursive learning) on top of the
-//! semantic analysis and reports only facts the semantic tier misses.
+//! and opt-in per check (`--warn redundant-node` on the CLI).
 //!
 //! # Example
 //!
@@ -139,34 +134,33 @@ pub fn lint_network(net: &Network, config: &LintConfig) -> LintReport {
             _ => Severity::Warning,
         };
         if check.tier() != Tier::Structural {
-            // Deferred: the semantic and dataflow checks share one
-            // analysis pass.
+            // Deferred: the semantic checks share one analysis pass.
             semantic.push((check, severity));
         } else {
             checks::run_check(net, check, severity, &mut diagnostics);
         }
     }
     checks::run_semantic_checks(net, &semantic, &mut diagnostics);
-    // Total order: checks can emit several diagnostics at the same site
-    // (e.g. both stuck-at values of one gate), so the message text is the
-    // final tie-break — without it the order within a site would be
-    // whatever emission order the check used, and JSON output would not
-    // be reproducible across refactors of the check internals.
-    diagnostics.sort_by(|a, b| {
-        (
-            a.severity != Severity::Error,
-            a.check as u8,
-            a.site,
-            &a.message,
-        )
-            .cmp(&(
-                b.severity != Severity::Error,
-                b.check as u8,
-                b.site,
-                &b.message,
-            ))
-    });
+    sort_diagnostics(&mut diagnostics);
     LintReport { diagnostics }
+}
+
+/// Sorts diagnostics into the report's total order: errors first, then by
+/// check, site and message text. Checks can emit several diagnostics at
+/// the same site (e.g. both stuck-at values of one gate), so the message
+/// text is the final tie-break — without it the order within a site would
+/// be whatever emission order the check used, and JSON output would not
+/// be reproducible across refactors of the check internals.
+fn sort_diagnostics(diagnostics: &mut [Diagnostic]) {
+    fn key(d: &Diagnostic) -> (bool, u8, Site, &str) {
+        (
+            d.severity != Severity::Error,
+            d.check as u8,
+            d.site,
+            &d.message,
+        )
+    }
+    diagnostics.sort_by(|a, b| key(a).cmp(&key(b)));
 }
 
 /// Extension methods hanging the linter off [`Network`] itself.
@@ -248,6 +242,22 @@ mod tests {
         let report = net.lint();
         assert!(report.has_errors());
         assert_eq!(report.diagnostics[0].severity, Severity::Error);
+    }
+
+    #[test]
+    fn same_site_ties_break_on_message() {
+        // Emitted out of message order at one site: only the message key
+        // can put them in order.
+        let diag = |message: &str| Diagnostic {
+            severity: Severity::Warning,
+            check: CheckId::RedundantNode,
+            site: Site::Network,
+            message: message.into(),
+            suggestion: None,
+        };
+        let mut diagnostics = vec![diag("stuck-at-1"), diag("stuck-at-0")];
+        sort_diagnostics(&mut diagnostics);
+        assert_eq!(diagnostics[0].message, "stuck-at-0");
     }
 
     #[test]

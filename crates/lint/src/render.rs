@@ -3,14 +3,15 @@
 //! The JSON writer is hand-rolled (the workspace has no serde); the schema
 //! is intentionally small and stable, and versioned since the semantic
 //! check tier landed (`schema_version` 1 was the same shape without the
-//! version and `tier` fields; 2 added them; 3 added the dataflow check
+//! version and `tier` fields; 2 added them; 3 added a dataflow check
 //! tier — `"tier": "dataflow"` and the `dataflow-untestable` /
 //! `codc-unobservable` check ids — and made the diagnostic order a total
-//! order by breaking site ties on the message text):
+//! order by breaking site ties on the message text; 4 removed the
+//! dataflow tier and its two check ids again, keeping the total order):
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "network": "<model name>",
 //!   "errors": 1,
 //!   "warnings": 2,
@@ -51,7 +52,7 @@ pub(crate) fn render_text(report: &LintReport) -> String {
 pub fn render_json(report: &LintReport, network_name: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema_version\": 3,\n");
+    s.push_str("  \"schema_version\": 4,\n");
     let _ = writeln!(s, "  \"network\": {},", json_string(network_name));
     let _ = writeln!(s, "  \"errors\": {},", report.error_count());
     let _ = writeln!(s, "  \"warnings\": {},", report.warning_count());
@@ -134,7 +135,7 @@ mod tests {
     #[test]
     fn json_escapes_and_structures() {
         let json = render_json(&sample_report(), "c17");
-        assert!(json.contains("\"schema_version\": 3"));
+        assert!(json.contains("\"schema_version\": 4"));
         assert!(json.contains("\"network\": \"c17\""));
         assert!(json.contains("\"check\": \"undriven\""));
         assert!(json.contains("\"tier\": \"structural\""));
@@ -157,22 +158,6 @@ mod tests {
         let json = render_json(&report, "n");
         assert!(json.contains("\"check\": \"constant-node\""));
         assert!(json.contains("\"tier\": \"semantic\""));
-    }
-
-    #[test]
-    fn json_dataflow_tier_field() {
-        let report = LintReport {
-            diagnostics: vec![Diagnostic {
-                severity: Severity::Warning,
-                check: CheckId::CodcUnobservable,
-                site: Site::Network,
-                message: "m".into(),
-                suggestion: None,
-            }],
-        };
-        let json = render_json(&report, "n");
-        assert!(json.contains("\"check\": \"codc-unobservable\""));
-        assert!(json.contains("\"tier\": \"dataflow\""));
     }
 
     #[test]

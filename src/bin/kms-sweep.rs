@@ -16,10 +16,6 @@
 //!       --certify             re-derive every sweep claim as an UNSAT query,
 //!                             log a DRAT proof, and re-check it with the
 //!                             independent checker; print the merged ledger
-//!       --dataflow            additionally run the kms-dataflow pass
-//!                             (ternary/cofactor constants, CODCs, recursive
-//!                             learning), print its report, and apply
-//!                             SAT-confirmed observability-equivalent merges
 //!   -j, --jobs <N>            sweep N input files concurrently (default 0 =
 //!                             available parallelism, capped; 1 forces fully
 //!                             in-line execution); reports and the exit code
@@ -32,8 +28,7 @@
 //! proved redundancies or a `--certify` proof fails to check, 2 on usage
 //! errors or when any file fails to read or parse, 3 when the sweep
 //! completed but degraded — a worker panicked on some file, so that file's
-//! verdict is unknown and the remaining reports still printed. Under
-//! `--dataflow` the dataflow tier's extra proofs count as findings too.
+//! verdict is unknown and the remaining reports still printed.
 //!
 //! [`StaticRedundancyReport`]: kms::analysis::StaticRedundancyReport
 
@@ -43,7 +38,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use kms::analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms::atpg::{collapsed_faults, FaultSite};
 use kms::blif::{parse_blif, parse_iscas};
-use kms::dataflow::{observability_merges, DataflowAnalysis, DataflowOptions};
 use kms::proof::CertificationReport;
 
 struct Args {
@@ -51,7 +45,6 @@ struct Args {
     json: bool,
     iscas: bool,
     opts: AnalysisOptions,
-    dataflow: bool,
     jobs: usize,
     quiet: bool,
 }
@@ -62,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         iscas: false,
         opts: AnalysisOptions::default(),
-        dataflow: false,
         jobs: 0,
         quiet: false,
     };
@@ -80,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-sat-sweep" => args.opts.sat_sweep = false,
             "--no-learning" => args.opts.static_learning = false,
             "--certify" => args.opts.certify = true,
-            "--dataflow" => args.dataflow = true,
             "--seed" => {
                 args.opts.seed = it
                     .next()
@@ -95,7 +86,7 @@ fn parse_args() -> Result<Args, String> {
             "-h" | "--help" => {
                 eprintln!(
                     "usage: kms-sweep [-f text|json] [--iscas] [--no-sat-sweep] \
-                     [--no-learning] [--seed N] [--certify] [--dataflow] [-j N] \
+                     [--no-learning] [--seed N] [--certify] [-j N] \
                      [-q] <file.blif | ->..."
                 );
                 std::process::exit(0);
@@ -148,39 +139,16 @@ fn sweep_file(
         .collect();
     let analysis = StaticAnalysis::build(&net, &args.opts);
     let report = analysis.report(&faults);
-    let mut rendered = if args.json {
+    let rendered = if args.json {
         report.render_json()
     } else {
         report.render_text()
     };
-    let mut proved = report.proved_count();
-    if args.dataflow {
-        let df = DataflowAnalysis::build(&net, &analysis, &DataflowOptions::default());
-        let df_report = df.report(&analysis, &faults);
-        proved += df_report.beyond_implic;
-        let merges = observability_merges(&net, args.opts.seed, 8, 64, 4096);
-        let beyond = merges.merges.iter().filter(|m| m.beyond_functional).count();
-        if args.json {
-            rendered.push_str(&df_report.render_json());
-            rendered.push_str(&format!(
-                "{{\"dataflow_merges\": {}, \"beyond_functional\": {}, \
-                 \"miter_checks\": {}}}\n",
-                merges.merges.len(),
-                beyond,
-                merges.miter_checks
-            ));
-        } else {
-            rendered.push_str(&df_report.render_text());
-            rendered.push_str(&format!(
-                "observability merges: {} node(s) merged ({} beyond functional \
-                 equivalence, {} miter checks)\n",
-                merges.merges.len(),
-                beyond,
-                merges.miter_checks
-            ));
-        }
-    }
-    Ok((rendered, proved, analysis.certification().cloned()))
+    Ok((
+        rendered,
+        report.proved_count(),
+        analysis.certification().cloned(),
+    ))
 }
 
 /// What one file's sweep produced. `Unknown` is the panic-isolated

@@ -21,7 +21,6 @@ pub use kms_atpg as atpg;
 pub use kms_bdd as bdd;
 pub use kms_blif as blif;
 pub use kms_core as core;
-pub use kms_dataflow as dataflow;
 pub use kms_gen as gen;
 pub use kms_lint as lint;
 pub use kms_netlist as netlist;

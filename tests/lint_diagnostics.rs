@@ -198,31 +198,25 @@ fn lint_error_renders_in_blif_error_display() {
 fn diagnostic_order_is_total_and_stable() {
     // Regression: the report order used to tie-break on (severity, check,
     // site) only, so two findings at the same site (here: both stuck
-    // values of one unobservable gate) could legally appear in either
-    // order and the JSON output was not reproducible. The message text is
-    // now the final sort key — assert the whole report is sorted by the
-    // documented total order and that repeated runs render byte-identical
-    // JSON.
+    // values of one gate whose only fanout is masked by a constant-0
+    // side input) could legally appear in either order and the JSON
+    // output was not reproducible. The message text is now the final
+    // sort key — assert the whole report is sorted by the documented
+    // total order and that repeated runs render byte-identical JSON.
     let mut net = Network::new("order");
     let a = net.add_input("a");
-    let b = net.add_input("b");
     let c = net.add_input("c");
     let d = net.add_input("d");
     let na = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-    let k1 = net.add_gate(GateKind::And, &[a, na], Delay::UNIT); // == 0
-    let nb = net.add_gate(GateKind::Not, &[b], Delay::UNIT);
-    let k2 = net.add_gate(GateKind::And, &[b, nb], Delay::UNIT); // == 0
+    let k = net.add_gate(GateKind::And, &[a, na], Delay::UNIT); // == 0
     let g = net.add_gate(GateKind::Not, &[c], Delay::UNIT);
-    let m1 = net.add_gate(GateKind::And, &[g, k1], Delay::UNIT);
-    let m2 = net.add_gate(GateKind::And, &[g, k2], Delay::UNIT);
-    let o = net.add_gate(GateKind::Or, &[m1, m2, d], Delay::UNIT);
+    let m = net.add_gate(GateKind::And, &[g, k], Delay::UNIT);
+    let o = net.add_gate(GateKind::Or, &[m, d], Delay::UNIT);
     net.add_output("y", o);
-    let config = LintConfig::default()
-        .with_level(CheckId::DataflowUntestable, Level::Warn)
-        .with_level(CheckId::CodcUnobservable, Level::Warn);
+    let config = LintConfig::default().with_level(CheckId::RedundantNode, Level::Warn);
     let report = lint_network(&net, &config);
     let same_site: Vec<&str> = report
-        .by_check(CheckId::DataflowUntestable)
+        .by_check(CheckId::RedundantNode)
         .filter(|diag| diag.site == Site::Gate(g))
         .map(|diag| diag.message.as_str())
         .collect();
