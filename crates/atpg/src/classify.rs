@@ -72,13 +72,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use kms_netlist::{ConnRef, GateId, GateKind, Network, Topology};
-use kms_proof::{core_conclusion, Certificate, CertificationReport};
-use kms_sat::{lock_unpoisoned, Budget, Lit, SatResult, Solver, Stats};
+use kms_netlist::{ConnRef, GateId, Network, Topology};
+use kms_proof::{core_conclusion, Certificate, CertificationReport, Session};
+use kms_sat::{encode_gate, lock_unpoisoned, Budget, Lit, SatResult, Solver, Stats};
 
-use crate::engine::{
-    encode_gate_with_guard, random_tests, Testability, TestabilityReport, UnknownReason,
-};
+use crate::engine::{random_tests, Testability, TestabilityReport, UnknownReason};
 use crate::fault::{Fault, FaultSite};
 use crate::fsim::{fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim};
 use crate::podem::{Podem, PodemResult};
@@ -446,6 +444,9 @@ pub(crate) struct SharedCnf<'n> {
     /// redundancy verdict is certified eagerly against the cumulative
     /// shared proof stream, and only counters/digests are retained.
     certification: Option<CertificationReport>,
+    /// The checker session following this solver's proof stream, so
+    /// each certificate is checked against only what is new.
+    proof_session: Session,
     /// Faults this context actually ran a decision procedure on (PODEM
     /// and/or SAT) — the faults no random pattern or drop settled.
     engine_calls: u64,
@@ -474,6 +475,7 @@ impl<'n> SharedCnf<'n> {
             touched: Vec::new(),
             visit: vec![false; n],
             certification: certify.then(CertificationReport::default),
+            proof_session: Session::new(),
             engine_calls: 0,
             budget: None,
         }
@@ -576,20 +578,12 @@ impl<'n> SharedCnf<'n> {
             self.visit[id.index()] = false;
             let gate = self.net.gate(id);
             let out = self.fresh_var(Some(id));
-            match gate.kind {
-                GateKind::Input => {}
-                GateKind::Const(b) => {
-                    self.solver.add_clause(&[if b { out } else { !out }]);
-                }
-                _ => {
-                    let pins: Vec<Lit> = gate
-                        .pins
-                        .iter()
-                        .map(|p| self.good[p.src.index()].expect("fanin encoded first"))
-                        .collect();
-                    encode_gate_with_guard(&mut self.solver, gate.kind, out, &pins, None);
-                }
-            }
+            let pins: Vec<Lit> = gate
+                .pins
+                .iter()
+                .map(|p| self.good[p.src.index()].expect("fanin encoded first"))
+                .collect();
+            encode_gate(&mut self.solver, gate.kind, out, &pins, None);
             self.good[id.index()] = Some(out);
         }
         self.good[g.index()].expect("just encoded")
@@ -685,7 +679,7 @@ impl<'n> SharedCnf<'n> {
             }
             let out = self.fresh_var(None);
             let g = net.gate(id);
-            encode_gate_with_guard(&mut self.solver, g.kind, out, &pins, Some(act));
+            encode_gate(&mut self.solver, g.kind, out, &pins, Some(act));
             self.faulty_var[id.index()] = Some(out);
         }
 
@@ -746,7 +740,8 @@ impl<'n> SharedCnf<'n> {
 
     /// Under certification, checks the proof of the UNSAT verdict the
     /// solver just produced for `fault` (assumption `act`) against the
-    /// cumulative shared proof stream, recording the outcome.
+    /// cumulative shared proof stream, recording the outcome. The session
+    /// reads only the stream suffix logged since the previous verdict.
     fn certify_redundant(&mut self, fault: Fault, act: Lit) {
         let Some(report) = self.certification.as_mut() else {
             return;
@@ -755,7 +750,8 @@ impl<'n> SharedCnf<'n> {
         let assumptions = [act];
         let cert = Certificate::from_solver(&self.solver, &assumptions, &conclusion)
             .expect("certify mode logs proofs");
-        kms_proof::certify(report, &format!("atpg {fault}"), &cert);
+        self.proof_session
+            .certify(report, &format!("atpg {fault}"), &cert);
     }
 
     /// The lexicographically smallest satisfying primary-input assignment

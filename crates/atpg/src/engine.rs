@@ -123,7 +123,7 @@ pub fn is_testable(net: &Network, fault: Fault, engine: Engine) -> Testability {
 /// multi-output control logic is a small fraction of the network.
 fn sat_testable(net: &Network, fault: Fault) -> Testability {
     use kms_netlist::{ConnRef, GateId};
-    use kms_sat::{Lit, NetworkCnf, SatResult, Solver};
+    use kms_sat::{encode_gate, Lit, NetworkCnf, SatResult, Solver};
 
     let fanouts = net.fanouts();
     let n = net.num_gate_slots();
@@ -155,12 +155,18 @@ fn sat_testable(net: &Network, fault: Fault) -> Testability {
         return Testability::Redundant; // fault effect cannot reach any PO
     }
 
-    // 2. The relevant good subcircuit: TFI of the affected outputs.
+    // 2. The relevant good subcircuit: TFI of the affected outputs,
+    //    encoded gate by gate in topological order.
     let roots: Vec<GateId> = affected.iter().map(|&i| net.outputs()[i].src).collect();
     let keep = kms_netlist::cone::transitive_fanin(net, &roots);
-
+    let order = net.topo_order();
     let mut solver = Solver::new();
-    let good = NetworkCnf::encode_masked(net, &mut solver, Some(&keep));
+    let mut good = NetworkCnf::new(net);
+    good.ensure_cone(
+        net,
+        &mut solver,
+        order.iter().copied().filter(|g| keep[g.index()]),
+    );
 
     // 3. Faulty variables for TFO gates only (in topological order).
     // `stuck` is a literal whose value equals the stuck-at value: a fresh
@@ -171,7 +177,7 @@ fn sat_testable(net: &Network, fault: Fault) -> Testability {
         v.positive()
     };
     let mut faulty_var: Vec<Option<Lit>> = vec![None; n];
-    for id in net.topo_order() {
+    for &id in &order {
         if !in_tfo[id.index()] || !keep[id.index()] {
             continue;
         }
@@ -197,7 +203,7 @@ fn sat_testable(net: &Network, fault: Fault) -> Testability {
             })
             .collect();
         let out = solver.new_var().positive();
-        encode_gate(&mut solver, g.kind, out, &pins);
+        encode_gate(&mut solver, g.kind, out, &pins, None);
         faulty_var[id.index()] = Some(out);
     }
 
@@ -223,102 +229,6 @@ fn sat_testable(net: &Network, fault: Fault) -> Testability {
         SatResult::Unsat => Testability::Redundant,
         SatResult::Sat => Testability::Testable(good.model_inputs(&solver, net)),
         SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
-    }
-}
-
-/// Emits the Tseitin clauses tying `out` to `kind` over `pins` (faulty-cone
-/// gates reuse the same clause shapes as [`NetworkCnf`]).
-fn encode_gate(
-    solver: &mut kms_sat::Solver,
-    kind: kms_netlist::GateKind,
-    out: kms_sat::Lit,
-    pins: &[kms_sat::Lit],
-) {
-    encode_gate_with_guard(solver, kind, out, pins, None)
-}
-
-/// As [`encode_gate`], but when `guard` is `Some(g)` every clause is
-/// prefixed with `¬g`, so the gate's constraints hold only while `g` is
-/// assumed true — the activation-literal scheme of the shared-CNF engine.
-pub(crate) fn encode_gate_with_guard(
-    solver: &mut kms_sat::Solver,
-    kind: kms_netlist::GateKind,
-    out: kms_sat::Lit,
-    pins: &[kms_sat::Lit],
-    guard: Option<kms_sat::Lit>,
-) {
-    use kms_netlist::GateKind;
-    fn emit(solver: &mut kms_sat::Solver, guard: Option<kms_sat::Lit>, lits: &[kms_sat::Lit]) {
-        match guard {
-            None => {
-                solver.add_clause(lits);
-            }
-            Some(g) => {
-                let mut v = Vec::with_capacity(lits.len() + 1);
-                v.push(!g);
-                v.extend_from_slice(lits);
-                solver.add_clause(&v);
-            }
-        }
-    }
-    match kind {
-        GateKind::Input | GateKind::Const(_) => unreachable!("sources are never in a TFO"),
-        GateKind::Buf => {
-            emit(solver, guard, &[!out, pins[0]]);
-            emit(solver, guard, &[out, !pins[0]]);
-        }
-        GateKind::Not => {
-            emit(solver, guard, &[!out, !pins[0]]);
-            emit(solver, guard, &[out, pins[0]]);
-        }
-        GateKind::And | GateKind::Nand => {
-            let o = if kind == GateKind::And { out } else { !out };
-            let mut big = vec![o];
-            for &a in pins {
-                emit(solver, guard, &[!o, a]);
-                big.push(!a);
-            }
-            emit(solver, guard, &big);
-        }
-        GateKind::Or | GateKind::Nor => {
-            let o = if kind == GateKind::Or { out } else { !out };
-            let mut big = vec![!o];
-            for &a in pins {
-                emit(solver, guard, &[o, !a]);
-                big.push(a);
-            }
-            emit(solver, guard, &big);
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut acc = pins[0];
-            for (p, &b) in pins.iter().enumerate().skip(1) {
-                let last = p == pins.len() - 1;
-                let t = if last && kind == GateKind::Xor {
-                    out
-                } else if last {
-                    !out
-                } else {
-                    solver.new_var().positive()
-                };
-                emit(solver, guard, &[!t, acc, b]);
-                emit(solver, guard, &[!t, !acc, !b]);
-                emit(solver, guard, &[t, !acc, b]);
-                emit(solver, guard, &[t, acc, !b]);
-                acc = t;
-            }
-            if pins.len() == 1 {
-                let o = if kind == GateKind::Xor { out } else { !out };
-                emit(solver, guard, &[!o, pins[0]]);
-                emit(solver, guard, &[o, !pins[0]]);
-            }
-        }
-        GateKind::Mux => {
-            let (s, d0, d1) = (pins[0], pins[1], pins[2]);
-            emit(solver, guard, &[s, !out, d0]);
-            emit(solver, guard, &[s, out, !d0]);
-            emit(solver, guard, &[!s, !out, d1]);
-            emit(solver, guard, &[!s, out, !d1]);
-        }
     }
 }
 

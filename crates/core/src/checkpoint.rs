@@ -81,9 +81,11 @@ fn bad(context: impl Into<String>) -> CheckpointError {
 
 /// The first line of every checkpoint file. v2 dropped the
 /// `partials_reseeded` engine counter and made the cache and interner
-/// sections mandatory; v1 files are rejected as
+/// sections mandatory. v3 added the ledger's `stream_ingested` counter,
+/// and its cached certificate digests come from the rolling stream hash
+/// of [`kms_proof::digest`]. Older files are rejected as
 /// [`CheckpointError::Version`].
-const HEADER: &str = "kms-checkpoint v2";
+const HEADER: &str = "kms-checkpoint v3";
 
 /// FNV-1a 64-bit, the workspace's standard content digest.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -243,13 +245,14 @@ impl Checkpoint {
             Some(c) => {
                 let _ = writeln!(
                     s,
-                    "cert {} {} {} {} {} {} {} {} {} {}",
+                    "cert {} {} {} {} {} {} {} {} {} {} {}",
                     c.proofs_emitted,
                     c.proofs_checked,
                     c.proofs_failed,
                     c.check_time.as_nanos(),
                     c.proof_stream_total,
                     c.proof_stream_max,
+                    c.stream_ingested,
                     c.steps_checked,
                     c.steps_skipped,
                     c.propagations,
@@ -407,6 +410,7 @@ impl Checkpoint {
                     check_time: Duration::from_nanos(field(&mut f, "cert check_time")?),
                     proof_stream_total: field(&mut f, "cert counter")?,
                     proof_stream_max: field(&mut f, "cert counter")?,
+                    stream_ingested: field(&mut f, "cert counter")?,
                     steps_checked: field(&mut f, "cert counter")?,
                     steps_skipped: field(&mut f, "cert counter")?,
                     propagations: field(&mut f, "cert counter")?,
@@ -565,6 +569,8 @@ mod tests {
                 proofs_emitted: 2,
                 proofs_checked: 2,
                 check_time: Duration::from_nanos(1234),
+                proof_stream_total: 90,
+                stream_ingested: 40,
                 failures: vec!["an example failure".to_string()],
                 ..CertificationReport::default()
             }),

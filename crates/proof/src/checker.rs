@@ -1,11 +1,20 @@
-//! The backward RUP/DRAT checking engine.
+//! The backward RUP/DRAT checking engine, run as an incremental session.
 //!
-//! Forward pass: replay the stream bookkeeping only (clause births,
-//! deletion matching) to reconstruct the final live clause set. Backward
-//! pass: RUP-check the conclusion against the final set, then walk the
-//! steps in reverse — deletions re-activate their clause, additions
-//! deactivate theirs and are RUP-checked only if an already-verified
-//! consequence marked them as an antecedent (LRAT-style trimming).
+//! A [`Session`] follows one solver's append-only proof stream. Each
+//! certificate it checks is a longer prefix of that stream, so the
+//! session ingests only the suffix it has not read yet, keeping its
+//! clause store, deletion-matching map and watch lists between
+//! certificates.
+//!
+//! Ingestion replays the stream bookkeeping only (clause births,
+//! deletion matching), leaving the store at the final live clause set.
+//! The check then RUP-checks the conclusion against that set and walks
+//! the steps in reverse — deletions re-activate their clause, additions
+//! deactivate theirs and are RUP-checked if a verified consequence
+//! marked them as an antecedent and no earlier certificate verified them
+//! already (LRAT-style trimming). The walk stops as soon as no marked
+//! lemma is left unverified, and the steps it undid are replayed forward
+//! to restore the final live set for the next certificate.
 //!
 //! The propagation loop here is the checker's entire inference power: a
 //! clause is accepted iff asserting the negation of all its literals and
@@ -14,23 +23,31 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Instant;
 
 use kms_sat::{Lit, ProofStep};
 
-use crate::Certificate;
+use crate::digest::StreamHash;
+use crate::{Certificate, CertificationReport};
 
-/// Statistics from a successful check.
+/// Statistics from a successful check: the work *this* certificate did.
+/// A certificate checked by a fresh session (as [`check`] does) reads
+/// and checks its whole stream; one checked by a session that already
+/// ingested a prefix of its stream pays only for the suffix and for
+/// lemmas no earlier certificate verified.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Derivation steps in the stream (adds + deletes).
+    /// Derivation steps (adds + deletes) this certificate ingested.
     pub steps_total: usize,
-    /// RUP checks performed (the conclusion plus every marked add).
+    /// RUP checks performed (the conclusion plus every lemma verified
+    /// for the first time).
     pub steps_checked: usize,
-    /// Add steps skipped by trimming (not in the conclusion's cone).
+    /// Add steps this certificate ingested that are still unchecked,
+    /// because no verified conclusion's cone reaches them (trimming).
     pub steps_skipped: usize,
-    /// Axioms that appeared in some antecedent cone.
+    /// Axioms that entered some antecedent cone for the first time.
     pub axioms_used: usize,
-    /// Literals enqueued across all propagation runs.
+    /// Literals enqueued across this certificate's propagation runs.
     pub propagations: u64,
 }
 
@@ -58,6 +75,13 @@ pub enum CheckError {
         /// Step index (`None` = the conclusion itself).
         step: Option<usize>,
     },
+    /// The certificate's stream (axioms or steps) or its variable count
+    /// is shorter than what the session already ingested: it is not an
+    /// extension of the stream the session follows.
+    Rewound,
+    /// The session rejected an earlier certificate; its state is no
+    /// longer trusted, so it rejects every later one.
+    SessionFailed,
 }
 
 impl fmt::Display for CheckError {
@@ -84,6 +108,15 @@ impl fmt::Display for CheckError {
                     "conclusion is not a RUP consequence of the final clause set"
                 )
             }
+            CheckError::Rewound => {
+                write!(f, "proof stream is shorter than the prefix already checked")
+            }
+            CheckError::SessionFailed => {
+                write!(
+                    f,
+                    "an earlier certificate of this proof stream was rejected"
+                )
+            }
         }
     }
 }
@@ -105,8 +138,12 @@ struct CClause {
     /// change the set.
     lits: Vec<Lit>,
     active: bool,
+    /// In the antecedent cone of some verified consequence.
     marked: bool,
-    tautology: bool,
+    /// Born from an `Add` step (not an axiom).
+    lemma: bool,
+    /// A lemma whose RUP check has passed.
+    verified: bool,
 }
 
 struct Checker {
@@ -123,8 +160,14 @@ struct Checker {
     assign: Vec<Assign>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
+    /// Scratch for antecedent marking; all-false between RUP checks.
+    involved: Vec<bool>,
     num_vars: usize,
     propagations: u64,
+    /// Marked lemmas not yet verified.
+    pending: usize,
+    /// Axioms marked so far.
+    axioms_used: usize,
 }
 
 /// Sorts, deduplicates and range-checks a clause; reports whether it is
@@ -150,17 +193,31 @@ fn normalize(
 }
 
 impl Checker {
-    fn new(num_vars: usize) -> Checker {
+    fn new() -> Checker {
         Checker {
             clauses: Vec::new(),
-            watches: vec![Vec::new(); 2 * num_vars],
+            watches: Vec::new(),
             units: Vec::new(),
             empties: Vec::new(),
-            assign: vec![Assign::Undef; num_vars],
-            reason: vec![NO_REASON; num_vars],
+            assign: Vec::new(),
+            reason: Vec::new(),
             trail: Vec::new(),
-            num_vars,
+            involved: Vec::new(),
+            num_vars: 0,
             propagations: 0,
+            pending: 0,
+            axioms_used: 0,
+        }
+    }
+
+    /// Widens the variable range to `num_vars` (never narrows it).
+    fn grow(&mut self, num_vars: usize) {
+        if num_vars > self.num_vars {
+            self.num_vars = num_vars;
+            self.watches.resize(2 * num_vars, Vec::new());
+            self.assign.resize(num_vars, Assign::Undef);
+            self.reason.resize(num_vars, NO_REASON);
+            self.involved.resize(num_vars, false);
         }
     }
 
@@ -177,10 +234,10 @@ impl Checker {
         }
     }
 
-    /// Registers a clause (already normalized) and returns its id.
-    /// Tautologies are inert: they never propagate, conflict, or get
+    /// Registers an active clause (already normalized) and returns its
+    /// id. Tautologies are inert: they never propagate, conflict, or get
     /// marked, so they take no watch/unit slot.
-    fn intake(&mut self, lits: Vec<Lit>, tautology: bool, active: bool) -> u32 {
+    fn intake(&mut self, lits: Vec<Lit>, tautology: bool, lemma: bool) -> u32 {
         let id = self.clauses.len() as u32;
         if !tautology {
             match lits.len() {
@@ -194,9 +251,10 @@ impl Checker {
         }
         self.clauses.push(CClause {
             lits,
-            active,
+            active: true,
             marked: false,
-            tautology,
+            lemma,
+            verified: false,
         });
         id
     }
@@ -228,45 +286,50 @@ impl Checker {
         while qhead < self.trail.len() {
             let p = self.trail[qhead];
             qhead += 1;
-            let ws = std::mem::take(&mut self.watches[p.index()]);
-            let mut i = 0;
+            // Compacted in place: entries `..j` stay watched on `p`. No
+            // clause moves its watch to `¬p`, which is false, so nothing
+            // is pushed onto this list while it is out.
+            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let (mut i, mut j) = (0, 0);
+            let mut confl = None;
             'clauses: while i < ws.len() {
                 let ci = ws[i];
                 i += 1;
-                if !self.clauses[ci as usize].active {
-                    self.watches[p.index()].push(ci);
-                    continue;
-                }
-                {
-                    let c = &mut self.clauses[ci as usize];
+                let c = &mut self.clauses[ci as usize];
+                if c.active {
                     if c.lits[0] == !p {
                         c.lits.swap(0, 1);
                     }
                     debug_assert_eq!(c.lits[1], !p);
-                }
-                let first = self.clauses[ci as usize].lits[0];
-                if self.value(first) == Assign::True {
-                    self.watches[p.index()].push(ci);
-                    continue;
-                }
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
-                    if self.value(lk) != Assign::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[(!lk).index()].push(ci);
-                        continue 'clauses;
+                    let first = c.lits[0];
+                    if self.value(first) != Assign::True {
+                        let len = self.clauses[ci as usize].lits.len();
+                        for k in 2..len {
+                            let lk = self.clauses[ci as usize].lits[k];
+                            if self.value(lk) != Assign::False {
+                                self.clauses[ci as usize].lits.swap(1, k);
+                                self.watches[(!lk).index()].push(ci);
+                                continue 'clauses;
+                            }
+                        }
+                        if self.value(first) == Assign::False {
+                            ws[j] = ci;
+                            j += 1;
+                            ws.copy_within(i.., j);
+                            j += ws.len() - i;
+                            confl = Some(ci);
+                            break;
+                        }
+                        self.enqueue(first, ci);
                     }
                 }
-                self.watches[p.index()].push(ci);
-                if self.value(first) == Assign::False {
-                    while i < ws.len() {
-                        self.watches[p.index()].push(ws[i]);
-                        i += 1;
-                    }
-                    return Some(ci);
-                }
-                self.enqueue(first, ci);
+                ws[j] = ci;
+                j += 1;
+            }
+            ws.truncate(j);
+            self.watches[p.index()] = ws;
+            if confl.is_some() {
+                return confl;
             }
         }
         None
@@ -276,25 +339,36 @@ impl Checker {
     /// plus (transitively) the reason clause of every propagated literal
     /// that contributed to it. Assumed literals terminate the walk.
     fn mark_antecedents(&mut self, confl: u32) {
-        let mut involved = vec![false; self.num_vars];
-        self.mark(confl, &mut involved);
+        self.mark(confl);
         for i in (0..self.trail.len()).rev() {
             let v = self.trail[i].var().index();
-            if !involved[v] {
+            if !self.involved[v] {
                 continue;
             }
             let r = self.reason[v];
             if r != NO_REASON {
-                self.mark(r, &mut involved);
+                self.mark(r);
             }
+        }
+        // Conflict and reason clauses are fully assigned, so every
+        // involved variable is on the trail.
+        for i in 0..self.trail.len() {
+            self.involved[self.trail[i].var().index()] = false;
         }
     }
 
-    fn mark(&mut self, ci: u32, involved: &mut [bool]) {
+    fn mark(&mut self, ci: u32) {
         let c = &mut self.clauses[ci as usize];
-        c.marked = true;
+        if !c.marked {
+            c.marked = true;
+            if c.lemma {
+                self.pending += 1;
+            } else {
+                self.axioms_used += 1;
+            }
+        }
         for &l in &c.lits {
-            involved[l.var().index()] = true;
+            self.involved[l.var().index()] = true;
         }
     }
 
@@ -354,97 +428,212 @@ impl Checker {
     }
 }
 
-/// Checks a certificate. See the crate docs for the checking model.
+/// An incremental checker following one solver's proof stream.
 ///
-/// # Errors
-///
-/// Returns a [`CheckError`] describing the first defect found: a
-/// malformed clause, an unmatched deletion, a conclusion that does not
-/// discharge the claimed assumptions, or a failed RUP step.
-pub fn check(cert: &Certificate) -> Result<CheckStats, CheckError> {
-    let mut ck = Checker::new(cert.num_vars);
+/// Every certificate handed to [`Session::check`] must carry a stream
+/// that extends the one the session has ingested so far — the solver's
+/// [`kms_sat::ProofLog`] is append-only, so successive certificates of
+/// one solver do. The session reads only the new suffix, and lemmas it
+/// has verified stay verified: an added axiom can only strengthen the
+/// clause set a lemma was checked against. The verdict for each
+/// certificate is the one a fresh check of it would give.
+pub struct Session {
+    ck: Checker,
+    /// Normalized clause → the stack of active ids carrying it, for
+    /// deletion matching (duplicates are matched most-recent-first, like
+    /// DRAT checkers do; axioms sit below lemmas, as if every axiom
+    /// preceded every step).
+    live: HashMap<Vec<Lit>, Vec<u32>>,
+    axioms_read: usize,
+    /// Per ingested step: the clause it added or deleted, and whether it
+    /// was an `Add`.
+    steps: Vec<(u32, bool)>,
+    hash: StreamHash,
+    /// Axioms plus steps ingested so far.
+    read: u64,
+    failed: bool,
+}
 
-    // Forward pass: build the clause timeline. `live` maps a normalized
-    // clause to the stack of active ids carrying it, for deletion
-    // matching (duplicate clauses are matched most-recent-first, like
-    // DRAT checkers do).
-    let mut live: HashMap<Vec<Lit>, Vec<u32>> = HashMap::new();
-    for ax in cert.axioms {
-        let (lits, taut) = normalize(ax, cert.num_vars, None)?;
-        let id = ck.intake(lits.clone(), taut, true);
-        live.entry(lits).or_default().push(id);
+impl Default for Session {
+    fn default() -> Self {
+        Session::new()
     }
-    let num_axioms = ck.clauses.len();
-    let mut step_clause: Vec<u32> = Vec::with_capacity(cert.steps.len());
-    for (si, step) in cert.steps.iter().enumerate() {
-        match step {
-            ProofStep::Add(c) => {
-                let (lits, taut) = normalize(c, cert.num_vars, Some(si))?;
-                let id = ck.intake(lits.clone(), taut, true);
-                live.entry(lits).or_default().push(id);
-                step_clause.push(id);
-            }
-            ProofStep::Delete(c) => {
-                let (lits, _) = normalize(c, cert.num_vars, Some(si))?;
-                let id = live
-                    .get_mut(&lits)
-                    .and_then(Vec::pop)
-                    .ok_or(CheckError::UnknownDelete { step: si })?;
-                ck.clauses[id as usize].active = false;
-                step_clause.push(id);
-            }
+}
+
+impl Session {
+    /// A session that has ingested nothing yet.
+    pub fn new() -> Session {
+        Session {
+            ck: Checker::new(),
+            live: HashMap::new(),
+            axioms_read: 0,
+            steps: Vec::new(),
+            hash: StreamHash::default(),
+            read: 0,
+            failed: false,
         }
     }
 
-    // The discharge rule: every conclusion literal must negate an
-    // assumption, so deriving the conclusion refutes the query.
-    for &l in cert.conclusion {
-        if l.var().index() >= cert.num_vars {
-            return Err(CheckError::VarOutOfRange { step: None });
+    /// Checks `cert`, whose stream must extend the one ingested so far.
+    /// See the crate docs for the checking model.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckError`] describing the first defect found: a
+    /// rewound stream, a malformed clause, an unmatched deletion, a
+    /// conclusion that does not discharge the claimed assumptions, or a
+    /// failed RUP step. After any error the session answers
+    /// [`CheckError::SessionFailed`] to every later certificate.
+    pub fn check(&mut self, cert: &Certificate) -> Result<CheckStats, CheckError> {
+        if self.failed {
+            return Err(CheckError::SessionFailed);
         }
-        if !cert.assumptions.contains(&!l) {
-            return Err(CheckError::ConclusionNotFromCore { lit: l });
-        }
+        let outcome = self.check_suffix(cert);
+        self.failed = outcome.is_err();
+        outcome
     }
 
-    // Backward pass: conclusion first, then the trimmed step walk.
-    let mut checked = 1usize;
-    ck.rup(cert.conclusion, None)?;
-    for si in (0..cert.steps.len()).rev() {
-        let id = step_clause[si] as usize;
-        match &cert.steps[si] {
-            ProofStep::Delete(_) => ck.clauses[id].active = true,
-            ProofStep::Add(_) => {
-                ck.clauses[id].active = false;
-                if ck.clauses[id].marked && !ck.clauses[id].tautology {
-                    let lits = std::mem::take(&mut ck.clauses[id].lits);
-                    ck.rup(&lits, Some(si))?;
-                    ck.clauses[id].lits = lits;
+    /// Checks `cert` as [`Session::check`] does, records the outcome
+    /// (timing, sizes, failure detail) into `report` under `label`, and
+    /// returns the certificate's [`crate::digest`] on success, `None` on
+    /// failure. This is the one call sites use: emit, check eagerly,
+    /// keep only the digest.
+    pub fn certify(
+        &mut self,
+        report: &mut CertificationReport,
+        label: &str,
+        cert: &Certificate,
+    ) -> Option<u64> {
+        let start = Instant::now();
+        let read = self.read;
+        let outcome = self.check(cert);
+        let digest = outcome.is_ok().then(|| {
+            self.hash
+                .finish(cert.num_vars, cert.assumptions, cert.conclusion)
+        });
+        report.record(
+            label,
+            &outcome,
+            start.elapsed(),
+            cert.stream_len(),
+            self.read - read,
+        );
+        digest
+    }
+
+    fn check_suffix(&mut self, cert: &Certificate) -> Result<CheckStats, CheckError> {
+        if cert.axioms.len() < self.axioms_read
+            || cert.steps.len() < self.steps.len()
+            || cert.num_vars < self.ck.num_vars
+        {
+            return Err(CheckError::Rewound);
+        }
+        self.ck.grow(cert.num_vars);
+        let propagations = self.ck.propagations;
+        let axioms_used = self.ck.axioms_used;
+
+        // Ingest the new suffix: the clause timeline's bookkeeping.
+        for ax in &cert.axioms[self.axioms_read..] {
+            self.hash.axiom(ax);
+            let (lits, taut) = normalize(ax, cert.num_vars, None)?;
+            let id = self.ck.intake(lits.clone(), taut, false);
+            let stack = self.live.entry(lits).or_default();
+            let clauses = &self.ck.clauses;
+            let at = stack
+                .iter()
+                .position(|&c| clauses[c as usize].lemma)
+                .unwrap_or(stack.len());
+            stack.insert(at, id);
+        }
+        let first_new = self.steps.len();
+        self.read += (cert.axioms.len() - self.axioms_read + cert.steps.len() - first_new) as u64;
+        self.axioms_read = cert.axioms.len();
+        for (si, step) in cert.steps.iter().enumerate().skip(first_new) {
+            self.hash.step(step);
+            match step {
+                ProofStep::Add(c) => {
+                    let (lits, taut) = normalize(c, cert.num_vars, Some(si))?;
+                    let id = self.ck.intake(lits.clone(), taut, true);
+                    self.live.entry(lits).or_default().push(id);
+                    self.steps.push((id, true));
+                }
+                ProofStep::Delete(c) => {
+                    let (lits, _) = normalize(c, cert.num_vars, Some(si))?;
+                    let id = self
+                        .live
+                        .get_mut(&lits)
+                        .and_then(Vec::pop)
+                        .ok_or(CheckError::UnknownDelete { step: si })?;
+                    self.ck.clauses[id as usize].active = false;
+                    self.steps.push((id, false));
                 }
             }
         }
-    }
 
-    let adds = cert
-        .steps
-        .iter()
-        .filter(|s| matches!(s, ProofStep::Add(_)))
-        .count();
-    let checked_adds = step_clause
-        .iter()
-        .zip(cert.steps)
-        .filter(|(&id, s)| {
-            matches!(s, ProofStep::Add(_))
-                && ck.clauses[id as usize].marked
-                && !ck.clauses[id as usize].tautology
+        // The discharge rule: every conclusion literal must negate an
+        // assumption, so deriving the conclusion refutes the query.
+        for &l in cert.conclusion {
+            if l.var().index() >= cert.num_vars {
+                return Err(CheckError::VarOutOfRange { step: None });
+            }
+            if !cert.assumptions.contains(&!l) {
+                return Err(CheckError::ConclusionNotFromCore { lit: l });
+            }
+        }
+
+        // Backward pass: the conclusion first, then the trimmed step walk,
+        // which ends once every marked lemma is verified.
+        let mut checked = 1usize;
+        self.ck.rup(cert.conclusion, None)?;
+        let mut si = self.steps.len();
+        while self.ck.pending > 0 {
+            si -= 1;
+            let (id, add) = self.steps[si];
+            let c = &mut self.ck.clauses[id as usize];
+            if !add {
+                c.active = true;
+                continue;
+            }
+            c.active = false;
+            if c.marked && !c.verified {
+                let lits = std::mem::take(&mut c.lits);
+                self.ck.rup(&lits, Some(si))?;
+                let c = &mut self.ck.clauses[id as usize];
+                c.lits = lits;
+                c.verified = true;
+                self.ck.pending -= 1;
+                checked += 1;
+            }
+        }
+        // Replay the undone suffix forward: back to the final live set.
+        for &(id, add) in &self.steps[si..] {
+            self.ck.clauses[id as usize].active = add;
+        }
+
+        let (adds, verified) = self.steps[first_new..]
+            .iter()
+            .filter(|&&(_, add)| add)
+            .fold((0, 0), |(a, v), &(id, _)| {
+                (
+                    a + 1,
+                    v + usize::from(self.ck.clauses[id as usize].verified),
+                )
+            });
+        Ok(CheckStats {
+            steps_total: self.steps.len() - first_new,
+            steps_checked: checked,
+            steps_skipped: adds - verified,
+            axioms_used: self.ck.axioms_used - axioms_used,
+            propagations: self.ck.propagations - propagations,
         })
-        .count();
-    checked += checked_adds;
-    Ok(CheckStats {
-        steps_total: cert.steps.len(),
-        steps_checked: checked,
-        steps_skipped: adds - checked_adds,
-        axioms_used: ck.clauses[..num_axioms].iter().filter(|c| c.marked).count(),
-        propagations: ck.propagations,
-    })
+    }
+}
+
+/// Checks a certificate on its own: a fresh [`Session`] used once.
+///
+/// # Errors
+///
+/// See [`Session::check`].
+pub fn check(cert: &Certificate) -> Result<CheckStats, CheckError> {
+    Session::new().check(cert)
 }

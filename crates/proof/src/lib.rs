@@ -32,6 +32,16 @@
 //!    keeps per-verdict checking proportional to the relevant cone on
 //!    the shared incremental CNF.
 //!
+//! # Sessions
+//!
+//! An incremental solver answers many queries over one growing proof
+//! stream. A [`Session`] follows that stream: each certificate it checks
+//! ingests only the axioms and steps appended since the previous one,
+//! re-checks the new conclusion against the final live clause set, and
+//! walks back only as far as the lemmas no earlier certificate has
+//! verified. [`check`] is a fresh session used once, so both paths run
+//! the same code and give the same verdicts.
+//!
 //! The trusted base is therefore: this crate's propagation loop, the
 //! CNF encoding of the circuit, and the assembly of assumptions — not
 //! the solver. See DESIGN §14 for the full trust argument.
@@ -40,9 +50,11 @@
 #![warn(missing_docs)]
 
 mod checker;
+mod digest;
 mod report;
 
-pub use checker::{check, CheckError, CheckStats};
+pub use checker::{check, CheckError, CheckStats, Session};
+pub use digest::digest;
 pub use report::CertificationReport;
 
 use kms_sat::{Lit, ProofStep, Solver};
@@ -99,74 +111,9 @@ pub fn core_conclusion(core: &[Lit]) -> Vec<Lit> {
     core.iter().map(|&l| !l).collect()
 }
 
-/// A deterministic 64-bit digest of a certificate (FNV-1a over the
-/// stream, the assumptions and the conclusion). Stored by verdict
-/// caches so a cached verdict keeps pointing at the exact proof that
-/// was checked when it was first derived.
-pub fn digest(cert: &Certificate) -> u64 {
-    let mut h = Fnv::new();
-    h.word(cert.num_vars as u64);
-    h.word(cert.axioms.len() as u64);
-    for c in cert.axioms {
-        h.clause(c);
-    }
-    h.word(cert.steps.len() as u64);
-    for s in cert.steps {
-        match s {
-            ProofStep::Add(c) => {
-                h.word(1);
-                h.clause(c);
-            }
-            ProofStep::Delete(c) => {
-                h.word(2);
-                h.clause(c);
-            }
-        }
-    }
-    h.clause(cert.assumptions);
-    h.clause(cert.conclusion);
-    h.finish()
-}
-
-/// Checks `cert`, records the outcome (timing, sizes, failure detail)
-/// into `report` under `label`, and returns the certificate digest on
-/// success, `None` on failure. This is the one call sites use: emit,
-/// check eagerly, keep only the digest.
+/// Checks `cert` with a fresh [`Session`] (see [`Session::certify`]),
+/// reading its whole stream. A caller that certifies many queries of
+/// one solver pays less by keeping one [`Session`] for it.
 pub fn certify(report: &mut CertificationReport, label: &str, cert: &Certificate) -> Option<u64> {
-    let start = std::time::Instant::now();
-    let outcome = check(cert);
-    let elapsed = start.elapsed();
-    let ok = outcome.is_ok();
-    report.record(label, &outcome, elapsed, cert.stream_len());
-    if ok {
-        Some(digest(cert))
-    } else {
-        None
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn clause(&mut self, lits: &[Lit]) {
-        self.word(lits.len() as u64);
-        for &l in lits {
-            self.word(l.index() as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    Session::new().certify(report, label, cert)
 }

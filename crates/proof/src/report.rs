@@ -23,6 +23,11 @@ pub struct CertificationReport {
     pub proof_stream_total: u64,
     /// Largest single proof stream seen.
     pub proof_stream_max: u64,
+    /// Axioms and steps the checker actually read. A [`crate::Session`]
+    /// reads each solver's stream once, so this is at most
+    /// `proof_stream_total`, and far less when one solver answers many
+    /// queries.
+    pub stream_ingested: u64,
     /// RUP checks performed (conclusions plus marked adds).
     pub steps_checked: u64,
     /// Add steps skipped by backward trimming.
@@ -39,17 +44,21 @@ impl CertificationReport {
         self.proofs_failed == 0 && self.proofs_checked == self.proofs_emitted
     }
 
-    /// Records one check outcome under a human-readable `label`.
+    /// Records one check outcome under a human-readable `label`:
+    /// `stream_len` is the certificate's whole stream, `ingested` the
+    /// part of it the checker read for this certificate.
     pub fn record(
         &mut self,
         label: &str,
         outcome: &Result<CheckStats, CheckError>,
         elapsed: Duration,
         stream_len: usize,
+        ingested: u64,
     ) {
         self.proofs_emitted += 1;
         self.check_time += elapsed;
         self.proof_stream_total += stream_len as u64;
+        self.stream_ingested += ingested;
         self.proof_stream_max = self.proof_stream_max.max(stream_len as u64);
         match outcome {
             Ok(stats) => {
@@ -73,6 +82,7 @@ impl CertificationReport {
         self.check_time += other.check_time;
         self.proof_stream_total += other.proof_stream_total;
         self.proof_stream_max = self.proof_stream_max.max(other.proof_stream_max);
+        self.stream_ingested += other.stream_ingested;
         self.steps_checked += other.steps_checked;
         self.steps_skipped += other.steps_skipped;
         self.propagations += other.propagations;
@@ -89,11 +99,12 @@ impl CertificationReport {
         );
         let _ = writeln!(
             out,
-            "  checker time {:.3?}, stream total {} (max {}), \
+            "  checker time {:.3?}, stream total {} (max {}, ingested {}), \
              rup checks {} (skipped by trimming {}), propagations {}",
             self.check_time,
             self.proof_stream_total,
             self.proof_stream_max,
+            self.stream_ingested,
             self.steps_checked,
             self.steps_skipped,
             self.propagations
@@ -111,7 +122,7 @@ impl CertificationReport {
             out,
             "\"proofs_emitted\": {}, \"proofs_checked\": {}, \"proofs_failed\": {}, \
              \"check_time_ns\": {}, \"proof_stream_total\": {}, \"proof_stream_max\": {}, \
-             \"steps_checked\": {}, \"steps_skipped\": {}, \"propagations\": {}, \
+             \"stream_ingested\": {}, \"steps_checked\": {}, \"steps_skipped\": {}, \"propagations\": {}, \
              \"failures\": [",
             self.proofs_emitted,
             self.proofs_checked,
@@ -119,6 +130,7 @@ impl CertificationReport {
             self.check_time.as_nanos(),
             self.proof_stream_total,
             self.proof_stream_max,
+            self.stream_ingested,
             self.steps_checked,
             self.steps_skipped,
             self.propagations

@@ -18,7 +18,10 @@
 
 use proptest::prelude::*;
 
-use kms_proof::{check, core_conclusion, digest, Certificate, CheckError};
+use kms_proof::{
+    check, core_conclusion, digest, Certificate, CertificationReport, CheckError, CheckStats,
+    Session,
+};
 use kms_sat::{Lit, ProofStep, SatResult, Solver, Var};
 
 fn lit(v: usize, pos: bool) -> Lit {
@@ -471,4 +474,182 @@ fn database_reductions_round_trip() {
         .count();
     assert_eq!(s.stats().deleted_total as usize, deletes);
     assert!(stats.steps_skipped > 0, "trimming should skip something");
+    // A one-shot check reads and checks the whole stream; these counts
+    // pin that work for this fixture.
+    assert_eq!(
+        stats,
+        CheckStats {
+            steps_total: 880,
+            steps_checked: 604,
+            steps_skipped: 20,
+            axioms_used: 133,
+            propagations: 18537,
+        }
+    );
+}
+
+/// Adds a pigeonhole instance PHP(`pigeons`, `holes`) over fresh
+/// variables, every clause guarded by a fresh guard, and returns the
+/// guard: assuming it makes the formula UNSAT through a lemma chain.
+fn add_guarded_pigeonhole(s: &mut Solver, pigeons: usize, holes: usize) -> Lit {
+    let base = s.num_vars();
+    let (nvars, clauses, guard) = guarded_pigeonhole(pigeons, holes);
+    for _ in 0..nvars {
+        s.new_var();
+    }
+    let shift = |l: Lit| lit(base + l.var().index(), l.is_positive());
+    for c in &clauses {
+        let c: Vec<Lit> = c.iter().map(|&l| shift(l)).collect();
+        s.add_clause(&c);
+    }
+    shift(guard)
+}
+
+/// One round of an incremental run: random clauses over the variables
+/// allocated so far (plus 3 fresh ones), optionally a guarded pigeonhole
+/// block, and one query under random assumptions.
+type Round = (Vec<Vec<(usize, bool)>>, Vec<(usize, bool)>, bool);
+
+fn round() -> impl Strategy<Value = Round> {
+    (
+        proptest::collection::vec(
+            proptest::collection::vec((0usize..64, any::<bool>()), 2..4),
+            0..6,
+        ),
+        proptest::collection::vec((0usize..64, any::<bool>()), 1..4),
+        any::<bool>(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One session over a whole incremental run gives every certificate
+    /// the verdict a fresh check gives it, ingests each stream element
+    /// once, and returns the digest `digest` computes.
+    #[test]
+    fn sessions_agree_with_fresh_checks(rounds in proptest::collection::vec(round(), 1..8)) {
+        let mut s = Solver::new();
+        s.enable_proof();
+        let mut session = Session::new();
+        let mut report = CertificationReport::default();
+        let mut last_len = 0;
+        for (clauses, picks, php) in &rounds {
+            for _ in 0..3 {
+                s.new_var();
+            }
+            let n = s.num_vars();
+            for c in clauses {
+                let c: Vec<Lit> = c.iter().map(|&(v, pos)| lit(v % n, pos)).collect();
+                s.add_clause(&c);
+            }
+            let mut assumptions: Vec<Lit> = picks.iter().map(|&(v, pos)| lit(v % n, pos)).collect();
+            if *php {
+                assumptions.push(add_guarded_pigeonhole(&mut s, 4, 3));
+            }
+            if s.solve_with(&assumptions) != SatResult::Unsat {
+                continue;
+            }
+            let conclusion = core_conclusion(s.unsat_core());
+            let cert = Certificate::from_solver(&s, &assumptions, &conclusion).unwrap();
+            let fresh = check(&cert);
+            prop_assert!(fresh.is_ok(), "genuine certificate rejected: {fresh:?}");
+            let d = session.certify(&mut report, "round", &cert);
+            prop_assert_eq!(d, Some(digest(&cert)));
+            last_len = cert.stream_len() as u64;
+        }
+        prop_assert!(report.all_verified(), "{}", report.render_text());
+        prop_assert_eq!(report.stream_ingested, last_len);
+    }
+}
+
+/// The PHP fixture's certificate, checked by a session, followed by a
+/// second certificate whose stream extends it with `suffix` and whose
+/// query asserts the negation of a fresh variable `x`: the conclusion
+/// `x` leans on whatever the suffix claims about `x`.
+fn check_forged_suffix(suffix: impl Fn(Lit) -> Vec<ProofStep>) -> Result<CheckStats, CheckError> {
+    let (s, assumptions, conclusion) = php_certificate_fixture();
+    let good = Certificate::from_solver(&s, &assumptions, &conclusion).unwrap();
+    let mut session = Session::new();
+    session.check(&good).expect("good prefix accepted");
+    let x = lit(s.num_vars(), true);
+    let mut steps = good.steps.to_vec();
+    steps.extend(suffix(x));
+    let forged = Certificate {
+        num_vars: s.num_vars() + 1,
+        steps: &steps,
+        assumptions: &[!x],
+        conclusion: &[x],
+        ..good
+    };
+    let session_verdict = session.check(&forged);
+    assert_eq!(
+        session_verdict,
+        check(&forged),
+        "session and fresh check disagree"
+    );
+    // A session that rejected a certificate rejects everything after.
+    if session_verdict.is_err() {
+        assert_eq!(session.check(&good), Err(CheckError::SessionFailed));
+    }
+    session_verdict
+}
+
+#[test]
+fn forged_lemma_after_a_good_prefix_is_rejected() {
+    let prefix_len = php_certificate_fixture().0.proof().unwrap().steps().len();
+    // `x` appears in no clause: the unit lemma `x` is no RUP
+    // consequence, and the conclusion's cone reaches it.
+    let verdict = check_forged_suffix(|x| vec![ProofStep::Add(vec![x])]);
+    assert_eq!(
+        verdict,
+        Err(CheckError::NotRup {
+            step: Some(prefix_len)
+        })
+    );
+}
+
+#[test]
+fn forged_deletion_after_a_good_prefix_is_rejected() {
+    let prefix_len = php_certificate_fixture().0.proof().unwrap().steps().len();
+    let verdict =
+        check_forged_suffix(|x| vec![ProofStep::Add(vec![x, !x]), ProofStep::Delete(vec![x])]);
+    assert_eq!(
+        verdict,
+        Err(CheckError::UnknownDelete {
+            step: prefix_len + 1
+        })
+    );
+}
+
+#[test]
+fn a_rewound_stream_is_a_typed_error() {
+    let (s, assumptions, conclusion) = php_certificate_fixture();
+    let good = Certificate::from_solver(&s, &assumptions, &conclusion).unwrap();
+    let shorter = [
+        Certificate {
+            steps: &good.steps[..good.steps.len() - 1],
+            ..good
+        },
+        Certificate {
+            axioms: &good.axioms[..good.axioms.len() - 1],
+            ..good
+        },
+        Certificate {
+            num_vars: good.num_vars - 1,
+            ..good
+        },
+    ];
+    for cert in &shorter {
+        let mut session = Session::new();
+        session.check(&good).expect("good certificate accepted");
+        assert_eq!(session.check(cert), Err(CheckError::Rewound));
+        assert_eq!(session.check(&good), Err(CheckError::SessionFailed));
+    }
+    // Re-checking the very same stream is not a rewind: it reads nothing
+    // new and the verified lemmas stay verified.
+    let mut session = Session::new();
+    session.check(&good).unwrap();
+    let again = session.check(&good).unwrap();
+    assert_eq!((again.steps_total, again.steps_checked), (0, 1));
 }

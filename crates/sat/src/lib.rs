@@ -45,7 +45,7 @@ mod proof;
 mod solver;
 
 pub use budget::{AbortReason, Budget, CancelToken};
-pub use cnf::NetworkCnf;
+pub use cnf::{encode_gate, NetworkCnf};
 pub use dimacs::{parse_dimacs, to_dimacs, Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use miter::{check_equivalence, encode_miter, Equivalence};

@@ -13,7 +13,7 @@
 
 use kms_bdd::{Bdd, BddManager, NodeFunctions};
 use kms_netlist::{GateKind, NetlistError, Network, Path};
-use kms_proof::{core_conclusion, Certificate, CertificationReport};
+use kms_proof::{core_conclusion, Certificate, CertificationReport, Session};
 use kms_sat::{Lit, NetworkCnf, SatResult, Solver, Stats};
 
 /// The noncontrolling-value constraints of a path: for each constrained
@@ -74,7 +74,7 @@ pub fn static_side_constraints(
 
 /// SAT-based static sensitization check. Returns a sensitizing input
 /// vector (in input order) if one exists, `None` if the path is not
-/// statically sensitizable.
+/// statically sensitizable. A one-query [`SensitizationOracle`].
 ///
 /// # Errors
 ///
@@ -86,18 +86,7 @@ pub fn static_side_constraints(
 /// Panics if the path does not validate against `net`.
 pub fn sensitization_cube(net: &Network, path: &Path) -> Result<Option<Vec<bool>>, NetlistError> {
     assert!(path.validate(net), "path does not validate");
-    let constraints = side_constraints(net, path)?;
-    let mut solver = Solver::new();
-    let cnf = NetworkCnf::encode(net, &mut solver);
-    let assumptions: Vec<Lit> = constraints
-        .iter()
-        .map(|&(_, src, nc)| cnf.lit(src, nc))
-        .collect();
-    Ok(match solver.solve_with(&assumptions) {
-        SatResult::Sat => Some(cnf.model_inputs(&solver, net)),
-        SatResult::Unsat => None,
-        SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
-    })
+    SensitizationOracle::new(net).sensitization_cube(net, path)
 }
 
 /// `true` if the path is statically sensitizable (SAT-backed).
@@ -113,15 +102,24 @@ pub fn is_statically_sensitizable(net: &Network, path: &Path) -> Result<bool, Ne
 /// encoding and learnt clauses are shared across path queries, which is
 /// the inner loop of the KMS algorithm (every longest path gets checked
 /// each iteration).
+///
+/// The encoding is lazy: the oracle starts empty, and each query adds
+/// the not-yet-encoded fanin cones of the side-input drivers it
+/// constrains. That is exact. The encoded gates are fanin-closed, so
+/// their variables range over exactly the values some circuit evaluation
+/// gives them, and every such assignment extends to the rest of the
+/// network — leaving it out changes no verdict. Inputs outside every
+/// encoded cone read as 0 in witness cubes.
 pub struct SensitizationOracle {
     solver: Solver,
     cnf: NetworkCnf,
-    num_inputs: usize,
+    /// Follows the solver's proof stream when certifying.
+    session: Option<Session>,
 }
 
 impl SensitizationOracle {
-    /// Encodes `net` once. The oracle answers queries for paths of this
-    /// network only; rebuild after any structural change.
+    /// An oracle for `net`. It answers queries for paths of this network
+    /// only; rebuild after any structural change.
     pub fn new(net: &Network) -> Self {
         Self::build(net, false)
     }
@@ -138,11 +136,10 @@ impl SensitizationOracle {
         if certify {
             solver.enable_proof();
         }
-        let cnf = NetworkCnf::encode(net, &mut solver);
         SensitizationOracle {
             solver,
-            cnf,
-            num_inputs: net.inputs().len(),
+            cnf: NetworkCnf::new(net),
+            session: certify.then(Session::new),
         }
     }
 
@@ -151,7 +148,23 @@ impl SensitizationOracle {
         self.solver.stats()
     }
 
-    /// As [`sensitization_cube`], but reusing the shared encoding.
+    /// The noncontrolling-value assumptions of `constraints`, encoding
+    /// the drivers' fanin cones first.
+    fn assumptions(
+        &mut self,
+        net: &Network,
+        constraints: &[(kms_netlist::ConnRef, kms_netlist::GateId, bool)],
+    ) -> Vec<Lit> {
+        self.cnf
+            .ensure_cone(net, &mut self.solver, constraints.iter().map(|c| c.1));
+        constraints
+            .iter()
+            .map(|&(_, src, nc)| self.cnf.lit(src, nc))
+            .collect()
+    }
+
+    /// A sensitizing input vector (in input order) for `path`, or `None`
+    /// if it is not statically sensitizable.
     ///
     /// # Errors
     ///
@@ -162,20 +175,9 @@ impl SensitizationOracle {
         path: &Path,
     ) -> Result<Option<Vec<bool>>, NetlistError> {
         let constraints = side_constraints(net, path)?;
-        let assumptions: Vec<Lit> = constraints
-            .iter()
-            .map(|&(_, src, nc)| self.cnf.lit(src, nc))
-            .collect();
+        let assumptions = self.assumptions(net, &constraints);
         Ok(match self.solver.solve_with(&assumptions) {
-            SatResult::Sat => Some(
-                (0..self.num_inputs)
-                    .map(|i| {
-                        self.cnf
-                            .model_value(&self.solver, net.inputs()[i])
-                            .unwrap_or(false)
-                    })
-                    .collect(),
-            ),
+            SatResult::Sat => Some(self.cnf.model_inputs(&self.solver, net)),
             SatResult::Unsat => None,
             SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
         })
@@ -194,10 +196,13 @@ impl SensitizationOracle {
     /// verdict comes with a checked proof: the solver's refutation of the
     /// noncontrolling-value assumptions is re-derived by the independent
     /// `kms-proof` checker and recorded in `report`, and the certificate
-    /// digest is returned alongside the verdict. Requires the oracle to
-    /// have been built with [`SensitizationOracle::with_certification`]
-    /// (panics otherwise). Sensitizable verdicts carry no certificate —
-    /// the witness cube is checkable by simulation.
+    /// digest is returned alongside the verdict. One checker session
+    /// follows the oracle's proof stream, so each certificate is checked
+    /// against only what the stream gained since the previous one.
+    /// Requires the oracle to have been built with
+    /// [`SensitizationOracle::with_certification`] (panics otherwise).
+    /// Sensitizable verdicts carry no certificate — the witness cube is
+    /// checkable by simulation.
     ///
     /// # Errors
     ///
@@ -209,17 +214,18 @@ impl SensitizationOracle {
         report: &mut CertificationReport,
     ) -> Result<(bool, Option<u64>), NetlistError> {
         let constraints = side_constraints(net, path)?;
-        let assumptions: Vec<Lit> = constraints
-            .iter()
-            .map(|&(_, src, nc)| self.cnf.lit(src, nc))
-            .collect();
+        let assumptions = self.assumptions(net, &constraints);
         Ok(match self.solver.solve_with(&assumptions) {
             SatResult::Sat => (true, None),
             SatResult::Unsat => {
                 let conclusion = core_conclusion(self.solver.unsat_core());
                 let cert = Certificate::from_solver(&self.solver, &assumptions, &conclusion)
                     .expect("oracle built with certification enabled");
-                let digest = kms_proof::certify(report, &format!("sens {path}"), &cert);
+                let session = self
+                    .session
+                    .as_mut()
+                    .expect("oracle built with certification enabled");
+                let digest = session.certify(report, &format!("sens {path}"), &cert);
                 (false, digest)
             }
             SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
@@ -242,10 +248,7 @@ impl SensitizationOracle {
         path: &Path,
     ) -> Result<Option<Vec<kms_netlist::ConnRef>>, NetlistError> {
         let constraints = side_constraints(net, path)?;
-        let assumptions: Vec<Lit> = constraints
-            .iter()
-            .map(|&(_, src, nc)| self.cnf.lit(src, nc))
-            .collect();
+        let assumptions = self.assumptions(net, &constraints);
         match self.solver.solve_with(&assumptions) {
             SatResult::Sat => Ok(None),
             SatResult::Unsat => {
