@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(r.proved_count(), 1);
         let text = r.render_text();
         assert!(text.contains("1/2 faults proved untestable"), "{text}");
-        let json = r.render_json();
+        let json = r.to_json().rows();
         assert!(json.contains("\"schema_version\": 1"), "{json}");
         assert!(json.contains("implication-conflict"), "{json}");
     }

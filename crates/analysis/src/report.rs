@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use kms_netlist::json::Json;
 use kms_netlist::{ConnRef, GateId};
 
 use crate::implic::ImplStep;
@@ -185,68 +186,43 @@ impl StaticRedundancyReport {
         s
     }
 
-    /// JSON rendering (schema mirrors the text report; `schema_version` 1).
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema_version\": 1,\n  \"network\": {},\n  \"total_faults\": {},\n  \
-             \"proved_untestable\": {},\n",
-            json_string(&self.network),
-            self.total_faults,
-            self.proved_count()
-        );
+    /// The report as a JSON object (schema mirrors the text report;
+    /// `schema_version` 1). `kms-sweep -f json` prints its
+    /// [`Json::rows`] layout.
+    pub fn to_json(&self) -> Json {
         let st = &self.stats;
-        let _ = writeln!(
-            s,
-            "  \"stats\": {{\"live_gates\": {}, \"strash_duplicates\": {}, \"sat_merged\": {}, \
-             \"antivalent_merged\": {}, \"constant_nodes\": {}, \"learned_constants\": {}, \
-             \"sat_checks\": {}, \"sim_words\": {}, \"implication_edges\": {}}},",
-            st.live_gates,
-            st.strash_duplicates,
-            st.sat_merged,
-            st.antivalent_merged,
-            st.constant_nodes,
-            st.learned_constants,
-            st.sat_checks,
-            st.sim_words,
-            st.implication_edges
-        );
-        let _ = writeln!(s, "  \"proofs\": [");
-        for (i, p) in self.proofs.iter().enumerate() {
-            let comma = if i + 1 == self.proofs.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    {{\"fault\": {}, \"stuck\": {}, \"witness\": {}, \"detail\": {}}}{comma}",
-                json_string(&p.fault.to_string()),
-                p.stuck as u8,
-                json_string(p.witness.kind()),
-                json_string(&p.witness.to_string())
-            );
-        }
-        let _ = writeln!(s, "  ]\n}}");
-        s
+        let proofs = self
+            .proofs
+            .iter()
+            .map(|p| {
+                Json::Object(vec![
+                    ("fault", p.fault.to_string().into()),
+                    ("stuck", usize::from(p.stuck).into()),
+                    ("witness", p.witness.kind().into()),
+                    ("detail", p.witness.to_string().into()),
+                ])
+            })
+            .collect();
+        Json::Object(vec![
+            ("schema_version", Json::Int(1)),
+            ("network", self.network.as_str().into()),
+            ("total_faults", self.total_faults.into()),
+            ("proved_untestable", self.proved_count().into()),
+            (
+                "stats",
+                Json::Object(vec![
+                    ("live_gates", st.live_gates.into()),
+                    ("strash_duplicates", st.strash_duplicates.into()),
+                    ("sat_merged", st.sat_merged.into()),
+                    ("antivalent_merged", st.antivalent_merged.into()),
+                    ("constant_nodes", st.constant_nodes.into()),
+                    ("learned_constants", st.learned_constants.into()),
+                    ("sat_checks", st.sat_checks.into()),
+                    ("sim_words", st.sim_words.into()),
+                    ("implication_edges", st.implication_edges.into()),
+                ]),
+            ),
+            ("proofs", Json::Array(proofs)),
+        ])
     }
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

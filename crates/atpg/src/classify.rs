@@ -72,6 +72,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
+use kms_netlist::json::Json;
 use kms_netlist::{ConnRef, GateId, Network, Topology};
 use kms_proof::{core_conclusion, Certificate, CertificationReport, Session};
 use kms_sat::{encode_gate, lock_unpoisoned, Budget, Lit, SatResult, Solver, Stats};
@@ -293,48 +294,37 @@ pub struct ClassifyReport {
 }
 
 impl ClassifyReport {
-    /// JSON object rendering (no trailing newline): verdict tallies, the
-    /// summed solver counters, and the certification ledger when present.
-    pub fn render_json(&self) -> String {
-        let redundant = self
-            .testability
-            .verdicts
-            .iter()
-            .filter(|v| v.is_redundant())
-            .count();
-        let unknown = self
-            .testability
-            .verdicts
-            .iter()
-            .filter(|v| v.is_unknown())
-            .count();
-        let mut out = format!(
-            "{{\"faults\": {}, \"testable\": {}, \"redundant\": {}, \"unknown\": {}, \
-             \"engine_calls\": {}, \"solver\": {}",
-            self.testability.faults.len(),
-            self.testability.testable_count(),
-            redundant,
-            unknown,
-            self.engine_calls,
-            self.solver.render_json()
-        );
+    /// The report as a JSON object: verdict tallies, the summed solver
+    /// counters, the unknown reasons when any, and the certification
+    /// ledger when present.
+    pub fn to_json(&self) -> Json {
+        let verdicts = &self.testability.verdicts;
+        let mut fields = vec![
+            ("faults", self.testability.faults.len().into()),
+            ("testable", self.testability.testable_count().into()),
+            (
+                "redundant",
+                verdicts.iter().filter(|v| v.is_redundant()).count().into(),
+            ),
+            (
+                "unknown",
+                verdicts.iter().filter(|v| v.is_unknown()).count().into(),
+            ),
+            ("engine_calls", self.engine_calls.into()),
+            ("solver", self.solver.to_json()),
+        ];
         let reasons = self.testability.unknown_reasons();
         if !reasons.is_empty() {
-            out.push_str(", \"unknown_reasons\": {");
-            for (i, (reason, count)) in reasons.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {count}", reason.mnemonic()));
-            }
-            out.push('}');
+            let counts = reasons
+                .into_iter()
+                .map(|(reason, count)| (reason.mnemonic(), count.into()))
+                .collect();
+            fields.push(("unknown_reasons", Json::Object(counts)));
         }
         if let Some(cert) = &self.certification {
-            out.push_str(", \"certification\": ");
-            out.push_str(&cert.render_json());
+            fields.push(("certification", cert.to_json()));
         }
-        out.push('}');
-        out
+        Json::Object(fields)
     }
 }
 

@@ -21,7 +21,8 @@
 use std::time::Instant;
 
 use kms_atpg::{analyze, Engine, FaultBudget, ParallelOptions, TestabilityReport};
-use kms_bench::{json_escape, table1_csa};
+use kms_bench::table1_csa;
+use kms_netlist::json::Json;
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
@@ -114,13 +115,17 @@ struct Row {
     seq_s: f64,
     shared1_s: f64,
     sharedn_s: f64,
-    /// `(jobs, seconds)` curve when `--scaling` is on.
-    scaling: Vec<(usize, f64)>,
+    /// `(jobs, seconds)` curve when `--scaling` is on, the job count
+    /// spelled as its JSON key.
+    scaling: Vec<(&'static str, f64)>,
     /// The same curve with a generous (never-aborting) per-fault budget
     /// armed: its distance from `scaling` is the whole cost of the budget
     /// plumbing — the counter samples at the solver's conflict boundary.
-    scaling_budget: Vec<(usize, f64)>,
+    scaling_budget: Vec<(&'static str, f64)>,
 }
+
+/// The worker counts of the `--scaling` curve, with their JSON keys.
+const SCALING_JOBS: [(usize, &str); 3] = [(1, "1"), (2, "2"), (4, "4")];
 
 fn main() {
     let cfg = parse_args();
@@ -180,7 +185,7 @@ fn main() {
                 max_propagations: Some(1 << 50),
                 timeout_ms: None,
             };
-            for jobs in [1usize, 2, 4] {
+            for (jobs, key) in SCALING_JOBS {
                 let engine = Engine::SharedSat(ParallelOptions {
                     jobs,
                     ..Default::default()
@@ -190,7 +195,7 @@ fn main() {
                     shared1_r, r,
                     "{name}: shared-CNF report depends on the job count (scaling, jobs={jobs})"
                 );
-                scaling.push((jobs, s));
+                scaling.push((key, s));
                 let budgeted = Engine::SharedSat(ParallelOptions {
                     jobs,
                     fault_budget: Some(generous),
@@ -201,7 +206,7 @@ fn main() {
                     shared1_r, br,
                     "{name}: a generous budget changed the report (jobs={jobs})"
                 );
-                scaling_budget.push((jobs, bs));
+                scaling_budget.push((key, bs));
             }
         }
         eprintln!(
@@ -262,48 +267,42 @@ fn main() {
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"atpg_classification\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \"reps\": {},\n  \"rows\": [\n",
-        if cfg.smoke { "smoke" } else { "full" },
-        cfg.jobs,
-        reps
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        let scaling_json = if r.scaling.is_empty() {
-            String::new()
-        } else {
-            let curve = |points: &[(usize, f64)]| {
-                let pts: Vec<String> = points
-                    .iter()
-                    .map(|(jobs, s)| format!("\"{jobs}\": {s:.6}"))
-                    .collect();
-                format!("{{{}}}", pts.join(", "))
-            };
-            format!(
-                ", \"scaling_s\": {}, \"scaling_budget_s\": {}",
-                curve(&r.scaling),
-                curve(&r.scaling_budget)
-            )
-        };
-        json.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"gates\": {}, \"faults\": {}, \
-             \"sequential_s\": {:.6}, \"shared1_s\": {:.6}, \"sharedN_s\": {:.6}, \
-             \"speedup_shared1\": {:.3}, \"speedup_sharedN\": {:.3}{}}}{}\n",
-            json_escape(&r.name),
-            r.gates,
-            r.faults,
-            r.seq_s,
-            r.shared1_s,
-            r.sharedn_s,
-            r.seq_s / r.shared1_s,
-            r.seq_s / r.sharedn_s,
-            scaling_json,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let curve = |points: &[(&'static str, f64)]| {
+        Json::Object(
+            points
+                .iter()
+                .map(|&(jobs, s)| (jobs, Json::Fixed(s, 6)))
+                .collect(),
+        )
+    };
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                ("circuit", r.name.as_str().into()),
+                ("gates", r.gates.into()),
+                ("faults", r.faults.into()),
+                ("sequential_s", Json::Fixed(r.seq_s, 6)),
+                ("shared1_s", Json::Fixed(r.shared1_s, 6)),
+                ("sharedN_s", Json::Fixed(r.sharedn_s, 6)),
+                ("speedup_shared1", Json::Fixed(r.seq_s / r.shared1_s, 3)),
+                ("speedup_sharedN", Json::Fixed(r.seq_s / r.sharedn_s, 3)),
+            ];
+            if !r.scaling.is_empty() {
+                fields.push(("scaling_s", curve(&r.scaling)));
+                fields.push(("scaling_budget_s", curve(&r.scaling_budget)));
+            }
+            Json::Object(fields)
+        })
+        .collect();
+    let json = Json::Object(vec![
+        ("bench", "atpg_classification".into()),
+        ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
+        ("jobs", cfg.jobs.into()),
+        ("reps", reps.into()),
+        ("rows", Json::Array(rows)),
+    ])
+    .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
     eprintln!("wrote {}", cfg.out);
 }

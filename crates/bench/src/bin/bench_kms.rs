@@ -12,8 +12,9 @@
 
 use std::time::Instant;
 
-use kms_bench::{json_escape, table1_csa};
+use kms_bench::table1_csa;
 use kms_core::{kms_on_copy, KmsOptions, KmsReport};
+use kms_netlist::json::Json;
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
@@ -91,20 +92,6 @@ fn time_min<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
     (best, last.expect("reps >= 1"))
 }
 
-struct Row {
-    name: String,
-    gates: usize,
-    iterations: usize,
-    duplicated: usize,
-    removed: usize,
-    dropped_longest: u64,
-    timing_passes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    wall_s: f64,
-    phases: Phases,
-}
-
 struct Phases {
     engine_s: f64,
     path_enum_s: f64,
@@ -129,14 +116,6 @@ impl Phases {
     /// totals mostly measure it.
     fn loop_s(&self) -> f64 {
         self.engine_s + self.path_enum_s + self.oracle_s + self.transform_s
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"engine_s\": {:.6}, \"path_enum_s\": {:.6}, \"oracle_s\": {:.6}, \
-             \"transform_s\": {:.6}, \"atpg_s\": {:.6}}}",
-            self.engine_s, self.path_enum_s, self.oracle_s, self.transform_s, self.atpg_s
-        )
     }
 }
 
@@ -191,52 +170,39 @@ fn main() {
             r.engine.cache_hits,
             r.engine.cache_hits + r.engine.cache_misses,
         );
-        rows.push(Row {
-            name: name.clone(),
-            gates: net.simple_gate_count(),
-            iterations: r.iterations.len(),
-            duplicated: r.duplicated_gates,
-            removed: r.removed_redundancies.len(),
-            dropped_longest: r.dropped_longest_paths,
-            timing_passes: r.engine.full_recomputes,
-            cache_hits: r.engine.cache_hits,
-            cache_misses: r.engine.cache_misses,
-            wall_s,
-            phases,
-        });
+        rows.push(Json::Object(vec![
+            ("circuit", name.as_str().into()),
+            ("gates", net.simple_gate_count().into()),
+            ("iterations", r.iterations.len().into()),
+            ("duplicated", r.duplicated_gates.into()),
+            ("removed", r.removed_redundancies.len().into()),
+            ("dropped_longest_paths", r.dropped_longest_paths.into()),
+            ("timing_passes", r.engine.full_recomputes.into()),
+            ("cache_hits", r.engine.cache_hits.into()),
+            ("cache_misses", r.engine.cache_misses.into()),
+            ("wall_s", Json::Fixed(wall_s, 6)),
+            ("loop_s", Json::Fixed(phases.loop_s(), 6)),
+            (
+                "phases",
+                Json::Object(vec![
+                    ("engine_s", Json::Fixed(phases.engine_s, 6)),
+                    ("path_enum_s", Json::Fixed(phases.path_enum_s, 6)),
+                    ("oracle_s", Json::Fixed(phases.oracle_s, 6)),
+                    ("transform_s", Json::Fixed(phases.transform_s, 6)),
+                    ("atpg_s", Json::Fixed(phases.atpg_s, 6)),
+                ]),
+            ),
+        ]));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"kms_loop\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \
-         \"reps\": {},\n  \"rows\": [\n",
-        if cfg.smoke { "smoke" } else { "full" },
-        cfg.jobs,
-        reps,
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"gates\": {}, \"iterations\": {}, \
-             \"duplicated\": {}, \"removed\": {}, \"dropped_longest_paths\": {}, \
-             \"timing_passes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"wall_s\": {:.6}, \"loop_s\": {:.6}, \"phases\": {}}}{}\n",
-            json_escape(&r.name),
-            r.gates,
-            r.iterations,
-            r.duplicated,
-            r.removed,
-            r.dropped_longest,
-            r.timing_passes,
-            r.cache_hits,
-            r.cache_misses,
-            r.wall_s,
-            r.phases.loop_s(),
-            r.phases.json(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = Json::Object(vec![
+        ("bench", "kms_loop".into()),
+        ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
+        ("jobs", cfg.jobs.into()),
+        ("reps", reps.into()),
+        ("rows", Json::Array(rows)),
+    ])
+    .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
     eprintln!("wrote {}", cfg.out);
 }

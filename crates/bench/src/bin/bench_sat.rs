@@ -2,13 +2,10 @@
 //! generated ATPG classification workloads, emitting `BENCH_sat.json` —
 //! the repository's perf trajectory for the solver under everything else.
 //!
-//! Usage: `bench_sat [--smoke] [--out FILE] [--baseline FILE]`
+//! Usage: `bench_sat [--smoke] [--out FILE]`
 //!
 //! * `--smoke` — tiny instances, one rep: CI schema/sanity check.
 //! * `--out FILE` — output path (default `BENCH_sat.json`).
-//! * `--baseline FILE` — embed a previously captured `BENCH_sat.json`
-//!   verbatim under a `"baseline"` key, so a kernel change ships with
-//!   same-machine before/after rows in one artifact.
 //!
 //! Two instance families:
 //!
@@ -27,7 +24,8 @@
 use std::time::Instant;
 
 use kms_atpg::{classify_faults_report, collapsed_faults, ParallelOptions};
-use kms_bench::{json_escape, table1_csa};
+use kms_bench::table1_csa;
+use kms_netlist::json::Json;
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_sat::{parse_dimacs, to_dimacs, Cnf, Lit, SatResult, Stats, Var};
@@ -36,14 +34,12 @@ use kms_timing::InputArrivals;
 struct Config {
     smoke: bool,
     out: String,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Config {
     let mut cfg = Config {
         smoke: false,
         out: "BENCH_sat.json".to_string(),
-        baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -52,11 +48,8 @@ fn parse_args() -> Config {
             "--out" | "-o" => {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
-            "--baseline" => {
-                cfg.baseline = Some(it.next().unwrap_or_else(|| die("--baseline needs a path")));
-            }
             "-h" | "--help" => {
-                eprintln!("usage: bench_sat [--smoke] [--out FILE] [--baseline FILE]");
+                eprintln!("usage: bench_sat [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -140,7 +133,8 @@ fn mcnc_net(name: &str) -> Network {
 struct Row {
     name: String,
     kind: &'static str,
-    size: String, // instance-size JSON fragment
+    /// Instance size: `vars`/`clauses` or `gates`/`faults`.
+    size: [(&'static str, usize); 2],
     result: String,
     wall_s: f64,
     solver: Stats,
@@ -198,11 +192,7 @@ fn dimacs_row(name: &str, cnf: &Cnf, expect: SatResult, reps: usize) -> Row {
     Row {
         name: name.to_string(),
         kind: "dimacs",
-        size: format!(
-            "\"vars\": {}, \"clauses\": {}",
-            cnf.num_vars,
-            cnf.clauses.len()
-        ),
+        size: [("vars", cnf.num_vars), ("clauses", cnf.clauses.len())],
         result: format!("{result:?}").to_lowercase(),
         wall_s,
         solver: stats,
@@ -239,11 +229,7 @@ fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
     Row {
         name: name.to_string(),
         kind: if raw { "atpg-raw" } else { "atpg" },
-        size: format!(
-            "\"gates\": {}, \"faults\": {}",
-            net.simple_gate_count(),
-            faults.len()
-        ),
+        size: [("gates", net.simple_gate_count()), ("faults", faults.len())],
         result: format!("redundant={redundant}"),
         wall_s,
         solver: report.solver,
@@ -328,37 +314,30 @@ fn main() {
         );
     }
 
-    let baseline = cfg.baseline.as_ref().map(|p| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| die(&format!("read baseline {p}: {e}")))
-    });
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"sat_kernel\",\n  \"mode\": \"{}\",\n  \"reps\": {},\n  \"rows\": [\n",
-        if cfg.smoke { "smoke" } else { "full" },
-        reps
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"instance\": \"{}\", \"kind\": \"{}\", {}, \"result\": \"{}\", \
-             \"wall_s\": {:.6}, \"props_per_sec\": {:.0}, \"solver\": {}}}{}\n",
-            json_escape(&r.name),
-            r.kind,
-            r.size,
-            json_escape(&r.result),
-            r.wall_s,
-            r.props_per_sec(),
-            r.solver.render_json(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]");
-    if let Some(b) = baseline {
-        json.push_str(",\n  \"baseline\": ");
-        // Embed the prior artifact verbatim, indented as-is.
-        json.push_str(b.trim_end());
-    }
-    json.push_str("\n}\n");
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                ("instance", r.name.as_str().into()),
+                ("kind", r.kind.into()),
+            ];
+            fields.extend(r.size.map(|(key, n)| (key, n.into())));
+            fields.extend([
+                ("result", r.result.as_str().into()),
+                ("wall_s", Json::Fixed(r.wall_s, 6)),
+                ("props_per_sec", Json::Fixed(r.props_per_sec(), 0)),
+                ("solver", r.solver.to_json()),
+            ]);
+            Json::Object(fields)
+        })
+        .collect();
+    let json = Json::Object(vec![
+        ("bench", "sat_kernel".into()),
+        ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
+        ("reps", reps.into()),
+        ("rows", Json::Array(rows)),
+    ])
+    .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
     eprintln!("wrote {}", cfg.out);
 }

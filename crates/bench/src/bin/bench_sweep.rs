@@ -20,7 +20,8 @@ use std::time::Instant;
 
 use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms_atpg::{classify_faults_report, collapsed_faults, Fault, FaultSite, ParallelOptions};
-use kms_bench::{json_escape, table1_csa};
+use kms_bench::table1_csa;
+use kms_netlist::json::Json;
 use kms_netlist::Network;
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
@@ -104,17 +105,6 @@ fn time_min<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
     (best, last.expect("reps >= 1"))
 }
 
-struct Row {
-    name: String,
-    gates: usize,
-    faults: usize,
-    redundant: usize,
-    static_proved: usize,
-    hit_rate: f64,
-    analysis_s: f64,
-    oracle_s: f64,
-}
-
 fn main() {
     let cfg = parse_args();
     let reps = if cfg.smoke { 1 } else { 3 };
@@ -193,16 +183,16 @@ fn main() {
             proved.len(),
             100.0 * hit_rate,
         );
-        rows.push(Row {
-            name: name.clone(),
-            gates: net.simple_gate_count(),
-            faults: faults.len(),
-            redundant: redundant.len(),
-            static_proved: proved.len(),
-            hit_rate,
-            analysis_s,
-            oracle_s,
-        });
+        rows.push(Json::Object(vec![
+            ("circuit", name.as_str().into()),
+            ("gates", net.simple_gate_count().into()),
+            ("faults", faults.len().into()),
+            ("redundant", redundant.len().into()),
+            ("static_proved", proved.len().into()),
+            ("hit_rate", Json::Fixed(hit_rate, 4)),
+            ("analysis_s", Json::Fixed(analysis_s, 6)),
+            ("oracle_s", Json::Fixed(oracle_s, 6)),
+        ]));
     }
 
     let overall = if total_redundant == 0 {
@@ -215,36 +205,17 @@ fn main() {
         100.0 * overall
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"static_sweep\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \"reps\": {},\n  \
-         \"total_redundant\": {},\n  \"total_static_proved\": {},\n  \
-         \"overall_hit_rate\": {:.4},\n  \"rows\": [\n",
-        if cfg.smoke { "smoke" } else { "full" },
-        cfg.jobs,
-        reps,
-        total_redundant,
-        total_proved,
-        overall
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"gates\": {}, \"faults\": {}, \"redundant\": {}, \
-             \"static_proved\": {}, \"hit_rate\": {:.4}, \"analysis_s\": {:.6}, \
-             \"oracle_s\": {:.6}}}{}\n",
-            json_escape(&r.name),
-            r.gates,
-            r.faults,
-            r.redundant,
-            r.static_proved,
-            r.hit_rate,
-            r.analysis_s,
-            r.oracle_s,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = Json::Object(vec![
+        ("bench", "static_sweep".into()),
+        ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
+        ("jobs", cfg.jobs.into()),
+        ("reps", reps.into()),
+        ("total_redundant", total_redundant.into()),
+        ("total_static_proved", total_proved.into()),
+        ("overall_hit_rate", Json::Fixed(overall, 4)),
+        ("rows", Json::Array(rows)),
+    ])
+    .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
     eprintln!("wrote {}", cfg.out);
 }

@@ -117,12 +117,6 @@ impl Table1Row {
     }
 }
 
-/// Escapes `s` for use inside a JSON string literal in the `BENCH_*.json`
-/// writers (circuit names and verdict labels: backslashes and quotes).
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Prepares a carry-skip adder exactly as the Table I rows: build,
 /// decompose to simple gates, unit delays on every simple gate.
 pub fn table1_csa(bits: usize, block: usize) -> Network {

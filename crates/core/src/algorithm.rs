@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use kms_analysis::SignatureInterner;
 use kms_atpg::{Engine, Fault, ParallelOptions};
+use kms_netlist::json::Json;
 use kms_netlist::{transform, NetlistError, Network, Path};
 use kms_opt::naive_redundancy_removal;
 use kms_proof::CertificationReport;
@@ -202,46 +203,44 @@ pub struct KmsReport {
 }
 
 impl KmsReport {
-    /// JSON object rendering (no trailing newline): the headline numbers,
-    /// per-phase wall-clock, per-phase solver counters, and the
+    /// The report as a JSON object: the headline numbers, per-phase
+    /// wall-clock in nanoseconds, per-phase solver counters, and the
     /// certification ledger when present.
-    pub fn render_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let t = &self.timings;
-        let mut out = format!(
-            "{{\"iterations\": {}, \"removed_redundancies\": {}, \
-             \"gates_before\": {}, \"gates_after\": {}, \"duplicated_gates\": {}, \
-             \"topological_before\": {}, \"topological_after\": {}, \
-             \"max_fanout_before\": {}, \"max_fanout_after\": {}, \"capped\": {}, \
-             \"dropped_longest_paths\": {}, \"unknown\": {}, \
-             \"timings_ns\": {{\"path_enum\": {}, \"oracle\": {}, \"transform\": {}, \
-             \"atpg\": {}, \"engine\": {}}}, \
-             \"oracle_solver\": {}, \"atpg_solver\": {}",
-            self.iterations.len(),
-            self.removed_redundancies.len(),
-            self.gates_before,
-            self.gates_after,
-            self.duplicated_gates,
-            self.topological_before,
-            self.topological_after,
-            self.max_fanout_before,
-            self.max_fanout_after,
-            self.capped,
-            self.dropped_longest_paths,
-            self.unknown,
-            t.path_enum.as_nanos(),
-            t.oracle.as_nanos(),
-            t.transform.as_nanos(),
-            t.atpg.as_nanos(),
-            t.engine.as_nanos(),
-            self.oracle_solver.render_json(),
-            self.atpg_solver.render_json()
-        );
+        let mut fields = vec![
+            ("iterations", self.iterations.len().into()),
+            (
+                "removed_redundancies",
+                self.removed_redundancies.len().into(),
+            ),
+            ("gates_before", self.gates_before.into()),
+            ("gates_after", self.gates_after.into()),
+            ("duplicated_gates", self.duplicated_gates.into()),
+            ("topological_before", self.topological_before.into()),
+            ("topological_after", self.topological_after.into()),
+            ("max_fanout_before", self.max_fanout_before.into()),
+            ("max_fanout_after", self.max_fanout_after.into()),
+            ("capped", self.capped.into()),
+            ("dropped_longest_paths", self.dropped_longest_paths.into()),
+            ("unknown", self.unknown.into()),
+            (
+                "timings_ns",
+                Json::Object(vec![
+                    ("path_enum", t.path_enum.as_nanos().into()),
+                    ("oracle", t.oracle.as_nanos().into()),
+                    ("transform", t.transform.as_nanos().into()),
+                    ("atpg", t.atpg.as_nanos().into()),
+                    ("engine", t.engine.as_nanos().into()),
+                ]),
+            ),
+            ("oracle_solver", self.oracle_solver.to_json()),
+            ("atpg_solver", self.atpg_solver.to_json()),
+        ];
         if let Some(cert) = &self.certification {
-            out.push_str(", \"certification\": ");
-            out.push_str(&cert.render_json());
+            fields.push(("certification", cert.to_json()));
         }
-        out.push('}');
-        out
+        Json::Object(fields)
     }
 }
 

@@ -61,8 +61,8 @@ mod render;
 
 pub use config::{Level, LintConfig};
 pub use diagnostic::{CheckId, Diagnostic, Severity, Site, Tier};
-pub use render::render_json;
 
+use kms_netlist::json::Json;
 use kms_netlist::Network;
 
 /// The result of linting one network: every diagnostic produced by the
@@ -108,10 +108,10 @@ impl LintReport {
         render::render_text(self)
     }
 
-    /// Renders the report as a JSON object (no external dependencies; see
-    /// [`render_json`] for the schema).
-    pub fn to_json(&self, network_name: &str) -> String {
-        render::render_json(self, network_name)
+    /// The report as a JSON object (schema in the `render` module docs);
+    /// `network_name` fills its `network` field.
+    pub fn to_json(&self, network_name: &str) -> Json {
+        render::to_json(self, network_name)
     }
 }
 

@@ -50,6 +50,7 @@ mod topo;
 
 pub mod cone;
 pub mod hash;
+pub mod json;
 pub mod transform;
 
 pub use delay::{Delay, DelayModel};

@@ -4,6 +4,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use kms_netlist::json::Json;
+
 use crate::checker::{CheckError, CheckStats};
 
 /// Counters accumulated over every certificate a run emitted and
@@ -115,37 +117,48 @@ impl CertificationReport {
         out
     }
 
-    /// JSON object rendering (no trailing newline).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"proofs_emitted\": {}, \"proofs_checked\": {}, \"proofs_failed\": {}, \
-             \"check_time_ns\": {}, \"proof_stream_total\": {}, \"proof_stream_max\": {}, \
-             \"stream_ingested\": {}, \"steps_checked\": {}, \"steps_skipped\": {}, \"propagations\": {}, \
-             \"failures\": [",
-            self.proofs_emitted,
-            self.proofs_checked,
-            self.proofs_failed,
-            self.check_time.as_nanos(),
-            self.proof_stream_total,
-            self.proof_stream_max,
-            self.stream_ingested,
-            self.steps_checked,
-            self.steps_skipped,
-            self.propagations
+    /// The ledger as a JSON object; `check_time_ns` is the checker time in
+    /// nanoseconds.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("proofs_emitted", self.proofs_emitted.into()),
+            ("proofs_checked", self.proofs_checked.into()),
+            ("proofs_failed", self.proofs_failed.into()),
+            ("check_time_ns", self.check_time.as_nanos().into()),
+            ("proof_stream_total", self.proof_stream_total.into()),
+            ("proof_stream_max", self.proof_stream_max.into()),
+            ("stream_ingested", self.stream_ingested.into()),
+            ("steps_checked", self.steps_checked.into()),
+            ("steps_skipped", self.steps_skipped.into()),
+            ("propagations", self.propagations.into()),
+            (
+                "failures",
+                Json::Array(self.failures.iter().map(|f| f.as_str().into()).collect()),
+            ),
+        ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ledger_json_escapes_every_failure_label() {
+        // Failure labels embed signal names from the input netlist, so
+        // any character can reach the ledger.
+        let report = CertificationReport {
+            proofs_emitted: 1,
+            proofs_failed: 1,
+            failures: vec!["sens a\"b\\c\nd\te\u{1}f: rejected".into()],
+            ..Default::default()
+        };
+        assert_eq!(
+            report.to_json().compact(),
+            "{\"proofs_emitted\": 1, \"proofs_checked\": 0, \"proofs_failed\": 1, \
+             \"check_time_ns\": 0, \"proof_stream_total\": 0, \"proof_stream_max\": 0, \
+             \"stream_ingested\": 0, \"steps_checked\": 0, \"steps_skipped\": 0, \
+             \"propagations\": 0, \"failures\": [\"sens a\\\"b\\\\c\\nd\\te\\u0001f: rejected\"]}"
         );
-        for (i, fail) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{}\"",
-                fail.replace('\\', "\\\\").replace('"', "\\\"")
-            );
-        }
-        out.push_str("]}");
-        out
     }
 }

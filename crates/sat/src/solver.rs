@@ -32,6 +32,8 @@
 //! unminimized intermediate clause is never logged, hence no deletion
 //! step is owed for it.
 
+use kms_netlist::json::Json;
+
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::budget::{AbortReason, ArmedBudget, Budget};
 use crate::heap::VarHeap;
@@ -138,30 +140,24 @@ impl Stats {
         self.lemmas_imported += other.lemmas_imported;
     }
 
-    /// JSON object rendering (no trailing newline) for report surfaces.
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"sat_calls\": {}, \"conflicts\": {}, \"decisions\": {}, \
-             \"propagations\": {}, \
-             \"restarts\": {}, \"learnts\": {}, \"learned_total\": {}, \
-             \"deleted_total\": {}, \"minimized_lits\": {}, \"lbd_sum\": {}, \
-             \"arena_gc\": {}, \"blocker_hits\": {}, \
-             \"lemmas_exported\": {}, \"lemmas_imported\": {}}}",
-            self.sat_calls,
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.restarts,
-            self.learnts,
-            self.learned_total,
-            self.deleted_total,
-            self.minimized_lits,
-            self.lbd_sum,
-            self.arena_gc,
-            self.blocker_hits,
-            self.lemmas_exported,
-            self.lemmas_imported
-        )
+    /// The counters as a JSON object, in declaration order.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("sat_calls", self.sat_calls.into()),
+            ("conflicts", self.conflicts.into()),
+            ("decisions", self.decisions.into()),
+            ("propagations", self.propagations.into()),
+            ("restarts", self.restarts.into()),
+            ("learnts", self.learnts.into()),
+            ("learned_total", self.learned_total.into()),
+            ("deleted_total", self.deleted_total.into()),
+            ("minimized_lits", self.minimized_lits.into()),
+            ("lbd_sum", self.lbd_sum.into()),
+            ("arena_gc", self.arena_gc.into()),
+            ("blocker_hits", self.blocker_hits.into()),
+            ("lemmas_exported", self.lemmas_exported.into()),
+            ("lemmas_imported", self.lemmas_imported.into()),
+        ])
     }
 }
 

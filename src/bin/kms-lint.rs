@@ -137,7 +137,7 @@ fn main() {
                     continue;
                 }
                 if args.json {
-                    print!("{}", report.to_json(&name));
+                    print!("{}", report.to_json(&name).rows());
                 } else if report.is_clean() {
                     println!("{path}: clean");
                 } else {

@@ -140,7 +140,7 @@ fn sweep_file(
     let analysis = StaticAnalysis::build(&net, &args.opts);
     let report = analysis.report(&faults);
     let rendered = if args.json {
-        report.render_json()
+        report.to_json().rows()
     } else {
         report.render_text()
     };
@@ -261,7 +261,7 @@ fn main() {
     if let Some(ledger) = &ledger {
         if !args.quiet {
             if args.json {
-                print!("{}", ledger.render_json());
+                println!("{}", ledger.to_json().compact());
             } else {
                 print!("{}", ledger.render_text());
             }

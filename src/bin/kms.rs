@@ -204,7 +204,7 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
         .expect("a run without stop_after always completes");
 
     if !args.quiet && args.json {
-        eprintln!("{}", report.render_json());
+        eprintln!("{}", report.to_json().compact());
     }
     if !args.quiet && !args.json {
         eprint!("{}", kms::netlist::NetworkStats::of(&net));
