@@ -2,12 +2,9 @@
 //! per-phase split, and the loop's timing-pass and verdict-cache
 //! counters on prepared Table I circuits. Emits `BENCH_kms.json`.
 //!
-//! Usage: `bench_kms [--smoke] [--jobs N] [--out FILE]`
+//! Usage: `bench_kms [--smoke] [--out FILE]`
 //!
 //! * `--smoke` — two small circuits, one rep: CI schema check.
-//! * `--jobs N` — oracle worker threads inside each iteration (default 1,
-//!   the paper-faithful sequential walk; the loop is bit-identical at
-//!   any job count).
 //! * `--out FILE` — output path (default `BENCH_kms.json`).
 
 use std::time::Instant;
@@ -21,31 +18,23 @@ use kms_timing::InputArrivals;
 
 struct Config {
     smoke: bool,
-    jobs: usize,
     out: String,
 }
 
 fn parse_args() -> Config {
     let mut cfg = Config {
         smoke: false,
-        jobs: 1,
         out: "BENCH_kms.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => cfg.smoke = true,
-            "--jobs" | "-j" => {
-                cfg.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
             "--out" | "-o" => {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_kms [--smoke] [--jobs N] [--out FILE]");
+                eprintln!("usage: bench_kms [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -150,10 +139,7 @@ fn main() {
         v
     };
 
-    let options = KmsOptions {
-        jobs: cfg.jobs,
-        ..Default::default()
-    };
+    let options = KmsOptions::default();
 
     let mut rows = Vec::new();
     for (name, net, arr) in &circuits {
@@ -198,7 +184,6 @@ fn main() {
     let json = Json::Object(vec![
         ("bench", "kms_loop".into()),
         ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
-        ("jobs", cfg.jobs.into()),
         ("reps", reps.into()),
         ("rows", Json::Array(rows)),
     ])

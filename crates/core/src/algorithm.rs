@@ -75,10 +75,6 @@ pub struct KmsOptions {
     /// delay, and sources, so every path maps to an equal-length one);
     /// off by default to match the paper's algorithm exactly.
     pub strash: bool,
-    /// Worker threads for oracle queries within one iteration (`1` =
-    /// sequential). Results commit in path order, so the loop's decisions
-    /// are identical at any job count.
-    pub jobs: usize,
     /// Certify every UNSAT verdict behind the run with an independently
     /// checked proof: unsensitizable-path verdicts in the oracle phase
     /// (static sensitization only — viability verdicts are BDD-backed and
@@ -98,7 +94,6 @@ impl Default for KmsOptions {
             max_longest_paths: 256,
             effort_cap: 1 << 22,
             strash: false,
-            jobs: 1,
             certify: false,
         }
     }
@@ -185,7 +180,7 @@ pub struct KmsReport {
     /// Per-phase wall-clock breakdown.
     pub timings: KmsPhaseTimings,
     /// SAT search counters of the oracle phase (the sensitization
-    /// solvers, summed over all iterations and workers). All zeros under
+    /// solvers, summed over all iterations). All zeros under
     /// the BDD-backed viability condition.
     pub oracle_solver: Stats,
     /// SAT search counters of the final removal phase (the shared-CNF
@@ -533,7 +528,6 @@ pub fn kms_with_control(
             &sta,
             &longest,
             options.condition,
-            options.jobs,
             &mut cache,
             &mut interner,
             certification.as_mut(),
@@ -863,46 +857,6 @@ mod tests {
         assert_invariants(&before, &net, &InputArrivals::zero());
     }
 
-    /// The oracle worker pool is a performance switch, not a semantic
-    /// one: same final netlist, same iteration trace, same removals at
-    /// any job count. Each run times the network once per loop pass.
-    #[test]
-    fn parallel_is_bit_identical() {
-        for condition in [Condition::StaticSensitization, Condition::Viability] {
-            let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
-            transform::decompose_to_simple(&mut net);
-            net.apply_delay_model(kms_netlist::DelayModel::Unit);
-            let arr = InputArrivals::zero();
-            let base = KmsOptions {
-                condition,
-                ..Default::default()
-            };
-            let (seq, r_seq) = kms_on_copy(&net, &arr, base).unwrap();
-            let (par, r_par) = kms_on_copy(&net, &arr, KmsOptions { jobs: 4, ..base }).unwrap();
-            assert_eq!(seq.dump(), par.dump(), "{condition:?}: final netlists");
-            assert_eq!(
-                r_seq.removed_redundancies, r_par.removed_redundancies,
-                "{condition:?}"
-            );
-            assert_eq!(r_seq.iterations.len(), r_par.iterations.len());
-            for (a, b) in r_seq.iterations.iter().zip(&r_par.iterations) {
-                assert_eq!(a.path, b.path, "{condition:?}: iteration trace diverged");
-                assert_eq!((a.duplicated, a.constant), (b.duplicated, b.constant));
-            }
-            assert!(
-                !r_seq.iterations.is_empty(),
-                "{condition:?}: loop must fire"
-            );
-            for r in [&r_seq, &r_par] {
-                assert_eq!(
-                    r.engine.full_recomputes,
-                    1 + r.iterations.len() as u64,
-                    "{condition:?}"
-                );
-            }
-        }
-    }
-
     /// Cross-iteration caching fires on repeated constraint sets and the
     /// counters land in the report.
     #[test]
@@ -921,7 +875,7 @@ mod tests {
 
     /// Certification is a pure observer: same netlist, same trace, same
     /// removals — and every UNSAT verdict behind the run carries a proof
-    /// that the independent checker accepts, at any job count.
+    /// that the independent checker accepts.
     #[test]
     fn certified_run_is_bit_identical_and_fully_verified() {
         let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
@@ -930,44 +884,33 @@ mod tests {
         let arr = InputArrivals::zero();
         let (plain, r_plain) = kms_on_copy(&net, &arr, KmsOptions::default()).unwrap();
         assert!(r_plain.certification.is_none());
-        for jobs in [1, 4] {
-            let (cert, r_cert) = kms_on_copy(
-                &net,
-                &arr,
-                KmsOptions {
-                    certify: true,
-                    jobs,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(plain.dump(), cert.dump(), "jobs={jobs}: final netlists");
-            assert_eq!(r_plain.removed_redundancies, r_cert.removed_redundancies);
-            assert_eq!(r_plain.iterations.len(), r_cert.iterations.len());
-            for (a, b) in r_plain.iterations.iter().zip(&r_cert.iterations) {
-                assert_eq!(a.path, b.path, "jobs={jobs}: iteration trace diverged");
-            }
-            let ledger = r_cert.certification.as_ref().expect("certify ledger");
-            assert!(ledger.all_verified(), "failures: {:?}", ledger.failures);
-            // The loop fires on this circuit, so unsensitizable paths and
-            // removal-phase verdicts both contribute proofs.
-            assert!(ledger.proofs_checked > 0);
-            assert!(r_cert.oracle_solver.propagations > 0);
+        let (cert, r_cert) = kms_on_copy(
+            &net,
+            &arr,
+            KmsOptions {
+                certify: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(plain.dump(), cert.dump(), "final netlists");
+        assert_eq!(r_plain.removed_redundancies, r_cert.removed_redundancies);
+        assert_eq!(r_plain.iterations.len(), r_cert.iterations.len());
+        for (a, b) in r_plain.iterations.iter().zip(&r_cert.iterations) {
+            assert_eq!(a.path, b.path, "iteration trace diverged");
         }
+        let ledger = r_cert.certification.as_ref().expect("certify ledger");
+        assert!(ledger.all_verified(), "failures: {:?}", ledger.failures);
+        // The loop fires on this circuit, so unsensitizable paths and
+        // removal-phase verdicts both contribute proofs.
+        assert!(ledger.proofs_checked > 0);
+        assert!(r_cert.oracle_solver.propagations > 0);
     }
 
     /// Everything the two reports must agree on when one run was
     /// checkpointed, killed, and resumed: the wall-clock timings are the
     /// only excluded fields.
     fn assert_reports_identical(a: &KmsReport, b: &KmsReport, context: &str) {
-        assert_reports_agree(a, b, context, true);
-    }
-
-    /// The cross-mode variant: solver and cache *counters* are not
-    /// invariant across job count (workers' solvers serve different query
-    /// subsets, and speculative verdicts enter the cache), even though
-    /// every verdict is — so the counter comparison is optional.
-    fn assert_reports_agree(a: &KmsReport, b: &KmsReport, context: &str, solver_stats: bool) {
         assert_eq!(a.iterations.len(), b.iterations.len(), "{context}");
         for (x, y) in a.iterations.iter().zip(&b.iterations) {
             assert_eq!(x.path, y.path, "{context}: iteration trace diverged");
@@ -1011,11 +954,9 @@ mod tests {
             "{context}"
         );
         assert_eq!(a.unknown, b.unknown, "{context}");
-        if solver_stats {
-            assert_eq!(a.oracle_solver, b.oracle_solver, "{context}");
-            assert_eq!(a.atpg_solver, b.atpg_solver, "{context}");
-            assert_eq!(a.engine, b.engine, "{context}");
-        }
+        assert_eq!(a.oracle_solver, b.oracle_solver, "{context}");
+        assert_eq!(a.atpg_solver, b.atpg_solver, "{context}");
+        assert_eq!(a.engine, b.engine, "{context}");
         match (&a.certification, &b.certification) {
             (None, None) => {}
             (Some(x), Some(y)) => {
@@ -1196,16 +1137,15 @@ mod tests {
                 ..options
             }
         ));
-        // Right run: accepted (and `jobs` does not participate — it is a
-        // proven bit-identity switch).
+        // Right run: accepted.
         let ck = Checkpoint::load(&path).unwrap();
-        assert!(ck.matches(&net, &arr, &KmsOptions { jobs: 4, ..options }));
+        assert!(ck.matches(&net, &arr, &options));
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Resume composes with the job counts: a resumed run at jobs=4, or
-    /// at a different removal-engine job count, still reproduces the
-    /// uninterrupted sequential run.
+    /// Resume composes with the removal engine's job count: a checkpoint
+    /// written at `ParallelOptions::jobs = 2` resumes at 1 and still
+    /// reproduces the uninterrupted run.
     #[test]
     fn resume_is_bit_identical_across_modes() {
         let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
@@ -1215,40 +1155,6 @@ mod tests {
         let options = KmsOptions::default();
         let (base_net, base_report) = kms_on_copy(&net, &arr, options).unwrap();
         let path = ckpt_path("modes");
-        let mut first = net.clone();
-        kms_with_control(
-            &mut first,
-            &arr,
-            options,
-            RunControl {
-                checkpoint: Some(path.clone()),
-                stop_after: Some(1),
-                resume: None,
-            },
-        )
-        .unwrap();
-        let ck = Checkpoint::load(&path).unwrap();
-        let mut resumed = net.clone();
-        let report = kms_with_control(
-            &mut resumed,
-            &arr,
-            KmsOptions { jobs: 4, ..options },
-            RunControl {
-                resume: Some(ck),
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .expect("completes");
-        assert_eq!(base_net.dump(), resumed.dump());
-        // Verdicts (and hence the trace, removals, and metrics) are
-        // job-count-invariant; raw counters are not — parallel workers
-        // split the query stream.
-        assert_reports_agree(&base_report, &report, "jobs=4 resume", false);
-        std::fs::remove_file(&path).unwrap();
-
-        // The removal engine's job count is a bit-identity switch too: a
-        // checkpoint written at `ParallelOptions::jobs = 2` resumes at 1.
         let two = KmsOptions {
             engine: Engine::SharedSat(ParallelOptions {
                 jobs: 2,

@@ -99,10 +99,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The run-identity fingerprint: circuit, arrivals, and the options that
 /// change observable behavior. The removal engine enters as the options
-/// the removal phase actually runs with. Job counts — both
-/// [`KmsOptions::jobs`] and [`kms_atpg::ParallelOptions::jobs`] — are
-/// deliberately excluded: they are proven bit-identity switches, so a run
-/// may resume with a different job count.
+/// the removal phase actually runs with, except its job count
+/// ([`kms_atpg::ParallelOptions::jobs`]): that is a proven bit-identity
+/// switch, so a run may resume with a different job count.
 pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &KmsOptions) -> u64 {
     let mut s = net.dump();
     for (pos, &input) in net.inputs().iter().enumerate() {
@@ -657,10 +656,10 @@ mod tests {
         ));
     }
 
-    /// A file in the v1 format (written before the cone-scoped timing
-    /// engine was retired) is refused with a typed error, even when its
-    /// digest is intact: its engine line has an extra counter and its
-    /// cache/interner sections may be absent.
+    /// Files in the v1 format (written before the cone-scoped timing
+    /// engine was retired) and the v2 format (before the ledger's
+    /// `stream_ingested` counter) are refused with a typed error, even
+    /// when their digest is intact.
     #[test]
     fn v1_checkpoint_is_a_version_error() {
         let payload = "fingerprint 00000000deadbeef\n\
@@ -673,13 +672,15 @@ mod tests {
                        interner -\n\
                        net 0\n\
                        end\n";
-        let text = format!(
-            "kms-checkpoint v1\ndigest {:016x}\n{payload}",
-            super::fnv1a64(payload.as_bytes())
-        );
-        match Checkpoint::parse(&text) {
-            Err(CheckpointError::Version(h)) => assert_eq!(h, "kms-checkpoint v1"),
-            other => panic!("expected a version error, got {other:?}"),
+        for header in ["kms-checkpoint v1", "kms-checkpoint v2"] {
+            let text = format!(
+                "{header}\ndigest {:016x}\n{payload}",
+                super::fnv1a64(payload.as_bytes())
+            );
+            match Checkpoint::parse(&text) {
+                Err(CheckpointError::Version(h)) => assert_eq!(h, header),
+                other => panic!("{header}: expected a version error, got {other:?}"),
+            }
         }
     }
 }

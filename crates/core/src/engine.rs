@@ -1,6 +1,6 @@
 //! The engine room of the KMS loop: the cross-iteration verdict cache,
-//! the (optionally parallel) oracle phase, and the critical-path counter
-//! behind the no-silent-caps accounting.
+//! the oracle phase, and the critical-path counter behind the
+//! no-silent-caps accounting.
 //!
 //! The loop in [`crate::kms`] asks one question per longest path each
 //! iteration: "does this path satisfy the condition (static
@@ -13,21 +13,10 @@
 //! across the whole run: a duplicated-but-functionally-unchanged cone
 //! hits the cache instead of rebuilding a BDD or re-running SAT.
 //!
-//! Cache misses go to a lazily built per-iteration oracle; with
-//! `jobs > 1` the misses fan out over a scoped thread pool — workers
-//! claim contiguous *chunks* of the miss list off an atomic counter and
-//! send one message per chunk, and the main thread reassembles chunks by
-//! index and commits verdicts in miss order (the same scheduler shape as
-//! the classification pool in `kms-atpg`). The observable outcome —
-//! which path breaks the loop, which becomes the target — is
-//! bit-identical to the sequential walk.
-
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
-
-use kms_sat::lock_unpoisoned;
+//! The oracle phase is Fig. 3's while-loop header as one in-order walk:
+//! each longest path is looked up in the cache, a miss goes to an oracle
+//! built lazily once per iteration, and the walk stops at the first path
+//! that satisfies the condition.
 
 use kms_analysis::{SignatureInterner, Signatures};
 use kms_netlist::{FxHashMap, GateKind, NetlistError, Network, Path};
@@ -95,25 +84,22 @@ impl<'a> ConditionOracle<'a> {
         }
     }
 
-    pub(crate) fn satisfies(&mut self, net: &Network, path: &Path) -> Result<bool, NetlistError> {
-        match self {
-            ConditionOracle::Sens(o) => o.is_sensitizable(net, path),
-            ConditionOracle::Via(v) => v.is_viable(path),
-        }
-    }
-
-    /// As [`ConditionOracle::satisfies`], certifying negative
-    /// static-sensitization verdicts into `report` and returning the
-    /// certificate digest. Viability verdicts pass through uncertified.
-    pub(crate) fn satisfies_certified(
+    /// Whether `path` satisfies the condition, plus — when `certify` is
+    /// given — the digest of the checked certificate behind a negative
+    /// static-sensitization verdict. Viability verdicts are BDD-backed
+    /// and pass through uncertified.
+    pub(crate) fn satisfies(
         &mut self,
         net: &Network,
         path: &Path,
-        report: &mut CertificationReport,
+        certify: Option<&mut CertificationReport>,
     ) -> Result<(bool, Option<u64>), NetlistError> {
-        match self {
-            ConditionOracle::Sens(o) => o.is_sensitizable_certified(net, path, report),
-            ConditionOracle::Via(v) => Ok((v.is_viable(path)?, None)),
+        match (self, certify) {
+            (ConditionOracle::Sens(o), Some(report)) => {
+                o.is_sensitizable_certified(net, path, report)
+            }
+            (ConditionOracle::Sens(o), None) => Ok((o.is_sensitizable(net, path)?, None)),
+            (ConditionOracle::Via(v), _) => Ok((v.is_viable(path)?, None)),
         }
     }
 
@@ -205,34 +191,10 @@ pub(crate) struct OracleOutcome {
     pub(crate) target: Option<Path>,
 }
 
-/// Scans the verdict prefix: `Some((any_true, first_false))` once the
-/// outcome is determined (a satisfying path reached with no unknowns
-/// before it, or the whole list resolved), `None` while unknowns block.
-fn decide(verdicts: &[Option<bool>]) -> Option<(bool, Option<usize>)> {
-    let mut first_false = None;
-    for (i, v) in verdicts.iter().enumerate() {
-        match v {
-            None => return None,
-            Some(true) => return Some((true, first_false)),
-            Some(false) => {
-                if first_false.is_none() {
-                    first_false = Some(i);
-                }
-            }
-        }
-    }
-    Some((false, first_false))
-}
-
-/// Runs the while-loop header check over `longest`, with verdict caching
-/// and optional parallel miss resolution.
-///
-/// Observable behavior is bit-identical to the sequential uncached walk
-/// ("query in order, stop at the first satisfying path"): verdicts are
-/// deterministic, cached entries merely skip the oracle, and parallel
-/// workers commit in order. Speculative verdicts computed past the stop
-/// point still enter the cache (they are correct; they can only turn
-/// future misses into hits).
+/// Runs the while-loop header check over `longest`: walks the paths in
+/// order, answers each from the verdict cache or — on a miss — from the
+/// iteration's lazily built oracle (whose verdict then enters the
+/// cache), and stops at the first path that satisfies the condition.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn oracle_phase(
     net: &Network,
@@ -240,269 +202,45 @@ pub(crate) fn oracle_phase(
     sta: &Sta,
     longest: &[Path],
     condition: Condition,
-    jobs: usize,
     cache: &mut VerdictCache,
     interner: &mut SignatureInterner,
     mut certify: Option<&mut CertificationReport>,
     oracle_stats: &mut Stats,
 ) -> Result<OracleOutcome, NetlistError> {
     let sigs = interner.sign_network(net);
-    let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(longest.len());
-    let mut keys: Vec<Option<Vec<(u32, bool)>>> = Vec::with_capacity(longest.len());
+    let mut oracle: Option<ConditionOracle> = None;
+    let mut any_sensitizable = false;
+    let mut first_false: Option<&Path> = None;
     for p in longest {
         let key = constraint_key(net, sta, p, condition, &sigs)?;
-        let hit = cache.map.get(&key).map(|&(v, _digest)| v);
-        match hit {
-            Some(_) => cache.hits += 1,
-            None => cache.misses += 1,
-        }
-        verdicts.push(hit);
-        keys.push(Some(key));
-    }
-    // Paths past the first cached-satisfying one never need a query.
-    let stop_at = verdicts
-        .iter()
-        .position(|v| *v == Some(true))
-        .map_or(longest.len(), |i| i + 1);
-    let misses: Vec<usize> = (0..stop_at).filter(|&i| verdicts[i].is_none()).collect();
-
-    if !misses.is_empty() {
-        if jobs <= 1 || misses.len() == 1 {
-            let mut oracle: Option<ConditionOracle> = None;
-            for &i in &misses {
-                if decide(&verdicts).is_some() {
-                    break; // an earlier satisfying path ends the scan
-                }
+        let satisfies = match cache.map.get(&key) {
+            Some(&(v, _digest)) => {
+                cache.hits += 1;
+                v
+            }
+            None => {
+                cache.misses += 1;
                 let o = oracle.get_or_insert_with(|| {
                     ConditionOracle::new(net, arrivals, condition, certify.is_some())
                 });
-                let (v, digest) = match certify.as_deref_mut() {
-                    Some(report) => o.satisfies_certified(net, &longest[i], report)?,
-                    None => (o.satisfies(net, &longest[i])?, None),
-                };
-                verdicts[i] = Some(v);
-                if let Some(k) = keys[i].take() {
-                    cache.map.insert(k, (v, digest));
-                }
-            }
-            if let Some(o) = &oracle {
-                oracle_stats.merge(&o.stats());
-            }
-        } else {
-            resolve_parallel(
-                net,
-                arrivals,
-                longest,
-                condition,
-                jobs,
-                &misses,
-                &mut verdicts,
-                certify,
-                oracle_stats,
-                |i, v, digest| {
-                    if let Some(k) = keys[i].take() {
-                        cache.map.insert(k, (v, digest));
-                    }
-                },
-            )?;
-        }
-    }
-
-    let (any_sensitizable, first_false) =
-        decide(&verdicts).expect("all verdicts up to the stop point resolved");
-    Ok(OracleOutcome {
-        any_sensitizable,
-        target: first_false.map(|i| longest[i].clone()),
-    })
-}
-
-/// Resolves `misses` over a scoped worker pool with chunked claiming and
-/// in-order commit. Workers claim contiguous chunks of the miss list off
-/// an atomic counter (one channel message per chunk, so channel and
-/// counter traffic is amortized), build their oracle lazily, and keep
-/// going until the list is exhausted or the pool is stopped. The main
-/// thread reassembles chunks by index, commits verdicts in miss order,
-/// stops the pool once the outcome is decided (or an error commits), and
-/// passes every committed verdict to `seen`. A batch can be partial only
-/// after the stop flag is up — i.e. after the outcome is decided — so
-/// the in-order prefix the decision reads is never gapped. With
-/// `certify` set, each worker keeps its own proof ledger (merged at
-/// worker exit — speculative certificates past the stop point are
-/// counted too; any check failure is an alarm regardless of where it
-/// happened), and per-worker solver counters land in `oracle_stats`.
-#[allow(clippy::too_many_arguments)]
-fn resolve_parallel(
-    net: &Network,
-    arrivals: &InputArrivals,
-    longest: &[Path],
-    condition: Condition,
-    jobs: usize,
-    misses: &[usize],
-    verdicts: &mut [Option<bool>],
-    certify: Option<&mut CertificationReport>,
-    oracle_stats: &mut Stats,
-    mut seen: impl FnMut(usize, bool, Option<u64>),
-) -> Result<(), NetlistError> {
-    // Chunks target ~4 claims per worker: path checks are coarse (each
-    // may run a SAT query), so modest chunks keep the tail balanced.
-    let chunk = (misses.len() / (jobs * 4)).clamp(1, 8);
-    let num_chunks = misses.len().div_ceil(chunk);
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let do_certify = certify.is_some();
-    let agg: Mutex<(Stats, CertificationReport)> = Mutex::new(Default::default());
-    let mut outcome: Result<(), NetlistError> = Ok(());
-    std::thread::scope(|scope| {
-        type Item = (usize, Result<(bool, Option<u64>), NetlistError>);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Item>)>();
-        for _ in 0..jobs.min(num_chunks) {
-            let tx = tx.clone();
-            let (next, stop, agg) = (&next, &stop, &agg);
-            scope.spawn(move || {
-                let mut oracle: Option<ConditionOracle> = None;
-                let mut local = do_certify.then(CertificationReport::default);
-                let mut lost_stats = Stats::default();
-                'claims: loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    let lo = c * chunk;
-                    if lo >= misses.len() || stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(misses.len());
-                    let mut batch: Vec<Item> = Vec::with_capacity(hi - lo);
-                    for k in lo..hi {
-                        if stop.load(Ordering::Relaxed) {
-                            // Ship what we have: partial batches happen
-                            // only after the outcome is decided, so the
-                            // committed prefix stays gap-free.
-                            let _ = tx.send((c, batch));
-                            break 'claims;
-                        }
-                        // Panic shield: a panic inside one path's query
-                        // becomes a typed error that decides the phase,
-                        // instead of unwinding through the scope and
-                        // aborting the whole run. The oracle may be
-                        // mid-query when it unwinds, so it is discarded
-                        // (counters salvaged) rather than reused.
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            let o = oracle.get_or_insert_with(|| {
-                                ConditionOracle::new(net, arrivals, condition, do_certify)
-                            });
-                            match local.as_mut() {
-                                Some(report) => {
-                                    o.satisfies_certified(net, &longest[misses[k]], report)
-                                }
-                                None => o.satisfies(net, &longest[misses[k]]).map(|v| (v, None)),
-                            }
-                        }))
-                        .unwrap_or_else(|_| {
-                            if let Some(o) = oracle.take() {
-                                lost_stats.merge(&o.stats());
-                            }
-                            Err(NetlistError::ExecutionFailed {
-                                context: "oracle worker panicked during a path query".to_string(),
-                            })
-                        });
-                        let failed = r.is_err();
-                        batch.push((k, r));
-                        if failed {
-                            // The error decides the phase as soon as it
-                            // commits; nothing after it matters.
-                            let _ = tx.send((c, batch));
-                            break 'claims;
-                        }
-                    }
-                    if tx.send((c, batch)).is_err() {
-                        break;
-                    }
-                }
-                let mut total = lock_unpoisoned(agg);
-                total.0.merge(&lost_stats);
-                if let Some(o) = &oracle {
-                    total.0.merge(&o.stats());
-                }
-                if let Some(report) = local {
-                    total.1.merge(&report);
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: BTreeMap<usize, Vec<Item>> = BTreeMap::new();
-        let mut decided = false;
-        let mut commit = |r: Result<(bool, Option<u64>), NetlistError>,
-                          i: usize,
-                          decided: &mut bool,
-                          outcome: &mut Result<(), NetlistError>| {
-            if *decided {
-                // Speculative result past the stop point: cache it,
-                // don't let it influence the outcome.
-                if let Ok((v, digest)) = r {
-                    seen(i, v, digest);
-                }
-                return;
-            }
-            match r {
-                Ok((v, digest)) => {
-                    verdicts[i] = Some(v);
-                    seen(i, v, digest);
-                    if decide(verdicts).is_some() {
-                        *decided = true;
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    *outcome = Err(e);
-                    *decided = true;
-                    stop.store(true, Ordering::Relaxed);
-                }
+                let (v, digest) = o.satisfies(net, p, certify.as_deref_mut())?;
+                cache.map.insert(key, (v, digest));
+                v
             }
         };
-        'chunks: for c in 0..num_chunks {
-            let batch = loop {
-                if let Some(b) = pending.remove(&c) {
-                    break b;
-                }
-                match rx.recv() {
-                    Ok((j, b)) => {
-                        pending.insert(j, b);
-                    }
-                    // Channel closed. After a decision that is the pool
-                    // winding down; before one it means every worker died
-                    // without shipping its chunk — surface a typed error
-                    // instead of panicking over the gapped prefix.
-                    Err(_) => {
-                        if !decided {
-                            outcome = Err(NetlistError::ExecutionFailed {
-                                context: "oracle worker pool died before deciding the phase"
-                                    .to_string(),
-                            });
-                            decided = true;
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        break 'chunks;
-                    }
-                }
-            };
-            for (k, r) in batch {
-                commit(r, misses[k], &mut decided, &mut outcome);
-            }
+        if satisfies {
+            any_sensitizable = true;
+            break;
         }
-        // Late speculative batches that arrived out of order: feed the
-        // cache, never the outcome.
-        for (_, batch) in pending {
-            for (k, r) in batch {
-                commit(r, misses[k], &mut decided, &mut outcome);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        drop(rx);
-    });
-    let (stats, certs) = agg.into_inner().unwrap_or_else(PoisonError::into_inner);
-    oracle_stats.merge(&stats);
-    if let Some(report) = certify {
-        report.merge(&certs);
+        first_false.get_or_insert(p);
     }
-    outcome
+    if let Some(o) = &oracle {
+        oracle_stats.merge(&o.stats());
+    }
+    Ok(OracleOutcome {
+        any_sensitizable,
+        target: first_false.cloned(),
+    })
 }
 
 /// Exact count of maximal-length IO-paths (per primary output), by
@@ -583,6 +321,39 @@ mod tests {
                 .count() as u64;
             assert_eq!(count_critical_paths(&net, &sta), enumerated);
         }
+    }
+
+    /// The walk stops at the first satisfying path: when the first of
+    /// several longest paths is sensitizable, the phase makes one cache
+    /// lookup and one oracle query.
+    #[test]
+    fn first_sensitizable_path_ends_the_walk() {
+        let net = wide(3);
+        let arr = InputArrivals::zero();
+        let sta = Sta::run(&net, &arr);
+        let longest: Vec<Path> = PathEnumerator::new(&net, &arr)
+            .take_while(|&(_, len)| len == sta.delay())
+            .map(|(p, _)| p)
+            .collect();
+        assert!(longest.len() > 1);
+        let mut cache = VerdictCache::default();
+        let mut stats = Stats::default();
+        let outcome = oracle_phase(
+            &net,
+            &arr,
+            &sta,
+            &longest,
+            Condition::StaticSensitization,
+            &mut cache,
+            &mut SignatureInterner::new(),
+            None,
+            &mut stats,
+        )
+        .unwrap();
+        assert!(outcome.any_sensitizable);
+        assert!(outcome.target.is_none());
+        assert_eq!((cache.hits, cache.misses), (0, 1));
+        assert_eq!(stats.sat_calls, 1);
     }
 
     /// The loop counts on a fresh [`Sta`] of the network it just
