@@ -1,85 +1,47 @@
-//! Shared-CNF, fault-dropping, optionally parallel fault classification.
+//! Shared-CNF, fault-dropping fault classification.
 //!
 //! The per-fault SAT engine in [`crate::engine`] rebuilds a solver and
 //! re-encodes the (cone of the) network for every query. This module keeps
-//! **one incremental solver per worker**: good-circuit clauses are
+//! **one incremental solver per run**: good-circuit clauses are
 //! Tseitin-encoded at most once per gate per network state (lazily, as
 //! fault cones demand them), and each fault adds only its faulty-cone
 //! clauses, guarded by a fresh *activation literal* that is assumed for the
 //! query and permanently falsified afterwards.
 //!
-//! # Parallel runtime
-//!
-//! Survivor slots are claimed in **chunks** off a shared atomic counter
-//! (work-stealing without a deque: an idle worker simply claims the next
-//! chunk, so load imbalance is bounded by one chunk). Each worker runs its
-//! own [`SharedCnf`]; commit is **cooperative** — there is no committer
-//! thread. A worker that finishes a chunk parks it in a [`BTreeMap`] under
-//! the commit mutex, and whichever worker completes the in-order-next
-//! chunk drains the consecutive prefix, committing verdicts strictly in
-//! fault-list order inside one short critical section (usually its own
-//! chunk, in its own timeslice — no context switch per chunk). Two
-//! mechanisms keep speculation from outrunning the drop cascade: workers
-//! **pace** themselves to within a few chunks of the commit frontier
-//! (past it they park on a condvar instead of solving faults the cascade
-//! is about to settle — the reason a 4-worker run on a single hardware
-//! thread costs about the same as the in-line engine), and every
-//! committed detecting vector is republished through a [`CommitLog`] that
-//! workers cone-simulate claimed faults against before solving. Workers also **share learnt clauses**: short/low-LBD lemmas whose
-//! literals all map to gate slots are translated into slot space, published
-//! to a bounded pool, and imported by the other workers at chunk
-//! boundaries. An imported lemma holds in every evaluation of the circuit
-//! (it was derived from clauses that do), so it can only prune search,
-//! never change a verdict — which is also why sharing is disabled under
-//! [`ParallelOptions::certify`], where every solver clause must have a DRAT
-//! derivation.
-//!
-//! Three properties make the engine exactly reproducible at any thread
-//! count:
+//! Faults are decided in-line, in fault-list order, and two properties
+//! make the report a function of the network and the fault list alone:
 //!
 //! 1. **Canonical verdicts.** A redundancy verdict is an UNSAT answer —
 //!    a semantic property of the formula, independent of search history.
 //!    Test vectors are canonicalized to the *lexicographically smallest*
 //!    detecting input assignment (a chain of incremental queries pinning
 //!    inputs to 0 where possible), which is likewise a function of the
-//!    fault alone, not of the learnt clauses a worker happens to carry.
-//! 2. **Dynamic fault-dropping with in-order commit.** Committed vectors
-//!    accumulate in a pending batch; each slot is checked against the batch
-//!    when its turn comes (one word-parallel cone simulation per slot), and
+//!    fault alone, not of the learnt clauses the solver happens to carry.
+//! 2. **Dynamic fault-dropping in list order.** Committed vectors
+//!    accumulate in a pending batch; each fault is checked against the
+//!    batch when its turn comes (one word-parallel cone simulation), and
 //!    every [`DROP_FLUSH`] commits the batch is flushed across all
-//!    still-undecided survivors at once, setting the advisory drop flags
-//!    workers use to skip speculative solves. A dropped fault is credited
-//!    to the earliest committed vector that detects it. All of this is a
-//!    function of slot order alone, so the cascade — and therefore the
-//!    whole [`TestabilityReport`] — is identical at any job count, bit for
-//!    bit. A redundancy scan ([`scan_for_redundancy`]) never flushes: it
-//!    seeds the checker with the caller's cached tests and screens each
-//!    slot only when its turn comes, so it stops simulating at the first
-//!    redundancy.
-//! 3. **Deterministic assembly.** Verdict slots are indexed by fault-list
-//!    position; thread scheduling can change only how much speculative work
-//!    is wasted, never what is reported.
+//!    still-undecided faults at once. A dropped fault is credited to the
+//!    earliest committed vector that detects it. A redundancy scan
+//!    ([`scan_for_redundancy`]) never flushes: it seeds the checker with
+//!    the caller's cached tests and screens each fault only when its turn
+//!    comes, so it stops simulating at the first redundancy.
 //!
 //! The topology tables every stage needs (CSR fanouts, topo order and
 //! positions) are computed **once per run** as a [`Topology`] and shared by
-//! reference across the pre-screen simulation, every worker, and the drop
-//! cascade — previously each of those recomputed `fanouts()` and
-//! `topo_order()` per call, which dominated the profile on the larger MCNC
-//! circuits.
+//! reference across the pre-screen simulation, the solver context and the
+//! drop cascade.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 
 use kms_netlist::json::Json;
 use kms_netlist::{ConnRef, GateId, Network, Topology};
 use kms_proof::{core_conclusion, Certificate, CertificationReport, Session};
-use kms_sat::{encode_gate, lock_unpoisoned, Budget, Lit, SatResult, Solver, Stats};
+use kms_sat::{encode_gate, Budget, Lit, SatResult, Solver, Stats};
 
 use crate::engine::{random_tests, Testability, TestabilityReport, UnknownReason};
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim};
+use crate::fsim::{fault_simulate_cone_with, ConeSim};
 use crate::podem::{Podem, PodemResult};
 
 /// PODEM backtrack budget for the structural pre-pass of
@@ -96,20 +58,6 @@ const PODEM_BUDGET: u64 = 128;
 /// machine word of patterns, so the flush costs the same cone walk a
 /// single-vector cascade pass used to).
 const DROP_FLUSH: usize = 64;
-
-/// Lemma-sharing export caps: clauses longer than this or with higher LBD
-/// stay private to their worker (binaries always qualify).
-const SHARED_LEMMA_MAX_LEN: usize = 8;
-const SHARED_LEMMA_MAX_LBD: u32 = 4;
-
-/// Upper bound on pooled lemmas per run; beyond it workers keep their
-/// clauses private (logged nowhere — the pool is advisory pruning only).
-const LEMMA_POOL_CAP: usize = 1 << 14;
-
-/// Hard cap for `jobs: 0` auto-detection. Classification workers contend
-/// on memory bandwidth well before this; past experiments show no row
-/// improving beyond 8 workers even on wide machines.
-const MAX_AUTO_JOBS: usize = 8;
 
 /// Resource ceilings applied to every solver query issued while
 /// classifying one fault: the shared-CNF decision query and each lex-min
@@ -192,10 +140,9 @@ impl FaultBudget {
 /// ([`crate::Engine::SharedSat`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ParallelOptions {
-    /// Worker threads for SAT classification and the pattern-parallel
-    /// pre-screen; `0` uses the machine's available parallelism (capped),
-    /// `1` runs fully in-line (no threads spawned). Any value yields the
-    /// identical [`TestabilityReport`].
+    /// Ignored: classification always runs in-line on the calling thread.
+    /// The field stays only so that code naming it still compiles.
+    #[doc(hidden)]
     pub jobs: usize,
     /// Random patterns simulated up front so that easily-detected faults
     /// never reach the solver; `0` disables the pre-screen.
@@ -206,16 +153,15 @@ pub struct ParallelOptions {
     /// `Redundant` verdict. All redundancy claims — including PODEM's
     /// decision-tree exhaustions and the structural unreachable-output
     /// shortcut — are re-derived as incremental UNSAT queries on the
-    /// shared CNF so each comes with an assumption core. Cross-worker
-    /// lemma sharing is disabled (an imported clause has no derivation in
-    /// the importer's proof stream). Verdicts are semantic, so the
-    /// [`TestabilityReport`] stays bit-identical; only the cost changes.
+    /// shared CNF so each comes with an assumption core. Verdicts are
+    /// semantic, so the [`TestabilityReport`] stays bit-identical; only
+    /// the cost changes.
     pub certify: bool,
     /// Per-fault solver budget. `None` (the default) runs unbudgeted and
     /// every fault is decided. With a budget, an exhausted query yields
     /// [`Testability::Unknown`] for that fault alone; when no fault
-    /// aborts at any job count, the report is bit-identical to an
-    /// unbudgeted run (the budget check never steers the search).
+    /// aborts, the report is bit-identical to an unbudgeted run (the
+    /// budget check never steers the search).
     pub fault_budget: Option<FaultBudget>,
 }
 
@@ -231,21 +177,6 @@ impl Default for ParallelOptions {
     }
 }
 
-impl ParallelOptions {
-    /// `jobs` resolved against the machine (0 = available parallelism,
-    /// capped at [`MAX_AUTO_JOBS`]).
-    pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_AUTO_JOBS)
-        } else {
-            self.jobs
-        }
-    }
-}
-
 /// The outcome of [`scan_for_redundancy`].
 #[derive(Clone, Debug)]
 pub struct RedundancyScan {
@@ -255,20 +186,17 @@ pub struct RedundancyScan {
     /// commit order — callers cache these across removal restarts so later
     /// scans drop the same faults without a solver call.
     pub tests: Vec<Vec<bool>>,
-    /// Aggregated solver counters across every worker of the scan.
+    /// Solver counters of the scan.
     pub solver: Stats,
     /// Faults that reached a per-fault decision procedure (PODEM or SAT)
-    /// across every worker — what the random patterns and drops did not
-    /// settle.
+    /// — what the cached tests and drops did not settle.
     pub engine_calls: u64,
-    /// Certification accounting when [`ParallelOptions::certify`] is on.
-    /// Covers every certificate the workers emitted, including
-    /// speculative verdicts past the first committed redundancy — a
-    /// failed check anywhere is a soundness alarm regardless of whether
-    /// that verdict was put to use.
+    /// Certification accounting when [`ParallelOptions::certify`] is on:
+    /// every certificate the scan emitted. A failed check is a soundness
+    /// alarm.
     pub certification: Option<CertificationReport>,
     /// Faults committed as [`Testability::Unknown`] before the scan
-    /// stopped (budget exhaustion or an isolated worker panic). A
+    /// stopped (budget exhaustion or an isolated panic). A
     /// non-zero count means "no redundancy found" is no longer a proof
     /// of irredundancy — callers degrade their exit status accordingly.
     pub unknown: usize,
@@ -281,7 +209,8 @@ pub struct RedundancyScan {
 pub struct ClassifyReport {
     /// The per-fault verdicts.
     pub testability: TestabilityReport,
-    /// Solver counters summed over every worker's incremental solver.
+    /// Counters of the run's incremental solver (summed with any context
+    /// rebuilt after an isolated panic).
     pub solver: Stats,
     /// Faults that reached a per-fault decision procedure (PODEM or SAT):
     /// total faults minus those settled by random-vector simulation or
@@ -328,87 +257,7 @@ impl ClassifyReport {
     }
 }
 
-/// A learnt clause translated into gate-slot space for cross-worker
-/// sharing: `(slot, phase)` pairs, where `phase` is the literal's sign on
-/// the slot's good-circuit value. Such a clause holds in **every**
-/// evaluation of the circuit (see [`SharedCnf::export_shared`]), so any
-/// worker whose CNF encodes all the mentioned slots may add it.
-type SharedLemma = Vec<(u32, bool)>;
-
-/// Bounded append-only pool of slot-space lemmas shared between workers.
-/// Publishing and fetching are batched per chunk, so the mutex is touched
-/// a handful of times per chunk, not per conflict.
-struct LemmaPool {
-    lemmas: Mutex<Vec<SharedLemma>>,
-}
-
-/// Append-only log of committed detecting vectors, written by the
-/// committer and snapshotted by workers at chunk boundaries. A worker
-/// cone-simulates each claimed fault against its snapshot before solving:
-/// any hit means the committer's own in-order drop check will decide the
-/// slot from the same vector, so the worker sends [`WorkerMsg::Skipped`]
-/// instead of burning a speculative solve. Purely advisory — a stale
-/// snapshot costs a wasted solve, never a different verdict.
-struct CommitLog {
-    vecs: Mutex<Vec<Vec<bool>>>,
-}
-
-impl CommitLog {
-    fn new() -> CommitLog {
-        CommitLog {
-            vecs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Appends one committed detecting vector.
-    fn publish(&self, v: &[bool]) {
-        lock_unpoisoned(&self.vecs).push(v.to_vec());
-    }
-
-    /// Returns every vector published since the caller's cursor, advancing
-    /// the cursor past them.
-    fn fetch_after(&self, cursor: &mut usize) -> Vec<Vec<bool>> {
-        let vecs = lock_unpoisoned(&self.vecs);
-        let fresh = vecs[*cursor..].to_vec();
-        *cursor = vecs.len();
-        fresh
-    }
-}
-
-impl LemmaPool {
-    fn new() -> LemmaPool {
-        LemmaPool {
-            lemmas: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Appends `batch`, silently truncating at [`LEMMA_POOL_CAP`] (the
-    /// pool is advisory pruning; dropping a lemma costs only speed).
-    fn publish(&self, batch: Vec<SharedLemma>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut pool = lock_unpoisoned(&self.lemmas);
-        let room = LEMMA_POOL_CAP.saturating_sub(pool.len());
-        pool.extend(batch.into_iter().take(room));
-    }
-
-    /// Returns every lemma published since the caller's cursor, advancing
-    /// the cursor past them.
-    fn fetch_after(&self, cursor: &mut usize) -> Vec<SharedLemma> {
-        let pool = lock_unpoisoned(&self.lemmas);
-        let fresh = pool[*cursor..].to_vec();
-        *cursor = pool.len();
-        fresh
-    }
-}
-
-/// Sentinel in [`SharedCnf::var_slot`] for solver variables that do not
-/// represent a gate's good-circuit value (activation/stuck/faulty-cone/
-/// difference variables) — lemmas mentioning them are never shared.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One worker's incremental classification context: good-circuit clauses
+/// The incremental classification context: good-circuit clauses
 /// are encoded lazily, cone by cone, at most once per gate, and each
 /// classified fault leaves only retired (permanently deactivated) cone
 /// clauses behind. Lazy encoding matters on the carry-skip adders, where a
@@ -421,10 +270,6 @@ pub(crate) struct SharedCnf<'n> {
     /// Lazily-encoded good-circuit literal per gate slot; monotone across
     /// faults, so overlapping cones share clauses and learnt facts.
     good: Vec<Option<Lit>>,
-    /// Reverse map: solver variable index → the gate slot whose plain
-    /// Tseitin encoding owns it, or [`NO_SLOT`]. The basis of lemma
-    /// translation; kept in lockstep with the solver's allocator.
-    var_slot: Vec<u32>,
     // Per-fault scratch, cleared after each query via `touched`.
     in_tfo: Vec<bool>,
     faulty_var: Vec<Option<Lit>>,
@@ -459,7 +304,6 @@ impl<'n> SharedCnf<'n> {
             topo,
             solver,
             good: vec![None; n],
-            var_slot: Vec::new(),
             in_tfo: vec![false; n],
             faulty_var: vec![None; n],
             touched: Vec::new(),
@@ -468,74 +312,6 @@ impl<'n> SharedCnf<'n> {
             proof_session: Session::new(),
             engine_calls: 0,
             budget: None,
-        }
-    }
-
-    /// Allocates a solver variable, recording which gate slot (if any)
-    /// owns it for lemma translation. Gate encodings may allocate
-    /// internal variables behind our back (multi-input XOR chains), so
-    /// the map is first padded with [`NO_SLOT`] up to the allocator.
-    fn fresh_var(&mut self, slot: Option<GateId>) -> Lit {
-        self.var_slot.resize(self.solver.num_vars(), NO_SLOT);
-        let v = self.solver.new_var();
-        self.var_slot
-            .push(slot.map_or(NO_SLOT, |g| g.index() as u32));
-        debug_assert_eq!(self.var_slot.len(), self.solver.num_vars());
-        v.positive()
-    }
-
-    /// Turns on learnt-clause export for the sharing pool.
-    fn enable_sharing(&mut self) {
-        assert!(
-            self.certification.is_none(),
-            "lemma sharing is disabled under certification"
-        );
-        self.solver
-            .enable_lemma_export(SHARED_LEMMA_MAX_LEN, SHARED_LEMMA_MAX_LBD);
-    }
-
-    /// Drains the solver's lemma outbox and translates each clause into
-    /// slot space. A clause survives translation only if every literal's
-    /// variable is a gate slot's good-circuit variable; such a clause is
-    /// implied by the circuit's Tseitin clauses alone (every model of the
-    /// worker's full formula restricted to gate variables extends from a
-    /// circuit evaluation — fault-local clauses are all guarded by their
-    /// retired activation literal), so it holds in every evaluation of
-    /// the circuit and is safe for any other worker to import.
-    fn export_shared(&mut self) -> Vec<SharedLemma> {
-        self.var_slot.resize(self.solver.num_vars(), NO_SLOT);
-        let mut out = Vec::new();
-        'lemmas: for lemma in self.solver.take_exported_lemmas() {
-            let mut t: SharedLemma = Vec::with_capacity(lemma.len());
-            for l in lemma {
-                let slot = self.var_slot[l.var().index()];
-                if slot == NO_SLOT {
-                    continue 'lemmas;
-                }
-                t.push((slot, l.is_positive()));
-            }
-            out.push(t);
-        }
-        out
-    }
-
-    /// Imports slot-space lemmas from other workers. A lemma is skipped
-    /// (not deferred) unless every mentioned slot already has a
-    /// good-circuit literal here — its full fanin cone is then encoded,
-    /// so in every model of this formula the mentioned literals carry
-    /// circuit-consistent values and the lemma cannot exclude a witness;
-    /// verdicts and lex-min vectors are unchanged, only search shrinks.
-    fn import_shared(&mut self, lemmas: &[SharedLemma]) {
-        let mut buf: Vec<Lit> = Vec::new();
-        'lemmas: for lemma in lemmas {
-            buf.clear();
-            for &(slot, phase) in lemma {
-                let Some(l) = self.good[slot as usize] else {
-                    continue 'lemmas;
-                };
-                buf.push(if phase { l } else { !l });
-            }
-            self.solver.import_lemma(&buf);
         }
     }
 
@@ -567,7 +343,7 @@ impl<'n> SharedCnf<'n> {
         for &id in &need {
             self.visit[id.index()] = false;
             let gate = self.net.gate(id);
-            let out = self.fresh_var(Some(id));
+            let out = self.solver.new_var().positive();
             let pins: Vec<Lit> = gate
                 .pins
                 .iter()
@@ -592,9 +368,11 @@ impl<'n> SharedCnf<'n> {
     ///   smallest detecting assignment, erasing any dependence on the
     ///   learnt clauses this solver happens to carry.
     pub(crate) fn classify(&mut self, fault: Fault) -> Testability {
+        #[cfg(feature = "fault-inject")]
+        crate::chaos::count_classification();
         self.engine_calls += 1;
         let result = Podem::new(self.net, self.topo, fault, PODEM_BUDGET).run();
-        match result.test_vector() {
+        let verdict = match result.test_vector() {
             Some(t) => Testability::Testable(t),
             // In certify mode PODEM's redundancy verdicts (decision-tree
             // exhaustion — no extractable proof object) are re-derived as
@@ -605,7 +383,10 @@ impl<'n> SharedCnf<'n> {
                 Testability::Redundant
             }
             None => self.classify_sat(fault),
-        }
+        };
+        #[cfg(feature = "fault-inject")]
+        crate::chaos::fire_if_armed();
+        verdict
     }
 
     /// The shared-CNF decision procedure behind [`SharedCnf::classify`].
@@ -635,10 +416,10 @@ impl<'n> SharedCnf<'n> {
         }
 
         // Activation literal: the fault's clauses hold only under `act`.
-        let act = self.fresh_var(None);
+        let act = self.solver.new_var().positive();
         // `stuck` equals the stuck-at value (fresh var pinned by a unit).
         let stuck = {
-            let v = self.fresh_var(None);
+            let v = self.solver.new_var().positive();
             let pinned = if fault.stuck { v } else { !v };
             self.solver.add_clause(&[pinned]);
             v
@@ -667,11 +448,16 @@ impl<'n> SharedCnf<'n> {
                     self.good_lit(src)
                 });
             }
-            let out = self.fresh_var(None);
+            let out = self.solver.new_var().positive();
             let g = net.gate(id);
             encode_gate(&mut self.solver, g.kind, out, &pins, Some(act));
             self.faulty_var[id.index()] = Some(out);
         }
+
+        // An injected panic fires here, mid-update: the faulty cone is
+        // encoded, `act` is live and the per-fault scratch is dirty.
+        #[cfg(feature = "fault-inject")]
+        crate::chaos::fire_if_armed();
 
         // Under `act`, some affected output must differ.
         let mut diffs: Vec<Lit> = vec![!act];
@@ -684,7 +470,7 @@ impl<'n> SharedCnf<'n> {
                 continue;
             };
             let gl = self.good_lit(src);
-            let d = self.fresh_var(None);
+            let d = self.solver.new_var().positive();
             self.solver.add_clause(&[!act, !d, gl, fl]);
             self.solver.add_clause(&[!act, !d, !gl, !fl]);
             self.solver.add_clause(&[!act, d, !gl, fl]);
@@ -715,7 +501,7 @@ impl<'n> SharedCnf<'n> {
                 Ok(bits) => Testability::Testable(bits),
                 // SAT proved a test exists, but canonicalization ran out
                 // of budget. Reporting the raw model would leak the
-                // worker's learnt-clause history into the report, so the
+                // solver's learnt-clause history into the report, so the
                 // fault degrades to Unknown instead.
                 Err(r) => Testability::Unknown(r.into()),
             },
@@ -802,9 +588,8 @@ pub(crate) fn classify_one(net: &Network, fault: Fault) -> Testability {
 }
 
 /// Classifies every fault with the shared-CNF engine: random-pattern
-/// pre-screen, per-fault incremental SAT, dynamic fault-dropping, and a
-/// worker pool of `opts.jobs` threads. The report is identical for every
-/// `jobs` value (see the module docs for why).
+/// pre-screen, per-fault incremental SAT and dynamic fault-dropping, in
+/// list order (see the module docs).
 pub fn classify_faults(
     net: &Network,
     faults: Vec<Fault>,
@@ -822,14 +607,11 @@ pub fn classify_faults_report(
     opts: ParallelOptions,
 ) -> ClassifyReport {
     let outcome = run(net, &faults, opts, None);
-    // A healthy run decides every slot. A slot still `None` means its
-    // worker died before the panic shield could park a verdict for it;
-    // the report degrades such slots to `Unknown` rather than panicking
-    // over an already-contained failure.
+    // Classify mode never stops early, so every slot is decided.
     let verdicts = outcome
         .verdicts
         .into_iter()
-        .map(|v| v.unwrap_or(Testability::Unknown(UnknownReason::WorkerPanic)))
+        .map(|v| v.expect("classify mode decides every fault"))
         .collect();
     ClassifyReport {
         testability: TestabilityReport { faults, verdicts },
@@ -841,12 +623,11 @@ pub fn classify_faults_report(
 
 /// Finds the first redundant fault in `faults` order, screening each fault
 /// against `cached_tests` (no fresh random patterns) and every vector
-/// committed before it, and stopping as soon as the in-order commit hits
-/// a redundancy. The screen runs in list order as the commit reaches each
-/// fault, so nothing past the first redundancy is ever simulated. Because
-/// no test vector can ever detect a redundant fault, screening and
-/// dropping never change *which* fault is reported — only how much SAT
-/// work finding it costs.
+/// committed before it, and stopping at the first redundancy. The screen
+/// runs in list order, so nothing past the first redundancy is ever
+/// simulated. Because no test vector can ever detect a redundant fault,
+/// screening and dropping never change *which* fault is reported — only
+/// how much SAT work finding it costs.
 pub fn scan_for_redundancy(
     net: &Network,
     faults: &[Fault],
@@ -878,31 +659,23 @@ struct Outcome {
     engine_calls: u64,
 }
 
-/// A worker's message for survivor slot `k`: a speculative verdict, or a
-/// note that the slot was already drop-marked when the worker reached it.
-enum WorkerMsg {
-    Verdict(Testability),
-    Skipped,
-}
-
 /// Classifies `faults` in list order. `scan: None` is classify mode:
 /// every fault gets a verdict, and the random patterns screen the whole
 /// list up front, since every verdict is needed anyway. `scan:
 /// Some(cached)` is scan mode: the run stops at the first redundancy, and
-/// the cached tests screen each fault only when the in-order commit
-/// reaches it (see [`Committer::resolve`]).
+/// the cached tests screen each fault only when its turn comes (see
+/// [`Committer::resolve`]).
 fn run(
     net: &Network,
     faults: &[Fault],
     opts: ParallelOptions,
     scan: Option<&[Vec<bool>]>,
 ) -> Outcome {
-    let jobs = opts.effective_jobs();
     let topo = Topology::build(net);
     let mut verdicts: Vec<Option<Testability>> = vec![None; faults.len()];
     if scan.is_none() && opts.drop_patterns > 0 {
         let tests = random_tests(net, opts.drop_patterns, opts.seed);
-        let coverage = fault_simulate_cone_jobs_with(net, &topo, faults, &tests, jobs);
+        let coverage = fault_simulate_cone_with(net, &topo, faults, &tests);
         for (slot, hit) in verdicts.iter_mut().zip(&coverage.detected_by) {
             if let Some(ti) = hit {
                 *slot = Some(Testability::Testable(tests[*ti].clone()));
@@ -923,39 +696,33 @@ fn run(
     if survivors.is_empty() {
         return outcome;
     }
-    if jobs.min(survivors.len()) <= 1 {
-        run_sequential(
-            net,
-            &topo,
-            faults,
-            &survivors,
-            opts.certify,
-            opts.fault_budget,
-            scan,
-            &mut outcome,
-        );
-    } else {
-        run_parallel(
-            net,
-            &topo,
-            faults,
-            &survivors,
-            jobs.min(survivors.len()),
-            opts.certify,
-            opts.fault_budget,
-            scan,
-            &mut outcome,
-        );
+    let rebuild = || {
+        let mut ctx = SharedCnf::new(net, &topo, opts.certify);
+        ctx.budget = opts.fault_budget;
+        ctx
+    };
+    let mut ctx = rebuild();
+    let mut counters = Counters::default();
+    let mut committer = Committer::new(net, &topo, faults, &survivors, scan);
+    for (k, &fi) in survivors.iter().enumerate() {
+        let done = committer.resolve(k, &mut outcome, || {
+            classify_isolated(&mut ctx, faults[fi], rebuild, &mut counters)
+        });
+        if done {
+            break;
+        }
     }
+    counters.absorb(&mut ctx);
+    outcome.solver = counters.solver;
+    outcome.engine_calls = counters.engine_calls;
+    outcome.certification = counters.certification;
     outcome
 }
 
-/// The in-order commit state shared by the sequential and parallel runs:
-/// resolves survivor slots strictly in fault-list order and runs the
-/// batched drop cascade (classify mode) or the in-order screen (scan
-/// mode). Everything here is a function of slot order and
-/// the canonical per-fault verdicts, so the sequential path and any
-/// worker-pool schedule produce bit-identical outcomes.
+/// The in-order commit state: resolves survivor slots strictly in
+/// fault-list order and runs the batched drop cascade (classify mode) or
+/// the in-order screen (scan mode). Everything here is a function of slot
+/// order and the canonical per-fault verdicts.
 struct Committer<'s> {
     net: &'s Network,
     topo: &'s Topology,
@@ -971,21 +738,6 @@ struct Committer<'s> {
     /// committed vectors: per-slot drop checks are one cone walk against
     /// cached good values instead of a fresh pack-and-simulate per slot.
     sim: ConeSim<'s>,
-    /// Advisory per-survivor drop flags read by pool workers (set at
-    /// flush time, after the verdict is recorded); `None` in-line.
-    dropped: Option<&'s [AtomicBool]>,
-    /// Committed detecting vectors, republished for the workers' own
-    /// pre-solve drop checks; `None` in-line.
-    log: Option<&'s CommitLog>,
-}
-
-/// A drop checker over `tests`, in order.
-fn seeded_sim<'n>(net: &'n Network, topo: &'n Topology, tests: &[Vec<bool>]) -> ConeSim<'n> {
-    let mut sim = ConeSim::new(net, topo);
-    for t in tests {
-        sim.push(t);
-    }
-    sim
 }
 
 impl<'s> Committer<'s> {
@@ -998,6 +750,10 @@ impl<'s> Committer<'s> {
         survivors: &'s [usize],
         scan: Option<&[Vec<bool>]>,
     ) -> Committer<'s> {
+        let mut sim = ConeSim::new(net, topo);
+        for t in scan.unwrap_or_default() {
+            sim.push(t);
+        }
         Committer {
             net,
             topo,
@@ -1005,18 +761,14 @@ impl<'s> Committer<'s> {
             survivors,
             stop_at_redundant: scan.is_some(),
             pending: Vec::new(),
-            sim: seeded_sim(net, topo, scan.unwrap_or_default()),
-            dropped: None,
-            log: None,
+            sim,
         }
     }
 
-    /// Resolves survivor slot `k`. `verdict` is consulted only if no
-    /// committed vector (nor, in scan mode, cached test) already detects
-    /// the fault (so the sequential
-    /// caller can pass the classification itself as the closure and skip
-    /// the solve entirely on a drop). Returns `true` when the run is done
-    /// (first redundancy committed in stop mode).
+    /// Resolves survivor slot `k`. `verdict` runs only if no committed
+    /// vector (nor, in scan mode, cached test) already detects the fault,
+    /// so a dropped fault is never classified. Returns `true` when the run
+    /// is done (first redundancy committed in scan mode).
     fn resolve(
         &mut self,
         k: usize,
@@ -1057,9 +809,6 @@ impl<'s> Committer<'s> {
                 }
             }
             Testability::Testable(t) => {
-                if let Some(log) = self.log {
-                    log.publish(&t);
-                }
                 self.sim.push(&t);
                 outcome.sat_tests.push(t.clone());
                 // A flush simulates every later undecided slot; scan mode
@@ -1074,9 +823,9 @@ impl<'s> Committer<'s> {
                 outcome.verdicts[fi] = Some(Testability::Testable(t));
             }
             Testability::Unknown(r) => {
-                // Budget exhaustion or an isolated worker panic: commit
-                // the Unknown in slot order. No vector is published and
-                // the drop cascade is untouched, so every other slot's
+                // Budget exhaustion or an isolated panic: commit the
+                // Unknown in slot order. No vector is published and the
+                // drop cascade is untouched, so every other slot's
                 // verdict is exactly what it would have been.
                 outcome.verdicts[fi] = Some(Testability::Unknown(r));
             }
@@ -1085,26 +834,19 @@ impl<'s> Committer<'s> {
     }
 
     /// Simulates the pending batch against every undecided later
-    /// survivor, crediting each hit to its earliest detecting vector and
-    /// raising the advisory drop flags workers skip by.
+    /// survivor, crediting each hit to its earliest detecting vector.
     fn flush(&mut self, k: usize, outcome: &mut Outcome) {
-        let undecided: Vec<(usize, usize)> = self
-            .survivors
+        let undecided: Vec<usize> = self.survivors[k + 1..]
             .iter()
-            .enumerate()
-            .skip(k + 1)
-            .filter(|(_, &fi)| outcome.verdicts[fi].is_none())
-            .map(|(slot, &fi)| (slot, fi))
+            .copied()
+            .filter(|&fi| outcome.verdicts[fi].is_none())
             .collect();
         if !undecided.is_empty() {
-            let sub: Vec<Fault> = undecided.iter().map(|&(_, fi)| self.faults[fi]).collect();
+            let sub: Vec<Fault> = undecided.iter().map(|&fi| self.faults[fi]).collect();
             let cov = fault_simulate_cone_with(self.net, self.topo, &sub, &self.pending);
-            for (&(slot, fi), hit) in undecided.iter().zip(&cov.detected_by) {
+            for (&fi, hit) in undecided.iter().zip(&cov.detected_by) {
                 if let Some(ti) = *hit {
                     outcome.verdicts[fi] = Some(Testability::Testable(self.pending[ti].clone()));
-                    if let Some(flags) = self.dropped {
-                        flags[slot].store(true, Ordering::Release);
-                    }
                 }
             }
         }
@@ -1112,20 +854,19 @@ impl<'s> Committer<'s> {
     }
 }
 
-/// Counters salvaged from contexts a panic shield had to discard: a
-/// panicked worker's solver may be mid-encode (half a cone's clauses,
-/// dangling activation literal), so only its diagnostics are kept and
-/// the context itself is rebuilt from scratch.
+/// Diagnostics of every context a run used: the live one when the run
+/// ends, and any the panic shield discarded on the way (a context that
+/// panicked may be mid-encode, so only its counters are kept).
 #[derive(Default)]
-struct LostWork {
+struct Counters {
     solver: Stats,
     engine_calls: u64,
     certification: Option<CertificationReport>,
 }
 
-impl LostWork {
-    /// Folds `ctx`'s counters in before the caller rebuilds it.
-    fn salvage(&mut self, ctx: &mut SharedCnf<'_>) {
+impl Counters {
+    /// Folds `ctx`'s counters in.
+    fn absorb(&mut self, ctx: &mut SharedCnf<'_>) {
         self.solver.merge(&ctx.solver.stats());
         self.engine_calls += ctx.engine_calls;
         if let Some(mine) = ctx.certification.take() {
@@ -1137,327 +878,23 @@ impl LostWork {
 }
 
 /// Runs one classification behind a panic shield. A panic — injected by
-/// the chaos hooks or a genuine bug in one fault's query — degrades that
+/// the chaos hook or a genuine bug in one fault's query — degrades that
 /// fault to [`Testability::Unknown`] instead of killing the run: the
-/// context may be mid-encode when it unwinds, so its counters are
-/// salvaged into `lost` and the context is rebuilt for the next fault.
+/// context may be mid-encode when it unwinds, so its counters go into
+/// `counters` and the context is rebuilt for the next fault.
 fn classify_isolated<'n>(
     ctx: &mut SharedCnf<'n>,
     fault: Fault,
     rebuild: impl Fn() -> SharedCnf<'n>,
-    lost: &mut LostWork,
+    counters: &mut Counters,
 ) -> Testability {
     match catch_unwind(AssertUnwindSafe(|| ctx.classify(fault))) {
         Ok(v) => v,
         Err(_) => {
-            lost.salvage(ctx);
+            counters.absorb(ctx);
             *ctx = rebuild();
             Testability::Unknown(UnknownReason::WorkerPanic)
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sequential(
-    net: &Network,
-    topo: &Topology,
-    faults: &[Fault],
-    survivors: &[usize],
-    certify: bool,
-    budget: Option<FaultBudget>,
-    scan: Option<&[Vec<bool>]>,
-    outcome: &mut Outcome,
-) {
-    let rebuild = || {
-        let mut ctx = SharedCnf::new(net, topo, certify);
-        ctx.budget = budget;
-        ctx
-    };
-    let mut ctx = rebuild();
-    let mut lost = LostWork::default();
-    let mut committer = Committer::new(net, topo, faults, survivors, scan);
-    for (k, &fi) in survivors.iter().enumerate() {
-        let done = committer.resolve(k, outcome, || {
-            classify_isolated(&mut ctx, faults[fi], rebuild, &mut lost)
-        });
-        if done {
-            break;
-        }
-    }
-    outcome.solver.merge(&ctx.solver.stats());
-    outcome.solver.merge(&lost.solver);
-    outcome.engine_calls += ctx.engine_calls + lost.engine_calls;
-    if let Some(total) = outcome.certification.as_mut() {
-        if let Some(mine) = ctx.certification.take() {
-            total.merge(&mine);
-        }
-        if let Some(mine) = lost.certification.take() {
-            total.merge(&mine);
-        }
-    }
-}
-
-/// The shared in-order commit state of [`run_parallel`], held under one
-/// mutex. There is **no dedicated committer thread**: whichever worker
-/// completes the frontier chunk drains the in-order prefix inside a short
-/// critical section. On an oversubscribed machine this is what keeps the
-/// pool cheap — a worker commits its own chunk in its own timeslice
-/// instead of context-switching to a starved committer thread per chunk.
-struct CommitState<'o, 's> {
-    committer: Committer<'s>,
-    outcome: &'o mut Outcome,
-    /// Completed chunks waiting for their turn, by chunk index.
-    parked: BTreeMap<usize, Vec<(usize, WorkerMsg)>>,
-    /// Chunks fully committed so far (the commit frontier).
-    frontier: usize,
-}
-
-/// Stops the pool if its worker unwinds out of the commit path (a broken
-/// commit invariant, not a shielded per-fault panic), so paced-out peers
-/// wake and exit and the panic surfaces instead of hanging the run.
-struct StopOnUnwind<'a, 'o, 's> {
-    stop: &'a AtomicBool,
-    state: &'a Mutex<CommitState<'o, 's>>,
-    frontier_cv: &'a Condvar,
-}
-
-impl Drop for StopOnUnwind<'_, '_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Set under the lock, as the normal stop path does, so the
-            // wakeup cannot slip between a waiter's check and its wait.
-            let guard = lock_unpoisoned(self.state);
-            self.stop.store(true, Ordering::Release);
-            drop(guard);
-            self.frontier_cv.notify_all();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel(
-    net: &Network,
-    topo: &Topology,
-    faults: &[Fault],
-    survivors: &[usize],
-    jobs: usize,
-    certify: bool,
-    budget: Option<FaultBudget>,
-    scan: Option<&[Vec<bool>]>,
-    outcome: &mut Outcome,
-) {
-    let n = survivors.len();
-    // Chunks are deliberately small: a commit is one short critical
-    // section, and the chunk is the unit of *speculation* — a worker can
-    // be at most `pace` chunks ahead of the commit frontier, so the chunk
-    // size bounds how many solves can be wasted on faults the drop
-    // cascade would have settled.
-    let chunk = (n / (jobs * 64)).clamp(1, 8);
-    let num_chunks = n.div_ceil(chunk);
-    // Workers park once they run `pace` chunks past the commit frontier.
-    // On an idle multi-core machine the commit work is an order of
-    // magnitude cheaper than a solve, so the window rarely binds; on an
-    // oversubscribed one it is what keeps the pool from racing through
-    // the whole fault list speculatively before a single drop vector has
-    // been committed.
-    let pace = jobs + 1;
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    // Advisory per-survivor drop flags: workers skip flagged slots; the
-    // flush under the commit lock is the only writer, so a stale read
-    // merely wastes a solve.
-    let dropped: Vec<AtomicBool> = survivors.iter().map(|_| AtomicBool::new(false)).collect();
-    let log = CommitLog::new();
-    let pool = (!certify).then(LemmaPool::new);
-    let state = Mutex::new(CommitState {
-        committer: Committer {
-            dropped: Some(&dropped),
-            log: Some(&log),
-            ..Committer::new(net, topo, faults, survivors, scan)
-        },
-        outcome,
-        parked: BTreeMap::new(),
-        frontier: 0,
-    });
-    // Signalled on every frontier advance and on stop, so paced-out
-    // workers park instead of spinning (a spinning worker on an
-    // oversubscribed machine steals the very cycles the frontier chunk's
-    // owner needs to finish).
-    let frontier_cv = Condvar::new();
-    // Each worker folds its solver counters and certification accounting
-    // in here as it exits; verdicts themselves still travel the in-order
-    // commit path, so the diagnostics never influence the report.
-    let agg: Mutex<(Stats, CertificationReport, u64)> = Mutex::new(Default::default());
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            let (next, stop, state, frontier_cv) = (&next, &stop, &state, &frontier_cv);
-            let (dropped, agg, pool, log) = (&dropped, &agg, &pool, &log);
-            s.spawn(move || {
-                let _wake = StopOnUnwind {
-                    stop,
-                    state,
-                    frontier_cv,
-                };
-                let rebuild = || {
-                    let mut ctx = SharedCnf::new(net, topo, certify);
-                    if pool.is_some() {
-                        ctx.enable_sharing();
-                    }
-                    ctx.budget = budget;
-                    ctx
-                };
-                let mut ctx = rebuild();
-                let mut lost = LostWork::default();
-                let mut cursor = 0usize;
-                let mut vec_cursor = 0usize;
-                // Seeded like the committer's checker, so in scan mode a
-                // cached test skips a fault here as well.
-                let mut sim = seeded_sim(net, topo, scan.unwrap_or_default());
-                'claims: loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    let lo = c * chunk;
-                    if lo >= n || stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // Pacing: a chunk more than `pace` ahead of the commit
-                    // frontier waits its turn. Deadlock-free: every chunk
-                    // below a waiting one is already claimed, and its
-                    // claimant is inside the window, hence running (and
-                    // whoever sets `stop` wakes all waiters).
-                    {
-                        let mut st = lock_unpoisoned(state);
-                        while c >= st.frontier + pace && !stop.load(Ordering::Acquire) {
-                            st = frontier_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                        }
-                    }
-                    if stop.load(Ordering::Acquire) {
-                        break 'claims;
-                    }
-                    if let Some(pool) = pool {
-                        let fresh = pool.fetch_after(&mut cursor);
-                        ctx.import_shared(&fresh);
-                    }
-                    for v in log.fetch_after(&mut vec_cursor) {
-                        sim.push(&v);
-                    }
-                    let hi = (lo + chunk).min(n);
-                    // Chunk-level panic shield: a worker that dies here
-                    // (the chaos hook fires, or a bug unwinds past the
-                    // per-fault shield) must not strand its claimed chunk
-                    // below the commit frontier — that would hang every
-                    // paced-out peer. Whatever the shield cannot salvage
-                    // is parked as `Unknown`, so the frontier keeps
-                    // advancing and the report degrades instead of
-                    // corrupting.
-                    let shield = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        crate::chaos::check_chunk_claim();
-                        let mut batch: Vec<(usize, WorkerMsg)> = Vec::with_capacity(hi - lo);
-                        for k in lo..hi {
-                            // A claimed chunk abandoned on `stop` is never
-                            // missed: `stop` means the run is decided and
-                            // the remaining chunks are irrelevant.
-                            if stop.load(Ordering::Acquire) {
-                                return (batch, true);
-                            }
-                            let fi = survivors[k];
-                            let msg = if dropped[k].load(Ordering::Acquire) {
-                                WorkerMsg::Skipped
-                            } else if !sim.is_empty() && sim.first_detecting(faults[fi]).is_some() {
-                                // A committed vector already detects this
-                                // fault, so the in-order drop check is
-                                // guaranteed to decide the slot.
-                                WorkerMsg::Skipped
-                            } else {
-                                WorkerMsg::Verdict(classify_isolated(
-                                    &mut ctx, faults[fi], rebuild, &mut lost,
-                                ))
-                            };
-                            batch.push((k, msg));
-                        }
-                        (batch, false)
-                    }));
-                    let batch = match shield {
-                        Ok((_, true)) => break 'claims,
-                        Ok((batch, false)) => batch,
-                        Err(_) => {
-                            // The whole chunk degrades: any verdicts the
-                            // worker had computed unwound with it.
-                            lost.salvage(&mut ctx);
-                            ctx = rebuild();
-                            (lo..hi)
-                                .map(|k| {
-                                    let v = Testability::Unknown(UnknownReason::WorkerPanic);
-                                    (k, WorkerMsg::Verdict(v))
-                                })
-                                .collect()
-                        }
-                    };
-                    if let Some(pool) = pool {
-                        pool.publish(ctx.export_shared());
-                    }
-                    // Cooperative in-order commit: park the finished chunk
-                    // and drain every consecutive chunk from the frontier
-                    // on — usually just this one, in this worker's own
-                    // timeslice.
-                    let mut st = lock_unpoisoned(state);
-                    st.parked.insert(c, batch);
-                    while let Some(b) = {
-                        let f = st.frontier;
-                        st.parked.remove(&f)
-                    } {
-                        for (k, msg) in b {
-                            let st = &mut *st;
-                            let done = match msg {
-                                WorkerMsg::Verdict(v) => st.committer.resolve(k, st.outcome, || v),
-                                // Skipped: this slot's drop flag was up, or
-                                // a committed vector detects the fault —
-                                // committed for an earlier slot, so the
-                                // in-order drop check re-derives the
-                                // verdict and the closure can never run.
-                                WorkerMsg::Skipped => st.committer.resolve(k, st.outcome, || {
-                                    unreachable!(
-                                        "a skipped slot is always decided by an earlier vector"
-                                    )
-                                }),
-                            };
-                            if done {
-                                stop.store(true, Ordering::Release);
-                                // Waiters are either parked or holding the
-                                // commit lock (about to re-check `stop`),
-                                // so this wakeup cannot be lost.
-                                frontier_cv.notify_all();
-                                break 'claims;
-                            }
-                        }
-                        st.frontier += 1;
-                        frontier_cv.notify_all();
-                    }
-                }
-                let mut total = lock_unpoisoned(agg);
-                total.0.merge(&ctx.solver.stats());
-                total.0.merge(&lost.solver);
-                total.2 += ctx.engine_calls + lost.engine_calls;
-                if let Some(mine) = ctx.certification.take() {
-                    total.1.merge(&mine);
-                }
-                if let Some(mine) = lost.certification.take() {
-                    total.1.merge(&mine);
-                }
-            });
-        }
-    });
-    let (stats, certs, engine_calls) = agg.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert!(
-        stop.load(Ordering::Acquire) || st.frontier == num_chunks,
-        "every chunk commits unless the run stopped early"
-    );
-    let outcome = st.outcome;
-    outcome.solver.merge(&stats);
-    outcome.engine_calls += engine_calls;
-    if let Some(total) = outcome.certification.as_mut() {
-        total.merge(&certs);
     }
 }
 
@@ -1471,7 +908,7 @@ mod tests {
 
     /// A carry-skip-shaped circuit: the skip gate's stuck-at-0 is
     /// redundant (the effect reconverges and cancels), the rest is
-    /// testable, so both verdict kinds cross the commit channel.
+    /// testable, so both verdict kinds are committed.
     fn skip_net() -> Network {
         let mut net = Network::new("skip");
         let p = net.add_input("p");
@@ -1489,114 +926,13 @@ mod tests {
         net
     }
 
-    /// The worker pool commits verdicts in fault order regardless of
-    /// which thread solves what, so a multi-worker run (with chunked
-    /// claiming and lemma sharing active) must reproduce the in-line run
-    /// bit for bit. The random drop is disabled so every
-    /// fault actually travels through the pool — this is the
-    /// ThreadSanitizer target for the classification pool, covering the
-    /// chunk counter, the drop flags, the commit channel, and the
-    /// mutex-protected lemma pool.
+    /// The in-order scan is one path with and without certification: with
+    /// a non-empty cached-test set, both report the same redundancy, the
+    /// same committed vectors and the same unknown count, and the
+    /// redundancy is the first `Redundant` verdict a full classification
+    /// of the list gives. Under certification every proof checks.
     #[test]
-    fn parallel_classification_matches_sequential() {
-        let net = skip_net();
-        let faults = collapsed_faults(&net);
-        let opts = |jobs| ParallelOptions {
-            jobs,
-            drop_patterns: 0,
-            ..ParallelOptions::default()
-        };
-        let seq = classify_faults_report(&net, faults.clone(), opts(1));
-        for jobs in [2, 4] {
-            let par = classify_faults_report(&net, faults.clone(), opts(jobs));
-            assert_eq!(seq.testability, par.testability, "jobs={jobs}");
-        }
-        assert!(seq.testability.verdicts.iter().any(|v| v.is_redundant()));
-        // Every fault reaches the engine in both runs (the drop cascade
-        // may spare some): the counter is the survivor count, not zero.
-        assert!(seq.engine_calls > 0);
-    }
-
-    /// Exercises the slot-space lemma translation directly: one context
-    /// classifies everything through the SAT path and exports; a second
-    /// context imports the pool before classifying. Imported lemmas are
-    /// entailed by the circuit, so every verdict — including the lex-min
-    /// canonical vectors — must be unchanged.
-    #[test]
-    fn imported_lemmas_do_not_change_verdicts() {
-        let net = skip_net();
-        let topo = Topology::build(&net);
-        let faults = collapsed_faults(&net);
-
-        let mut exporter = SharedCnf::new(&net, &topo, false);
-        exporter.enable_sharing();
-        let baseline: Vec<Testability> = faults.iter().map(|&f| exporter.classify_sat(f)).collect();
-        let pool = exporter.export_shared();
-
-        let mut importer = SharedCnf::new(&net, &topo, false);
-        // Encode every output cone so all slots are translatable, then
-        // import the full pool up front — the worst case for bias.
-        for o in net.outputs() {
-            importer.good_lit(o.src);
-        }
-        let before = importer.solver.stats().lemmas_imported;
-        importer.import_shared(&pool);
-        let with_lemmas: Vec<Testability> =
-            faults.iter().map(|&f| importer.classify_sat(f)).collect();
-        assert_eq!(baseline, with_lemmas);
-        // The UNSAT redundancy proofs on this reconvergent circuit must
-        // actually produce shareable (slot-only) lemmas, and the importer
-        // must accept at least one — otherwise this test is vacuous.
-        assert!(!pool.is_empty(), "no lemmas exported");
-        assert!(importer.solver.stats().lemmas_imported > before);
-    }
-
-    /// The chunked scheduler must behave when survivors outnumber chunks
-    /// and when the drop cascade flushes mid-run: a larger fault list with
-    /// dropping enabled, still bit-identical across job counts.
-    #[test]
-    fn chunked_scheduler_with_dropping_is_deterministic() {
-        let mut net = Network::new("wide");
-        let inputs: Vec<_> = (0..6).map(|i| net.add_input(format!("i{i}"))).collect();
-        let mut layer = inputs.clone();
-        for round in 0..3 {
-            let mut nextl = Vec::new();
-            for w in layer.windows(2) {
-                let kind = if round % 2 == 0 {
-                    GateKind::And
-                } else {
-                    GateKind::Or
-                };
-                nextl.push(net.add_gate(kind, &[w[0], w[1]], Delay::UNIT));
-            }
-            layer = nextl;
-        }
-        for (i, &g) in layer.iter().enumerate() {
-            net.add_output(format!("o{i}"), g);
-        }
-        let faults = collapsed_faults(&net);
-        let opts = |jobs| ParallelOptions {
-            jobs,
-            drop_patterns: 4, // keep plenty of survivors for the pool
-            ..ParallelOptions::default()
-        };
-        let seq = classify_faults_report(&net, faults.clone(), opts(1));
-        for jobs in [2, 3, 8] {
-            let par = classify_faults_report(&net, faults.clone(), opts(jobs));
-            assert_eq!(seq.testability, par.testability, "jobs={jobs}");
-        }
-    }
-
-    /// The in-order scan is one path at every job count: with a non-empty
-    /// cached-test set, jobs 1/2/4 with and without certification report
-    /// the same redundancy, the same committed vectors and the same
-    /// unknown count, and the redundancy is the first `Redundant` verdict
-    /// a full classification of the list gives. Under certification every
-    /// proof checks. The pool runs here with cached tests seeded into
-    /// every worker's and the committer's checker — the ThreadSanitizer
-    /// target for the scan-mode pool.
-    #[test]
-    fn scan_identical_across_jobs_and_certify() {
+    fn scan_identical_with_and_without_certify() {
         let mut csa = carry_skip_adder(6, 3, DelayModel::Unit);
         transform::decompose_to_simple(&mut csa);
         let spec = RandomNetworkSpec {
@@ -1615,15 +951,14 @@ mod tests {
         ] {
             let faults = collapsed_faults(&net);
             let cached = random_tests(&net, 4, 7);
-            let scan = |jobs, certify| {
+            let scan = |certify| {
                 let opts = ParallelOptions {
-                    jobs,
                     certify,
                     ..ParallelOptions::default()
                 };
                 scan_for_redundancy(&net, &faults, opts, &cached)
             };
-            let base = scan(1, false);
+            let base = scan(false);
             // Independently: a fault reaches the engine exactly when
             // neither a cached test nor a vector committed before it
             // detects it, and each such fault before the redundancy
@@ -1643,18 +978,14 @@ mod tests {
             }
             assert_eq!(base.engine_calls, calls, "{}", net.name());
             assert_eq!(base.tests.len(), used, "{}", net.name());
-            for certify in [false, true] {
-                for jobs in [1, 2, 4] {
-                    let s = scan(jobs, certify);
-                    let at = format!("{} jobs={jobs} certify={certify}", net.name());
-                    assert_eq!(s.redundant, base.redundant, "{at}");
-                    assert_eq!(s.tests, base.tests, "{at}");
-                    assert_eq!(s.unknown, base.unknown, "{at}");
-                    if let Some(cert) = &s.certification {
-                        assert_eq!(cert.proofs_failed, 0, "{at}");
-                    }
-                }
-            }
+            let certified = scan(true);
+            assert_eq!(certified.redundant, base.redundant, "{}", net.name());
+            assert_eq!(certified.tests, base.tests, "{}", net.name());
+            assert_eq!(certified.unknown, base.unknown, "{}", net.name());
+            let cert = certified
+                .certification
+                .expect("certify mode keeps a ledger");
+            assert_eq!(cert.proofs_failed, 0, "{}", net.name());
             let full = classify_faults_report(&net, faults.clone(), ParallelOptions::default());
             let first = full
                 .testability

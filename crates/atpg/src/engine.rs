@@ -24,10 +24,9 @@ pub enum Engine {
     /// The shared-CNF incremental engine ([`crate::classify_faults`]):
     /// the good circuit is encoded once per network state, faults are
     /// classified under per-fault activation literals, SAT-derived test
-    /// vectors immediately fault-drop the remaining faults, and surviving
-    /// queries fan out across `jobs` worker threads. Always complete, and
-    /// deterministic for any `jobs` value. The engine the KMS pipeline
-    /// runs.
+    /// vectors immediately fault-drop the remaining faults, and faults are
+    /// decided in-line in list order. Always complete and deterministic.
+    /// The engine the KMS pipeline runs.
     SharedSat(ParallelOptions),
 }
 
@@ -42,9 +41,8 @@ pub enum UnknownReason {
     Deadline,
     /// The run's cancellation token was raised.
     Cancelled,
-    /// The worker classifying this fault panicked; the panic was
-    /// isolated and the fault degraded to unknown instead of killing
-    /// the run.
+    /// Classifying this fault panicked; the panic was isolated and the
+    /// fault degraded to unknown instead of killing the run.
     WorkerPanic,
     /// Fault injection aborted the query (`fault-inject` builds only).
     Injected,
@@ -90,7 +88,7 @@ pub enum Testability {
     /// Provably undetectable: the fault is redundant.
     Redundant,
     /// No verdict: an effort/resource budget ran out, the run was
-    /// cancelled, or the classifying worker panicked. Unknown is a
+    /// cancelled, or classifying the fault panicked. Unknown is a
     /// first-class degraded outcome — reports carry it through instead
     /// of hanging or aborting the whole run.
     Unknown(UnknownReason),

@@ -444,38 +444,6 @@ impl<'n> ConeSim<'n> {
     }
 }
 
-/// As [`fault_simulate_cone_with`], but splits the fault list across
-/// `jobs` scoped threads sharing the [`Topology`] cache by reference.
-/// Each chunk is simulated independently (serial-fault simulation has no
-/// cross-fault state) and the per-chunk results are concatenated in
-/// chunk order, so the report is identical to the sequential one for any
-/// `jobs`.
-pub fn fault_simulate_cone_jobs_with(
-    net: &Network,
-    topo: &Topology,
-    faults: &[Fault],
-    tests: &[Vec<bool>],
-    jobs: usize,
-) -> CoverageReport {
-    if jobs <= 1 || faults.len() < 2 * jobs {
-        return fault_simulate_cone_with(net, topo, faults, tests);
-    }
-    let chunk = faults.len().div_ceil(jobs);
-    let mut detected_by = Vec::with_capacity(faults.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || fault_simulate_cone_with(net, topo, part, tests).detected_by)
-            })
-            .collect();
-        for h in handles {
-            detected_by.extend(h.join().expect("fault-simulation worker panicked"));
-        }
-    });
-    CoverageReport { detected_by }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,26 +513,6 @@ mod tests {
             let reference = fault_simulate_reference(&net, &faults, &tests);
             let public = fault_simulate(&net, &faults, &tests);
             assert_eq!(reference.detected_by, public.detected_by);
-            let topo = Topology::build(&net);
-            for jobs in [1, 3] {
-                let j = fault_simulate_cone_jobs_with(&net, &topo, &faults, &tests, jobs);
-                assert_eq!(reference.detected_by, j.detected_by, "jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn jobs_variant_matches_sequential() {
-        let net = and_or();
-        let faults = all_faults(&net);
-        let tests: Vec<Vec<bool>> = (0..8u32)
-            .map(|m| (0..3).map(|i| (m >> i) & 1 == 1).collect())
-            .collect();
-        let seq = fault_simulate_reference(&net, &faults, &tests);
-        let topo = Topology::build(&net);
-        for jobs in [0, 1, 2, 3, 8] {
-            let par = fault_simulate_cone_jobs_with(&net, &topo, &faults, &tests, jobs);
-            assert_eq!(par.detected_by, seq.detected_by, "jobs={jobs}");
         }
     }
 

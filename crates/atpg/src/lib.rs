@@ -53,9 +53,6 @@ pub use engine::{
     Engine, Testability, TestabilityReport, UnknownReason,
 };
 pub use fault::{all_faults, collapsed_faults, Fault, FaultSite};
-pub use fsim::{
-    fault_simulate, fault_simulate_cone_jobs_with, fault_simulate_cone_with, ConeSim,
-    CoverageReport,
-};
+pub use fsim::{fault_simulate, fault_simulate_cone_with, ConeSim, CoverageReport};
 pub use inject::{faulty_copy, inject_fault_in_place};
 pub use podem::{podem, Podem, PodemResult};

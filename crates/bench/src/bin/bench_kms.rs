@@ -1,6 +1,7 @@
 //! KMS loop benchmark: end-to-end `kms_algorithm` wall-clock, its
-//! per-phase split, and the loop's timing-pass and verdict-cache
-//! counters on prepared Table I circuits. Emits `BENCH_kms.json`.
+//! per-phase split, the loop's timing-pass and verdict-cache counters,
+//! and the SAT calls of the sensitization oracle and of the removal
+//! phase's ATPG on prepared Table I circuits. Emits `BENCH_kms.json`.
 //!
 //! Usage: `bench_kms [--smoke] [--out FILE]`
 //!
@@ -166,6 +167,8 @@ fn main() {
             ("timing_passes", r.engine.full_recomputes.into()),
             ("cache_hits", r.engine.cache_hits.into()),
             ("cache_misses", r.engine.cache_misses.into()),
+            ("oracle_sat_calls", r.oracle_solver.sat_calls.into()),
+            ("atpg_sat_calls", r.atpg_solver.sat_calls.into()),
             ("wall_s", Json::Fixed(wall_s, 6)),
             ("loop_s", Json::Fixed(phases.loop_s(), 6)),
             (

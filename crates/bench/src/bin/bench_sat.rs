@@ -208,15 +208,11 @@ fn dimacs_row(name: &str, cnf: &Cnf, expect: SatResult, reps: usize) -> Row {
 fn atpg_row(name: &str, net: &Network, raw: bool, reps: usize) -> Row {
     let opts = if raw {
         ParallelOptions {
-            jobs: 1,
             drop_patterns: 0,
             ..Default::default()
         }
     } else {
-        ParallelOptions {
-            jobs: 1,
-            ..Default::default()
-        }
+        ParallelOptions::default()
     };
     let faults = collapsed_faults(net);
     let (wall_s, report) = time_min(reps, || classify_faults_report(net, faults.clone(), opts));

@@ -6,10 +6,9 @@
 //! by the implication pass (`kms-analysis`), the pass's build time, and
 //! the shared-CNF oracle's classification time (EXPERIMENTS E13).
 //!
-//! Usage: `bench_sweep [--smoke] [--jobs N] [--out FILE]`
+//! Usage: `bench_sweep [--smoke] [--out FILE]`
 //!
 //! * `--smoke` — two small circuits, one rep: CI schema/soundness check.
-//! * `--jobs N` — worker count for the oracle classification (default 4).
 //! * `--out FILE` — output path (default `BENCH_sweep.json`).
 //!
 //! Every row is also a correctness gate: the statically proved faults
@@ -28,31 +27,23 @@ use kms_timing::InputArrivals;
 
 struct Config {
     smoke: bool,
-    jobs: usize,
     out: String,
 }
 
 fn parse_args() -> Config {
     let mut cfg = Config {
         smoke: false,
-        jobs: 4,
         out: "BENCH_sweep.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => cfg.smoke = true,
-            "--jobs" | "-j" => {
-                cfg.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
             "--out" | "-o" => {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_sweep [--smoke] [--jobs N] [--out FILE]");
+                eprintln!("usage: bench_sweep [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -124,10 +115,7 @@ fn main() {
         v
     };
 
-    let oracle_opts = ParallelOptions {
-        jobs: cfg.jobs,
-        ..Default::default()
-    };
+    let oracle_opts = ParallelOptions::default();
 
     let mut rows = Vec::new();
     let mut total_redundant = 0usize;
@@ -208,7 +196,6 @@ fn main() {
     let json = Json::Object(vec![
         ("bench", "static_sweep".into()),
         ("mode", if cfg.smoke { "smoke" } else { "full" }.into()),
-        ("jobs", cfg.jobs.into()),
         ("reps", reps.into()),
         ("total_redundant", total_redundant.into()),
         ("total_static_proved", total_proved.into()),

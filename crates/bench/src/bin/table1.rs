@@ -1,12 +1,12 @@
 //! Regenerates Table I of the paper (experiments E1 and E2).
 //!
-//! Usage: `table1 [--csa] [--mcnc] [--no-verify] [--jobs N] [--certify]
+//! Usage: `table1 [--csa] [--mcnc] [--no-verify] [--certify]
 //! [--budget SECONDS] [--fault-budget SPEC]` (no selection flags = both
-//! suites). The ATPG runs the shared-CNF classification engine with
-//! `--jobs 0` (available parallelism, capped); `--jobs 1` forces fully
-//! in-line execution. `--certify` re-checks every UNSAT verdict behind
-//! each row with the independent proof checker, prints the merged ledger,
-//! and exits 1 if any certificate fails to check.
+//! suites; any other argument is a usage error, exit 2). The ATPG runs
+//! the shared-CNF classification engine. `--certify` re-checks every
+//! UNSAT verdict behind each row with the independent proof checker,
+//! prints the merged ledger, and exits 1 if any certificate fails to
+//! check.
 //! `--budget` enforces a wall-clock ceiling on the whole run and exits 1
 //! when exceeded — CI uses it as a performance-regression tripwire for
 //! the SAT kernel on the certified Table I path. `--fault-budget` caps
@@ -25,17 +25,6 @@
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs = 0usize; // auto: available parallelism, capped
-    if let Some(i) = args.iter().position(|a| a == "--jobs" || a == "-j") {
-        jobs = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("error: --jobs needs a number");
-                std::process::exit(2);
-            });
-        args.drain(i..i + 2);
-    }
     let mut fault_budget = None;
     if let Some(i) = args.iter().position(|a| a == "--fault-budget") {
         let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
@@ -68,8 +57,14 @@ fn main() {
     } else {
         false
     };
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !["--csa", "--mcnc", "--no-verify"].contains(&a.as_str()))
+    {
+        eprintln!("error: unexpected argument {bad:?}");
+        std::process::exit(2);
+    }
     let popts = kms_atpg::ParallelOptions {
-        jobs,
         certify,
         fault_budget,
         ..Default::default()

@@ -57,8 +57,8 @@ pub struct Table1Row {
     /// `None` when the row ran without `--certify`.
     pub certification: Option<CertificationReport>,
     /// Faults left undecided anywhere in the row (classification pass or
-    /// the KMS removal phase) by a per-fault budget or an isolated worker
-    /// panic. Non-zero means the row is degraded: the redundancy count is
+    /// the KMS removal phase) by a per-fault budget or an isolated
+    /// classification panic. Non-zero means the row is degraded: the redundancy count is
     /// a lower bound and "fully testable" was not proved. Always zero
     /// unbudgeted.
     pub unknown: usize,

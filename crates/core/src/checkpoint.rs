@@ -83,9 +83,10 @@ fn bad(context: impl Into<String>) -> CheckpointError {
 /// `partials_reseeded` engine counter and made the cache and interner
 /// sections mandatory. v3 added the ledger's `stream_ingested` counter,
 /// and its cached certificate digests come from the rolling stream hash
-/// of [`kms_proof::digest`]. Older files are rejected as
+/// of [`kms_proof::digest`]. v4 dropped the solver's two lemma-sharing
+/// counters from the oracle line. Older files are rejected as
 /// [`CheckpointError::Version`].
-const HEADER: &str = "kms-checkpoint v3";
+const HEADER: &str = "kms-checkpoint v4";
 
 /// FNV-1a 64-bit, the workspace's standard content digest.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -99,23 +100,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The run-identity fingerprint: circuit, arrivals, and the options that
 /// change observable behavior. The removal engine enters as the options
-/// the removal phase actually runs with, except its job count
-/// ([`kms_atpg::ParallelOptions::jobs`]): that is a proven bit-identity
-/// switch, so a run may resume with a different job count.
+/// the removal phase actually runs with, minus
+/// [`kms_atpg::ParallelOptions::jobs`], which the engine ignores.
 pub(crate) fn fingerprint(net: &Network, arrivals: &InputArrivals, options: &KmsOptions) -> u64 {
     let mut s = net.dump();
     for (pos, &input) in net.inputs().iter().enumerate() {
         let _ = writeln!(s, "arrival {pos} {}", arrivals.get(input));
     }
-    let removal = kms_atpg::ParallelOptions {
-        jobs: 1,
-        ..removal_options(options)
-    };
+    let removal = removal_options(options);
     let _ = writeln!(
         s,
-        "options {:?} {:?} {} {} {} {} {}",
+        "options {:?} {} {} {} {:?} {} {} {} {} {}",
         options.condition,
-        removal,
+        removal.drop_patterns,
+        removal.seed,
+        removal.certify,
+        removal.fault_budget,
         options.max_iterations,
         options.max_longest_paths,
         options.effort_cap,
@@ -221,7 +221,7 @@ impl Checkpoint {
         let o = &self.oracle_solver;
         let _ = writeln!(
             s,
-            "oracle {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            "oracle {} {} {} {} {} {} {} {} {} {} {} {}",
             o.sat_calls,
             o.conflicts,
             o.decisions,
@@ -234,8 +234,6 @@ impl Checkpoint {
             o.lbd_sum,
             o.arena_gc,
             o.blocker_hits,
-            o.lemmas_exported,
-            o.lemmas_imported,
         );
         match &self.certification {
             None => {
@@ -394,8 +392,6 @@ impl Checkpoint {
             lbd_sum: field(&mut f, "oracle counter")?,
             arena_gc: field(&mut f, "oracle counter")?,
             blocker_hits: field(&mut f, "oracle counter")?,
-            lemmas_exported: field(&mut f, "oracle counter")?,
-            lemmas_imported: field(&mut f, "oracle counter")?,
         };
 
         let mut f = tagged(&mut lines, "cert")?;
@@ -657,9 +653,10 @@ mod tests {
     }
 
     /// Files in the v1 format (written before the cone-scoped timing
-    /// engine was retired) and the v2 format (before the ledger's
-    /// `stream_ingested` counter) are refused with a typed error, even
-    /// when their digest is intact.
+    /// engine was retired), the v2 format (before the ledger's
+    /// `stream_ingested` counter) and the v3 format (with the lemma-sharing
+    /// solver counters) are refused with a typed error, even when their
+    /// digest is intact.
     #[test]
     fn v1_checkpoint_is_a_version_error() {
         let payload = "fingerprint 00000000deadbeef\n\
@@ -672,7 +669,11 @@ mod tests {
                        interner -\n\
                        net 0\n\
                        end\n";
-        for header in ["kms-checkpoint v1", "kms-checkpoint v2"] {
+        for header in [
+            "kms-checkpoint v1",
+            "kms-checkpoint v2",
+            "kms-checkpoint v3",
+        ] {
             let text = format!(
                 "{header}\ndigest {:016x}\n{payload}",
                 super::fnv1a64(payload.as_bytes())

@@ -70,8 +70,7 @@ pub fn verify_kms_invariants_with(
 
 /// As [`verify_kms_invariants_with`], with an explicit ATPG engine for the
 /// full-testability check — pass [`Engine::SharedSat`] to reuse the
-/// shared-CNF classification engine (and its worker pool) on large
-/// circuits.
+/// shared-CNF classification engine on large circuits.
 ///
 /// # Errors
 ///

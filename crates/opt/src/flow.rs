@@ -29,10 +29,6 @@ pub struct FlowOptions {
     pub bypass_rounds: usize,
     /// Minimum chain length for a bypass.
     pub min_chain_gates: usize,
-    /// Re-shape wide AND/OR gates as arrival-driven Huffman trees before
-    /// bypassing (the tree-height reduction of the paper's reference 23). Off by
-    /// default so the recorded Table I rows stay reproducible.
-    pub tree_height_reduction: bool,
 }
 
 impl Default for FlowOptions {
@@ -43,7 +39,6 @@ impl Default for FlowOptions {
             model: DelayModel::Unit,
             bypass_rounds: 4,
             min_chain_gates: 3,
-            tree_height_reduction: false,
         }
     }
 }
@@ -153,36 +148,6 @@ mod tests {
             "z4ml_prep",
             |_| InputArrivals::zero(),
             FlowOptions::default(),
-        );
-        assert!(net.is_simple());
-        flat.exhaustive_equiv(&net).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod height_flow_tests {
-    use super::*;
-    use kms_gen::mcnc;
-
-    #[test]
-    fn tree_height_reduction_preserves_function_in_flow() {
-        let pla = mcnc::rd73();
-        let flat = pla.to_network("rd73_flat");
-        let (net, _) = prepare_benchmark(
-            &pla,
-            "rd73_thr",
-            |n| {
-                let mut arr = InputArrivals::zero();
-                if let Some(&last) = n.inputs().last() {
-                    arr.set(last, 4);
-                }
-                arr
-            },
-            FlowOptions {
-                tree_height_reduction: true,
-                max_fanin: 4, // leave wide gates for the reducer to shape
-                ..Default::default()
-            },
         );
         assert!(net.is_simple());
         flat.exhaustive_equiv(&net).unwrap();

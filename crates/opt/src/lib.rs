@@ -20,10 +20,8 @@
 mod balance;
 mod bypass;
 pub mod flow;
-mod height;
 mod naive;
 
 pub use balance::{balance_fanin, balanced_depth};
 pub use bypass::{bypass_repeatedly, bypass_transform, BypassOptions, BypassReport};
-pub use height::timing_balance;
 pub use naive::{naive_redundancy_removal, remove_fault, NaiveRemovalReport};

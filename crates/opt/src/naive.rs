@@ -34,7 +34,7 @@ pub struct NaiveRemovalReport {
     /// redundant verdict, aggregated across restarts.
     pub certification: Option<CertificationReport>,
     /// Faults left undecided by the final pass (per-fault budget
-    /// exhaustion or an isolated worker panic). Non-zero means "fully
+    /// exhaustion or an isolated classification panic). Non-zero means "fully
     /// testable" was not actually proved: the circuit may still hold
     /// redundancies among the unknown faults, and callers report a
     /// degraded (not failed) outcome.

@@ -54,13 +54,13 @@ pub use solver::{SatResult, Solver, Stats};
 
 /// Locks a mutex, recovering the guard from a poisoned lock.
 ///
-/// The worker pools in this workspace isolate panics with
-/// `catch_unwind`, so a poisoned mutex means a panic was already
-/// converted into an `Unknown` verdict or a typed error upstream — the
-/// protected data is a commit queue or aggregate that the panicking
-/// thread never left half-written (writes happen after the fallible
-/// work). Recovering the guard instead of propagating the poison keeps
-/// one bad fault from killing every other worker.
+/// The one worker pool in this workspace (`kms-sweep`'s per-file
+/// sweep) isolates panics with `catch_unwind`, so a poisoned mutex means
+/// a panic was already converted into a typed error upstream — the
+/// protected data is a result slot that the panicking thread never left
+/// half-written (writes happen after the fallible work). Recovering the
+/// guard instead of propagating the poison keeps one bad file from
+/// killing every other worker.
 pub fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

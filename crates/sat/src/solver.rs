@@ -113,16 +113,11 @@ pub struct Stats {
     /// touching clause memory (long clauses only; binary watchers never
     /// touch clause memory by construction).
     pub blocker_hits: u64,
-    /// Learnt clauses published to the sharing pool (short/low-LBD only;
-    /// see [`Solver::enable_lemma_export`]).
-    pub lemmas_exported: u64,
-    /// Clauses imported from other solvers via [`Solver::import_lemma`].
-    pub lemmas_imported: u64,
 }
 
 impl Stats {
     /// Accumulates another solver's counters into this one (used to
-    /// aggregate per-worker solvers into a per-phase total).
+    /// aggregate several solvers into a per-phase total).
     pub fn merge(&mut self, other: &Stats) {
         self.sat_calls += other.sat_calls;
         self.conflicts += other.conflicts;
@@ -136,8 +131,6 @@ impl Stats {
         self.lbd_sum += other.lbd_sum;
         self.arena_gc += other.arena_gc;
         self.blocker_hits += other.blocker_hits;
-        self.lemmas_exported += other.lemmas_exported;
-        self.lemmas_imported += other.lemmas_imported;
     }
 
     /// The counters as a JSON object, in declaration order.
@@ -155,8 +148,6 @@ impl Stats {
             ("lbd_sum", self.lbd_sum.into()),
             ("arena_gc", self.arena_gc.into()),
             ("blocker_hits", self.blocker_hits.into()),
-            ("lemmas_exported", self.lemmas_exported.into()),
-            ("lemmas_imported", self.lemmas_imported.into()),
         ])
     }
 }
@@ -201,8 +192,6 @@ pub struct Solver {
     conflict_core: Vec<Lit>,
     stats: Stats,
     proof: Option<Box<ProofLog>>,
-    export_cfg: Option<(usize, u32)>, // (max_len, max_lbd) for lemma export
-    exported: Vec<Vec<Lit>>,          // outbox drained by take_exported_lemmas
 }
 
 impl Solver {
@@ -244,82 +233,6 @@ impl Solver {
     pub fn reserve_vars(&mut self, n: usize) {
         while self.num_vars() < n {
             self.new_var();
-        }
-    }
-
-    /// Starts collecting learnt clauses for cross-solver sharing: every
-    /// clause learnt from a conflict with at most `max_len` literals and
-    /// LBD at most `max_lbd` (unit and binary clauses always qualify) is
-    /// copied to an outbox drained by [`Solver::take_exported_lemmas`].
-    /// Exporting never changes this solver's own behaviour.
-    pub fn enable_lemma_export(&mut self, max_len: usize, max_lbd: u32) {
-        self.export_cfg = Some((max_len, max_lbd));
-    }
-
-    /// Drains the export outbox (empty unless
-    /// [`Solver::enable_lemma_export`] is active).
-    pub fn take_exported_lemmas(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.exported)
-    }
-
-    /// Imports a clause learnt by *another* solver over the same variable
-    /// numbering, attaching it as a learnt clause so the database
-    /// reduction can later drop it. The caller is responsible for the
-    /// logical claim that `lits` is entailed by the shared formula; the
-    /// import is then sound exactly like any other learnt clause.
-    ///
-    /// Returns `false` if the formula became unsatisfiable at level 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if DRAT proof logging is enabled (an imported lemma has no
-    /// derivation in this solver's proof, so the stream would not check),
-    /// if any literal references an unallocated variable, or if called
-    /// mid-search.
-    pub fn import_lemma(&mut self, lits: &[Lit]) -> bool {
-        assert!(
-            self.proof.is_none(),
-            "lemma import is disabled under proof logging"
-        );
-        assert_eq!(self.decision_level(), 0, "import_lemma only at level 0");
-        if !self.ok {
-            return false;
-        }
-        let mut c: Vec<Lit> = lits.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        let mut filtered = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            assert!(l.var().index() < self.num_vars(), "unallocated variable");
-            if i + 1 < c.len() && c[i + 1] == !l {
-                return true; // tautology
-            }
-            match self.value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}
-                LBool::Undef => filtered.push(l),
-            }
-        }
-        self.stats.lemmas_imported += 1;
-        match filtered.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.enqueue(filtered[0], NO_REASON);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
-            }
-            _ => {
-                let cr = self.attach(&filtered, true);
-                // Pessimistic LBD (= length) keeps imported clauses
-                // eligible for reduction instead of pinning them as glue.
-                self.arena.set_lbd(cr, filtered.len() as u32);
-                true
-            }
         }
     }
 
@@ -914,12 +827,6 @@ impl Solver {
                 }
                 self.stats.learned_total += 1;
                 self.stats.lbd_sum += lbd as u64;
-                if let Some((max_len, max_lbd)) = self.export_cfg {
-                    if learnt.len() <= 2 || (learnt.len() <= max_len && lbd <= max_lbd) {
-                        self.exported.push(learnt.clone());
-                        self.stats.lemmas_exported += 1;
-                    }
-                }
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
                     self.enqueue(asserting, NO_REASON);
@@ -1361,81 +1268,5 @@ mod core_tests {
         assert_eq!(s.num_vars(), 5);
         s.reserve_vars(8);
         assert_eq!(s.num_vars(), 8);
-    }
-
-    /// Pigeonhole PHP(3,2): 3 pigeons, 2 holes — small but conflict-rich.
-    fn pigeonhole(s: &mut Solver) -> Vec<Vec<Var>> {
-        let vars: Vec<Vec<Var>> = (0..3)
-            .map(|_| (0..2).map(|_| s.new_var()).collect())
-            .collect();
-        for p in &vars {
-            s.add_clause(&[p[0].positive(), p[1].positive()]);
-        }
-        for h in [0, 1] {
-            for p in 0..3 {
-                for q in (p + 1)..3 {
-                    s.add_clause(&[vars[p][h].negative(), vars[q][h].negative()]);
-                }
-            }
-        }
-        vars
-    }
-
-    #[test]
-    fn exported_lemmas_import_soundly() {
-        let mut a = Solver::new();
-        a.enable_lemma_export(8, 4);
-        pigeonhole(&mut a);
-        assert_eq!(a.solve(), SatResult::Unsat);
-        let lemmas = a.take_exported_lemmas();
-        assert!(!lemmas.is_empty(), "conflict-rich UNSAT must export");
-        assert_eq!(a.stats().lemmas_exported, lemmas.len() as u64);
-        assert!(a.take_exported_lemmas().is_empty(), "outbox drains");
-
-        // A second solver over the same numbering accepts the lemmas and
-        // reaches the same verdict.
-        let mut b = Solver::new();
-        pigeonhole(&mut b);
-        for l in &lemmas {
-            b.import_lemma(l);
-        }
-        assert_eq!(b.stats().lemmas_imported, lemmas.len() as u64);
-        assert_eq!(b.solve(), SatResult::Unsat);
-
-        // Importing into a satisfiable formula must not flip the verdict.
-        let mut c = Solver::new();
-        let x = c.new_var();
-        let y = c.new_var();
-        c.add_clause(&[x.positive(), y.positive()]);
-        let mut d = Solver::new();
-        d.enable_lemma_export(8, 4);
-        let dx = d.new_var();
-        let dy = d.new_var();
-        d.add_clause(&[dx.positive(), dy.positive()]);
-        assert_eq!(d.solve(), SatResult::Sat);
-        for l in d.take_exported_lemmas() {
-            c.import_lemma(&l);
-        }
-        assert_eq!(c.solve(), SatResult::Sat);
-    }
-
-    #[test]
-    fn imported_unit_propagates() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[a.negative(), b.positive()]);
-        assert!(s.import_lemma(&[a.positive()]));
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert_eq!(s.model_value(b.positive()), Some(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "lemma import is disabled under proof logging")]
-    fn import_refused_under_proof_logging() {
-        let mut s = Solver::new();
-        s.enable_proof();
-        let a = s.new_var();
-        s.import_lemma(&[a.positive()]);
     }
 }

@@ -10,10 +10,6 @@
 //!                           while-loop condition (default: static)
 //!   -a, --arrival <input>=<time>
 //!                           per-input arrival offset (repeatable)
-//!   -j, --jobs <N>          worker threads for the removal phase's
-//!                           shared-CNF classification engine
-//!                           (default 0 = available parallelism, capped;
-//!                           1 forces fully in-line execution)
 //!       --certify           log a DRAT proof for every UNSAT verdict the
 //!                           run depends on and re-check each with the
 //!                           independent proof checker
@@ -38,7 +34,7 @@
 //! Exit status: 0 on success, 1 when a `--certify` proof fails to check,
 //! 2 on usage errors or when the input fails to read or parse, 3 when the
 //! run completed but degraded — some faults stayed Unknown under
-//! `--fault-budget` (or after an isolated worker panic), so full
+//! `--fault-budget` (or after an isolated classification panic), so full
 //! testability of the result was not proved.
 
 use std::error::Error;
@@ -56,7 +52,6 @@ struct Args {
     model: DelayModel,
     condition: Condition,
     arrivals: Vec<(String, i64)>,
-    jobs: usize,
     certify: bool,
     fault_budget: Option<FaultBudget>,
     checkpoint: Option<String>,
@@ -72,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
         model: DelayModel::Unit,
         condition: Condition::StaticSensitization,
         arrivals: Vec::new(),
-        jobs: 0,
         certify: false,
         fault_budget: None,
         checkpoint: None,
@@ -106,10 +100,6 @@ fn parse_args() -> Result<Args, String> {
                 let t: i64 = t.parse().map_err(|_| format!("bad time in {spec:?}"))?;
                 args.arrivals.push((name.to_string(), t));
             }
-            "-j" | "--jobs" => {
-                let n = it.next().ok_or("missing value for --jobs")?;
-                args.jobs = n.parse().map_err(|_| format!("bad job count {n:?}"))?;
-            }
             "--certify" => args.certify = true,
             "--fault-budget" => {
                 let spec = it.next().ok_or("missing value for --fault-budget")?;
@@ -128,7 +118,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [-j N] [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
+                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
                 std::process::exit(0);
             }
             other if args.input.is_empty() => args.input = other.to_string(),
@@ -182,7 +172,6 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     let options = KmsOptions {
         condition: args.condition,
         engine: Engine::SharedSat(ParallelOptions {
-            jobs: args.jobs,
             fault_budget: args.fault_budget,
             ..Default::default()
         }),
@@ -278,7 +267,7 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     if report.unknown > 0 {
         eprintln!(
             "warning: {} fault(s) left undecided by the removal phase \
-             (budget exhausted or worker panicked); the output may still \
+             (budget exhausted or classification panicked); the output may still \
              hold redundancies among them",
             report.unknown
         );

@@ -1,7 +1,6 @@
 //! End-to-end interchange pipeline: PLA suite → networks → BLIF text →
 //! re-parse → KMS → BLIF again, checking equivalence at every hop.
 
-use kms::atpg::{Engine, ParallelOptions};
 use kms::blif::{parse_blif, write_blif, PlaFile};
 use kms::core::{kms_on_copy, KmsOptions};
 use kms::gen::mcnc;
@@ -56,13 +55,7 @@ fn kms_output_survives_blif_interchange() {
 /// must not reuse those names for the gates it adds.
 #[test]
 fn kms_output_reads_back_after_two_passes() {
-    let options = KmsOptions {
-        engine: Engine::SharedSat(ParallelOptions {
-            jobs: 1,
-            ..Default::default()
-        }),
-        ..KmsOptions::default()
-    };
+    let options = KmsOptions::default();
     let pass = |text: &str| {
         let mut net = parse_blif(text).expect("written BLIF parses").network;
         transform::decompose_to_simple(&mut net);

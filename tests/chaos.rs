@@ -1,8 +1,8 @@
 //! Chaos suite: deterministic fault injection (`fault-inject` feature).
 //!
 //! Run with `cargo test --features fault-inject --test chaos`. Each
-//! scenario arms one injection hook — abort solver call #k, panic the
-//! classification worker on chunk claim #j, fail checkpoint write #i —
+//! scenario arms one injection hook — abort solver call #k, panic
+//! classification #j, fail checkpoint write #i —
 //! and proves the governed runtime degrades cleanly: every injected
 //! failure yields either a typed error or a degraded-but-valid report,
 //! never a corrupt one, and a clean re-run is bit-identical to the
@@ -15,7 +15,10 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use kms::atpg::{classify_faults, collapsed_faults, ParallelOptions, UnknownReason};
+use kms::atpg::{
+    classify_faults, classify_faults_report, collapsed_faults, ParallelOptions, Testability,
+    UnknownReason,
+};
 use kms::core::{kms_on_copy, kms_with_control, KmsOptions, RunControl};
 use kms::netlist::{transform, DelayModel, Network};
 use kms::timing::InputArrivals;
@@ -63,7 +66,6 @@ fn injected_solver_abort_degrades_one_fault() {
     // UNSAT query, so the run is guaranteed to issue solver calls (the
     // uncertified path may settle everything in PODEM).
     let opts = ParallelOptions {
-        jobs: 1,
         certify: true,
         ..Default::default()
     };
@@ -98,41 +100,66 @@ fn injected_solver_abort_degrades_one_fault() {
     assert_eq!(rerun.verdicts, baseline.verdicts, "clean re-run diverged");
 }
 
-/// Scenario 2 — panic the worker on chunk claim #j: the pool's chunk
-/// shield parks the dead worker's chunk as `Unknown(WorkerPanic)`, the
-/// commit frontier keeps advancing (no hang), and a clean re-run is
-/// bit-identical.
+/// Scenario 2 — panic classification #j mid-update: the per-fault panic
+/// shield degrades exactly that fault to `Unknown(WorkerPanic)`, every
+/// other verdict equals the clean run's, and the rebuilt solver context
+/// keeps classifying the faults after it, with the broken context's
+/// counters kept.
 #[test]
-fn injected_worker_panic_degrades_its_chunk() {
+fn injected_classification_panic_degrades_one_fault() {
     let _guard = serial();
     let net = csa();
+    // `certify` sends every redundant fault through the shared-CNF SAT
+    // path, so the panic fires with the fault's cone half done.
     let opts = ParallelOptions {
-        jobs: 2,
+        certify: true,
         ..Default::default()
     };
-    let baseline = classify_faults(&net, collapsed_faults(&net), opts);
-    assert_eq!(baseline.unknown_count(), 0, "uninjected baseline is total");
+    let clean = classify_faults_report(&net, collapsed_faults(&net), opts);
+    let baseline = &clean.testability;
+    let redundant: Vec<usize> = (0..baseline.verdicts.len())
+        .filter(|&i| baseline.verdicts[i].is_redundant())
+        .collect();
+    // The random patterns detect every testable fault of csa 4.4, so the
+    // classifier sees exactly the redundant faults, in list order: the
+    // j-th classification is the j-th redundant fault.
+    assert_eq!(clean.engine_calls, redundant.len() as u64);
+    const J: usize = 1;
+    assert!(redundant.len() > J, "faults must follow the victim");
 
-    kms::atpg::chaos::panic_on_chunk(1);
-    let hit = classify_faults(&net, collapsed_faults(&net), opts);
-    assert!(
-        kms::atpg::chaos::claims_observed() >= 1,
-        "the parallel pool must claim at least one chunk"
-    );
+    kms::atpg::chaos::panic_on_classification(J as u64);
+    let report = classify_faults_report(&net, collapsed_faults(&net), opts);
+    let observed = kms::atpg::chaos::classifications_observed();
     kms::atpg::chaos::clear();
 
-    assert_eq!(hit.faults, baseline.faults);
-    assert!(hit.unknown_count() >= 1, "the dead chunk must surface");
-    assert!(
-        hit.unknown_reasons()
-            .iter()
-            .any(|(r, _)| *r == UnknownReason::WorkerPanic),
-        "the unknowns must carry the worker-panic reason, got {:?}",
-        hit.unknown_reasons()
+    assert_eq!(
+        observed, clean.engine_calls,
+        "the rebuilt context must classify every fault after the panic"
     );
-    for (a, b) in baseline.verdicts.iter().zip(&hit.verdicts) {
-        if !b.is_unknown() {
-            assert_eq!(a, b, "a decided verdict diverged under injection");
+    assert_eq!(
+        report.engine_calls, clean.engine_calls,
+        "the broken context's counters must be kept"
+    );
+    // Every redundancy but the victim's is certified, by whichever
+    // context decided it, and every certificate checks.
+    let (want, got) = (
+        clean.certification.as_ref().expect("certified run"),
+        report.certification.as_ref().expect("certified run"),
+    );
+    assert_eq!(got.proofs_checked + 1, want.proofs_checked);
+    assert_eq!(got.proofs_failed, 0);
+    let hit = report.testability;
+    assert_eq!(hit.faults, baseline.faults);
+    let victim = redundant[J - 1];
+    for (i, (want, got)) in baseline.verdicts.iter().zip(&hit.verdicts).enumerate() {
+        if i == victim {
+            assert_eq!(*got, Testability::Unknown(UnknownReason::WorkerPanic));
+        } else {
+            assert_eq!(
+                want, got,
+                "fault {} diverged under injection",
+                hit.faults[i]
+            );
         }
     }
 

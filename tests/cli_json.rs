@@ -59,7 +59,7 @@ const SWEEP: &str = env!("CARGO_BIN_EXE_kms-sweep");
 
 #[test]
 fn kms_json_report_is_one_line() {
-    let out = run(KMS, &["-f", "json", "--certify", "-j", "1", "-"], FIG1);
+    let out = run(KMS, &["-f", "json", "--certify", "-"], FIG1);
     assert_eq!(out.status.code(), Some(0));
     let report = text(&out.stderr);
     assert_one_final_newline(&report);
@@ -113,11 +113,7 @@ fn kms_exhausted_fault_budget_exits_3_with_json_intact() {
     let mut net = kms::gen::adders::carry_skip_adder(8, 4, DelayModel::Unit);
     kms::netlist::transform::decompose_to_simple(&mut net);
     let blif = write_blif(&net);
-    let out = run(
-        KMS,
-        &["-f", "json", "--fault-budget", "1", "-j", "1", "-"],
-        &blif,
-    );
+    let out = run(KMS, &["-f", "json", "--fault-budget", "1", "-"], &blif);
     assert_eq!(out.status.code(), Some(3));
     let stderr = text(&out.stderr);
     let report = stderr.lines().next().expect("JSON report first");

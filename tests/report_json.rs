@@ -12,7 +12,7 @@ use kms::netlist::GateId;
 use kms::proof::CertificationReport;
 use kms::sat::Stats;
 
-/// Every counter distinct: `base + 1` to `base + 14` in field order.
+/// Every counter distinct: `base + 1` to `base + 12` in field order.
 fn stats(base: u64) -> Stats {
     Stats {
         sat_calls: base + 1,
@@ -27,8 +27,6 @@ fn stats(base: u64) -> Stats {
         lbd_sum: base + 10,
         arena_gc: base + 11,
         blocker_hits: base + 12,
-        lemmas_exported: base + 13,
-        lemmas_imported: base + 14,
     }
 }
 
@@ -65,8 +63,7 @@ fn solver_stats_json() {
         "{\"sat_calls\": 1, \"conflicts\": 2, \"decisions\": 3, \
          \"propagations\": 4, \"restarts\": 5, \"learnts\": 6, \
          \"learned_total\": 7, \"deleted_total\": 8, \"minimized_lits\": 9, \
-         \"lbd_sum\": 10, \"arena_gc\": 11, \"blocker_hits\": 12, \
-         \"lemmas_exported\": 13, \"lemmas_imported\": 14}"
+         \"lbd_sum\": 10, \"arena_gc\": 11, \"blocker_hits\": 12}"
     );
 }
 
@@ -109,8 +106,7 @@ fn classify_report_json() {
         \"conflicts\": 102, \"decisions\": 103, \"propagations\": 104, \
         \"restarts\": 105, \"learnts\": 106, \"learned_total\": 107, \
         \"deleted_total\": 108, \"minimized_lits\": 109, \"lbd_sum\": 110, \
-        \"arena_gc\": 111, \"blocker_hits\": 112, \"lemmas_exported\": 113, \
-        \"lemmas_imported\": 114}, \"unknown_reasons\": {\"conflicts\": 1}, \
+        \"arena_gc\": 111, \"blocker_hits\": 112}, \"unknown_reasons\": {\"conflicts\": 1}, \
         \"certification\": ";
     assert_eq!(
         report.to_json().compact(),
@@ -171,13 +167,11 @@ fn kms_report_json() {
         \"conflicts\": 202, \"decisions\": 203, \"propagations\": 204, \
         \"restarts\": 205, \"learnts\": 206, \"learned_total\": 207, \
         \"deleted_total\": 208, \"minimized_lits\": 209, \"lbd_sum\": 210, \
-        \"arena_gc\": 211, \"blocker_hits\": 212, \"lemmas_exported\": 213, \
-        \"lemmas_imported\": 214}, \"atpg_solver\": {\"sat_calls\": 301, \
+        \"arena_gc\": 211, \"blocker_hits\": 212}, \"atpg_solver\": {\"sat_calls\": 301, \
         \"conflicts\": 302, \"decisions\": 303, \"propagations\": 304, \
         \"restarts\": 305, \"learnts\": 306, \"learned_total\": 307, \
         \"deleted_total\": 308, \"minimized_lits\": 309, \"lbd_sum\": 310, \
-        \"arena_gc\": 311, \"blocker_hits\": 312, \"lemmas_exported\": 313, \
-        \"lemmas_imported\": 314}, \"certification\": ";
+        \"arena_gc\": 311, \"blocker_hits\": 312}, \"certification\": ";
     assert_eq!(
         report.to_json().compact(),
         format!("{expected}{CERTIFICATION}}}")
