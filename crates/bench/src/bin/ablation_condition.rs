@@ -7,23 +7,32 @@
 //! but is viable." Both conditions preserve the delay guarantee; the
 //! ablation measures iterations, duplications, and final area.
 
+use kms_netlist::outln;
 use kms_timing::InputArrivals;
 
 fn main() {
-    println!("KMS loop condition ablation — static sensitization vs viability");
-    println!(
+    outln!("KMS loop condition ablation — static sensitization vs viability");
+    outln!(
         "{:<10}  {:>28}  {:>28}",
-        "", "static sensitization", "viability"
+        "",
+        "static sensitization",
+        "viability"
     );
-    println!(
+    outln!(
         "{:<10}  {:>8} {:>9} {:>9}  {:>8} {:>9} {:>9}",
-        "circuit", "iters", "dup", "gates", "iters", "dup", "gates"
+        "circuit",
+        "iters",
+        "dup",
+        "gates",
+        "iters",
+        "dup",
+        "gates"
     );
     for (bits, block) in [(2usize, 2usize), (4, 2), (4, 4), (6, 3), (8, 4)] {
         let net = kms_bench::table1_csa(bits, block);
         let row =
             kms_bench::ablation_row(&format!("csa {bits}.{block}"), &net, &InputArrivals::zero());
-        println!(
+        outln!(
             "{:<10}  {:>8} {:>9} {:>9}  {:>8} {:>9} {:>9}",
             row.name,
             row.static_sens.0,
@@ -34,7 +43,7 @@ fn main() {
             row.viability.2,
         );
     }
-    println!("\nviability is the weaker stopping condition (more paths qualify as");
-    println!("delay-determining), so it can stop the loop earlier and duplicate");
-    println!("less, at a higher per-check cost (BDD functions vs one SAT call).");
+    outln!("\nviability is the weaker stopping condition (more paths qualify as");
+    outln!("delay-determining), so it can stop the loop earlier and duplicate");
+    outln!("less, at a higher per-check cost (BDD functions vs one SAT call).");
 }

@@ -3,13 +3,18 @@
 //! reports that for the 2-bit carry-skip adder the increase is at most one.
 //! This binary reports the measured fanout growth per Table I row.
 
+use kms_netlist::outln;
 use kms_timing::InputArrivals;
 
 fn main() {
-    println!("fanout growth under KMS (Section VI.2 accounting)");
-    println!(
+    outln!("fanout growth under KMS (Section VI.2 accounting)");
+    outln!(
         "{:<10} {:>12} {:>12} {:>10} {:>10}",
-        "circuit", "max fo init", "max fo fin", "mean init", "mean fin"
+        "circuit",
+        "max fo init",
+        "max fo fin",
+        "mean init",
+        "mean fin"
     );
     for (bits, block) in [(2usize, 2usize), (4, 4), (8, 2), (8, 4)] {
         let net = kms_bench::table1_csa(bits, block);
@@ -21,7 +26,7 @@ fn main() {
         )
         .expect("simple gates");
         let after_stats = kms_netlist::NetworkStats::of(&after);
-        println!(
+        outln!(
             "{:<10} {:>12} {:>12} {:>7}.{:03} {:>7}.{:03}",
             format!("csa {bits}.{block}"),
             report.max_fanout_before,
@@ -32,8 +37,8 @@ fn main() {
             after_stats.mean_fanout_milli % 1000,
         );
     }
-    println!();
-    println!("paper: fanout can at most double per iteration; on the 2-bit");
-    println!("carry-skip adder the observed increase is at most one, handled");
-    println!("by cell selection / transistor sizing — outside the delay model.");
+    outln!();
+    outln!("paper: fanout can at most double per iteration; on the 2-bit");
+    outln!("carry-skip adder the observed increase is at most one, handled");
+    outln!("by cell selection / transistor sizing — outside the delay model.");
 }

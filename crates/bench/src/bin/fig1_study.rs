@@ -9,6 +9,7 @@
 
 use kms_atpg::{analyze_all, faulty_copy, is_testable, Engine, Fault, Testability};
 use kms_gen::paper::fig4_c2_cone;
+use kms_netlist::outln;
 use kms_netlist::GateKind;
 use kms_timing::{computed_delay, InputArrivals, PathCondition};
 
@@ -18,20 +19,20 @@ fn main() {
     let arr = InputArrivals::zero().with(cin, 5);
     let cap = 1 << 22;
 
-    println!("Fig. 1 study — 2-bit carry-skip block, c0 @ t=5, AND/OR=1 XOR/MUX=2");
+    outln!("Fig. 1 study — 2-bit carry-skip block, c0 @ t=5, AND/OR=1 XOR/MUX=2");
     let topo = computed_delay(&net, &arr, PathCondition::Topological, cap).unwrap();
-    println!(
+    outln!(
         "  longest path (static timing) : {}   [paper: 11]",
         topo.delay
     );
     let via = computed_delay(&net, &arr, PathCondition::Viability, cap).unwrap();
-    println!(
+    outln!(
         "  critical path (viability)    : {}   [paper: 8]",
         via.delay
     );
     if let Some((path, cube)) = &via.witness {
-        println!("  critical path: {}", path.describe(&net));
-        println!(
+        outln!("  critical path: {}", path.describe(&net));
+        outln!(
             "  viable under  : {}",
             cube.iter()
                 .map(|&b| if b { '1' } else { '0' })
@@ -39,7 +40,7 @@ fn main() {
         );
     }
     let stat = computed_delay(&net, &arr, PathCondition::StaticSensitization, cap).unwrap();
-    println!("  longest statically sensitizable: {}", stat.delay);
+    outln!("  longest statically sensitizable: {}", stat.delay);
 
     // The redundancy: the skip AND (block propagate) output stuck-at-0.
     let bp = net
@@ -48,7 +49,7 @@ fn main() {
         .expect("skip AND present in the cone");
     let f = Fault::output(bp, false);
     let verdict = is_testable(&net, f, Engine::Sat);
-    println!(
+    outln!(
         "  skip AND s-a-0 testable?     : {}   [paper: no — redundant]",
         matches!(verdict, Testability::Testable(_))
     );
@@ -56,13 +57,13 @@ fn main() {
     // The speedtest hazard: in the faulty circuit the delay regresses.
     let broken = faulty_copy(&net, f);
     let faulty_delay = computed_delay(&broken, &arr, PathCondition::Viability, cap).unwrap();
-    println!(
+    outln!(
         "  delay with skip AND s-a-0    : {}   [paper: 11 — exceeds the clock set at 8]",
         faulty_delay.delay
     );
 
     let report = analyze_all(&net, Engine::Sat);
-    println!(
+    outln!(
         "  fault universe: {} faults, {} testable, {} redundant",
         report.faults.len(),
         report.testable_count(),

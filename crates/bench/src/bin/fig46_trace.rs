@@ -10,6 +10,7 @@
 
 use kms_core::{kms_on_copy, verify_kms_invariants, KmsOptions};
 use kms_gen::paper::fig4_c2_cone;
+use kms_netlist::outln;
 use kms_timing::{computed_delay, InputArrivals, PathCondition};
 
 fn main() {
@@ -17,12 +18,12 @@ fn main() {
     let cin = net.input_by_name("cin").expect("cin exists");
     let arr = InputArrivals::zero().with(cin, 5);
 
-    println!("Fig. 4 (initial redundant cone, simple gates):");
-    println!("{}", indent(&net.dump()));
+    outln!("Fig. 4 (initial redundant cone, simple gates):");
+    outln!("{}", indent(&net.dump()));
 
     let (after, report) = kms_on_copy(&net, &arr, KmsOptions::default()).unwrap();
     for (i, it) in report.iterations.iter().enumerate() {
-        println!(
+        outln!(
             "iteration {}: longest length {}, path {}, duplicated {} gates, first edge := {}",
             i + 1,
             it.longest_length,
@@ -31,7 +32,7 @@ fn main() {
             u8::from(it.constant),
         );
     }
-    println!(
+    outln!(
         "remaining redundancies removed in any order: {}",
         report
             .removed_redundancies
@@ -40,23 +41,25 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!();
-    println!("Fig. 6 (final irredundant cone):");
-    println!("{}", indent(&after.dump()));
+    outln!();
+    outln!("Fig. 6 (final irredundant cone):");
+    outln!("{}", indent(&after.dump()));
 
     let inv = verify_kms_invariants(&net, &after, &arr).unwrap();
     let cap = 1 << 22;
     let before = computed_delay(&net, &arr, PathCondition::Viability, cap).unwrap();
     let after_d = computed_delay(&after, &arr, PathCondition::Viability, cap).unwrap();
-    println!("equivalent: {}", inv.equivalent);
-    println!("fully testable: {}", inv.fully_testable);
-    println!(
+    outln!("equivalent: {}", inv.equivalent);
+    outln!("fully testable: {}", inv.fully_testable);
+    outln!(
         "viable delay: {} -> {}   [paper: 8 -> no slower]",
-        before.delay, after_d.delay
+        before.delay,
+        after_d.delay
     );
-    println!(
+    outln!(
         "gates: {} -> {}   [paper: no area overhead on this cone]",
-        report.gates_before, report.gates_after
+        report.gates_before,
+        report.gates_after
     );
 }
 

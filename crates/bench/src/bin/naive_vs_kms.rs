@@ -7,13 +7,18 @@
 //! adders: the later the carry, the more the skip logic matters, and the
 //! worse the naive result gets.
 
+use kms_netlist::outln;
+
 fn main() {
-    println!("naive redundancy removal vs KMS — viable delay (unit model)");
+    outln!("naive redundancy removal vs KMS — viable delay (unit model)");
     for (bits, block) in [(6usize, 3usize), (8, 4), (8, 2)] {
-        println!("\ncsa {bits}.{block}:");
-        println!(
+        outln!("\ncsa {bits}.{block}:");
+        outln!(
             "  {:>8} {:>9} {:>7} {:>5}",
-            "cin@t", "original", "naive", "kms"
+            "cin@t",
+            "original",
+            "naive",
+            "kms"
         );
         for row in kms_bench::naive_vs_kms(bits, block, &[0, 2, 4, 6, 8, 10]) {
             let slower = if row.naive > row.original {
@@ -21,9 +26,13 @@ fn main() {
             } else {
                 ""
             };
-            println!(
+            outln!(
                 "  {:>8} {:>9} {:>7} {:>5}{}",
-                row.cin_arrival, row.original, row.naive, row.kms, slower
+                row.cin_arrival,
+                row.original,
+                row.naive,
+                row.kms,
+                slower
             );
             assert!(
                 row.kms <= row.original,
@@ -31,7 +40,7 @@ fn main() {
             );
         }
     }
-    println!("\npaper claim: removing the carry-skip redundancy naively slows the");
-    println!("circuit to ripple speed; KMS yields an irredundant adder that is");
-    println!("as fast as (here: often faster than) the redundant original.");
+    outln!("\npaper claim: removing the carry-skip redundancy naively slows the");
+    outln!("circuit to ripple speed; KMS yields an irredundant adder that is");
+    outln!("as fast as (here: often faster than) the redundant original.");
 }

@@ -1,14 +1,17 @@
 //! Extension experiment E7: KMS scaling over carry-skip adder width and
 //! block size (beyond the paper's four rows). Invariant verification is
-//! off by default for the larger rows; pass `--verify` to enable it.
+//! off by default for the larger rows; pass `--verify` to enable it. A
+//! row whose KMS loop hit its iteration cap is marked: the no-slower
+//! guarantee does not hold for it.
 
 use kms_atpg::ParallelOptions;
+use kms_netlist::outln;
 use kms_timing::InputArrivals;
 
 fn main() {
     let verify = std::env::args().any(|a| a == "--verify");
-    println!("KMS scaling sweep — carry-skip adders (unit model)");
-    println!("{}", kms_bench::Table1Row::header());
+    outln!("KMS scaling sweep — carry-skip adders (unit model)");
+    outln!("{}", kms_bench::Table1Row::header());
     for (bits, block) in [
         (4usize, 2usize),
         (8, 2),
@@ -28,6 +31,6 @@ fn main() {
             verify,
             ParallelOptions::default(),
         );
-        println!("{}   ({:.2?})", row.format(), t0.elapsed());
+        outln!("{}   ({:.2?})", row.format(), t0.elapsed());
     }
 }

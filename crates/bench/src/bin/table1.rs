@@ -13,7 +13,8 @@
 //! each per-fault solver query — a bare number caps conflicts, or
 //! comma-separated `conflicts=N,props=N,ms=N`; rows whose queries exhaust
 //! the budget report Unknown faults and the run exits 3 ("completed,
-//! degraded").
+//! degraded"), as it does when a row's KMS loop hits its iteration cap
+//! (the row is marked).
 //!
 //! Columns: redundancy count, initial/final simple-gate counts, viable
 //! delay before/after, topological delay before/after, loop iterations,
@@ -22,6 +23,8 @@
 //! decomposition and optimizer are not MIS-II); the shape — which circuits
 //! carry redundancies, that KMS never increases the viable delay, and that
 //! area moves both ways — is the reproduction target (see EXPERIMENTS.md).
+
+use kms_netlist::{out, outln};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,51 +82,53 @@ fn main() {
 
     let mut ledger = kms_proof::CertificationReport::default();
     let mut unknown_total = 0usize;
+    let mut capped_rows = 0usize;
     let mut tally = |row: &kms_bench::Table1Row| {
         if let Some(c) = &row.certification {
             ledger.merge(c);
         }
         unknown_total += row.unknown;
+        capped_rows += usize::from(row.capped);
     };
-    println!("Table I — redundancy removal with no delay increase");
-    println!("{}", kms_bench::Table1Row::header());
+    outln!("Table I — redundancy removal with no delay increase");
+    outln!("{}", kms_bench::Table1Row::header());
     if which_csa {
         for row in kms_bench::csa_rows(verify, popts) {
-            println!("{}", row.format());
+            outln!("{}", row.format());
             tally(&row);
         }
     }
     if which_mcnc {
         for b in kms_gen::mcnc::table1_suite() {
             let row = kms_bench::mcnc_row(&b, verify, popts);
-            println!("{}", row.format());
+            outln!("{}", row.format());
             tally(&row);
         }
     }
     let mut failed = false;
     if certify {
-        println!();
-        print!("{}", ledger.render_text());
+        outln!();
+        out!("{}", ledger.render_text());
         if !ledger.all_verified() {
             eprintln!("error: certification failed — some solver verdict has no checkable proof");
             failed = true;
         }
     }
-    println!();
-    println!("paper reference (gate counts are MIS-II sizes, not ours):");
-    println!("  csa 2.2: red 2, 22 -> 21      5xp1:  red 1,  92 -> 91");
-    println!("  csa 4.4: red 2, 40 -> 43      clip:  red 2,  99 -> 97");
-    println!("  csa 8.2: red 8, 88 -> 88      duke2: red 2, 317 -> 315");
-    println!("  csa 8.4: red 4, 80 -> 87      f51m:  red 23, 164 -> 140");
-    println!("                                misex1: red 28, 79 -> 55");
-    println!("                                misex2: red 1,  88 -> 87");
-    println!("                                rd73:  red 9,  91 -> 80");
-    println!("                                sao2:  red 8, 122 -> 114");
-    println!("                                z4ml:  red 7,  59 -> 53");
+    outln!();
+    outln!("paper reference (gate counts are MIS-II sizes, not ours):");
+    outln!("  csa 2.2: red 2, 22 -> 21      5xp1:  red 1,  92 -> 91");
+    outln!("  csa 4.4: red 2, 40 -> 43      clip:  red 2,  99 -> 97");
+    outln!("  csa 8.2: red 8, 88 -> 88      duke2: red 2, 317 -> 315");
+    outln!("  csa 8.4: red 4, 80 -> 87      f51m:  red 23, 164 -> 140");
+    outln!("                                misex1: red 28, 79 -> 55");
+    outln!("                                misex2: red 1,  88 -> 87");
+    outln!("                                rd73:  red 9,  91 -> 80");
+    outln!("                                sao2:  red 8, 122 -> 114");
+    outln!("                                z4ml:  red 7,  59 -> 53");
     if let Some(limit) = budget {
         let elapsed = start.elapsed().as_secs_f64();
-        println!();
-        println!("budget: {elapsed:.1}s used of {limit:.1}s allowed");
+        outln!();
+        outln!("budget: {elapsed:.1}s used of {limit:.1}s allowed");
         if elapsed > limit {
             eprintln!(
                 "error: wall-clock budget exceeded ({elapsed:.1}s > {limit:.1}s) — \
@@ -133,12 +138,21 @@ fn main() {
         }
     }
     // Degraded (3) outranks other failures (1): with undecided faults no
-    // row's redundancy count or invariant check can be fully trusted.
+    // row's redundancy count or invariant check can be fully trusted, and
+    // a capped loop voids the row's no-slower guarantee.
     if unknown_total > 0 {
         eprintln!(
             "warning: {unknown_total} fault(s) left undecided under the \
              per-fault budget; redundancy counts are lower bounds"
         );
+    }
+    if capped_rows > 0 {
+        eprintln!(
+            "warning: the KMS loop hit its iteration cap on {capped_rows} row(s); \
+             the no-slower guarantee does not hold for them"
+        );
+    }
+    if unknown_total > 0 || capped_rows > 0 {
         std::process::exit(3);
     }
     if failed {

@@ -62,6 +62,9 @@ pub struct Table1Row {
     /// a lower bound and "fully testable" was not proved. Always zero
     /// unbudgeted.
     pub unknown: usize,
+    /// `true` when the KMS loop hit its iteration cap: the row is
+    /// degraded, because the no-slower guarantee does not hold for it.
+    pub capped: bool,
 }
 
 impl Table1Row {
@@ -75,11 +78,13 @@ impl Table1Row {
                 c.proofs_failed, c.proofs_emitted
             ),
         };
-        let degraded = if self.unknown > 0 {
-            format!("  [{} unknown — degraded]", self.unknown)
-        } else {
-            String::new()
-        };
+        let mut degraded = String::new();
+        if self.unknown > 0 {
+            degraded += &format!("  [{} unknown — degraded]", self.unknown);
+        }
+        if self.capped {
+            degraded += "  [loop capped — no-slower not guaranteed]";
+        }
         format!(
             "{:<10} {:>5} {:>8} {:>7} {:>8} {:>7} {:>8} {:>7} {:>6} {:>6}  {}{}{}",
             self.name,
@@ -219,6 +224,7 @@ pub fn run_row(
         verified,
         certification,
         unknown,
+        capped: report.capped,
     }
 }
 

@@ -167,8 +167,11 @@ pub struct KmsReport {
     pub max_fanout_before: usize,
     /// See [`KmsReport::max_fanout_before`].
     pub max_fanout_after: usize,
-    /// `true` if the iteration cap stopped the loop early (never observed
-    /// on the paper's circuits; reported for safety).
+    /// `true` if [`KmsOptions::max_iterations`] stopped the loop before a
+    /// longest path satisfied the condition. The removal phase still ran,
+    /// but Theorems 7.1/7.2 no longer bound the result's delay: callers
+    /// report a degraded outcome (the `kms` CLI exits 3). Never observed
+    /// on the Table I rows at the default cap; csa 16.2 hits it.
     pub capped: bool,
     /// Total equal-length longest paths dropped by the
     /// [`KmsOptions::max_longest_paths`] cap across all iterations (the
@@ -1036,6 +1039,65 @@ mod tests {
             assert_reports_identical(&base_report, &report, &format!("stop={stop}"));
             assert!(!path.exists(), "completed run removes its checkpoint");
         }
+    }
+
+    /// Refuted cores ride in the checkpoint. A certified csa 8.2 run
+    /// stopped mid-loop has saved cores with their certificate digests;
+    /// the resumed run answers from them, so it makes the uninterrupted
+    /// run's SAT calls and ends bit-identical to it. A resume that lost
+    /// the core index would re-prove the cores and diverge in the oracle
+    /// counters.
+    #[test]
+    fn checkpoint_carries_cores() {
+        let mut net = kms_gen::adders::carry_skip_adder(8, 2, kms_netlist::DelayModel::Unit);
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(kms_netlist::DelayModel::Unit);
+        let arr = InputArrivals::zero();
+        let options = KmsOptions {
+            certify: true,
+            ..Default::default()
+        };
+        let (base_net, base_report) = kms_on_copy(&net, &arr, options).unwrap();
+        let stop = base_report.iterations.len() / 2;
+        let path = ckpt_path("cores");
+        let suspended = kms_with_control(
+            &mut net.clone(),
+            &arr,
+            options,
+            RunControl {
+                checkpoint: Some(path.clone()),
+                stop_after: Some(stop),
+                resume: None,
+            },
+        )
+        .unwrap();
+        assert!(suspended.is_none());
+        let ck = Checkpoint::load(&path).unwrap();
+        let cores: Vec<_> = ck.cache.0.iter().filter(|(_, (sat, _))| !sat).collect();
+        assert!(
+            !cores.is_empty(),
+            "a mid-loop checkpoint holds refuted cores"
+        );
+        assert!(
+            cores.iter().all(|(_, (_, digest))| digest.is_some()),
+            "every certified core keeps its certificate digest"
+        );
+        let mut resumed = net.clone();
+        let report = kms_with_control(
+            &mut resumed,
+            &arr,
+            options,
+            RunControl {
+                checkpoint: Some(path.clone()),
+                resume: Some(ck),
+                stop_after: None,
+            },
+        )
+        .unwrap()
+        .expect("completes");
+        assert_eq!(base_net.dump(), resumed.dump());
+        assert_reports_identical(&base_report, &report, "resume with cores");
+        assert!(report.certification.as_ref().unwrap().all_verified());
     }
 
     /// Certification state survives the checkpoint: a certified run

@@ -84,9 +84,11 @@ fn bad(context: impl Into<String>) -> CheckpointError {
 /// sections mandatory. v3 added the ledger's `stream_ingested` counter,
 /// and its cached certificate digests come from the rolling stream hash
 /// of [`kms_proof::digest`]. v4 dropped the solver's two lemma-sharing
-/// counters from the oracle line. Older files are rejected as
-/// [`CheckpointError::Version`].
-const HEADER: &str = "kms-checkpoint v4";
+/// counters from the oracle line. v5 stores a refuted query's unsat core
+/// instead of its full key, so a v4 cache would answer fewer queries than
+/// the run that wrote it and a resume would not match that run's
+/// counters. Older files are rejected as [`CheckpointError::Version`].
+const HEADER: &str = "kms-checkpoint v5";
 
 /// FNV-1a 64-bit, the workspace's standard content digest.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -654,9 +656,10 @@ mod tests {
 
     /// Files in the v1 format (written before the cone-scoped timing
     /// engine was retired), the v2 format (before the ledger's
-    /// `stream_ingested` counter) and the v3 format (with the lemma-sharing
-    /// solver counters) are refused with a typed error, even when their
-    /// digest is intact.
+    /// `stream_ingested` counter), the v3 format (with the lemma-sharing
+    /// solver counters) and the v4 format (full keys for refuted queries,
+    /// no cores) are refused with a typed error, even when their digest is
+    /// intact.
     #[test]
     fn v1_checkpoint_is_a_version_error() {
         let payload = "fingerprint 00000000deadbeef\n\
@@ -673,6 +676,7 @@ mod tests {
             "kms-checkpoint v1",
             "kms-checkpoint v2",
             "kms-checkpoint v3",
+            "kms-checkpoint v4",
         ] {
             let text = format!(
                 "{header}\ndigest {:016x}\n{payload}",

@@ -19,11 +19,11 @@
 //! that satisfies the condition.
 
 use kms_analysis::{SignatureInterner, Signatures};
-use kms_netlist::{FxHashMap, GateKind, NetlistError, Network, Path};
+use kms_netlist::{FxHashMap, FxHashSet, GateId, GateKind, NetlistError, Network, Path};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{
-    early_side_constraints, static_side_constraints, InputArrivals, LatenessRule,
+    early_side_constraints, static_side_constraints, InputArrivals, LatenessRule, Refutation,
     SensitizationOracle, Sta, ViabilityAnalysis, NEVER,
 };
 
@@ -84,22 +84,25 @@ impl<'a> ConditionOracle<'a> {
         }
     }
 
-    /// Whether `path` satisfies the condition, plus — when `certify` is
-    /// given — the digest of the checked certificate behind a negative
-    /// static-sensitization verdict. Viability verdicts are BDD-backed
-    /// and pass through uncertified.
-    pub(crate) fn satisfies(
+    /// Refutes `path`: `None` when it satisfies the condition, otherwise
+    /// the constraints that already make it fail. The SAT oracle returns
+    /// its unsat core — plus, when `certify` is given, the digest of the
+    /// checked certificate that concludes the core clause. The BDD-backed
+    /// viability oracle mints no cores: its refutation is the whole
+    /// constraint set `constraints`, uncertified.
+    pub(crate) fn refute(
         &mut self,
         net: &Network,
         path: &Path,
+        constraints: &[(GateId, bool)],
         certify: Option<&mut CertificationReport>,
-    ) -> Result<(bool, Option<u64>), NetlistError> {
-        match (self, certify) {
-            (ConditionOracle::Sens(o), Some(report)) => {
-                o.is_sensitizable_certified(net, path, report)
-            }
-            (ConditionOracle::Sens(o), None) => Ok((o.is_sensitizable(net, path)?, None)),
-            (ConditionOracle::Via(v), _) => Ok((v.is_viable(path)?, None)),
+    ) -> Result<Option<Refutation>, NetlistError> {
+        match self {
+            ConditionOracle::Sens(o) => o.refute(net, path, certify),
+            ConditionOracle::Via(v) => Ok((!v.is_viable(path)?).then(|| Refutation {
+                core: constraints.to_vec(),
+                digest: None,
+            })),
         }
     }
 
@@ -112,20 +115,38 @@ impl<'a> ConditionOracle<'a> {
     }
 }
 
-/// The cross-iteration verdict cache. Keys are canonicalized constraint
-/// sets — sorted, deduplicated `(signature, required value)` pairs — and
-/// the value is "satisfiable?" plus, in certify mode, the digest of the
-/// checked certificate that established a negative verdict (a cache hit
-/// then re-uses the proof by reference instead of re-deriving it). Both
-/// conditions share the space: a static-sensitization query and a
-/// viability query with the same constraint set have the same verdict by
-/// construction.
+/// One signed constraint: `(signature, required value)`.
+type Pair = (u32, bool);
+
+/// A signed constraint set: sorted, deduplicated pairs. Equal signatures
+/// mean equal functions, so the set is the verdict's full input.
+pub(crate) type Key = Vec<Pair>;
+
+/// The cross-iteration verdict cache. Both conditions share it: a
+/// static-sensitization query and a viability query with the same
+/// constraint set have the same verdict by construction. It holds two
+/// kinds of entries:
+///
+/// - the full key of every query found satisfiable, answered by exact
+///   match;
+/// - the unsat core of every refuted query, answered by subsumption. A
+///   key that contains a known core is unsatisfiable: a superset of an
+///   unsatisfiable conjunction is unsatisfiable. Each core is filed under
+///   its smallest pair, so a lookup visits only the cores filed under the
+///   key's own pairs. In certify mode a core keeps the digest of the
+///   checked certificate that concludes exactly the core clause, and a
+///   hit re-uses that proof by reference instead of re-deriving it.
+///
+/// A refutation hinges on a few constraints, and a transform that
+/// rewires a gate elsewhere on the path changes the other pairs of the
+/// key but not the core, so the next iteration's query still hits.
 #[derive(Default)]
 pub(crate) struct VerdictCache {
     // FxHash: the keys are long `(signature, bool)` vectors hashed on
     // every lookup of every iteration; SipHash showed up in profiles and
     // the cache needs no DoS hardening (keys are derived, not adversarial).
-    map: FxHashMap<Vec<(u32, bool)>, CachedVerdict>,
+    satisfiable: FxHashSet<Key>,
+    cores: FxHashMap<Pair, Vec<(Key, Option<u64>)>>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
@@ -134,51 +155,139 @@ pub(crate) struct VerdictCache {
 /// verdicts, the digest of the already-checked certificate.
 pub(crate) type CachedVerdict = (bool, Option<u64>);
 
-/// One exported cache entry: the interned signature key and its verdict
-/// (the checkpoint serialization unit).
-pub(crate) type CacheEntry = (Vec<(u32, bool)>, CachedVerdict);
+/// One exported cache entry — a satisfiable key or a refuted core, with
+/// its verdict (the checkpoint serialization unit).
+pub(crate) type CacheEntry = (Key, CachedVerdict);
 
 impl VerdictCache {
+    /// The cached verdict of `key`: satisfiable when the key itself was
+    /// found satisfiable, unsatisfiable when it contains a known core.
+    pub(crate) fn lookup(&self, key: &[Pair]) -> Option<CachedVerdict> {
+        if self.satisfiable.contains(key) {
+            return Some((true, None));
+        }
+        key.iter().enumerate().find_map(|(i, pair)| {
+            self.cores
+                .get(pair)?
+                .iter()
+                .find(|(core, _)| is_subset(&core[1..], &key[i + 1..]))
+                .map(|&(_, digest)| (false, digest))
+        })
+    }
+
+    /// Records a key found satisfiable.
+    pub(crate) fn insert_satisfiable(&mut self, key: Key) {
+        self.satisfiable.insert(key);
+    }
+
+    /// Records an unsat core (a sorted, deduplicated key).
+    pub(crate) fn insert_core(&mut self, core: Key, digest: Option<u64>) {
+        let first = *core
+            .first()
+            .expect("a circuit CNF is satisfiable, so a core constrains something");
+        self.cores.entry(first).or_default().push((core, digest));
+    }
+
     /// Every cache entry in sorted-key order, for checkpointing (the map
     /// iteration order is hasher-dependent; the sort makes the
     /// serialization deterministic).
     pub(crate) fn export_entries(&self) -> Vec<CacheEntry> {
-        let mut entries: Vec<_> = self.map.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let satisfiable = self.satisfiable.iter().map(|k| (k.clone(), (true, None)));
+        let cores = self
+            .cores
+            .values()
+            .flatten()
+            .map(|(core, digest)| (core.clone(), (false, *digest)));
+        let mut entries: Vec<_> = satisfiable.chain(cores).collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         entries
     }
 
-    /// Rebuilds a cache from exported entries and counters.
+    /// Rebuilds a cache, core index included, from exported entries and
+    /// counters.
     pub(crate) fn from_parts(entries: Vec<CacheEntry>, hits: u64, misses: u64) -> Self {
-        VerdictCache {
-            map: entries.into_iter().collect(),
+        let mut cache = VerdictCache {
             hits,
             misses,
+            ..VerdictCache::default()
+        };
+        for (key, (satisfiable, digest)) in entries {
+            if satisfiable {
+                cache.insert_satisfiable(key);
+            } else {
+                cache.insert_core(key, digest);
+            }
         }
+        cache
     }
 }
 
-/// The canonical cache key of `path` under `condition`: its constraint
-/// set with gates replaced by their interned signatures. Viability keys
-/// include only the *early* side-inputs (late ones are smoothed), so the
-/// current timing pass participates in key construction — which is what
-/// makes the key sound under timing drift: the key *is* the verdict's
-/// full input.
-fn constraint_key(
+/// Whether every pair of `small` occurs in `big`, both sorted: one merge
+/// pass over `big` that skips ahead by binary search.
+fn is_subset(small: &[Pair], mut big: &[Pair]) -> bool {
+    small.iter().all(|x| {
+        let i = big.partition_point(|y| y < x);
+        let found = big.get(i) == Some(x);
+        big = big.get(i + 1..).unwrap_or_default();
+        found
+    })
+}
+
+/// The constraint set of `path` under `condition` as `(gate, required
+/// value)` pairs. Viability includes only the *early* side-inputs (late
+/// ones are smoothed), so the current timing pass participates in key
+/// construction — which is what makes the key sound under timing drift:
+/// the key *is* the verdict's full input.
+fn path_constraints(
     net: &Network,
     sta: &Sta,
     path: &Path,
     condition: Condition,
-    sigs: &Signatures,
-) -> Result<Vec<(u32, bool)>, NetlistError> {
-    let raw = match condition {
-        Condition::StaticSensitization => static_side_constraints(net, path)?,
-        Condition::Viability => early_side_constraints(net, sta, path, LatenessRule::default())?,
-    };
-    let mut key: Vec<(u32, bool)> = raw.into_iter().map(|(g, nc)| (sigs.of(g), nc)).collect();
+) -> Result<Vec<(GateId, bool)>, NetlistError> {
+    match condition {
+        Condition::StaticSensitization => static_side_constraints(net, path),
+        Condition::Viability => early_side_constraints(net, sta, path, LatenessRule::default()),
+    }
+}
+
+/// The canonical key of a constraint set: gates replaced by their
+/// interned signatures, sorted and deduplicated.
+fn signed(constraints: &[(GateId, bool)], sigs: &Signatures) -> Key {
+    let mut key: Key = constraints.iter().map(|&(g, v)| (sigs.of(g), v)).collect();
     key.sort_unstable();
     key.dedup();
-    Ok(key)
+    key
+}
+
+/// With the `debug-invariants` feature enabled, re-derives a verdict the
+/// cache answered from a core with a fresh oracle and panics if the path
+/// is not refuted after all; compiles to nothing otherwise.
+#[cfg(feature = "debug-invariants")]
+fn check_core_hit(
+    net: &Network,
+    arrivals: &InputArrivals,
+    path: &Path,
+    constraints: &[(GateId, bool)],
+    condition: Condition,
+) {
+    let fresh = ConditionOracle::new(net, arrivals, condition, false)
+        .refute(net, path, constraints, None)
+        .expect("the cached query succeeded on this path");
+    assert!(
+        fresh.is_some(),
+        "verdict cache: a cached core refutes {path}, but a fresh oracle finds it satisfies \
+         {condition:?}"
+    );
+}
+
+#[cfg(not(feature = "debug-invariants"))]
+fn check_core_hit(
+    _net: &Network,
+    _arrivals: &InputArrivals,
+    _path: &Path,
+    _constraints: &[(GateId, bool)],
+    _condition: Condition,
+) {
 }
 
 /// Outcome of one oracle phase over the capped longest-path set.
@@ -193,8 +302,9 @@ pub(crate) struct OracleOutcome {
 
 /// Runs the while-loop header check over `longest`: walks the paths in
 /// order, answers each from the verdict cache or — on a miss — from the
-/// iteration's lazily built oracle (whose verdict then enters the
-/// cache), and stops at the first path that satisfies the condition.
+/// iteration's lazily built oracle (whose key, or core for a refutation,
+/// then enters the cache), and stops at the first path that satisfies
+/// the condition.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn oracle_phase(
     net: &Network,
@@ -212,10 +322,14 @@ pub(crate) fn oracle_phase(
     let mut any_sensitizable = false;
     let mut first_false: Option<&Path> = None;
     for p in longest {
-        let key = constraint_key(net, sta, p, condition, &sigs)?;
-        let satisfies = match cache.map.get(&key) {
-            Some(&(v, _digest)) => {
+        let constraints = path_constraints(net, sta, p, condition)?;
+        let key = signed(&constraints, &sigs);
+        let satisfies = match cache.lookup(&key) {
+            Some((v, _digest)) => {
                 cache.hits += 1;
+                if !v {
+                    check_core_hit(net, arrivals, p, &constraints, condition);
+                }
                 v
             }
             None => {
@@ -223,9 +337,16 @@ pub(crate) fn oracle_phase(
                 let o = oracle.get_or_insert_with(|| {
                     ConditionOracle::new(net, arrivals, condition, certify.is_some())
                 });
-                let (v, digest) = o.satisfies(net, p, certify.as_deref_mut())?;
-                cache.map.insert(key, (v, digest));
-                v
+                match o.refute(net, p, &constraints, certify.as_deref_mut())? {
+                    None => {
+                        cache.insert_satisfiable(key);
+                        true
+                    }
+                    Some(r) => {
+                        cache.insert_core(signed(&r.core, &sigs), r.digest);
+                        false
+                    }
+                }
             }
         };
         if satisfies {
@@ -354,6 +475,108 @@ mod tests {
         assert!(outcome.target.is_none());
         assert_eq!((cache.hits, cache.misses), (0, 1));
         assert_eq!(stats.sat_calls, 1);
+    }
+
+    #[test]
+    fn subset_test_merges_sorted_keys() {
+        let big = [(1, false), (2, true), (5, false), (9, true)];
+        assert!(is_subset(&[], &big));
+        assert!(is_subset(&big, &big));
+        assert!(is_subset(&[(2, true), (9, true)], &big));
+        assert!(is_subset(&[(1, false), (5, false)], &big));
+        assert!(
+            !is_subset(&[(2, false)], &big),
+            "the value is part of the pair"
+        );
+        assert!(!is_subset(&[(0, true)], &big));
+        assert!(!is_subset(&[(5, false), (10, true)], &big));
+        assert!(!is_subset(&[(1, false), (2, true), (3, true)], &big));
+        assert!(!is_subset(&[(1, false)], &[]));
+    }
+
+    /// Cores answer every key that contains them, wherever their
+    /// smallest pair sits in the key; satisfiable keys answer only
+    /// themselves; an export and rebuild answers the same.
+    #[test]
+    fn core_index_answers_supersets_only() {
+        let mut cache = VerdictCache::default();
+        cache.insert_core(vec![(2, true), (7, false)], Some(0xc0de));
+        cache.insert_core(vec![(2, true), (9, true)], None);
+        cache.insert_satisfiable(vec![(1, true), (3, true)]);
+        let probes: [(&[Pair], Option<CachedVerdict>); 7] = [
+            (
+                &[(1, false), (2, true), (5, true), (7, false)],
+                Some((false, Some(0xc0de))),
+            ),
+            (&[(2, true), (9, true)], Some((false, None))),
+            (
+                &[(0, true), (2, true), (8, false), (9, true)],
+                Some((false, None)),
+            ),
+            (&[(2, true), (7, true), (9, false)], None),
+            (&[(7, false), (9, true)], None),
+            (&[(1, true), (3, true)], Some((true, None))),
+            (&[(1, true), (3, true), (4, true)], None),
+        ];
+        let back = VerdictCache::from_parts(cache.export_entries(), 0, 0);
+        for (key, want) in probes {
+            assert_eq!(cache.lookup(key), want, "{key:?}");
+            assert_eq!(back.lookup(key), want, "{key:?} after a rebuild");
+        }
+        assert_eq!(back.export_entries(), cache.export_entries());
+    }
+
+    /// `y = a·s·s̄·(b+c)`: the path from `a` is false because `s` and `s̄`
+    /// fight, whatever `b + c` does. After a transform rewires the
+    /// `b + c` gate, the path's key is new, but it still contains the
+    /// refuted core, so the second walk answers from the cache with no
+    /// SAT call.
+    #[test]
+    fn core_survives_a_transform_outside_it() {
+        let mut net = Network::new("core");
+        let a = net.add_input("a");
+        let s = net.add_input("s");
+        let b = net.add_input("b");
+        let c = net.add_input("c");
+        let ns = net.add_gate(GateKind::Not, &[s], Delay::UNIT);
+        let g = net.add_gate(GateKind::Or, &[b, c], Delay::UNIT);
+        let y = net.add_gate(GateKind::And, &[a, s, ns, g], Delay::UNIT);
+        net.add_output("y", y);
+        let arr = InputArrivals::zero();
+        let path = Path::new(vec![kms_netlist::ConnRef::new(y, 0)], 0);
+        let mut cache = VerdictCache::default();
+        let mut interner = SignatureInterner::new();
+        let mut stats = Stats::default();
+        let mut walk = |net: &Network, cache: &mut VerdictCache, stats: &mut Stats| {
+            let sta = Sta::run(net, &arr);
+            let outcome = oracle_phase(
+                net,
+                &arr,
+                &sta,
+                std::slice::from_ref(&path),
+                Condition::StaticSensitization,
+                cache,
+                &mut interner,
+                None,
+                stats,
+            )
+            .unwrap();
+            assert!(!outcome.any_sensitizable);
+            assert_eq!(outcome.target.as_ref(), Some(&path));
+            let sigs = interner.sign_network(net);
+            signed(&static_side_constraints(net, &path).unwrap(), &sigs)
+        };
+
+        let before = walk(&net, &mut cache, &mut stats);
+        assert_eq!((cache.hits, cache.misses, stats.sat_calls), (0, 1, 1));
+        let entries = cache.export_entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].0.len(), 2, "the core leaves out b + c");
+
+        kms_netlist::transform::set_conn_const(&mut net, kms_netlist::ConnRef::new(g, 1), false);
+        let after = walk(&net, &mut cache, &mut stats);
+        assert_ne!(before, after, "the transform must change the key");
+        assert_eq!((cache.hits, cache.misses, stats.sat_calls), (1, 1, 1));
     }
 
     /// The loop counts on a fresh [`Sta`] of the network it just

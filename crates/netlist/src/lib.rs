@@ -51,6 +51,7 @@ mod topo;
 pub mod cone;
 pub mod hash;
 pub mod json;
+pub mod stdout;
 pub mod transform;
 
 pub use delay::{Delay, DelayModel};

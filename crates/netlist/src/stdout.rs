@@ -1,0 +1,43 @@
+//! Standard-output writes for the command-line tools that end quietly
+//! when the reader goes away.
+//!
+//! `println!` panics when stdout is a closed pipe, so `table1 | head -3`
+//! would end in "failed printing to stdout: Broken pipe" and a backtrace.
+//! [`outln!`](crate::outln) and [`out!`](crate::out) print the same text,
+//! but a broken pipe ends the process with status 0: the reader has all
+//! it asked for.
+
+use std::fmt;
+use std::io::{self, Write as _};
+
+/// Writes `args` to standard output. On a closed pipe the process exits
+/// with status 0; on any other write error it reports the error and exits
+/// with status 2.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to standard output: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// `println!` for command-line tools: see the [module docs](crate::stdout).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::stdout::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::stdout::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` for command-line tools: see the [module docs](crate::stdout).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::stdout::write_stdout(format_args!($($arg)*))
+    };
+}

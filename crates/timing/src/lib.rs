@@ -47,7 +47,7 @@ pub use paths::{longest_paths, PathEnumerator, ResumablePathEnumerator};
 pub use report::{critical_paths, CriticalPathReport, PathVerdict};
 pub use sensitize::{
     is_statically_sensitizable, sensitization_cube, sensitization_function,
-    static_side_constraints, SensitizationOracle,
+    static_side_constraints, Refutation, SensitizationOracle,
 };
 pub use sta::{topological_delay, IncrementalSta, InputArrivals, Sta, Time, NEVER};
 pub use viability::{early_side_constraints, LatenessRule, ViabilityAnalysis};

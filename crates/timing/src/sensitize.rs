@@ -192,44 +192,67 @@ impl SensitizationOracle {
         Ok(self.sensitization_cube(net, path)?.is_some())
     }
 
-    /// As [`SensitizationOracle::is_sensitizable`], but an unsensitizable
-    /// verdict comes with a checked proof: the solver's refutation of the
-    /// noncontrolling-value assumptions is re-derived by the independent
-    /// `kms-proof` checker and recorded in `report`, and the certificate
-    /// digest is returned alongside the verdict. One checker session
-    /// follows the oracle's proof stream, so each certificate is checked
-    /// against only what the stream gained since the previous one.
-    /// Requires the oracle to have been built with
-    /// [`SensitizationOracle::with_certification`] (panics otherwise).
-    /// Sensitizable verdicts carry no certificate — the witness cube is
-    /// checkable by simulation.
+    /// Refutes `path`: `None` when it is statically sensitizable,
+    /// otherwise the [`Refutation`] — the side-input constraints of the
+    /// solver's unsat core, already jointly unsatisfiable on their own.
+    /// With `certify`, the refutation is re-derived by the independent
+    /// `kms-proof` checker and recorded in the report; its certificate
+    /// concludes exactly the core clause, so the digest stands for the
+    /// core, not for the whole path. One checker session follows the
+    /// oracle's proof stream, so each certificate is checked against only
+    /// what the stream gained since the previous one. Certifying requires
+    /// an oracle built with [`SensitizationOracle::with_certification`]
+    /// (panics otherwise). Sensitizable verdicts carry no certificate —
+    /// the witness cube is checkable by simulation.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::NotSimple`] for MUX fanouts.
-    pub fn is_sensitizable_certified(
+    pub fn refute(
         &mut self,
         net: &Network,
         path: &Path,
-        report: &mut CertificationReport,
-    ) -> Result<(bool, Option<u64>), NetlistError> {
+        certify: Option<&mut CertificationReport>,
+    ) -> Result<Option<Refutation>, NetlistError> {
         let constraints = side_constraints(net, path)?;
         let assumptions = self.assumptions(net, &constraints);
         Ok(match self.solver.solve_with(&assumptions) {
-            SatResult::Sat => (true, None),
+            SatResult::Sat => None,
             SatResult::Unsat => {
-                let conclusion = core_conclusion(self.solver.unsat_core());
-                let cert = Certificate::from_solver(&self.solver, &assumptions, &conclusion)
-                    .expect("oracle built with certification enabled");
-                let session = self
-                    .session
-                    .as_mut()
-                    .expect("oracle built with certification enabled");
-                let digest = session.certify(report, &format!("sens {path}"), &cert);
-                (false, digest)
+                let core = self
+                    .core_constraints(&constraints, &assumptions)
+                    .map(|&(_, src, nc)| (src, nc))
+                    .collect();
+                let digest = certify.and_then(|report| {
+                    let conclusion = core_conclusion(self.solver.unsat_core());
+                    let cert = Certificate::from_solver(&self.solver, &assumptions, &conclusion)
+                        .expect("oracle built with certification enabled");
+                    let session = self
+                        .session
+                        .as_mut()
+                        .expect("oracle built with certification enabled");
+                    session.certify(report, &format!("sens {path}"), &cert)
+                });
+                Some(Refutation { core, digest })
             }
             SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
         })
+    }
+
+    /// The constraints whose assumption literal is in the last unsat
+    /// core. Two constraints sharing a literal both count, which keeps
+    /// the result a superset of the core and so still unsatisfiable.
+    fn core_constraints<'c>(
+        &'c self,
+        constraints: &'c [(kms_netlist::ConnRef, kms_netlist::GateId, bool)],
+        assumptions: &'c [Lit],
+    ) -> impl Iterator<Item = &'c (kms_netlist::ConnRef, kms_netlist::GateId, bool)> {
+        let core = self.solver.unsat_core();
+        constraints
+            .iter()
+            .zip(assumptions)
+            .filter(move |(_, a)| core.contains(a))
+            .map(|(c, _)| c)
     }
 
     /// Explains *why* a path is false: for an unsensitizable path, returns
@@ -251,19 +274,29 @@ impl SensitizationOracle {
         let assumptions = self.assumptions(net, &constraints);
         match self.solver.solve_with(&assumptions) {
             SatResult::Sat => Ok(None),
-            SatResult::Unsat => {
-                let core: Vec<Lit> = self.solver.unsat_core().to_vec();
-                let conns = constraints
-                    .iter()
-                    .zip(&assumptions)
-                    .filter(|(_, a)| core.contains(a))
-                    .map(|(&(conn, _, _), _)| conn)
-                    .collect();
-                Ok(Some(conns))
-            }
+            SatResult::Unsat => Ok(Some(
+                self.core_constraints(&constraints, &assumptions)
+                    .map(|&(conn, _, _)| conn)
+                    .collect(),
+            )),
             SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
         }
     }
+}
+
+/// Why a path is not statically sensitizable, from
+/// [`SensitizationOracle::refute`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Refutation {
+    /// The `(driving gate, required value)` constraints of the solver's
+    /// unsat core: a subset of the path's [`static_side_constraints`]
+    /// that is unsatisfiable on its own, so every constraint set that
+    /// contains it is unsatisfiable too.
+    pub core: Vec<(kms_netlist::GateId, bool)>,
+    /// With certification: the digest of the checked certificate whose
+    /// conclusion is the core clause (`None` when certification was off
+    /// or the certificate failed to check).
+    pub digest: Option<u64>,
 }
 
 /// BDD-based characteristic function of all sensitizing input cubes: the

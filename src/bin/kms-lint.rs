@@ -19,6 +19,7 @@ use std::io::Read as _;
 
 use kms::blif::{parse_blif, parse_iscas, BlifError};
 use kms::lint::{CheckId, Level, LintConfig, LintReport, NetworkLint};
+use kms::netlist::{out, outln};
 
 struct Args {
     inputs: Vec<String>,
@@ -64,7 +65,7 @@ fn parse_args() -> Result<Args, String> {
             "--deny" => parse_level_arg(&mut args.config, Level::Deny, it.next())?,
             "-l" | "--list-checks" => {
                 for c in CheckId::ALL {
-                    println!("{:<16} {}", c.as_str(), c.description());
+                    outln!("{:<16} {}", c.as_str(), c.description());
                 }
                 std::process::exit(0);
             }
@@ -137,12 +138,12 @@ fn main() {
                     continue;
                 }
                 if args.json {
-                    print!("{}", report.to_json(&name).rows());
+                    out!("{}", report.to_json(&name).rows());
                 } else if report.is_clean() {
-                    println!("{path}: clean");
+                    outln!("{path}: clean");
                 } else {
-                    println!("{path}:");
-                    print!("{}", report.to_text());
+                    outln!("{path}:");
+                    out!("{}", report.to_text());
                 }
             }
             Err(msg) => {

@@ -38,6 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use kms::analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms::atpg::{collapsed_faults, FaultSite};
 use kms::blif::{parse_blif, parse_iscas};
+use kms::netlist::{out, outln};
 use kms::proof::CertificationReport;
 
 struct Args {
@@ -242,7 +243,7 @@ fn main() {
                     total.merge(cert);
                 }
                 if !args.quiet {
-                    print!("{rendered}");
+                    out!("{rendered}");
                 }
             }
             Outcome::Error(msg) => {
@@ -261,9 +262,9 @@ fn main() {
     if let Some(ledger) = &ledger {
         if !args.quiet {
             if args.json {
-                println!("{}", ledger.to_json().compact());
+                outln!("{}", ledger.to_json().compact());
             } else {
-                print!("{}", ledger.render_text());
+                out!("{}", ledger.render_text());
             }
         }
         if !ledger.all_verified() {

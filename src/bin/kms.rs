@@ -19,6 +19,10 @@
 //!                           conflicts=N,props=N,ms=N. A fault whose query
 //!                           exhausts the budget is reported Unknown and
 //!                           the run completes degraded (exit 3)
+//!       --max-iterations <n>
+//!                           cap the delay-reduction loop at n iterations
+//!                           (default 10000); a capped run completes
+//!                           degraded (exit 3)
 //!       --checkpoint <file> write a digest-guarded checkpoint after each
 //!                           loop iteration; a completed run removes it
 //!       --resume <file>     resume a previous run from its checkpoint
@@ -35,7 +39,8 @@
 //! 2 on usage errors or when the input fails to read or parse, 3 when the
 //! run completed but degraded — some faults stayed Unknown under
 //! `--fault-budget` (or after an isolated classification panic), so full
-//! testability of the result was not proved.
+//! testability of the result was not proved; or the loop hit its
+//! iteration cap, so the result may be slower than the input.
 
 use std::error::Error;
 use std::io::Read as _;
@@ -43,6 +48,7 @@ use std::io::Read as _;
 use kms::atpg::{Engine, FaultBudget, ParallelOptions};
 use kms::blif::{parse_blif, write_blif};
 use kms::core::{kms_with_control, Checkpoint, Condition, KmsOptions, RunControl};
+use kms::netlist::out;
 use kms::netlist::{transform, DelayModel};
 use kms::timing::InputArrivals;
 
@@ -54,6 +60,7 @@ struct Args {
     arrivals: Vec<(String, i64)>,
     certify: bool,
     fault_budget: Option<FaultBudget>,
+    max_iterations: usize,
     checkpoint: Option<String>,
     resume: Option<String>,
     json: bool,
@@ -69,6 +76,7 @@ fn parse_args() -> Result<Args, String> {
         arrivals: Vec::new(),
         certify: false,
         fault_budget: None,
+        max_iterations: KmsOptions::default().max_iterations,
         checkpoint: None,
         resume: None,
         json: false,
@@ -105,6 +113,12 @@ fn parse_args() -> Result<Args, String> {
                 let spec = it.next().ok_or("missing value for --fault-budget")?;
                 args.fault_budget = Some(FaultBudget::parse(&spec)?);
             }
+            "--max-iterations" => {
+                let n = it.next().ok_or("missing value for --max-iterations")?;
+                args.max_iterations = n
+                    .parse()
+                    .map_err(|_| format!("bad iteration count {n:?}"))?;
+            }
             "--checkpoint" => {
                 args.checkpoint = Some(it.next().ok_or("missing value for --checkpoint")?)
             }
@@ -118,7 +132,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [--certify] [--fault-budget SPEC] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
+                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [--certify] [--fault-budget SPEC] [--max-iterations N] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
                 std::process::exit(0);
             }
             other if args.input.is_empty() => args.input = other.to_string(),
@@ -176,6 +190,7 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
             ..Default::default()
         }),
         certify: args.certify,
+        max_iterations: args.max_iterations,
         ..Default::default()
     };
     let control = RunControl {
@@ -259,11 +274,12 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     let out = write_blif(&net);
     match &args.output {
         Some(path) => std::fs::write(path, out)?,
-        None => print!("{out}"),
+        None => out!("{out}"),
     }
     // Degraded (3) outranks a failed certification check (1): with
-    // undecided faults the output is not proved fully testable, which the
-    // caller must learn before trusting any other verdict.
+    // undecided faults the output is not proved fully testable, and a
+    // capped loop voids the no-slower guarantee; the caller must learn
+    // either before trusting any other verdict.
     if report.unknown > 0 {
         eprintln!(
             "warning: {} fault(s) left undecided by the removal phase \
@@ -271,6 +287,16 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
              hold redundancies among them",
             report.unknown
         );
+    }
+    if report.capped {
+        eprintln!(
+            "warning: the delay-reduction loop hit its cap of {} iterations before \
+             a longest path satisfied the condition; the no-slower guarantee does \
+             not hold, and the output may be slower than the input",
+            options.max_iterations
+        );
+    }
+    if report.unknown > 0 || report.capped {
         return Ok(3);
     }
     Ok(i32::from(check_failed))

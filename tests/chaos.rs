@@ -20,7 +20,7 @@ use kms::atpg::{
     UnknownReason,
 };
 use kms::core::{kms_on_copy, kms_with_control, KmsOptions, RunControl};
-use kms::netlist::{transform, DelayModel, Network};
+use kms::netlist::{transform, DelayModel, GateKind, Network};
 use kms::timing::InputArrivals;
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -165,6 +165,84 @@ fn injected_classification_panic_degrades_one_fault() {
 
     let rerun = classify_faults(&net, collapsed_faults(&net), opts);
     assert_eq!(rerun.verdicts, baseline.verdicts, "clean re-run diverged");
+}
+
+/// Two disjoint copies of `net`, inputs and outputs prefixed `a.`/`b.`.
+fn two_copies(net: &Network) -> Network {
+    let mut out = Network::new("twice");
+    for copy in ["a", "b"] {
+        let mut map = vec![None; net.num_gate_slots()];
+        for id in net.topo_order() {
+            let g = net.gate(id);
+            let new = match g.kind {
+                GateKind::Input => {
+                    out.add_input(format!("{copy}.{}", g.name.as_deref().unwrap_or("?")))
+                }
+                GateKind::Const(v) => out.add_const(v),
+                kind => {
+                    let srcs: Vec<_> = g.pins.iter().map(|p| map[p.src.index()].unwrap()).collect();
+                    out.add_gate(kind, &srcs, g.delay)
+                }
+            };
+            map[id.index()] = Some(new);
+        }
+        for o in net.outputs() {
+            out.add_output(format!("{copy}.{}", o.name), map[o.src.index()].unwrap());
+        }
+    }
+    out
+}
+
+/// Scenario 2b — the panic shield rebuilds the broken context. The
+/// circuit is two disjoint copies of the 8-bit comparator, on which PODEM
+/// gives up on several testable faults; the shared-CNF SAT path then
+/// classifies them, pinning every *encoded* input in turn for the
+/// canonical test vector. Classification #40 falls in the second copy,
+/// after the first copy's SAT classifications and before the second's,
+/// and PODEM settles it. A run that kept the context after the panic
+/// repeats the clean run's solver calls exactly. The rebuilt context
+/// holds none of the first copy's encoding, so each later SAT
+/// classification pins only its own copy's inputs: fewer solver calls,
+/// with every other verdict and vector unchanged.
+#[test]
+fn panic_rebuilds_the_context_for_the_faults_after_it() {
+    let _guard = serial();
+    let mut one = kms::gen::datapath::comparator(8, DelayModel::Unit);
+    transform::decompose_to_simple(&mut one);
+    let mut net = two_copies(&one);
+    net.apply_delay_model(DelayModel::Unit);
+    let opts = ParallelOptions::default();
+    let clean = classify_faults_report(&net, collapsed_faults(&net), opts);
+    let baseline = &clean.testability;
+    assert!(baseline
+        .verdicts
+        .iter()
+        .all(|v| matches!(v, Testability::Testable(_))));
+    assert!(clean.solver.sat_calls > 0, "some testable fault needs SAT");
+    const J: u64 = 40;
+    assert!(clean.engine_calls > J, "classifications follow the victim");
+
+    kms::atpg::chaos::panic_on_classification(J);
+    let report = classify_faults_report(&net, collapsed_faults(&net), opts);
+    let observed = kms::atpg::chaos::classifications_observed();
+    kms::atpg::chaos::clear();
+
+    assert_eq!(observed, clean.engine_calls);
+    assert_eq!(report.engine_calls, clean.engine_calls);
+    let hit = report.testability;
+    assert_eq!(hit.unknown_count(), 1);
+    for (want, got) in baseline.verdicts.iter().zip(&hit.verdicts) {
+        if *got != Testability::Unknown(UnknownReason::WorkerPanic) {
+            assert_eq!(want, got, "a verdict diverged after the panic");
+        }
+    }
+    assert!(
+        report.solver.sat_calls < clean.solver.sat_calls,
+        "the faults after the victim must run in a fresh context: {} solver calls, \
+         as many as a kept context makes ({})",
+        report.solver.sat_calls,
+        clean.solver.sat_calls
+    );
 }
 
 /// Scenario 3 — fail checkpoint write #i: the injected I/O error is

@@ -120,3 +120,27 @@ fn kms_exhausted_fault_budget_exits_3_with_json_intact() {
     assert!(report.starts_with('{') && report.ends_with('}'), "{report}");
     assert!(!report.contains("\"unknown\": 0,"), "{report}");
 }
+
+/// A loop stopped by its iteration cap voids the no-slower guarantee, so
+/// the run is degraded: csa 8.2 needs about 400 iterations, and at a cap
+/// of 10 `kms` exits 3 with `"capped": true` in the report and a warning
+/// after it. The same input under the default cap exits 0.
+#[test]
+fn kms_capped_loop_exits_3_and_warns() {
+    let mut net = kms::gen::adders::carry_skip_adder(8, 2, DelayModel::Unit);
+    kms::netlist::transform::decompose_to_simple(&mut net);
+    let blif = write_blif(&net);
+    let out = run(KMS, &["-f", "json", "--max-iterations", "10", "-"], &blif);
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = text(&out.stderr);
+    let report = stderr.lines().next().expect("JSON report first");
+    assert!(report.contains("\"iterations\": 10, "), "{report}");
+    assert!(report.contains("\"capped\": true"), "{report}");
+    assert!(
+        stderr.contains("the no-slower guarantee does not hold"),
+        "{stderr}"
+    );
+    let out = run(KMS, &["-f", "json", "-"], &blif);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    assert!(text(&out.stderr).contains("\"capped\": false"));
+}
