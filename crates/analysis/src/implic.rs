@@ -167,7 +167,7 @@ impl Implications {
             fact_val[lit_gate(f).index()] = Some(lit_value(f));
         }
         let mut sinks: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        for (i, conns) in net.fanouts().into_iter().enumerate() {
+        for (i, conns) in net.fanouts().iter().enumerate() {
             let mut s: Vec<GateId> = conns.iter().map(|c| c.gate).collect();
             s.sort_unstable();
             s.dedup();

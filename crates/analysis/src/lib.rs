@@ -34,7 +34,7 @@ pub mod sweep;
 
 use std::collections::BTreeSet;
 
-use kms_netlist::{ConnRef, GateId, GateKind, Network};
+use kms_netlist::{Fanouts, GateId, GateKind, Network};
 
 pub use implic::{Conflict, ImplStep, Implications, Why};
 pub use report::{AnalysisStats, FaultRef, StaticFaultProof, StaticRedundancyReport, Witness};
@@ -83,7 +83,7 @@ pub struct StaticAnalysis<'n> {
     net: &'n Network,
     topo: Vec<GateId>,
     topo_pos: Vec<usize>,
-    fanouts: Vec<Vec<ConnRef>>,
+    fanouts: Fanouts,
     is_po_src: Vec<bool>,
     reach_po: Vec<bool>,
     strash: StrashTable,
@@ -384,7 +384,7 @@ impl<'n> StaticAnalysis<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kms_netlist::{Delay, GateKind, Network};
+    use kms_netlist::{ConnRef, Delay, GateKind, Network};
 
     fn analysis(net: &Network) -> StaticAnalysis<'_> {
         StaticAnalysis::build(net, &AnalysisOptions::default())

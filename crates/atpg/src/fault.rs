@@ -1,6 +1,6 @@
 use std::fmt;
 
-use kms_netlist::{ConnRef, GateId, GateKind, Network};
+use kms_netlist::{ConnRef, Fanouts, GateId, GateKind, Network};
 
 /// Where a stuck-at fault lives: on a gate's output stem, or on one input
 /// connection (a branch). Connection faults are the ones the KMS algorithm
@@ -73,15 +73,18 @@ impl fmt::Display for Fault {
 /// polarities on every live gate output (including primary inputs that
 /// feed logic) and on every input connection of every logic gate.
 pub fn all_faults(net: &Network) -> Vec<Fault> {
-    let fanouts = net.fanouts();
+    faults_with(net, &net.fanouts(), &net.output_counts())
+}
+
+/// [`all_faults`] over the caller's fanout and output-count tables.
+fn faults_with(net: &Network, fanouts: &Fanouts, output_counts: &[usize]) -> Vec<Fault> {
     let mut out = Vec::new();
     for id in net.gate_ids() {
         let g = net.gate(id);
         if matches!(g.kind, GateKind::Const(_)) {
             continue; // constants are already stuck by definition
         }
-        let drives_logic =
-            !fanouts[id.index()].is_empty() || net.outputs().iter().any(|o| o.src == id);
+        let drives_logic = !fanouts[id.index()].is_empty() || output_counts[id.index()] > 0;
         if drives_logic {
             out.push(Fault::output(id, false));
             out.push(Fault::output(id, true));
@@ -110,15 +113,15 @@ pub fn all_faults(net: &Network) -> Vec<Fault> {
 /// over the collapsed set equal those over the full set.
 pub fn collapsed_faults(net: &Network) -> Vec<Fault> {
     let fanouts = net.fanouts();
+    let output_counts = net.output_counts();
     let mut out = Vec::new();
-    for f in all_faults(net) {
+    for f in faults_with(net, &fanouts, &output_counts) {
         match f.site {
             FaultSite::GateOutput(_) => out.push(f),
             FaultSite::Conn(c) => {
                 let sink = net.gate(c.gate);
                 let src = net.pin(c).src;
-                let src_fanout = fanouts[src.index()].len()
-                    + net.outputs().iter().filter(|o| o.src == src).count();
+                let src_fanout = fanouts[src.index()].len() + output_counts[src.index()];
                 if src_fanout == 1 {
                     // Fanout-free: equivalent to the stem fault.
                     continue;

@@ -15,7 +15,7 @@ use std::time::Instant;
 use kms_atpg::{analyze, Engine, ParallelOptions, TestabilityReport};
 use kms_bench::table1_csa;
 use kms_netlist::json::Json;
-use kms_netlist::Network;
+use kms_netlist::{errln, Network};
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
 
@@ -37,7 +37,7 @@ fn parse_args() -> Config {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_atpg [--smoke] [--out FILE]");
+                errln!("usage: bench_atpg [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -47,7 +47,7 @@ fn parse_args() -> Config {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -123,7 +123,7 @@ fn main() {
             shared_r.redundant(),
             "{name}: redundant sets differ (seq vs shared)"
         );
-        eprintln!(
+        errln!(
             "{name:<10} {:>5} faults  seq {seq_s:.4}s  shared {shared_s:.4}s  ({:.2}x)",
             seq_r.faults.len(),
             seq_s / shared_s
@@ -158,5 +158,5 @@ fn main() {
     ])
     .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
-    eprintln!("wrote {}", cfg.out);
+    errln!("wrote {}", cfg.out);
 }

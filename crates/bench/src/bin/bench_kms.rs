@@ -13,7 +13,7 @@ use std::time::Instant;
 use kms_bench::table1_csa;
 use kms_core::{kms_on_copy, KmsOptions, KmsReport};
 use kms_netlist::json::Json;
-use kms_netlist::Network;
+use kms_netlist::{errln, Network};
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
 
@@ -35,7 +35,7 @@ fn parse_args() -> Config {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_kms [--smoke] [--out FILE]");
+                errln!("usage: bench_kms [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -45,7 +45,7 @@ fn parse_args() -> Config {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -146,7 +146,7 @@ fn main() {
     for (name, net, arr) in &circuits {
         let (wall_s, (_, r)) = time_min(reps, || kms_on_copy(net, arr, options).unwrap());
         let phases = Phases::of(&r);
-        eprintln!(
+        errln!(
             "{name:<10} {:>3} iters  {:>4} dup  {:>3} removed  {wall_s:.4}s  \
              (loop {:.4}s)  [{} timing passes, cache {}/{}]",
             r.iterations.len(),
@@ -192,5 +192,5 @@ fn main() {
     ])
     .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
-    eprintln!("wrote {}", cfg.out);
+    errln!("wrote {}", cfg.out);
 }

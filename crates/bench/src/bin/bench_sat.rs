@@ -26,7 +26,7 @@ use std::time::Instant;
 use kms_atpg::{classify_faults_report, collapsed_faults, ParallelOptions};
 use kms_bench::table1_csa;
 use kms_netlist::json::Json;
-use kms_netlist::Network;
+use kms_netlist::{errln, Network};
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_sat::{parse_dimacs, to_dimacs, Cnf, Lit, SatResult, Stats, Var};
 use kms_timing::InputArrivals;
@@ -49,7 +49,7 @@ fn parse_args() -> Config {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_sat [--smoke] [--out FILE]");
+                errln!("usage: bench_sat [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -59,7 +59,7 @@ fn parse_args() -> Config {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -300,7 +300,7 @@ fn main() {
     }
 
     for r in &rows {
-        eprintln!(
+        errln!(
             "{:<22} {:>9.4}s  conflicts {:>8}  props {:>11}  ({:.2} Mprops/s)",
             r.name,
             r.wall_s,
@@ -335,5 +335,5 @@ fn main() {
     ])
     .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
-    eprintln!("wrote {}", cfg.out);
+    errln!("wrote {}", cfg.out);
 }

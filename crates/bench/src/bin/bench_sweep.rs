@@ -21,7 +21,7 @@ use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms_atpg::{classify_faults_report, collapsed_faults, Fault, FaultSite, ParallelOptions};
 use kms_bench::table1_csa;
 use kms_netlist::json::Json;
-use kms_netlist::Network;
+use kms_netlist::{errln, Network};
 use kms_opt::flow::{prepare_benchmark, FlowOptions};
 use kms_timing::InputArrivals;
 
@@ -43,7 +43,7 @@ fn parse_args() -> Config {
                 cfg.out = it.next().unwrap_or_else(|| die("--out needs a path"));
             }
             "-h" | "--help" => {
-                eprintln!("usage: bench_sweep [--smoke] [--out FILE]");
+                errln!("usage: bench_sweep [--smoke] [--out FILE]");
                 std::process::exit(0);
             }
             other => die(&format!("unexpected argument {other:?}")),
@@ -53,7 +53,7 @@ fn parse_args() -> Config {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     std::process::exit(2);
 }
 
@@ -163,7 +163,7 @@ fn main() {
         };
         total_redundant += redundant.len();
         total_proved += proved.len();
-        eprintln!(
+        errln!(
             "{name:<10} {:>5} faults  {:>3} redundant  {:>3} implic ({:>5.1}%)  \
              analysis {analysis_s:.4}s  oracle {oracle_s:.4}s",
             faults.len(),
@@ -188,7 +188,7 @@ fn main() {
     } else {
         total_proved as f64 / total_redundant as f64
     };
-    eprintln!(
+    errln!(
         "overall: {total_proved}/{total_redundant} redundant faults proved by implic ({:.1}%)",
         100.0 * overall
     );
@@ -204,5 +204,5 @@ fn main() {
     ])
     .rows();
     std::fs::write(&cfg.out, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", cfg.out)));
-    eprintln!("wrote {}", cfg.out);
+    errln!("wrote {}", cfg.out);
 }

@@ -24,18 +24,18 @@
 //! carry redundancies, that KMS never increases the viable delay, and that
 //! area moves both ways — is the reproduction target (see EXPERIMENTS.md).
 
-use kms_netlist::{out, outln};
+use kms_netlist::{errln, out, outln};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut fault_budget = None;
     if let Some(i) = args.iter().position(|a| a == "--fault-budget") {
         let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --fault-budget needs a spec (N or conflicts=N,props=N,ms=N)");
+            errln!("error: --fault-budget needs a spec (N or conflicts=N,props=N,ms=N)");
             std::process::exit(2);
         });
         fault_budget = Some(kms_atpg::FaultBudget::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(2);
         }));
         args.drain(i..i + 2);
@@ -45,7 +45,7 @@ fn main() {
             .get(i + 1)
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| {
-                eprintln!("error: --budget needs a wall-clock ceiling in seconds");
+                errln!("error: --budget needs a wall-clock ceiling in seconds");
                 std::process::exit(2);
             });
         args.drain(i..i + 2);
@@ -64,7 +64,7 @@ fn main() {
         .iter()
         .find(|a| !["--csa", "--mcnc", "--no-verify"].contains(&a.as_str()))
     {
-        eprintln!("error: unexpected argument {bad:?}");
+        errln!("error: unexpected argument {bad:?}");
         std::process::exit(2);
     }
     let popts = kms_atpg::ParallelOptions {
@@ -110,7 +110,7 @@ fn main() {
         outln!();
         out!("{}", ledger.render_text());
         if !ledger.all_verified() {
-            eprintln!("error: certification failed — some solver verdict has no checkable proof");
+            errln!("error: certification failed — some solver verdict has no checkable proof");
             failed = true;
         }
     }
@@ -130,7 +130,7 @@ fn main() {
         outln!();
         outln!("budget: {elapsed:.1}s used of {limit:.1}s allowed");
         if elapsed > limit {
-            eprintln!(
+            errln!(
                 "error: wall-clock budget exceeded ({elapsed:.1}s > {limit:.1}s) — \
                  the SAT/ATPG hot path has regressed"
             );
@@ -141,13 +141,13 @@ fn main() {
     // row's redundancy count or invariant check can be fully trusted, and
     // a capped loop voids the row's no-slower guarantee.
     if unknown_total > 0 {
-        eprintln!(
+        errln!(
             "warning: {unknown_total} fault(s) left undecided under the \
              per-fault budget; redundancy counts are lower bounds"
         );
     }
     if capped_rows > 0 {
-        eprintln!(
+        errln!(
             "warning: the KMS loop hit its iteration cap on {capped_rows} row(s); \
              the no-slower guarantee does not hold for them"
         );

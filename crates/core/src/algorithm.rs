@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use kms_analysis::SignatureInterner;
 use kms_atpg::{Engine, Fault, ParallelOptions};
 use kms_netlist::json::Json;
-use kms_netlist::{transform, NetlistError, Network, Path};
+use kms_netlist::{errln, transform, NetlistError, Network, Path};
 use kms_opt::naive_redundancy_removal;
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -312,20 +312,9 @@ fn check_new_gates_shared(net: &Network, context: &str, pre: &StrashSnapshot) {
 #[cfg(not(feature = "debug-invariants"))]
 fn check_new_gates_shared(_net: &Network, _context: &str, _pre: &StrashSnapshot) {}
 
-/// Per-gate count of primary outputs driven, built in one pass over the
-/// output list (the old per-gate `net.outputs()` rescans were
-/// O(gates × outputs)).
-fn output_counts(net: &Network) -> Vec<usize> {
-    let mut counts = vec![0usize; net.num_gate_slots()];
-    for o in net.outputs() {
-        counts[o.src.index()] += 1;
-    }
-    counts
-}
-
 fn max_fanout(net: &Network) -> usize {
     let fo = net.fanouts();
-    let oc = output_counts(net);
+    let oc = net.output_counts();
     net.gate_ids()
         .map(|g| fo[g.index()].len() + oc[g.index()])
         .max()
@@ -508,7 +497,7 @@ pub fn kms_with_control(
         if cap_hit || enumerator.truncated() {
             dropped = count_critical_paths(net, &sta).saturating_sub(longest.len() as u64);
             if dropped > 0 {
-                eprintln!(
+                errln!(
                     "kms[{}] iteration {}: examining {} of {} equal-length longest paths \
                      ({} dropped by max_longest_paths={} / the effort cap)",
                     net.name(),
@@ -548,7 +537,7 @@ pub fn kms_with_control(
         // for each gate on the path).
         let t0 = Instant::now();
         let fo = net.fanouts();
-        let oc = output_counts(net);
+        let oc = net.output_counts();
         let mut n_pos: Option<usize> = None;
         for (i, g) in path.gates().enumerate() {
             if fo[g.index()].len() + oc[g.index()] > 1 {
@@ -625,7 +614,7 @@ pub fn kms_with_control(
                 net: net.clone(),
             };
             if let Err(e) = ck.save(ck_path) {
-                eprintln!(
+                errln!(
                     "kms[{}]: checkpoint write to {} failed ({e}); continuing without it",
                     net.name(),
                     ck_path.display()
@@ -1217,6 +1206,31 @@ mod tests {
         // longer path than the longest they started from (Theorem 7.1/7.2).
         assert!(report.topological_after <= report.topological_before);
         assert!(report.max_fanout_before > 0);
+    }
+
+    /// A capped loop voids Theorem 7.2, and on csa 8.2 it shows: stopped
+    /// after 10 of its ~400 iterations, the run returns a circuit whose
+    /// computed viability delay is 18 against the input's 17.
+    #[test]
+    fn capped_loop_grows_the_viability_delay() {
+        use kms_netlist::DelayModel;
+        use kms_timing::{computed_delay, PathCondition};
+        let mut net = kms_gen::adders::carry_skip_adder(8, 2, DelayModel::Unit);
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(DelayModel::Unit);
+        let arr = InputArrivals::zero();
+        let options = KmsOptions {
+            max_iterations: 10,
+            ..KmsOptions::default()
+        };
+        let (out, report) = kms_on_copy(&net, &arr, options).unwrap();
+        assert!(report.capped);
+        let viability = |n: &Network| {
+            computed_delay(n, &arr, PathCondition::Viability, options.effort_cap)
+                .unwrap()
+                .delay
+        };
+        assert_eq!((viability(&net), viability(&out)), (17, 18));
     }
 
     /// The default removal phase runs the shared-CNF engine, so a run

@@ -63,4 +63,4 @@ pub use path::Path;
 pub use serialize::{escape_token, unescape_token};
 pub use sim::{eval_gate_words, Cube, ParseCubeError, Value};
 pub use stats::NetworkStats;
-pub use topo::Topology;
+pub use topo::{Fanouts, Topology};

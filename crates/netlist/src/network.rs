@@ -4,6 +4,7 @@ use std::fmt;
 use crate::delay::Delay;
 use crate::error::NetlistError;
 use crate::gate::{ConnRef, GateId, GateKind, Pin};
+use crate::topo::{self, Fanouts};
 
 /// A gate (node) of a [`Network`]: its logic function, input connections,
 /// intrinsic delay, and optional name.
@@ -334,23 +335,24 @@ impl Network {
         }
     }
 
-    /// Computes, for every live gate, the list of connections it drives.
-    ///
-    /// The result is indexed by gate arena index; entries for dead gates are
-    /// empty. Output pins of the network itself are not included (the paper
-    /// treats primary-output connections as delay-free path terminators).
-    pub fn fanouts(&self) -> Vec<Vec<ConnRef>> {
-        let mut fo = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.dead {
-                continue;
-            }
-            let sink = GateId::from_index(i);
-            for (p, pin) in g.pins.iter().enumerate() {
-                fo[pin.src.index()].push(ConnRef::new(sink, p));
-            }
+    /// Computes, for every gate slot, the list of connections it drives:
+    /// one flat [`Fanouts`] table indexed by gate arena index, each list
+    /// in (sink gate, pin) order. Entries for dead gates are empty. Output
+    /// pins of the network itself are not included (the paper treats
+    /// primary-output connections as delay-free path terminators); see
+    /// [`Network::output_counts`].
+    pub fn fanouts(&self) -> Fanouts {
+        Fanouts::build(self)
+    }
+
+    /// Per-slot count of the primary outputs each gate drives, built in
+    /// one pass over the output list.
+    pub fn output_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.gates.len()];
+        for o in &self.outputs {
+            counts[o.src.index()] += 1;
         }
-        fo
+        counts
     }
 
     /// A topological order of the live gates (sources first).
@@ -369,35 +371,7 @@ impl Network {
     ///
     /// Returns [`NetlistError::Cyclic`] if the live gates contain a cycle.
     pub fn try_topo_order(&self) -> Result<Vec<GateId>, NetlistError> {
-        let n = self.gates.len();
-        let mut indeg = vec![0usize; n];
-        let mut order = Vec::with_capacity(n);
-        let mut stack = Vec::new();
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.dead {
-                continue;
-            }
-            indeg[i] = g.pins.len();
-            if g.pins.is_empty() {
-                stack.push(GateId::from_index(i));
-            }
-        }
-        let fo = self.fanouts();
-        while let Some(id) = stack.pop() {
-            order.push(id);
-            for conn in &fo[id.index()] {
-                let j = conn.gate.index();
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    stack.push(conn.gate);
-                }
-            }
-        }
-        let live = self.gates.iter().filter(|g| !g.dead).count();
-        if order.len() != live {
-            return Err(NetlistError::Cyclic);
-        }
-        Ok(order)
+        topo::kahn(self, &self.fanouts())
     }
 
     /// The depth of the network: the maximum number of logic gates along

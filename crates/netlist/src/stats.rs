@@ -34,6 +34,7 @@ impl NetworkStats {
     pub fn of(net: &Network) -> NetworkStats {
         let mut gates_by_kind: BTreeMap<&'static str, usize> = BTreeMap::new();
         let fo = net.fanouts();
+        let oc = net.output_counts();
         let mut max_fanout = 0usize;
         let mut fanout_sum = 0usize;
         let mut fanout_n = 0usize;
@@ -45,7 +46,7 @@ impl NetworkStats {
             if matches!(g.kind, GateKind::Const(_)) {
                 continue;
             }
-            let f = fo[id.index()].len() + net.outputs().iter().filter(|o| o.src == id).count();
+            let f = fo[id.index()].len() + oc[id.index()];
             max_fanout = max_fanout.max(f);
             fanout_sum += f;
             fanout_n += 1;

@@ -1,11 +1,17 @@
-//! Standard-output writes for the command-line tools that end quietly
-//! when the reader goes away.
+//! Standard-output and standard-error writes for the command-line tools
+//! that end quietly when the reader goes away.
 //!
 //! `println!` panics when stdout is a closed pipe, so `table1 | head -3`
 //! would end in "failed printing to stdout: Broken pipe" and a backtrace.
 //! [`outln!`](crate::outln) and [`out!`](crate::out) print the same text,
 //! but a broken pipe ends the process with status 0: the reader has all
 //! it asked for.
+//!
+//! `eprintln!` panics the same way on a closed stderr, so
+//! `kms t.blif 2>&1 >/dev/null | head -c 1` could exit 101.
+//! [`errln!`](crate::errln) and [`err!`](crate::err) drop a failed stderr
+//! write instead: the report was for a reader who left, and the process
+//! keeps the exit code it was going to give.
 
 use std::fmt;
 use std::io::{self, Write as _};
@@ -18,9 +24,18 @@ pub fn write_stdout(args: fmt::Arguments<'_>) {
         if e.kind() == io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("error: cannot write to standard output: {e}");
+        write_stderr(format_args!(
+            "error: cannot write to standard output: {e}\n"
+        ));
         std::process::exit(2);
     }
+}
+
+/// Writes `args` to standard error, dropping any write error: stderr is
+/// the channel errors would be reported on, so there is nowhere left to
+/// report one, and the caller's exit code stands.
+pub fn write_stderr(args: fmt::Arguments<'_>) {
+    let _ = io::stderr().write_fmt(args);
 }
 
 /// `println!` for command-line tools: see the [module docs](crate::stdout).
@@ -39,5 +54,24 @@ macro_rules! outln {
 macro_rules! out {
     ($($arg:tt)*) => {
         $crate::stdout::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` for command-line tools: see the [module docs](crate::stdout).
+#[macro_export]
+macro_rules! errln {
+    () => {
+        $crate::stdout::write_stderr(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::stdout::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprint!` for command-line tools: see the [module docs](crate::stdout).
+#[macro_export]
+macro_rules! err {
+    ($($arg:tt)*) => {
+        $crate::stdout::write_stderr(format_args!($($arg)*))
     };
 }

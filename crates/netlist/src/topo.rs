@@ -1,16 +1,16 @@
-//! Cached levelized topology: CSR fanouts, topological order, and levels.
+//! Fanout tables and topological order.
 //!
-//! [`Network::fanouts`] and [`Network::topo_order`] allocate a fresh
-//! `Vec<Vec<ConnRef>>` (and run a full Kahn pass) on every call. That is fine
-//! for one-shot queries, but the ATPG and fault-simulation hot paths ask for
-//! the same tables thousands of times per circuit while the network is not
-//! changing at all. [`Topology`] computes the tables once and hands out
-//! borrowed slices:
+//! [`Fanouts`] is the crate's one fanout table, in compressed sparse row
+//! form: an offset array and one flat `Vec<ConnRef>`, so building it costs
+//! two allocations however many gates the network has, and a fanout walk
+//! is a slice. [`Network::fanouts`] builds it; [`Network::try_topo_order`]
+//! and [`Topology`] walk it with the same Kahn pass.
 //!
-//! * **CSR fanouts** — one flat `Vec<ConnRef>` plus an offset array instead
-//!   of a `Vec` per gate, so a fanout walk is a bounds-checked slice, not a
-//!   pointer chase through per-gate allocations;
-//! * **topological order** — bit-for-bit the same order
+//! [`Topology`] keeps one table together with the order and two derived
+//! arrays, for hot paths (ATPG, fault simulation) that ask for them
+//! thousands of times while the network does not change:
+//!
+//! * **topological order** — bit-for-bit the order
 //!   [`Network::try_topo_order`] produces, so swapping a call site over to
 //!   the cache never changes behaviour;
 //! * **topo positions** — `pos(g)` gives `g`'s index in the order without a
@@ -20,9 +20,11 @@
 //!
 //! # Invalidation
 //!
-//! The cache is as stale as the caller lets it get. A `Topology` built from
-//! a network is valid for exactly that network until a gate is added,
-//! removed, or rewired; rebuild it after such an edit.
+//! A [`Fanouts`] table or a [`Topology`] built from a network is valid for
+//! exactly that network until a gate is added, removed, or rewired; rebuild
+//! it after such an edit.
+
+use std::ops::Index;
 
 use crate::error::NetlistError;
 use crate::gate::{ConnRef, GateId};
@@ -31,13 +33,113 @@ use crate::network::Network;
 /// Sentinel topo position for dead (or never-ordered) gate slots.
 const UNPLACED: u32 = u32::MAX;
 
-/// Cached CSR fanout table, topological order, and levelization for a
+/// The connections each gate slot drives, built by [`Network::fanouts`].
+///
+/// `fo[i]` is the slice of connections that gate slot `i` drives, in
+/// (sink gate, pin) order; dead slots have empty slices. Output pins of the
+/// network itself are not included (the paper treats primary-output
+/// connections as delay-free path terminators); see
+/// [`Network::output_counts`].
+#[derive(Clone, Debug)]
+pub struct Fanouts {
+    /// `off[i]..off[i + 1]` is slot `i`'s run in `conns`.
+    off: Vec<u32>,
+    conns: Vec<ConnRef>,
+}
+
+impl Fanouts {
+    /// Counts, prefix-sums, then fills each run back to front: walking the
+    /// (gate, pin) pairs in reverse and filling each run from its end
+    /// leaves every run in forward (gate, pin) order and turns each end
+    /// offset into a start offset, with no separate cursor array.
+    pub(crate) fn build(net: &Network) -> Fanouts {
+        let gates = &net.gates;
+        let n = gates.len();
+        let mut off = vec![0u32; n + 1];
+        for g in gates.iter().filter(|g| !g.dead) {
+            for pin in &g.pins {
+                off[pin.src.index()] += 1;
+            }
+        }
+        let mut total = 0u32;
+        for o in &mut off[..n] {
+            total += *o;
+            *o = total;
+        }
+        off[n] = total;
+        let mut conns = vec![ConnRef::new(GateId::from_index(0), 0); total as usize];
+        for (i, g) in gates.iter().enumerate().rev() {
+            if g.dead {
+                continue;
+            }
+            for (p, pin) in g.pins.iter().enumerate().rev() {
+                let end = &mut off[pin.src.index()];
+                *end -= 1;
+                conns[*end as usize] = ConnRef::new(GateId::from_index(i), p);
+            }
+        }
+        Fanouts { off, conns }
+    }
+
+    /// Number of gate slots (tombstones included) the table covers.
+    pub fn num_slots(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// The per-slot fanout lists, in slot order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[ConnRef]> + '_ {
+        (0..self.num_slots()).map(move |i| &self[i])
+    }
+}
+
+impl Index<usize> for Fanouts {
+    type Output = [ConnRef];
+
+    #[inline]
+    fn index(&self, slot: usize) -> &[ConnRef] {
+        &self.conns[self.off[slot] as usize..self.off[slot + 1] as usize]
+    }
+}
+
+/// Kahn's algorithm with a LIFO stack over the live gates of `net`, using
+/// its fanout table `fo`.
+pub(crate) fn kahn(net: &Network, fo: &Fanouts) -> Result<Vec<GateId>, NetlistError> {
+    let n = net.gates.len();
+    let mut indeg = vec![0u32; n];
+    let mut live = 0usize;
+    let mut stack = Vec::new();
+    for (i, g) in net.gates.iter().enumerate() {
+        if g.dead {
+            continue;
+        }
+        live += 1;
+        indeg[i] = g.pins.len() as u32;
+        if g.pins.is_empty() {
+            stack.push(GateId::from_index(i));
+        }
+    }
+    let mut order = Vec::with_capacity(live);
+    while let Some(id) = stack.pop() {
+        order.push(id);
+        for conn in &fo[id.index()] {
+            let j = conn.gate.index();
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                stack.push(conn.gate);
+            }
+        }
+    }
+    if order.len() != live {
+        return Err(NetlistError::Cyclic);
+    }
+    Ok(order)
+}
+
+/// Cached fanout table, topological order, and levelization for a
 /// [`Network`]. See the module docs for the invalidation contract.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    slots: usize,
-    fo_off: Vec<u32>,
-    fo: Vec<ConnRef>,
+    fo: Fanouts,
     order: Vec<GateId>,
     pos: Vec<u32>,
     level: Vec<u32>,
@@ -61,71 +163,25 @@ impl Topology {
     ///
     /// Returns [`NetlistError::Cyclic`] if the live gates contain a cycle.
     pub fn try_build(net: &Network) -> Result<Topology, NetlistError> {
+        let fo = net.fanouts();
+        let order = kahn(net, &fo)?;
         let n = net.num_gate_slots();
-
-        // CSR fanouts: count, prefix-sum, fill. Filling in the same
-        // (gate, pin) iteration order as `Network::fanouts` keeps each
-        // source's fanout list in the same relative order.
-        let mut fo_off = vec![0u32; n + 1];
-        let mut live = 0usize;
-        for id in net.gate_ids() {
-            live += 1;
-            for pin in &net.gate(id).pins {
-                fo_off[pin.src.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            fo_off[i + 1] += fo_off[i];
-        }
-        let mut cursor = fo_off.clone();
-        let mut fo = vec![ConnRef::new(GateId::from_index(0), 0); fo_off[n] as usize];
-        for id in net.gate_ids() {
-            for (p, pin) in net.gate(id).pins.iter().enumerate() {
-                let c = &mut cursor[pin.src.index()];
-                fo[*c as usize] = ConnRef::new(id, p);
-                *c += 1;
-            }
-        }
-
-        // Kahn's algorithm with a LIFO stack — the exact traversal
-        // `Network::try_topo_order` uses, so the orders are identical.
-        let mut indeg = vec![0usize; n];
-        let mut order = Vec::with_capacity(live);
-        let mut stack = Vec::new();
-        for id in net.gate_ids() {
-            let pins = net.gate(id).pins.len();
-            indeg[id.index()] = pins;
-            if pins == 0 {
-                stack.push(id);
-            }
-        }
         let mut pos = vec![UNPLACED; n];
         let mut level = vec![0u32; n];
         let mut max_level = 0u32;
-        while let Some(id) = stack.pop() {
-            pos[id.index()] = order.len() as u32;
-            order.push(id);
-            let mut lvl = 0u32;
-            for pin in &net.gate(id).pins {
-                lvl = lvl.max(level[pin.src.index()] + 1);
-            }
+        for (i, &id) in order.iter().enumerate() {
+            pos[id.index()] = i as u32;
+            let lvl = net
+                .gate(id)
+                .pins
+                .iter()
+                .map(|pin| level[pin.src.index()] + 1)
+                .max()
+                .unwrap_or(0);
             level[id.index()] = lvl;
             max_level = max_level.max(lvl);
-            let (lo, hi) = (fo_off[id.index()] as usize, fo_off[id.index() + 1] as usize);
-            for conn in &fo[lo..hi] {
-                let j = conn.gate.index();
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    stack.push(conn.gate);
-                }
-            }
-        }
-        if order.len() != live {
-            return Err(NetlistError::Cyclic);
         }
         Ok(Topology {
-            slots: n,
-            fo_off,
             fo,
             order,
             pos,
@@ -137,16 +193,13 @@ impl Topology {
     /// Number of gate slots (including tombstones) in the network this
     /// topology was built from.
     pub fn num_slots(&self) -> usize {
-        self.slots
+        self.fo.num_slots()
     }
 
-    /// The fanout connections of `g`, in the same relative order as
-    /// [`Network::fanouts`].
+    /// The fanout connections of `g`, as in [`Network::fanouts`].
     #[inline]
     pub fn fanouts(&self, g: GateId) -> &[ConnRef] {
-        let lo = self.fo_off[g.index()] as usize;
-        let hi = self.fo_off[g.index() + 1] as usize;
-        &self.fo[lo..hi]
+        &self.fo[g.index()]
     }
 
     /// The cached topological order (sources first), identical to
@@ -209,14 +262,30 @@ mod tests {
         }
     }
 
+    /// Both tables equal a nested-`Vec` reference built from the pins,
+    /// slot by slot and in order, tombstones included.
     #[test]
     fn fanouts_match_network_fanouts() {
-        let net = sample();
-        let topo = Topology::build(&net);
-        let fo = net.fanouts();
-        for (i, expect) in fo.iter().enumerate() {
-            assert_eq!(topo.fanouts(GateId::from_index(i)), expect.as_slice());
+        let mut net = sample();
+        let a = net.input_by_name("a").unwrap();
+        let x = net.add_gate(GateKind::And, &[a, a], Delay::new(1));
+        let y = net.add_gate(GateKind::Not, &[x], Delay::new(1));
+        net.kill(y);
+        net.kill(x);
+        let mut expect = vec![Vec::new(); net.num_gate_slots()];
+        for id in net.gate_ids() {
+            for (p, pin) in net.gate(id).pins.iter().enumerate() {
+                expect[pin.src.index()].push(ConnRef::new(id, p));
+            }
         }
+        let fo = net.fanouts();
+        assert_eq!(fo.num_slots(), expect.len());
+        assert!(fo.iter().eq(expect.iter().map(Vec::as_slice)));
+        let topo = Topology::build(&net);
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(topo.fanouts(GateId::from_index(i)), want.as_slice());
+        }
+        assert!(fo[x.index()].is_empty() && fo[y.index()].is_empty());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::error::NetlistError;
 use crate::gate::{ConnRef, GateId, GateKind, Pin};
 use crate::network::Network;
 use crate::path::Path;
+use crate::topo::Fanouts;
 
 /// Lowers every complex gate into simple gates (AND/OR/NOT/BUF).
 ///
@@ -137,12 +138,14 @@ fn const_of(net: &Network, id: GateId) -> Option<bool> {
 }
 
 fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
-    let kind = net.gate(id).kind;
-    let pins = net.gate(id).pins.clone();
-    let consts: Vec<Option<bool>> = pins.iter().map(|p| const_of(net, p.src)).collect();
-    if consts.iter().all(|c| c.is_none()) && !matches!(kind, GateKind::Mux) {
+    let gate = net.gate(id);
+    let kind = gate.kind;
+    // Most visits find no constant pin; answer those before copying pins.
+    if kind != GateKind::Mux && gate.pins.iter().all(|p| const_of(net, p.src).is_none()) {
         return Simplified::Unchanged;
     }
+    let pins = gate.pins.clone();
+    let consts: Vec<Option<bool>> = pins.iter().map(|p| const_of(net, p.src)).collect();
     match kind {
         GateKind::Input | GateKind::Const(_) => Simplified::Unchanged,
         GateKind::Buf => match consts[0] {
@@ -280,8 +283,15 @@ fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
 /// respect the paper's delay bookkeeping: a gate reduced to a single input
 /// becomes a **zero-delay buffer** (its residual delay is dropped), so path
 /// lengths through it can only shrink.
+///
+/// The fanout table is built at most once per call, when the first gate
+/// turns constant. Simplification only drops pins and adds no gate, so
+/// that table holds every later fanout list; a stale entry only re-queues
+/// a gate, and since the rewrites are confluent the fixpoint does not
+/// depend on the order of visits.
 pub fn propagate_constants(net: &mut Network) -> usize {
     let mut queue: VecDeque<GateId> = net.gate_ids().collect();
+    let mut fanouts: Option<Fanouts> = None;
     let mut became_const = 0;
     while let Some(id) = queue.pop_front() {
         if net.gate(id).is_dead() {
@@ -295,10 +305,8 @@ pub fn propagate_constants(net: &mut Network) -> usize {
                 g.pins.clear();
                 g.delay = Delay::ZERO;
                 // Re-examine everything this gate feeds.
-                let fo = net.fanouts();
-                for conn in &fo[id.index()] {
-                    queue.push_back(conn.gate);
-                }
+                let fo = fanouts.get_or_insert_with(|| net.fanouts());
+                queue.extend(fo[id.index()].iter().map(|c| c.gate));
             }
             Simplified::InPlace => {
                 // Pins were dropped; the gate itself may simplify further

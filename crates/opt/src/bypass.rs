@@ -114,8 +114,7 @@ pub fn bypass_transform(
 
     // Record the chain output's consumers before adding new gates.
     let chain_out = conns.last().expect("chain nonempty").gate;
-    let fanouts = net.fanouts();
-    let consumers: Vec<ConnRef> = fanouts[chain_out.index()].clone();
+    let consumers: Vec<ConnRef> = net.fanouts()[chain_out.index()].to_vec();
     let po_idxs: Vec<usize> = net
         .outputs()
         .iter()

@@ -19,7 +19,7 @@ use std::io::Read as _;
 
 use kms::blif::{parse_blif, parse_iscas, BlifError};
 use kms::lint::{CheckId, Level, LintConfig, LintReport, NetworkLint};
-use kms::netlist::{out, outln};
+use kms::netlist::{errln, out, outln};
 
 struct Args {
     inputs: Vec<String>,
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!(
+                errln!(
                     "usage: kms-lint [-f text|json] [--iscas] [--allow|--warn|--deny <check>]... \
                      [-q] <file.blif | ->..."
                 );
@@ -124,7 +124,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nrun with --help for usage");
+            errln!("error: {e}\nrun with --help for usage");
             std::process::exit(2);
         }
     };
@@ -149,7 +149,7 @@ fn main() {
             Err(msg) => {
                 io_failed = true;
                 if !args.quiet {
-                    eprintln!("error: {msg}");
+                    errln!("error: {msg}");
                 }
             }
         }

@@ -38,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use kms::analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms::atpg::{collapsed_faults, FaultSite};
 use kms::blif::{parse_blif, parse_iscas};
-use kms::netlist::{out, outln};
+use kms::netlist::{errln, out, outln};
 use kms::proof::CertificationReport;
 
 struct Args {
@@ -85,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!(
+                errln!(
                     "usage: kms-sweep [-f text|json] [--iscas] [--no-sat-sweep] \
                      [--no-learning] [--seed N] [--certify] [-j N] \
                      [-q] <file.blif | ->..."
@@ -184,7 +184,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nrun with --help for usage");
+            errln!("error: {e}\nrun with --help for usage");
             std::process::exit(2);
         }
     };
@@ -249,12 +249,12 @@ fn main() {
             Outcome::Error(msg) => {
                 io_failed = true;
                 if !args.quiet {
-                    eprintln!("error: {msg}");
+                    errln!("error: {msg}");
                 }
             }
             Outcome::Unknown(msg) => {
                 unknown_files += 1;
-                eprintln!("warning: {msg}; verdict for this file is unknown");
+                errln!("warning: {msg}; verdict for this file is unknown");
             }
         }
     }
@@ -269,7 +269,7 @@ fn main() {
         }
         if !ledger.all_verified() {
             check_failed = true;
-            eprintln!("error: certification failed — some sweep claim has no checkable proof");
+            errln!("error: certification failed — some sweep claim has no checkable proof");
         }
     }
     // Precedence: hard failure (2) over degraded-but-complete (3) over

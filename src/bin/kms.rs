@@ -22,7 +22,8 @@
 //!       --max-iterations <n>
 //!                           cap the delay-reduction loop at n iterations
 //!                           (default 10000); a capped run completes
-//!                           degraded (exit 3)
+//!                           degraded (exit 3) and reports the computed
+//!                           viability delay of the input and the output
 //!       --checkpoint <file> write a digest-guarded checkpoint after each
 //!                           loop iteration; a completed run removes it
 //!       --resume <file>     resume a previous run from its checkpoint
@@ -48,9 +49,10 @@ use std::io::Read as _;
 use kms::atpg::{Engine, FaultBudget, ParallelOptions};
 use kms::blif::{parse_blif, write_blif};
 use kms::core::{kms_with_control, Checkpoint, Condition, KmsOptions, RunControl};
-use kms::netlist::out;
-use kms::netlist::{transform, DelayModel};
-use kms::timing::InputArrivals;
+use kms::netlist::json::Json;
+use kms::netlist::{err, errln, out};
+use kms::netlist::{transform, DelayModel, Network};
+use kms::timing::{computed_delay, InputArrivals, PathCondition};
 
 struct Args {
     input: String,
@@ -132,7 +134,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-q" | "--quiet" => args.quiet = true,
             "-h" | "--help" => {
-                eprintln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [--certify] [--fault-budget SPEC] [--max-iterations N] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
+                errln!("usage: kms [-o out.blif] [-m unit|section3] [-c static|viability] [-a input=time]... [--certify] [--fault-budget SPEC] [--max-iterations N] [--checkpoint FILE] [--resume FILE] [-f text|json] <input.blif | ->");
                 std::process::exit(0);
             }
             other if args.input.is_empty() => args.input = other.to_string(),
@@ -149,14 +151,14 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nrun with --help for usage");
+            errln!("error: {e}\nrun with --help for usage");
             std::process::exit(2);
         }
     };
     match run(&args) {
         Ok(code) => std::process::exit(code),
         Err(e) => {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             std::process::exit(2);
         }
     }
@@ -204,15 +206,32 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
         },
         stop_after: None,
     };
+    let input = net.clone();
     let report = kms_with_control(&mut net, &arrivals, options, control)?
         .expect("a run without stop_after always completes");
+    // A capped loop voids Theorem 7.2, so measure what it promised: the
+    // viability delay of the input against that of the output.
+    let viability = if report.capped {
+        let delay = |n: &Network| {
+            computed_delay(n, &arrivals, PathCondition::Viability, options.effort_cap)
+                .map(|r| r.delay)
+        };
+        Some((delay(&input)?, delay(&net)?))
+    } else {
+        None
+    };
 
     if !args.quiet && args.json {
-        eprintln!("{}", report.to_json().compact());
+        let mut json = report.to_json();
+        if let (Json::Object(members), Some((before, after))) = (&mut json, viability) {
+            members.push(("viability_delay_before", before.into()));
+            members.push(("viability_delay_after", after.into()));
+        }
+        errln!("{}", json.compact());
     }
     if !args.quiet && !args.json {
-        eprint!("{}", kms::netlist::NetworkStats::of(&net));
-        eprintln!(
+        err!("{}", kms::netlist::NetworkStats::of(&net));
+        errln!(
             "{}: gates {} -> {}, loop iterations {}, duplicated {}, \
              redundancies removed {}, topological delay {} -> {}{}",
             net.name(),
@@ -230,15 +249,19 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
             }
         );
         let t = &report.timings;
-        eprintln!(
+        errln!(
             "phases: engine {:.3?}, path_enum {:.3?}, oracle {:.3?}, transform {:.3?}, atpg {:.3?}",
-            t.engine, t.path_enum, t.oracle, t.transform, t.atpg
+            t.engine,
+            t.path_enum,
+            t.oracle,
+            t.transform,
+            t.atpg
         );
         for (phase, s) in [
             ("oracle", &report.oracle_solver),
             ("atpg", &report.atpg_solver),
         ] {
-            eprintln!(
+            errln!(
                 "solver[{phase}]: conflicts {}, decisions {}, propagations {}, \
                  restarts {}, learned {}, deleted {}, minimized lits {}, \
                  mean lbd {:.2}, arena gc {}, blocker hits {}",
@@ -263,11 +286,11 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     let mut check_failed = false;
     if let Some(certification) = &report.certification {
         if !args.quiet && !args.json {
-            eprint!("{}", certification.render_text());
+            err!("{}", certification.render_text());
         }
         if !certification.all_verified() {
             check_failed = true;
-            eprintln!("error: certification failed — some solver verdict has no checkable proof");
+            errln!("error: certification failed — some solver verdict has no checkable proof");
         }
     }
 
@@ -281,18 +304,19 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     // capped loop voids the no-slower guarantee; the caller must learn
     // either before trusting any other verdict.
     if report.unknown > 0 {
-        eprintln!(
+        errln!(
             "warning: {} fault(s) left undecided by the removal phase \
              (budget exhausted or classification panicked); the output may still \
              hold redundancies among them",
             report.unknown
         );
     }
-    if report.capped {
-        eprintln!(
+    if let Some((before, after)) = viability {
+        errln!(
             "warning: the delay-reduction loop hit its cap of {} iterations before \
              a longest path satisfied the condition; the no-slower guarantee does \
-             not hold, and the output may be slower than the input",
+             not hold, and the output may be slower than the input \
+             (viability delay {before} -> {after})",
             options.max_iterations
         );
     }

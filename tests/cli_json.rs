@@ -124,7 +124,9 @@ fn kms_exhausted_fault_budget_exits_3_with_json_intact() {
 /// A loop stopped by its iteration cap voids the no-slower guarantee, so
 /// the run is degraded: csa 8.2 needs about 400 iterations, and at a cap
 /// of 10 `kms` exits 3 with `"capped": true` in the report and a warning
-/// after it. The same input under the default cap exits 0.
+/// after it, and both report the computed viability delay of the input and
+/// the output, which grows (Theorem 7.2 fails). The same input under the default cap exits
+/// 0 and measures no viability delay.
 #[test]
 fn kms_capped_loop_exits_3_and_warns() {
     let mut net = kms::gen::adders::carry_skip_adder(8, 2, DelayModel::Unit);
@@ -136,11 +138,45 @@ fn kms_capped_loop_exits_3_and_warns() {
     let report = stderr.lines().next().expect("JSON report first");
     assert!(report.contains("\"iterations\": 10, "), "{report}");
     assert!(report.contains("\"capped\": true"), "{report}");
+    // The capped output is slower under the paper's own delay model. The
+    // BLIF reader gives each single-cube node a buffer that holds its name,
+    // and the unit model charges it a gate delay, so the CLI sees 27 -> 33
+    // where the library run on the same adder sees 17 -> 18
+    // (`capped_loop_grows_the_viability_delay` in kms-core).
+    assert!(
+        report.contains("\"viability_delay_before\": 27, \"viability_delay_after\": 33"),
+        "{report}"
+    );
     assert!(
         stderr.contains("the no-slower guarantee does not hold"),
         "{stderr}"
     );
+    assert!(stderr.contains("(viability delay 27 -> 33)"), "{stderr}");
     let out = run(KMS, &["-f", "json", "-"], &blif);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     assert!(text(&out.stderr).contains("\"capped\": false"));
+    assert!(!text(&out.stderr).contains("viability_delay"));
+}
+
+/// A reader that closes stderr early must not make `kms` panic: the report
+/// is dropped and the run keeps its own exit code. The read end closes
+/// before the input is written, so every report line meets a broken pipe.
+#[test]
+fn kms_closed_stderr_keeps_the_exit_code() {
+    let mut child = Command::new(KMS)
+        .arg("-")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn kms");
+    drop(child.stderr.take());
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(FIG1.as_bytes())
+        .expect("kms reads its input");
+    let status = child.wait().expect("kms runs to completion");
+    assert_eq!(status.code(), Some(0), "kms panicked on a closed stderr");
 }
