@@ -41,7 +41,8 @@ use kms_sat::{encode_gate, Budget, Lit, SatResult, Solver, Stats};
 
 use crate::engine::{random_tests, Testability, TestabilityReport, UnknownReason};
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{fault_simulate_cone_with, ConeSim};
+use crate::fsim::{fault_simulate_cone_with, ConeSim, PackedTests};
+use crate::incremental::Marks;
 use crate::podem::{Podem, PodemResult};
 
 /// PODEM backtrack budget for the structural pre-pass of
@@ -606,7 +607,8 @@ pub fn classify_faults_report(
     faults: Vec<Fault>,
     opts: ParallelOptions,
 ) -> ClassifyReport {
-    let outcome = run(net, &faults, opts, None);
+    let topo = Topology::build(net);
+    let outcome = run(net, &topo, &faults, opts, None);
     // Classify mode never stops early, so every slot is decided.
     let verdicts = outcome
         .verdicts
@@ -634,24 +636,59 @@ pub fn scan_for_redundancy(
     opts: ParallelOptions,
     cached_tests: &[Vec<bool>],
 ) -> RedundancyScan {
-    let outcome = run(net, faults, opts, Some(cached_tests));
-    let unknown = outcome
-        .verdicts
-        .iter()
-        .filter(|v| matches!(v, Some(v) if v.is_unknown()))
-        .count();
+    let mut screen = Screen {
+        tests: PackedTests::new(net.inputs().len()),
+        marks: None,
+        screened: 0,
+        skipped: 0,
+    };
+    for t in cached_tests {
+        screen.tests.push(t);
+    }
+    scan_with(net, &Topology::build(net), faults, opts, &mut screen)
+}
+
+/// Scan-mode state of [`run`]: the tests every fault is screened against,
+/// handed back with the vectors the scan committed appended and every
+/// batch simulated on the scanned network, and the known-testable marks of
+/// an [`crate::IncrementalScan`] (`None` for a from-scratch scan).
+pub(crate) struct Screen<'m> {
+    pub(crate) tests: PackedTests,
+    pub(crate) marks: Option<&'m mut Marks>,
+    /// Faults simulated against the tests.
+    pub(crate) screened: u64,
+    /// Faults skipped as marked.
+    pub(crate) skipped: u64,
+}
+
+/// The scan of [`scan_for_redundancy`] over a caller-held topology and
+/// screen.
+pub(crate) fn scan_with(
+    net: &Network,
+    topo: &Topology,
+    faults: &[Fault],
+    opts: ParallelOptions,
+    screen: &mut Screen<'_>,
+) -> RedundancyScan {
+    let outcome = run(net, topo, faults, opts, Some(screen));
     RedundancyScan {
         redundant: outcome.first_redundant.map(|i| faults[i]),
         tests: outcome.sat_tests,
         solver: outcome.solver,
         engine_calls: outcome.engine_calls,
         certification: outcome.certification,
-        unknown,
+        unknown: outcome.unknown,
     }
 }
 
 struct Outcome {
+    /// Classify mode: the verdict of each fault. Scan mode keeps none (its
+    /// report needs only the first redundancy and the unknown count), so
+    /// this stays empty.
     verdicts: Vec<Option<Testability>>,
+    /// Faults committed as [`Testability::Unknown`] (what scan mode reports
+    /// instead of verdicts).
+    unknown: usize,
     first_redundant: Option<usize>,
     sat_tests: Vec<Vec<bool>>,
     solver: Stats,
@@ -662,31 +699,35 @@ struct Outcome {
 /// Classifies `faults` in list order. `scan: None` is classify mode:
 /// every fault gets a verdict, and the random patterns screen the whole
 /// list up front, since every verdict is needed anyway. `scan:
-/// Some(cached)` is scan mode: the run stops at the first redundancy, and
-/// the cached tests screen each fault only when its turn comes (see
+/// Some(screen)` is scan mode: the run stops at the first redundancy, and
+/// the screen's tests screen each fault only when its turn comes (see
 /// [`Committer::resolve`]).
 fn run(
     net: &Network,
+    topo: &Topology,
     faults: &[Fault],
     opts: ParallelOptions,
-    scan: Option<&[Vec<bool>]>,
+    scan: Option<&mut Screen<'_>>,
 ) -> Outcome {
-    let topo = Topology::build(net);
-    let mut verdicts: Vec<Option<Testability>> = vec![None; faults.len()];
-    if scan.is_none() && opts.drop_patterns > 0 {
-        let tests = random_tests(net, opts.drop_patterns, opts.seed);
-        let coverage = fault_simulate_cone_with(net, &topo, faults, &tests);
-        for (slot, hit) in verdicts.iter_mut().zip(&coverage.detected_by) {
-            if let Some(ti) = hit {
-                *slot = Some(Testability::Testable(tests[*ti].clone()));
+    let mut verdicts: Vec<Option<Testability>> = Vec::new();
+    if scan.is_none() {
+        verdicts.resize(faults.len(), None);
+        if opts.drop_patterns > 0 {
+            let tests = random_tests(net, opts.drop_patterns, opts.seed);
+            let coverage = fault_simulate_cone_with(net, topo, faults, &tests);
+            for (slot, hit) in verdicts.iter_mut().zip(&coverage.detected_by) {
+                if let Some(ti) = hit {
+                    *slot = Some(Testability::Testable(tests[*ti].clone()));
+                }
             }
         }
     }
     let survivors: Vec<usize> = (0..faults.len())
-        .filter(|&i| verdicts[i].is_none())
+        .filter(|&i| verdicts.get(i).is_none_or(Option::is_none))
         .collect();
     let mut outcome = Outcome {
         verdicts,
+        unknown: 0,
         first_redundant: None,
         sat_tests: Vec::new(),
         solver: Stats::default(),
@@ -697,13 +738,13 @@ fn run(
         return outcome;
     }
     let rebuild = || {
-        let mut ctx = SharedCnf::new(net, &topo, opts.certify);
+        let mut ctx = SharedCnf::new(net, topo, opts.certify);
         ctx.budget = opts.fault_budget;
         ctx
     };
     let mut ctx = rebuild();
     let mut counters = Counters::default();
-    let mut committer = Committer::new(net, &topo, faults, &survivors, scan);
+    let mut committer = Committer::new(net, topo, faults, &survivors, scan);
     for (k, &fi) in survivors.iter().enumerate() {
         let done = committer.resolve(k, &mut outcome, || {
             classify_isolated(&mut ctx, faults[fi], rebuild, &mut counters)
@@ -712,6 +753,7 @@ fn run(
             break;
         }
     }
+    committer.finish();
     counters.absorb(&mut ctx);
     outcome.solver = counters.solver;
     outcome.engine_calls = counters.engine_calls;
@@ -723,14 +765,14 @@ fn run(
 /// fault-list order and runs the batched drop cascade (classify mode) or
 /// the in-order screen (scan mode). Everything here is a function of slot
 /// order and the canonical per-fault verdicts.
-struct Committer<'s> {
+struct Committer<'s, 'm> {
     net: &'s Network,
     topo: &'s Topology,
     faults: &'s [Fault],
     survivors: &'s [usize],
     /// Scan mode: stop at the first redundancy, screen in order, never
-    /// flush.
-    stop_at_redundant: bool,
+    /// flush. The screen's tests live in `sim` until [`Committer::finish`].
+    screen: Option<&'s mut Screen<'m>>,
     /// Committed vectors not yet flushed across the undecided survivors,
     /// in commit order (classify mode only).
     pending: Vec<Vec<bool>>,
@@ -740,35 +782,42 @@ struct Committer<'s> {
     sim: ConeSim<'s>,
 }
 
-impl<'s> Committer<'s> {
+impl<'s, 'm> Committer<'s, 'm> {
     /// A committer over `survivors`; in scan mode its checker starts out
-    /// holding the cached tests.
+    /// holding the screen's tests.
     fn new(
         net: &'s Network,
         topo: &'s Topology,
         faults: &'s [Fault],
         survivors: &'s [usize],
-        scan: Option<&[Vec<bool>]>,
-    ) -> Committer<'s> {
-        let mut sim = ConeSim::new(net, topo);
-        for t in scan.unwrap_or_default() {
-            sim.push(t);
-        }
+        mut screen: Option<&'s mut Screen<'m>>,
+    ) -> Committer<'s, 'm> {
+        let sim = match screen.as_deref_mut() {
+            Some(screen) => ConeSim::with_tests(net, topo, std::mem::take(&mut screen.tests)),
+            None => ConeSim::new(net, topo),
+        };
         Committer {
             net,
             topo,
             faults,
             survivors,
-            stop_at_redundant: scan.is_some(),
+            screen,
             pending: Vec::new(),
             sim,
         }
     }
 
+    /// Hands the tests, committed vectors included, back to the screen.
+    fn finish(self) {
+        if let Some(screen) = self.screen {
+            screen.tests = self.sim.into_tests();
+        }
+    }
+
     /// Resolves survivor slot `k`. `verdict` runs only if no committed
-    /// vector (nor, in scan mode, cached test) already detects the fault,
-    /// so a dropped fault is never classified. Returns `true` when the run
-    /// is done (first redundancy committed in scan mode).
+    /// vector (nor, in scan mode, cached test or mark) already settles the
+    /// fault, so a dropped fault is never classified. Returns `true` when
+    /// the run is done (first redundancy committed in scan mode).
     fn resolve(
         &mut self,
         k: usize,
@@ -776,59 +825,79 @@ impl<'s> Committer<'s> {
         verdict: impl FnOnce() -> Testability,
     ) -> bool {
         let fi = self.survivors[k];
-        if outcome.verdicts[fi].is_some() {
+        if self.screen.is_none() && outcome.verdicts[fi].is_some() {
             return false; // decided by an earlier flush
         }
-        // Drop check, word-parallel over the checker's vectors. In scan
-        // mode there is no up-front screen and no flush, so every slot is
-        // screened here, in list order, against the cached tests and
-        // every vector committed before it. In classify mode the checker
-        // scans all committed vectors, but for an undecided slot the
-        // earliest detecting vector is necessarily still pending: every
-        // flushed vector was already simulated across this slot at flush
-        // time and would have decided it. So the credit — the first
-        // detecting vector in commit order — is exactly what an eager
-        // per-vector cascade would assign.
-        let screen = if self.stop_at_redundant {
-            !self.sim.is_empty()
-        } else {
-            !self.pending.is_empty()
-        };
-        if screen {
-            if let Some(ti) = self.sim.first_detecting(self.faults[fi]) {
+        let fault = self.faults[fi];
+        if let Some(screen) = self.screen.as_deref_mut() {
+            // Scan mode has no up-front screen and no flush, so every slot
+            // is screened here, in list order, against the cached tests
+            // and every vector committed before it — unless an earlier
+            // scan marked it known testable and no edit since could have
+            // changed what its test sees (see `crate::incremental`).
+            if screen.marks.as_ref().is_some_and(|m| m.contains(fault)) {
+                screen.skipped += 1;
+                audit_skip(&mut self.sim, fault);
+                return false;
+            }
+            if !self.sim.is_empty() {
+                screen.screened += 1;
+                if self.sim.first_detecting(fault).is_some() {
+                    if let Some(marks) = screen.marks.as_deref_mut() {
+                        marks.insert(fault);
+                    }
+                    return false;
+                }
+            }
+        } else if !self.pending.is_empty() {
+            // Classify mode: the checker scans all committed vectors, but
+            // for an undecided slot the earliest detecting vector is
+            // necessarily still pending: every flushed vector was already
+            // simulated across this slot at flush time and would have
+            // decided it. So the credit — the first detecting vector in
+            // commit order — is exactly what an eager per-vector cascade
+            // would assign.
+            if let Some(ti) = self.sim.first_detecting(fault) {
                 outcome.verdicts[fi] = Some(Testability::Testable(self.sim.test(ti).to_vec()));
                 return false;
             }
         }
-        match verdict() {
+        let verdict = verdict();
+        match &verdict {
             Testability::Redundant => {
-                outcome.verdicts[fi] = Some(Testability::Redundant);
-                if self.stop_at_redundant {
+                if self.screen.is_some() {
                     outcome.first_redundant = Some(fi);
                     return true;
                 }
             }
             Testability::Testable(t) => {
-                self.sim.push(&t);
+                self.sim.push(t);
                 outcome.sat_tests.push(t.clone());
                 // A flush simulates every later undecided slot; scan mode
                 // screens each slot when its turn comes instead, so it
                 // never simulates past the first redundancy.
-                if !self.stop_at_redundant {
-                    self.pending.push(t.clone());
-                    if self.pending.len() >= DROP_FLUSH {
-                        self.flush(k, outcome);
+                match self.screen.as_deref_mut() {
+                    Some(screen) => {
+                        if let Some(marks) = screen.marks.as_deref_mut() {
+                            marks.insert(fault);
+                        }
+                    }
+                    None => {
+                        self.pending.push(t.clone());
+                        if self.pending.len() >= DROP_FLUSH {
+                            self.flush(k, outcome);
+                        }
                     }
                 }
-                outcome.verdicts[fi] = Some(Testability::Testable(t));
             }
-            Testability::Unknown(r) => {
-                // Budget exhaustion or an isolated panic: commit the
-                // Unknown in slot order. No vector is published and the
-                // drop cascade is untouched, so every other slot's
-                // verdict is exactly what it would have been.
-                outcome.verdicts[fi] = Some(Testability::Unknown(r));
-            }
+            // Budget exhaustion or an isolated panic: commit the Unknown
+            // in slot order. No vector is published and the drop cascade
+            // is untouched, so every other slot's verdict is exactly what
+            // it would have been.
+            Testability::Unknown(_) => outcome.unknown += 1,
+        }
+        if self.screen.is_none() {
+            outcome.verdicts[fi] = Some(verdict);
         }
         false
     }
@@ -853,6 +922,20 @@ impl<'s> Committer<'s> {
         self.pending.clear();
     }
 }
+
+/// With the `debug-invariants` feature, screens a fault the scan skipped
+/// as known testable and panics if no cached test detects it; compiles to
+/// nothing otherwise.
+#[cfg(feature = "debug-invariants")]
+fn audit_skip(sim: &mut ConeSim<'_>, fault: Fault) {
+    assert!(
+        sim.first_detecting(fault).is_some(),
+        "{fault} was skipped as known testable, but no cached test detects it"
+    );
+}
+
+#[cfg(not(feature = "debug-invariants"))]
+fn audit_skip(_sim: &mut ConeSim<'_>, _fault: Fault) {}
 
 /// Diagnostics of every context a run used: the live one when the run
 /// ends, and any the panic shield discarded on the way (a context that

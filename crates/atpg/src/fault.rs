@@ -73,12 +73,19 @@ impl fmt::Display for Fault {
 /// polarities on every live gate output (including primary inputs that
 /// feed logic) and on every input connection of every logic gate.
 pub fn all_faults(net: &Network) -> Vec<Fault> {
-    faults_with(net, &net.fanouts(), &net.output_counts())
+    let mut out = Vec::new();
+    for_each_fault(net, &net.fanouts(), &net.output_counts(), |f| out.push(f));
+    out
 }
 
-/// [`all_faults`] over the caller's fanout and output-count tables.
-fn faults_with(net: &Network, fanouts: &Fanouts, output_counts: &[usize]) -> Vec<Fault> {
-    let mut out = Vec::new();
+/// Calls `emit` on every fault of [`all_faults`], in its order, over the
+/// caller's fanout and output-count tables.
+fn for_each_fault(
+    net: &Network,
+    fanouts: &Fanouts,
+    output_counts: &[usize],
+    mut emit: impl FnMut(Fault),
+) {
     for id in net.gate_ids() {
         let g = net.gate(id);
         if matches!(g.kind, GateKind::Const(_)) {
@@ -86,19 +93,18 @@ fn faults_with(net: &Network, fanouts: &Fanouts, output_counts: &[usize]) -> Vec
         }
         let drives_logic = !fanouts[id.index()].is_empty() || output_counts[id.index()] > 0;
         if drives_logic {
-            out.push(Fault::output(id, false));
-            out.push(Fault::output(id, true));
+            emit(Fault::output(id, false));
+            emit(Fault::output(id, true));
         }
         for pin in 0..g.pins.len() {
             let src_kind = net.gate(g.pins[pin].src).kind;
             if matches!(src_kind, GateKind::Const(_)) {
                 continue;
             }
-            out.push(Fault::conn(ConnRef::new(id, pin), false));
-            out.push(Fault::conn(ConnRef::new(id, pin), true));
+            emit(Fault::conn(ConnRef::new(id, pin), false));
+            emit(Fault::conn(ConnRef::new(id, pin), true));
         }
     }
-    out
 }
 
 /// Structurally collapses the fault universe by classic equivalence rules:
@@ -110,36 +116,35 @@ fn faults_with(net: &Network, fanouts: &Fanouts, output_counts: &[usize]) -> Vec
 /// * NOT/BUF input faults are equivalent to their output faults.
 ///
 /// Collapsing only drops provably equivalent faults; testability verdicts
-/// over the collapsed set equal those over the full set.
+/// over the collapsed set equal those over the full set. The universe is
+/// filtered as it is enumerated, so the full list is never built.
 pub fn collapsed_faults(net: &Network) -> Vec<Fault> {
     let fanouts = net.fanouts();
     let output_counts = net.output_counts();
     let mut out = Vec::new();
-    for f in faults_with(net, &fanouts, &output_counts) {
-        match f.site {
-            FaultSite::GateOutput(_) => out.push(f),
-            FaultSite::Conn(c) => {
-                let sink = net.gate(c.gate);
-                let src = net.pin(c).src;
-                let src_fanout = fanouts[src.index()].len() + output_counts[src.index()];
-                if src_fanout == 1 {
-                    // Fanout-free: equivalent to the stem fault.
-                    continue;
-                }
-                match sink.kind {
-                    GateKind::Not | GateKind::Buf => continue, // ≡ output fault
-                    GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                        if Some(f.stuck) == sink.kind.controlling_value() {
-                            // ≡ output stuck at the controlled value.
-                            continue;
-                        }
+    for_each_fault(net, &fanouts, &output_counts, |f| match f.site {
+        FaultSite::GateOutput(_) => out.push(f),
+        FaultSite::Conn(c) => {
+            let sink = net.gate(c.gate);
+            let src = net.pin(c).src;
+            let src_fanout = fanouts[src.index()].len() + output_counts[src.index()];
+            if src_fanout == 1 {
+                // Fanout-free: equivalent to the stem fault.
+                return;
+            }
+            match sink.kind {
+                GateKind::Not | GateKind::Buf => {} // ≡ output fault
+                GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                    // An input at the controlling value ≡ output stuck at
+                    // the controlled value.
+                    if Some(f.stuck) != sink.kind.controlling_value() {
                         out.push(f);
                     }
-                    _ => out.push(f),
                 }
+                _ => out.push(f),
             }
         }
-    }
+    });
     out
 }
 

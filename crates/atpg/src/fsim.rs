@@ -5,6 +5,9 @@
 //! reports which faults each test set detects. Used to validate ATPG test
 //! sets and to grade fault coverage in the benchmark harness.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use kms_netlist::{Network, Topology};
 
 use crate::fault::Fault;
@@ -40,9 +43,9 @@ impl CoverageReport {
 ///
 /// Runs the cone-restricted propagation of [`fault_simulate_cone_with`]:
 /// the good circuit is evaluated once per 64-pattern batch and each fault
-/// re-evaluates only its transitive fanout. The report is bit-identical
-/// to the historical clone-per-fault simulation, which survives as the
-/// test-only reference below.
+/// re-evaluates only the part of its transitive fanout its effect reaches.
+/// The report is bit-identical to the historical clone-per-fault
+/// simulation, which survives as the test-only reference below.
 ///
 /// # Panics
 ///
@@ -107,218 +110,107 @@ fn fault_simulate_reference(
 
 /// Cone-restricted pattern-parallel fault simulation: the good-circuit
 /// word values are computed **once per 64-pattern batch**, and each fault
-/// re-simulates only its transitive fanout with the stuck value injected.
+/// re-simulates only the part of its transitive fanout that its effect
+/// reaches (the event-driven walk of [`ConeSim::first_detecting`]).
 /// Per-fault cost drops from `O(network × batches)` (plus a full network
-/// clone) to `O(TFO × batches)` — the classic single-fault-propagation
-/// trade. The report is identical to the clone-per-fault reference's:
-/// same first-detecting-test indices, batch by batch, output by output.
+/// clone) to at most `O(TFO × batches)` — the classic single-fault-
+/// propagation trade. The report is identical to the clone-per-fault
+/// reference's: same first-detecting-test indices, batch by batch, output
+/// by output.
 ///
 /// Takes a caller-held [`Topology`] cache so repeated calls on an
 /// unchanged network stop paying for a fresh fanout table and Kahn pass
 /// each time (the drop cascade of the classification engine calls this
 /// once per committed batch).
+///
+/// # Panics
+///
+/// Panics if a test vector's width differs from the input count.
 pub fn fault_simulate_cone_with(
     net: &Network,
     topo: &Topology,
     faults: &[Fault],
     tests: &[Vec<bool>],
 ) -> CoverageReport {
-    use crate::fault::FaultSite;
-    use kms_netlist::GateKind;
-
-    let n = net.inputs().len();
+    let mut sim = ConeSim::new(net, topo);
     for t in tests {
-        assert_eq!(t.len(), n, "test width mismatch");
+        sim.push(t);
     }
-    let mut batches: Vec<(usize, Vec<u64>)> = Vec::new();
-    for (start, chunk) in tests.chunks(64).enumerate().map(|(i, c)| (i * 64, c)) {
-        let mut words = vec![0u64; n];
-        for (lane, t) in chunk.iter().enumerate() {
-            for (i, &b) in t.iter().enumerate() {
-                if b {
-                    words[i] |= 1 << lane;
-                }
-            }
-        }
-        batches.push((start, words));
+    CoverageReport {
+        detected_by: faults.iter().map(|&f| sim.first_detecting(f)).collect(),
     }
-    // Good values for every gate, once per batch (shared by all faults).
-    let good: Vec<Vec<u64>> = batches
-        .iter()
-        .map(|(_, words)| net.node_words(words))
-        .collect();
-    let slots = net.num_gate_slots();
-    let mut in_tfo = vec![false; slots];
-    let mut faulty = vec![0u64; slots];
-    let mut detected_by = vec![None; faults.len()];
-    let mut cone: Vec<kms_netlist::GateId> = Vec::new();
-    let mut pin_buf: Vec<u64> = Vec::new();
-
-    for (fi, &fault) in faults.iter().enumerate() {
-        // The fault's cone, in topological order.
-        cone.clear();
-        let mut stack = vec![fault.observing_gate()];
-        while let Some(g) = stack.pop() {
-            if in_tfo[g.index()] {
-                continue;
-            }
-            in_tfo[g.index()] = true;
-            cone.push(g);
-            for c in topo.fanouts(g) {
-                stack.push(c.gate);
-            }
-        }
-        cone.sort_by_key(|&g| topo.pos(g));
-        let observed: Vec<usize> = net
-            .outputs()
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| in_tfo[o.src.index()])
-            .map(|(i, _)| i)
-            .collect();
-        if !observed.is_empty() {
-            let stuck_word = if fault.stuck { !0u64 } else { 0u64 };
-            'batches: for (bi, (start, _)) in batches.iter().enumerate() {
-                let gv = &good[bi];
-                for &g in &cone {
-                    let gi = g.index();
-                    if fault.site == FaultSite::GateOutput(g) {
-                        faulty[gi] = stuck_word;
-                        continue;
-                    }
-                    let gate = net.gate(g);
-                    if gate.kind == GateKind::Input {
-                        // An input stem inside the cone can only be the
-                        // fault site itself (inputs have no fanins), which
-                        // the branch above handled.
-                        faulty[gi] = gv[gi];
-                        continue;
-                    }
-                    pin_buf.clear();
-                    pin_buf.extend(gate.pins.iter().enumerate().map(|(pi, p)| {
-                        if fault.site == FaultSite::Conn(kms_netlist::ConnRef::new(g, pi)) {
-                            stuck_word
-                        } else if in_tfo[p.src.index()] {
-                            faulty[p.src.index()]
-                        } else {
-                            gv[p.src.index()]
-                        }
-                    }));
-                    faulty[gi] = kms_netlist::eval_gate_words(gate.kind, &pin_buf);
-                }
-                let lanes = (tests.len() - start).min(64) as u32;
-                let mask = if lanes == 64 {
-                    !0u64
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                // Outputs in list order, as `fault_simulate` scans them
-                // (unaffected outputs never differ, so skipping them
-                // preserves the reported index).
-                for &oi in &observed {
-                    let src = net.outputs()[oi].src.index();
-                    let diff = (gv[src] ^ faulty[src]) & mask;
-                    if diff != 0 {
-                        detected_by[fi] = Some(start + diff.trailing_zeros() as usize);
-                        break 'batches;
-                    }
-                }
-            }
-        }
-        for &g in &cone {
-            in_tfo[g.index()] = false;
-        }
-    }
-    CoverageReport { detected_by }
 }
 
-/// One 64-pattern batch of a [`ConeSim`]: packed input words plus the
+/// One 64-pattern batch of a [`PackedTests`]: packed input words plus the
 /// cached good-circuit node words for those patterns. `good` is refreshed
 /// lazily — `dirty` marks a batch whose words changed since the last
 /// simulation, so a burst of pushes costs one re-simulation at the next
 /// query instead of one per vector.
-struct ConeSimBatch {
+#[derive(Clone, Debug, Default)]
+struct Batch {
     start: usize,
     words: Vec<u64>,
     good: Vec<u64>,
     dirty: bool,
 }
 
-/// Incremental single-fault drop checker over a growing test set.
-///
-/// [`fault_simulate_cone_with`] re-packs the tests and re-simulates the
-/// good circuit on **every call**, which is the right amortization for one
-/// batched call over thousands of faults but a poor one for the drop
-/// cascade's access pattern: one fault at a time against a vector set that
-/// only ever grows by appending. `ConeSim` keeps the packed words and the
-/// good-circuit node values cached, so [`ConeSim::push`] costs one
-/// single-word batch re-simulation and [`ConeSim::first_detecting`] is a
-/// pure faulty-cone walk with no allocation.
-///
-/// `first_detecting` reports exactly what [`fault_simulate_cone_with`]
-/// would report for the pushed vectors in push order — same batch
-/// boundaries, same output scan order — so swapping a call site over never
-/// changes which vector a drop is credited to.
-pub struct ConeSim<'n> {
-    net: &'n Network,
-    topo: &'n Topology,
-    tests: Vec<Vec<bool>>,
-    batches: Vec<ConeSimBatch>,
-    in_tfo: Vec<bool>,
-    faulty: Vec<u64>,
-    cone: Vec<kms_netlist::GateId>,
-    stack: Vec<kms_netlist::GateId>,
-    pin_buf: Vec<u64>,
+impl Batch {
+    /// The lanes of this batch that hold a test, out of `total` tests.
+    fn mask(&self, total: usize) -> u64 {
+        let lanes = (total - self.start).min(64) as u32;
+        if lanes == 64 {
+            !0u64
+        } else {
+            (1u64 << lanes) - 1
+        }
+    }
 }
 
-impl<'n> ConeSim<'n> {
-    /// An empty checker for `net` against a caller-held topology cache.
-    pub fn new(net: &'n Network, topo: &'n Topology) -> ConeSim<'n> {
-        let slots = net.num_gate_slots();
-        ConeSim {
-            net,
-            topo,
-            tests: Vec::new(),
-            batches: Vec::new(),
-            in_tfo: vec![false; slots],
-            faulty: vec![0u64; slots],
-            cone: Vec::new(),
-            stack: Vec::new(),
-            pin_buf: Vec::new(),
+/// A growing test set packed 64 patterns to a batch, with each batch's
+/// good-circuit node words cached.
+///
+/// A [`ConeSim`] screens faults against one; the store itself borrows no
+/// network, so a caller that edits its network between screens (the
+/// incremental removal scan) keeps one store across the edits and
+/// re-simulates it in place ([`PackedTests::resimulate`]) instead of
+/// re-packing every vector per network state. Clean batches hold the good
+/// words of the network they were last simulated on; it is the owner's
+/// job to keep that the network it screens.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PackedTests {
+    inputs: usize,
+    tests: Vec<Vec<bool>>,
+    batches: Vec<Batch>,
+}
+
+impl PackedTests {
+    /// An empty store for vectors of `inputs` bits.
+    pub(crate) fn new(inputs: usize) -> PackedTests {
+        PackedTests {
+            inputs,
+            ..PackedTests::default()
         }
     }
 
     /// Number of vectors pushed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tests.len()
     }
 
-    /// Whether any vector has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.tests.is_empty()
-    }
-
-    /// The `i`-th pushed vector.
-    pub fn test(&self, i: usize) -> &[bool] {
-        &self.tests[i]
-    }
-
     /// Appends one test vector, extending the current 64-pattern batch (or
-    /// opening a new one). The batch's good values are refreshed lazily at
-    /// the next [`ConeSim::first_detecting`] call, so a push is just the
-    /// bit-packing.
+    /// opening a new one). The batch's good values are refreshed lazily, so
+    /// a push is just the bit-packing.
     ///
     /// # Panics
     ///
     /// Panics if the vector's width differs from the input count.
-    pub fn push(&mut self, test: &[bool]) {
-        let n = self.net.inputs().len();
-        assert_eq!(test.len(), n, "test width mismatch");
+    pub(crate) fn push(&mut self, test: &[bool]) {
+        assert_eq!(test.len(), self.inputs, "test width mismatch");
         let lane = self.tests.len() % 64;
         if lane == 0 {
-            self.batches.push(ConeSimBatch {
+            self.batches.push(Batch {
                 start: self.tests.len(),
-                words: vec![0u64; n],
+                words: vec![0u64; self.inputs],
                 good: Vec::new(),
                 dirty: true,
             });
@@ -334,113 +226,271 @@ impl<'n> ConeSim<'n> {
     }
 
     /// Re-simulates the good circuit for every dirty batch, walking the
-    /// cached topo order (no per-call `topo_order()` recompute, which is
-    /// what makes replaying a peer's commit log cheap). Unused lanes stay
-    /// zero, exactly as the one-shot packer leaves them, so the good
-    /// values agree lane for lane with [`fault_simulate_cone_with`].
-    fn refresh_good(&mut self) {
-        let inputs = self.net.inputs();
-        for batch in &mut self.batches {
-            if !batch.dirty {
-                continue;
-            }
+    /// cached topo order. Unused lanes stay zero, exactly as the one-shot
+    /// packer leaves them, so the good values agree lane for lane with
+    /// [`fault_simulate_cone_with`].
+    pub(crate) fn refresh(&mut self, net: &Network, topo: &Topology) {
+        let mut pin_buf = Vec::new();
+        for batch in self.batches.iter_mut().filter(|b| b.dirty) {
             batch.good.clear();
-            batch.good.resize(self.net.num_gate_slots(), 0);
-            for (i, &id) in inputs.iter().enumerate() {
+            batch.good.resize(net.num_gate_slots(), 0);
+            for (i, &id) in net.inputs().iter().enumerate() {
                 batch.good[id.index()] = batch.words[i];
             }
-            for &id in self.topo.order() {
-                let g = self.net.gate(id);
+            for &id in topo.order() {
+                let g = net.gate(id);
                 if g.kind == kms_netlist::GateKind::Input {
                     continue;
                 }
-                self.pin_buf.clear();
-                self.pin_buf
-                    .extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
-                batch.good[id.index()] = kms_netlist::eval_gate_words(g.kind, &self.pin_buf);
+                pin_buf.clear();
+                pin_buf.extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
+                batch.good[id.index()] = kms_netlist::eval_gate_words(g.kind, &pin_buf);
             }
             batch.dirty = false;
         }
     }
 
+    /// Brings every batch's good words up to date with `net` after an
+    /// edit, overwriting them in place (no second copy of the words), and
+    /// sets `changed[g]` for each gate slot below `old_slots` whose word
+    /// differs from the stored one in a lane that holds a test. Every batch
+    /// must be clean, i.e. simulated on the network before the edit, and
+    /// the edit must keep the primary inputs. Slots at or past `old_slots`
+    /// are new and not compared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch is dirty or `changed` is shorter than the slot
+    /// count of `net`.
+    pub(crate) fn resimulate(
+        &mut self,
+        net: &Network,
+        topo: &Topology,
+        old_slots: usize,
+        changed: &mut [bool],
+    ) {
+        let total = self.tests.len();
+        let mut pin_buf = Vec::new();
+        for batch in &mut self.batches {
+            assert!(!batch.dirty, "resimulate needs clean batches");
+            let mask = batch.mask(total);
+            // An edit adds a slot or two at a time; grow to fit exactly
+            // rather than doubling the largest buffer of the store.
+            batch
+                .good
+                .reserve_exact(net.num_gate_slots() - batch.good.len());
+            batch.good.resize(net.num_gate_slots(), 0);
+            for &id in topo.order() {
+                let g = net.gate(id);
+                if g.kind == kms_netlist::GateKind::Input {
+                    continue;
+                }
+                pin_buf.clear();
+                pin_buf.extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
+                let word = kms_netlist::eval_gate_words(g.kind, &pin_buf);
+                let slot = &mut batch.good[id.index()];
+                if id.index() < old_slots && (word ^ *slot) & mask != 0 {
+                    changed[id.index()] = true;
+                }
+                *slot = word;
+            }
+        }
+    }
+}
+
+/// Incremental single-fault drop checker over a growing test set.
+///
+/// [`fault_simulate_cone_with`] re-packs the tests and re-simulates the
+/// good circuit on **every call**, which is the right amortization for one
+/// batched call over thousands of faults but a poor one for the drop
+/// cascade's access pattern: one fault at a time against a vector set that
+/// only ever grows by appending. `ConeSim` keeps the packed words and the
+/// good-circuit node values cached, so [`ConeSim::push`] costs one single-word batch
+/// re-simulation and [`ConeSim::first_detecting`] is an event-driven
+/// faulty-cone walk with no allocation: per batch, only gates whose faulty
+/// word differs from the good word in a lane that holds a test propagate,
+/// in topological order.
+///
+/// `first_detecting` reports the first detecting vector in push order,
+/// scanning batches in order and each batch's outputs in list order, as
+/// the clone-per-fault reference does; [`fault_simulate_cone_with`] is
+/// this checker over a fixed test set.
+pub struct ConeSim<'n> {
+    net: &'n Network,
+    topo: &'n Topology,
+    tests: PackedTests,
+    /// Per slot, the faulty word of the current walk; valid only where
+    /// the slot's state says it differs, and the good word elsewhere.
+    faulty: Vec<u64>,
+    /// One stamp per (fault, batch) walk, so no per-walk clearing.
+    stamp: u32,
+    queue: EventQueue,
+    pin_buf: Vec<u64>,
+}
+
+/// The gates a walk has yet to evaluate, smallest topological position
+/// first, each queued at most once per walk.
+struct EventQueue {
+    /// Per slot, `2·stamp` once walk `stamp` queued it, `2·stamp + 1` once
+    /// its faulty word differs in that walk; older values mean neither.
+    state: Vec<u32>,
+    heap: BinaryHeap<Reverse<u32>>,
+}
+
+impl EventQueue {
+    /// Queues each reader of `g` not yet queued in walk `stamp`.
+    fn push_fanouts(&mut self, topo: &Topology, g: kms_netlist::GateId, stamp: u32) {
+        for c in topo.fanouts(g) {
+            let i = c.gate.index();
+            if self.state[i] >> 1 != stamp {
+                self.state[i] = stamp << 1;
+                self.heap.push(Reverse(topo.pos(c.gate) as u32));
+            }
+        }
+    }
+
+    /// Whether `g`'s faulty word differs in walk `stamp`.
+    fn differs(&self, g: usize, stamp: u32) -> bool {
+        self.state[g] == stamp << 1 | 1
+    }
+}
+
+impl<'n> ConeSim<'n> {
+    /// An empty checker for `net` against a caller-held topology cache.
+    pub fn new(net: &'n Network, topo: &'n Topology) -> ConeSim<'n> {
+        ConeSim::with_tests(net, topo, PackedTests::new(net.inputs().len()))
+    }
+
+    /// A checker over a store whose clean batches were simulated on `net`
+    /// (dirty ones are simulated at the first query).
+    pub(crate) fn with_tests(
+        net: &'n Network,
+        topo: &'n Topology,
+        tests: PackedTests,
+    ) -> ConeSim<'n> {
+        let slots = net.num_gate_slots();
+        ConeSim {
+            net,
+            topo,
+            tests,
+            faulty: vec![0u64; slots],
+            stamp: 0,
+            queue: EventQueue {
+                state: vec![0; slots],
+                heap: BinaryHeap::new(),
+            },
+            pin_buf: Vec::new(),
+        }
+    }
+
+    /// Hands the store back with every batch simulated on `net`, so the
+    /// caller can edit the network and [`PackedTests::resimulate`] it.
+    pub(crate) fn into_tests(mut self) -> PackedTests {
+        self.tests.refresh(self.net, self.topo);
+        self.tests
+    }
+
+    /// Number of vectors pushed so far.
+    pub fn len(&self) -> usize {
+        self.tests.len()
+    }
+
+    /// Whether any vector has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.tests.tests.is_empty()
+    }
+
+    /// The `i`-th pushed vector.
+    pub fn test(&self, i: usize) -> &[bool] {
+        &self.tests.tests[i]
+    }
+
+    /// Appends one test vector (see [`PackedTests::push`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector's width differs from the input count.
+    pub fn push(&mut self, test: &[bool]) {
+        self.tests.push(test);
+    }
+
     /// Index of the first pushed vector that detects `fault`, or `None` —
-    /// bit-identical to `fault_simulate_cone_with(net, topo, &[fault],
-    /// &pushed).detected_by[0]`.
+    /// bit-identical to the clone-per-fault simulation of the pushed
+    /// vectors.
+    ///
+    /// Per batch, the fault's effect starts at its observing gate and
+    /// spreads only through gates whose faulty word differs from the good
+    /// one in a lane that holds a test; every other gate reads as good.
+    /// Gates compute lanes independently, so the test lanes of every word
+    /// equal those of a full cone walk, and scanning the outputs in list
+    /// order finds the same first difference.
     pub fn first_detecting(&mut self, fault: Fault) -> Option<usize> {
         use crate::fault::FaultSite;
-        use kms_netlist::GateKind;
 
-        self.refresh_good();
-        self.cone.clear();
-        self.stack.push(fault.observing_gate());
-        while let Some(g) = self.stack.pop() {
-            if self.in_tfo[g.index()] {
+        self.tests.refresh(self.net, self.topo);
+        let o = fault.observing_gate();
+        let stuck_word = if fault.stuck { !0u64 } else { 0u64 };
+        let total = self.tests.len();
+        let order = self.topo.order();
+        for batch in &self.tests.batches {
+            self.stamp += 1;
+            if self.stamp > u32::MAX >> 1 {
+                self.queue.state.fill(0);
+                self.stamp = 1;
+            }
+            let stamp = self.stamp;
+            let mask = batch.mask(total);
+            let gv = &batch.good;
+            let word = match fault.site {
+                FaultSite::GateOutput(_) => stuck_word,
+                FaultSite::Conn(c) => {
+                    let gate = self.net.gate(o);
+                    self.pin_buf.clear();
+                    self.pin_buf
+                        .extend(gate.pins.iter().enumerate().map(|(pi, p)| {
+                            if pi == c.pin {
+                                stuck_word
+                            } else {
+                                gv[p.src.index()]
+                            }
+                        }));
+                    kms_netlist::eval_gate_words(gate.kind, &self.pin_buf)
+                }
+            };
+            if (word ^ gv[o.index()]) & mask == 0 {
                 continue;
             }
-            self.in_tfo[g.index()] = true;
-            self.cone.push(g);
-            for c in self.topo.fanouts(g) {
-                self.stack.push(c.gate);
-            }
-        }
-        self.cone.sort_by_key(|&g| self.topo.pos(g));
-        let mut hit = None;
-        let observed = self
-            .net
-            .outputs()
-            .iter()
-            .any(|o| self.in_tfo[o.src.index()]);
-        if observed {
-            let stuck_word = if fault.stuck { !0u64 } else { 0u64 };
-            'batches: for batch in &self.batches {
-                let gv = &batch.good;
-                for &g in &self.cone {
-                    let gi = g.index();
-                    if fault.site == FaultSite::GateOutput(g) {
-                        self.faulty[gi] = stuck_word;
-                        continue;
-                    }
-                    let gate = self.net.gate(g);
-                    if gate.kind == GateKind::Input {
-                        self.faulty[gi] = gv[gi];
-                        continue;
-                    }
-                    self.pin_buf.clear();
-                    for (pi, p) in gate.pins.iter().enumerate() {
-                        let v = if fault.site == FaultSite::Conn(kms_netlist::ConnRef::new(g, pi)) {
-                            stuck_word
-                        } else if self.in_tfo[p.src.index()] {
-                            self.faulty[p.src.index()]
-                        } else {
-                            gv[p.src.index()]
-                        };
-                        self.pin_buf.push(v);
-                    }
-                    self.faulty[gi] = kms_netlist::eval_gate_words(gate.kind, &self.pin_buf);
+            self.faulty[o.index()] = word;
+            self.queue.state[o.index()] = stamp << 1 | 1;
+            self.queue.push_fanouts(self.topo, o, stamp);
+            while let Some(Reverse(pos)) = self.queue.heap.pop() {
+                let g = order[pos as usize];
+                let gate = self.net.gate(g);
+                self.pin_buf.clear();
+                for p in &gate.pins {
+                    let i = p.src.index();
+                    self.pin_buf.push(if self.queue.differs(i, stamp) {
+                        self.faulty[i]
+                    } else {
+                        gv[i]
+                    });
                 }
-                let lanes = (self.tests.len() - batch.start).min(64) as u32;
-                let mask = if lanes == 64 {
-                    !0u64
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                for o in self.net.outputs() {
-                    let src = o.src.index();
-                    if !self.in_tfo[src] {
-                        continue;
-                    }
+                let word = kms_netlist::eval_gate_words(gate.kind, &self.pin_buf);
+                if (word ^ gv[g.index()]) & mask != 0 {
+                    self.faulty[g.index()] = word;
+                    self.queue.state[g.index()] = stamp << 1 | 1;
+                    self.queue.push_fanouts(self.topo, g, stamp);
+                }
+            }
+            for out in self.net.outputs() {
+                let src = out.src.index();
+                if self.queue.differs(src, stamp) {
                     let diff = (gv[src] ^ self.faulty[src]) & mask;
-                    if diff != 0 {
-                        hit = Some(batch.start + diff.trailing_zeros() as usize);
-                        break 'batches;
-                    }
+                    return Some(batch.start + diff.trailing_zeros() as usize);
                 }
             }
         }
-        for &g in &self.cone {
-            self.in_tfo[g.index()] = false;
-        }
-        hit
+        None
     }
 }
 
@@ -554,5 +604,95 @@ mod tests {
         let report = fault_simulate(&net, &faults, &tests);
         // Faults detected only by the last vector report index 100.
         assert!(report.detected_by.iter().flatten().any(|&i| i == 100));
+    }
+
+    fn random_nets() -> Vec<Network> {
+        use kms_gen::random::{random_network, RandomNetworkSpec};
+        (1..=4u64)
+            .map(|seed| {
+                random_network(
+                    seed,
+                    RandomNetworkSpec {
+                        inputs: 9,
+                        gates: 80,
+                        outputs: 5,
+                        max_fanin: 3,
+                        max_delay: 1,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// The event-driven walk credits every fault to the same vector as
+    /// the clone-per-fault reference, across batch boundaries and on
+    /// networks with reconvergence and several outputs.
+    #[test]
+    fn cone_sim_matches_the_reference_on_random_networks() {
+        for net in random_nets() {
+            let faults = all_faults(&net);
+            let tests = crate::random_tests(&net, 150, 5);
+            let reference = fault_simulate_reference(&net, &faults, &tests);
+            assert_eq!(
+                fault_simulate(&net, &faults, &tests).detected_by,
+                reference.detected_by,
+                "{}",
+                net.name()
+            );
+        }
+    }
+
+    /// After an edit, `resimulate` leaves the words a fresh simulation of
+    /// the edited network gives, and flags exactly the old gates whose
+    /// word changed in a lane that holds a test.
+    #[test]
+    fn resimulate_flags_exactly_the_changed_words() {
+        for net in random_nets() {
+            let gates: Vec<_> = net
+                .gate_ids()
+                .filter(|&g| net.gate(g).kind.is_logic())
+                .collect();
+            for (k, &g) in gates.iter().enumerate().step_by(7) {
+                let mut edited = net.clone();
+                let topo = Topology::build(&edited);
+                // 70 tests: the second batch has six live lanes only.
+                let tests = crate::random_tests(&edited, 70, k as u64);
+                let mut packed = PackedTests::new(edited.inputs().len());
+                for t in &tests {
+                    packed.push(t);
+                }
+                packed.refresh(&edited, &topo);
+                let before = packed.clone();
+                let old_slots = edited.num_gate_slots();
+                kms_netlist::transform::set_conn_const(
+                    &mut edited,
+                    kms_netlist::ConnRef::new(g, 0),
+                    k % 2 == 0,
+                );
+                let topo = Topology::build(&edited);
+                let mut changed = vec![false; edited.num_gate_slots()];
+                packed.resimulate(&edited, &topo, old_slots, &mut changed);
+                let mut fresh = PackedTests::new(edited.inputs().len());
+                for t in &tests {
+                    fresh.push(t);
+                }
+                fresh.refresh(&edited, &topo);
+                for id in edited.gate_ids() {
+                    let i = id.index();
+                    let mut differs = false;
+                    for ((now, new), old) in packed
+                        .batches
+                        .iter()
+                        .zip(&fresh.batches)
+                        .zip(&before.batches)
+                    {
+                        assert_eq!(now.good[i], new.good[i], "{} gate {id}", net.name());
+                        let mask = now.mask(tests.len());
+                        differs |= i < old_slots && (old.good[i] ^ new.good[i]) & mask != 0;
+                    }
+                    assert_eq!(changed[i], differs, "{} gate {id}", net.name());
+                }
+            }
+        }
     }
 }

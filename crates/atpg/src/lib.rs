@@ -40,6 +40,7 @@ mod compact;
 mod engine;
 mod fault;
 mod fsim;
+mod incremental;
 mod inject;
 mod podem;
 
@@ -54,5 +55,6 @@ pub use engine::{
 };
 pub use fault::{all_faults, collapsed_faults, Fault, FaultSite};
 pub use fsim::{fault_simulate, fault_simulate_cone_with, ConeSim, CoverageReport};
+pub use incremental::IncrementalScan;
 pub use inject::{faulty_copy, inject_fault_in_place};
 pub use podem::{podem, Podem, PodemResult};

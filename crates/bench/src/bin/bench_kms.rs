@@ -1,7 +1,8 @@
 //! KMS loop benchmark: end-to-end `kms_algorithm` wall-clock, its
 //! per-phase split, the loop's timing-pass and verdict-cache counters,
-//! and the SAT calls of the sensitization oracle and of the removal
-//! phase's ATPG on prepared Table I circuits. Emits `BENCH_kms.json`.
+//! the SAT calls of the sensitization oracle and of the removal phase's
+//! ATPG, and the faults the removal scans screened and skipped as known
+//! testable, on prepared Table I circuits. Emits `BENCH_kms.json`.
 //!
 //! Usage: `bench_kms [--smoke] [--out FILE]`
 //!
@@ -169,6 +170,8 @@ fn main() {
             ("cache_misses", r.engine.cache_misses.into()),
             ("oracle_sat_calls", r.oracle_solver.sat_calls.into()),
             ("atpg_sat_calls", r.atpg_solver.sat_calls.into()),
+            ("removal_screened", r.removal.screened.into()),
+            ("removal_skipped", r.removal.skipped.into()),
             ("wall_s", Json::Fixed(wall_s, 6)),
             ("loop_s", Json::Fixed(phases.loop_s(), 6)),
             (

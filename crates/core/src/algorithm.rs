@@ -189,6 +189,9 @@ pub struct KmsReport {
     /// SAT search counters of the final removal phase (the shared-CNF
     /// engine, summed over every removal restart).
     pub atpg_solver: Stats,
+    /// What the removal phase's incremental scans did, summed over every
+    /// restart.
+    pub removal: RemovalCounters,
     /// The merged proof-checking ledger of a [`KmsOptions::certify`] run:
     /// oracle-phase unsensitizability certificates plus removal-phase
     /// redundancy certificates. `None` when certification was off.
@@ -200,10 +203,34 @@ pub struct KmsReport {
     pub unknown: usize,
 }
 
+/// Fault counts of the removal phase ([`kms_opt::NaiveRemovalReport`]),
+/// summed over every restart.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RemovalCounters {
+    /// Faults simulated against the cached tests.
+    pub screened: u64,
+    /// Faults skipped because an earlier scan proved them testable and no
+    /// removal since could have changed their cone.
+    pub skipped: u64,
+    /// Faults that reached PODEM or SAT.
+    pub engine_calls: u64,
+}
+
+impl RemovalCounters {
+    /// The counters as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("screened", self.screened.into()),
+            ("skipped", self.skipped.into()),
+            ("engine_calls", self.engine_calls.into()),
+        ])
+    }
+}
+
 impl KmsReport {
     /// The report as a JSON object: the headline numbers, per-phase
-    /// wall-clock in nanoseconds, per-phase solver counters, and the
-    /// certification ledger when present.
+    /// wall-clock in nanoseconds, per-phase solver counters, the removal
+    /// phase's fault counts, and the certification ledger when present.
     pub fn to_json(&self) -> Json {
         let t = &self.timings;
         let mut fields = vec![
@@ -234,6 +261,7 @@ impl KmsReport {
             ),
             ("oracle_solver", self.oracle_solver.to_json()),
             ("atpg_solver", self.atpg_solver.to_json()),
+            ("removal", self.removal.to_json()),
         ];
         if let Some(cert) = &self.certification {
             fields.push(("certification", cert.to_json()));
@@ -676,6 +704,11 @@ pub fn kms_with_control(
         timings,
         oracle_solver,
         atpg_solver: naive.solver,
+        removal: RemovalCounters {
+            screened: naive.screened,
+            skipped: naive.skipped,
+            engine_calls: naive.engine_calls,
+        },
         certification,
         unknown: naive.unknown,
     }))

@@ -40,7 +40,7 @@ mod verify;
 
 pub use algorithm::{
     kms, kms_on_copy, kms_with_control, Condition, KmsIteration, KmsOptions, KmsPhaseTimings,
-    KmsReport, RunControl,
+    KmsReport, RemovalCounters, RunControl,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::EngineStats;

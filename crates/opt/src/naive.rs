@@ -10,7 +10,9 @@
 //! [`naive_redundancy_removal`] is also the loop behind the KMS
 //! algorithm's last step ("remove remaining redundancies in any order"):
 //! every restart scans the collapsed fault list with the shared-CNF
-//! engine and removes the first redundant fault it finds.
+//! engine and removes the first redundant fault it finds. The scans are
+//! incremental ([`kms_atpg::IncrementalScan`]): after a removal only the
+//! faults whose cone the removal could have changed are screened again.
 
 use kms_atpg::{Engine, Fault, FaultSite};
 use kms_netlist::{transform, Network};
@@ -29,6 +31,15 @@ pub struct NaiveRemovalReport {
     /// Solver search counters of the shared-CNF engine, summed over every
     /// restart.
     pub solver: Stats,
+    /// Faults the scans simulated against the cached tests, summed over
+    /// every restart.
+    pub screened: u64,
+    /// Faults the scans skipped because an earlier scan proved them
+    /// testable and no removal since could have changed their cone.
+    pub skipped: u64,
+    /// Faults that reached a per-fault decision procedure (PODEM or SAT),
+    /// summed over every restart.
+    pub engine_calls: u64,
     /// The proof-checking ledger, present when the removal ran with
     /// [`kms_atpg::ParallelOptions::certify`]: one checked certificate per
     /// redundant verdict, aggregated across restarts.
@@ -91,17 +102,20 @@ pub fn remove_fault(net: &mut Network, fault: Fault) {
 /// Fig. 3 note applies to the baseline too).
 ///
 /// No delay bookkeeping is done: this is deliberately the delay-oblivious
-/// baseline. Every restart runs the shared-CNF engine
-/// ([`kms_atpg::scan_for_redundancy`]): the good circuit is encoded once,
-/// the collapsed fault list is scanned in order against it, and every
-/// test vector found along the way is cached across restarts, so most
-/// faults are proved testable by simulation alone. `Engine::SharedSat(p)`
-/// runs with `p`; `Engine::Sat` runs with the default
-/// [`kms_atpg::ParallelOptions`]. A redundant fault is detected by no
-/// test, so the removal sequence (the first redundant fault in collapsed
-/// list order, per restart) is the same for any options.
+/// baseline. Every restart runs the shared-CNF engine over the collapsed
+/// fault list, in order: the good circuit is encoded once per restart,
+/// and every test vector found along the way is cached across restarts,
+/// so most faults are proved testable by simulation alone. The scans are
+/// incremental ([`kms_atpg::IncrementalScan`]) and report exactly what
+/// [`kms_atpg::scan_for_redundancy`] would over the cached tests, so the
+/// removals, engine calls and solver counters are those of a loop that
+/// scans from scratch. `Engine::SharedSat(p)` runs with `p`; `Engine::Sat`
+/// runs with the default [`kms_atpg::ParallelOptions`]. A redundant fault
+/// is detected by no test, so the removal sequence (the first redundant
+/// fault in collapsed list order, per restart) is the same for any
+/// options.
 pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemovalReport {
-    use kms_atpg::{collapsed_faults, scan_for_redundancy, ParallelOptions};
+    use kms_atpg::{collapsed_faults, IncrementalScan, ParallelOptions};
     let opts = match engine {
         Engine::SharedSat(p) => p,
         Engine::Sat => ParallelOptions::default(),
@@ -110,19 +124,20 @@ pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemov
     let mut removed = Vec::new();
     let unknown;
     let mut solver = Stats::default();
+    let mut engine_calls = 0;
     let mut certification = opts.certify.then(CertificationReport::default);
-    let mut tests: Vec<Vec<bool>> = kms_atpg::random_tests(net, 128, 0x4B4D_5332);
+    let mut scanner = IncrementalScan::new(net, &kms_atpg::random_tests(net, 128, 0x4B4D_5332));
     loop {
         let faults = collapsed_faults(net);
-        let scan = scan_for_redundancy(net, &faults, opts, &tests);
-        tests.extend(scan.tests);
+        let scan = scanner.scan(net, &faults, opts);
+        engine_calls += scan.engine_calls;
         solver.merge(&scan.solver);
         if let (Some(total), Some(mine)) = (certification.as_mut(), scan.certification) {
             total.merge(&mine);
         }
         match scan.redundant {
             Some(f) => {
-                remove_fault(net, f);
+                scanner.edit(net, |net| remove_fault(net, f));
                 removed.push(f);
                 // Removal changes the input count only if constant
                 // propagation killed an input's last consumer — inputs are
@@ -141,6 +156,9 @@ pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemov
         gates_before,
         gates_after: net.simple_gate_count(),
         solver,
+        screened: scanner.screened(),
+        skipped: scanner.skipped(),
+        engine_calls,
         certification,
         unknown,
     }

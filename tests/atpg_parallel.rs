@@ -11,13 +11,15 @@
 //!   redundant-fault set;
 //! * the removal loop's trajectory matches an independent reference (a
 //!   per-fault `Sat` search restarted after every removal), on the
-//!   carry-skip adder and on 100–200-gate random networks.
+//!   carry-skip adder and on 100–200-gate random networks;
+//! * the incremental removal loop matches a from-scratch scan per restart
+//!   in every removal, engine call, solver counter and certificate.
 
 use proptest::prelude::*;
 
 use kms::atpg::{
-    analyze, fault_simulate, find_redundant_fault, Engine, Fault, ParallelOptions, Testability,
-    TestabilityReport,
+    analyze, collapsed_faults, fault_simulate, find_redundant_fault, random_tests,
+    scan_for_redundancy, Engine, Fault, ParallelOptions, Testability, TestabilityReport,
 };
 use kms::gen::paper::fig1_carry_skip_block;
 use kms::gen::random::{random_network, RandomNetworkSpec};
@@ -254,4 +256,187 @@ fn naive_removal_matches_sat_on_random_networks() {
         );
         assert_eq!(a.simple_gate_count(), rb.gates_after);
     }
+}
+
+/// What a removal loop did, for comparing two loops field by field.
+#[derive(Debug, PartialEq)]
+struct RemovalRun {
+    removed: Vec<Fault>,
+    gates_after: usize,
+    solver: kms::sat::Stats,
+    engine_calls: u64,
+    /// The ledger with its wall-clock time zeroed.
+    certification: Option<kms::proof::CertificationReport>,
+    unknown: usize,
+}
+
+/// The removal loop as it ran before scans were incremental: collapse the
+/// fault list and scan it from scratch with every cached test, per
+/// restart. Also returns how many faults the scans visited (every visited
+/// fault is screened, since the cached tests are never empty).
+fn from_scratch_removal(net: &mut Network, opts: ParallelOptions) -> (RemovalRun, u64) {
+    let mut tests = random_tests(net, 128, 0x4B4D_5332);
+    let mut run = RemovalRun {
+        removed: Vec::new(),
+        gates_after: 0,
+        solver: kms::sat::Stats::default(),
+        engine_calls: 0,
+        certification: opts.certify.then(Default::default),
+        unknown: 0,
+    };
+    let mut visited = 0;
+    loop {
+        let faults = collapsed_faults(net);
+        let scan = scan_for_redundancy(net, &faults, opts, &tests);
+        tests.extend(scan.tests);
+        run.solver.merge(&scan.solver);
+        run.engine_calls += scan.engine_calls;
+        if let (Some(total), Some(mine)) = (run.certification.as_mut(), &scan.certification) {
+            total.merge(mine);
+        }
+        match scan.redundant {
+            Some(f) => {
+                visited += faults.iter().position(|&g| g == f).expect("listed") as u64 + 1;
+                remove_fault(net, f);
+                run.removed.push(f);
+            }
+            None => {
+                visited += faults.len() as u64;
+                run.unknown = scan.unknown;
+                break;
+            }
+        }
+    }
+    run.gates_after = net.simple_gate_count();
+    if let Some(c) = run.certification.as_mut() {
+        c.check_time = Default::default();
+    }
+    (run, visited)
+}
+
+/// An MCNC-substitute row as Table I prepares it (area flow, then the
+/// redundancy-introducing bypass with the last input late).
+fn mcnc_prepared(name: &str) -> Network {
+    use kms::opt::flow::{prepare_benchmark, FlowOptions};
+    let pla = kms::gen::mcnc::table1_suite()
+        .into_iter()
+        .find(|b| b.name == name)
+        .expect("a Table I row")
+        .pla;
+    let late = |net: &Network| {
+        let mut arr = kms::timing::InputArrivals::zero();
+        arr.set(*net.inputs().last().expect("inputs"), 4);
+        arr
+    };
+    prepare_benchmark(&pla, name, late, FlowOptions::default()).0
+}
+
+/// The incremental removal loop (marks of known-testable faults kept
+/// across restarts, only faults whose cone a removal could have changed
+/// screened again) makes exactly the from-scratch loop's removals, engine
+/// calls, solver counters and certificates, with certification off and
+/// on. Its screened and skipped faults add up to the faults the
+/// from-scratch scans visited, and some of them are skipped. Under `debug-invariants` every skipped fault
+/// is screened anyway and the scan panics if no cached test detects it.
+#[test]
+fn incremental_removal_matches_the_from_scratch_loop() {
+    let random = |seed| {
+        random_network(
+            seed,
+            RandomNetworkSpec {
+                inputs: 16,
+                gates: 800,
+                outputs: 17,
+                max_fanin: 3,
+                max_delay: 1,
+            },
+        )
+    };
+    for net in [
+        random(0xD1FF_0001),
+        random(0xD1FF_0002),
+        random(0xD1FF_0003),
+        kms_bench::table1_csa(8, 2),
+        mcnc_prepared("rd73"),
+        mcnc_prepared("misex1"),
+    ] {
+        for certify in [false, true] {
+            let opts = ParallelOptions {
+                certify,
+                ..ParallelOptions::default()
+            };
+            let mut a = net.clone();
+            let (reference, visited) = from_scratch_removal(&mut a, opts);
+            let mut b = net.clone();
+            let r = naive_redundancy_removal(&mut b, Engine::SharedSat(opts));
+            let mut certification = r.certification.clone();
+            if let Some(c) = certification.as_mut() {
+                c.check_time = Default::default();
+                assert_eq!(c.proofs_failed, 0);
+            }
+            let incremental = RemovalRun {
+                removed: r.removed.clone(),
+                gates_after: r.gates_after,
+                solver: r.solver,
+                engine_calls: r.engine_calls,
+                certification,
+                unknown: r.unknown,
+            };
+            let name = format!("{} (certify {certify})", net.name());
+            assert!(!reference.removed.is_empty(), "{name}: nothing removed");
+            assert_eq!(incremental, reference, "{name}");
+            assert_eq!(a.dump(), b.dump(), "{name}");
+            assert_eq!(r.screened + r.skipped, visited, "{name}");
+            assert!(r.skipped > 0, "{name}: no fault skipped");
+        }
+    }
+}
+
+/// Restart by restart, [`IncrementalScan`] reports what
+/// `scan_for_redundancy` reports over the same network, fault list and
+/// cached tests. The loops start from one or four random tests, so most
+/// faults are marked by a single test and a removal that changes what
+/// that test sees must clear the mark: a skipped fault no cached test
+/// detects would reach the engine in the from-scratch scan and show up
+/// as an extra engine call.
+#[test]
+fn incremental_scan_matches_each_from_scratch_scan() {
+    use kms::atpg::IncrementalScan;
+    let mut restarts = 0;
+    for seed in 0..24u64 {
+        let net = random_network(
+            0x5CA4_0000 + seed,
+            RandomNetworkSpec {
+                inputs: 6 + (seed % 5) as usize,
+                gates: 40 + 10 * (seed % 8) as usize,
+                outputs: 3,
+                max_fanin: 3,
+                max_delay: 1,
+            },
+        );
+        for cached in [1usize, 4] {
+            let mut net = net.clone();
+            let opts = ParallelOptions::default();
+            let mut tests = random_tests(&net, cached, seed);
+            let mut scanner = IncrementalScan::new(&net, &tests);
+            loop {
+                let faults = collapsed_faults(&net);
+                let reference = scan_for_redundancy(&net, &faults, opts, &tests);
+                let scan = scanner.scan(&net, &faults, opts);
+                let context = format!("seed {seed}, {cached} cached, restart {restarts}");
+                assert_eq!(scan.redundant, reference.redundant, "{context}");
+                assert_eq!(scan.tests, reference.tests, "{context}");
+                assert_eq!(scan.engine_calls, reference.engine_calls, "{context}");
+                assert_eq!(scan.solver, reference.solver, "{context}");
+                assert_eq!(scan.unknown, reference.unknown, "{context}");
+                tests.extend(reference.tests);
+                restarts += 1;
+                match reference.redundant {
+                    Some(f) => scanner.edit(&mut net, |net| remove_fault(net, f)),
+                    None => break,
+                }
+            }
+        }
+    }
+    assert!(restarts > 100, "only {restarts} restarts");
 }

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use kms::atpg::{ClassifyReport, Fault, Testability, TestabilityReport, UnknownReason};
-use kms::core::{EngineStats, KmsIteration, KmsPhaseTimings, KmsReport};
+use kms::core::{EngineStats, KmsIteration, KmsPhaseTimings, KmsReport, RemovalCounters};
 use kms::netlist::GateId;
 use kms::proof::CertificationReport;
 use kms::sat::Stats;
@@ -154,6 +154,11 @@ fn kms_report_json() {
         timings: KmsPhaseTimings::default(),
         oracle_solver: stats(200),
         atpg_solver: stats(300),
+        removal: RemovalCounters {
+            screened: 40,
+            skipped: 50,
+            engine_calls: 6,
+        },
         certification: Some(certification()),
         unknown: 0,
     };
@@ -171,7 +176,8 @@ fn kms_report_json() {
         \"conflicts\": 302, \"decisions\": 303, \"propagations\": 304, \
         \"restarts\": 305, \"learnts\": 306, \"learned_total\": 307, \
         \"deleted_total\": 308, \"minimized_lits\": 309, \"lbd_sum\": 310, \
-        \"arena_gc\": 311, \"blocker_hits\": 312}, \"certification\": ";
+        \"arena_gc\": 311, \"blocker_hits\": 312}, \"removal\": {\"screened\": 40, \
+        \"skipped\": 50, \"engine_calls\": 6}, \"certification\": ";
     assert_eq!(
         report.to_json().compact(),
         format!("{expected}{CERTIFICATION}}}")
