@@ -779,6 +779,8 @@ struct Committer<'s, 'm> {
     /// Incremental checker over the cached tests (scan mode) and **all**
     /// committed vectors: per-slot drop checks are one cone walk against
     /// cached good values instead of a fresh pack-and-simulate per slot.
+    /// Scan mode asks only whether some vector detects the fault, so its
+    /// walks stop at the first primary output the effect reaches.
     sim: ConeSim<'s>,
 }
 
@@ -842,7 +844,7 @@ impl<'s, 'm> Committer<'s, 'm> {
             }
             if !self.sim.is_empty() {
                 screen.screened += 1;
-                if self.sim.first_detecting(fault).is_some() {
+                if self.sim.detects(fault) {
                     if let Some(marks) = screen.marks.as_deref_mut() {
                         marks.insert(fault);
                     }
@@ -929,7 +931,7 @@ impl<'s, 'm> Committer<'s, 'm> {
 #[cfg(feature = "debug-invariants")]
 fn audit_skip(sim: &mut ConeSim<'_>, fault: Fault) {
     assert!(
-        sim.first_detecting(fault).is_some(),
+        sim.detects(fault),
         "{fault} was skipped as known testable, but no cached test detects it"
     );
 }

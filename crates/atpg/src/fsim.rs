@@ -1,9 +1,12 @@
 //! Pattern-parallel fault simulation.
 //!
 //! Simulates 64 test vectors at once per fault (serial-fault,
-//! parallel-pattern — the classic trade for combinational circuits) and
-//! reports which faults each test set detects. Used to validate ATPG test
-//! sets and to grade fault coverage in the benchmark harness.
+//! parallel-pattern — the classic trade for combinational circuits). Its
+//! main user is the redundancy-removal loop: [`ConeSim`] is the screen
+//! that asks, before any exact test generation, whether a cached test
+//! already detects a fault. Classification uses the same kernel for its
+//! random pre-screen and its drop cascade, and [`fault_simulate`] grades
+//! a test set's coverage.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -311,10 +314,14 @@ impl PackedTests {
 /// word differs from the good word in a lane that holds a test propagate,
 /// in topological order.
 ///
-/// `first_detecting` reports the first detecting vector in push order,
-/// scanning batches in order and each batch's outputs in list order, as
-/// the clone-per-fault reference does; [`fault_simulate_cone_with`] is
-/// this checker over a fixed test set.
+/// One walk serves two stop rules:
+///
+/// * [`ConeSim::first_detecting`] finishes each batch's walk and scans the
+///   outputs in list order, so it reports the first detecting vector
+///   exactly as the clone-per-fault reference does;
+///   [`fault_simulate_cone_with`] is this checker over a fixed test set;
+/// * `detects`, the removal loop's yes/no screen, stops the walk as soon
+///   as a gate that drives a primary output differs in a test lane.
 pub struct ConeSim<'n> {
     net: &'n Network,
     topo: &'n Topology,
@@ -326,6 +333,8 @@ pub struct ConeSim<'n> {
     stamp: u32,
     queue: EventQueue,
     pin_buf: Vec<u64>,
+    /// Per slot, whether the gate drives a primary output.
+    drives_output: Vec<bool>,
 }
 
 /// The gates a walk has yet to evaluate, smallest topological position
@@ -369,6 +378,10 @@ impl<'n> ConeSim<'n> {
         tests: PackedTests,
     ) -> ConeSim<'n> {
         let slots = net.num_gate_slots();
+        let mut drives_output = vec![false; slots];
+        for out in net.outputs() {
+            drives_output[out.src.index()] = true;
+        }
         ConeSim {
             net,
             topo,
@@ -380,6 +393,7 @@ impl<'n> ConeSim<'n> {
                 heap: BinaryHeap::new(),
             },
             pin_buf: Vec::new(),
+            drives_output,
         }
     }
 
@@ -425,6 +439,25 @@ impl<'n> ConeSim<'n> {
     /// equal those of a full cone walk, and scanning the outputs in list
     /// order finds the same first difference.
     pub fn first_detecting(&mut self, fault: Fault) -> Option<usize> {
+        self.walk(fault, false)
+    }
+
+    /// Whether some pushed vector detects `fault`: the same walk as
+    /// [`ConeSim::first_detecting`], stopped at the first gate driving a
+    /// primary output whose faulty word differs in a test lane.
+    pub(crate) fn detects(&mut self, fault: Fault) -> bool {
+        self.walk(fault, true).is_some()
+    }
+
+    /// The event-driven faulty-cone walk, batch by batch. Without
+    /// `stop_at_output` each batch's walk runs to completion and the
+    /// outputs are scanned in list order for the first detecting vector.
+    /// With it, the walk returns some detecting vector as soon as a gate
+    /// that drives a primary output (the origin included) differs in a
+    /// test lane. That is exact: a gate is evaluated only after every
+    /// changed fanin, so the word it gets is final, and a batch walk that
+    /// ends without reaching an output detects nothing.
+    fn walk(&mut self, fault: Fault, stop_at_output: bool) -> Option<usize> {
         use crate::fault::FaultSite;
 
         self.tests.refresh(self.net, self.topo);
@@ -457,30 +490,35 @@ impl<'n> ConeSim<'n> {
                     kms_netlist::eval_gate_words(gate.kind, &self.pin_buf)
                 }
             };
-            if (word ^ gv[o.index()]) & mask == 0 {
-                continue;
-            }
-            self.faulty[o.index()] = word;
-            self.queue.state[o.index()] = stamp << 1 | 1;
-            self.queue.push_fanouts(self.topo, o, stamp);
-            while let Some(Reverse(pos)) = self.queue.heap.pop() {
-                let g = order[pos as usize];
-                let gate = self.net.gate(g);
-                self.pin_buf.clear();
-                for p in &gate.pins {
-                    let i = p.src.index();
-                    self.pin_buf.push(if self.queue.differs(i, stamp) {
-                        self.faulty[i]
-                    } else {
-                        gv[i]
-                    });
-                }
-                let word = kms_netlist::eval_gate_words(gate.kind, &self.pin_buf);
-                if (word ^ gv[g.index()]) & mask != 0 {
+            let mut next = Some((o, word));
+            while let Some((g, word)) = next {
+                let diff = (word ^ gv[g.index()]) & mask;
+                if diff != 0 {
+                    if stop_at_output && self.drives_output[g.index()] {
+                        self.queue.heap.clear();
+                        return Some(batch.start + diff.trailing_zeros() as usize);
+                    }
                     self.faulty[g.index()] = word;
                     self.queue.state[g.index()] = stamp << 1 | 1;
                     self.queue.push_fanouts(self.topo, g, stamp);
                 }
+                next = self.queue.heap.pop().map(|Reverse(pos)| {
+                    let g = order[pos as usize];
+                    let gate = self.net.gate(g);
+                    self.pin_buf.clear();
+                    for p in &gate.pins {
+                        let i = p.src.index();
+                        self.pin_buf.push(if self.queue.differs(i, stamp) {
+                            self.faulty[i]
+                        } else {
+                            gv[i]
+                        });
+                    }
+                    (g, kms_netlist::eval_gate_words(gate.kind, &self.pin_buf))
+                });
+            }
+            if stop_at_output {
+                continue; // no output driver differs in this batch
             }
             for out in self.net.outputs() {
                 let src = out.src.index();
@@ -598,12 +636,53 @@ mod tests {
     fn more_than_64_tests_batch_correctly() {
         let net = and_or();
         let faults = all_faults(&net);
-        // 100 copies of a useless vector, then one useful vector.
+        // 100 copies of a weak vector, then one strong vector: the
+        // second batch holds 37 tests. In its unused lanes every input is
+        // 0, so y = 0 there and y s-a-1 differs only outside the tests.
         let mut tests = vec![vec![false, false, true]; 100];
         tests.push(vec![true, true, false]);
-        let report = fault_simulate(&net, &faults, &tests);
+        let report = check_both_stop_rules(&net, &tests);
         // Faults detected only by the last vector report index 100.
         assert!(report.detected_by.iter().flatten().any(|&i| i == 100));
+        let y = net.outputs()[0].src;
+        let at_output = |stuck| {
+            let fi = faults
+                .iter()
+                .position(|f| f.site == crate::fault::FaultSite::GateOutput(y) && f.stuck == stuck)
+                .expect("output fault listed");
+            report.detected_by[fi]
+        };
+        assert_eq!(at_output(false), Some(0), "y s-a-0 at the output");
+        assert_eq!(at_output(true), None, "y s-a-1 off-test only");
+    }
+
+    /// Screens every fault on one [`ConeSim`] over `tests` with both stop
+    /// rules, interleaved so that a walk inherits whatever the previous
+    /// one left behind, and checks both against the clone-per-fault
+    /// reference, which it returns.
+    fn check_both_stop_rules(net: &Network, tests: &[Vec<bool>]) -> CoverageReport {
+        let faults = all_faults(net);
+        let reference = fault_simulate_reference(net, &faults, tests);
+        assert_eq!(
+            fault_simulate(net, &faults, tests).detected_by,
+            reference.detected_by,
+            "{}",
+            net.name()
+        );
+        let topo = Topology::build(net);
+        let mut sim = ConeSim::new(net, &topo);
+        for t in tests {
+            sim.push(t);
+        }
+        for (&fault, &want) in faults.iter().zip(&reference.detected_by) {
+            let what = format!("{} {fault}", net.name());
+            assert_eq!(sim.detects(fault), want.is_some(), "{what}");
+            assert!(sim.queue.heap.is_empty(), "{what}: queue left");
+            assert_eq!(sim.first_detecting(fault), want, "{what}");
+            assert_eq!(sim.detects(fault), want.is_some(), "{what}");
+            assert!(sim.queue.heap.is_empty(), "{what}: queue left");
+        }
+        reference
     }
 
     fn random_nets() -> Vec<Network> {
@@ -625,17 +704,21 @@ mod tests {
     }
 
     /// The event-driven walk credits every fault to the same vector as
-    /// the clone-per-fault reference, across batch boundaries and on
-    /// networks with reconvergence and several outputs.
+    /// the clone-per-fault reference, and the yes/no screen agrees with
+    /// it, across batch boundaries (the last of three batches holds 22
+    /// tests) and on networks with reconvergence and several outputs.
     #[test]
     fn cone_sim_matches_the_reference_on_random_networks() {
         for net in random_nets() {
-            let faults = all_faults(&net);
             let tests = crate::random_tests(&net, 150, 5);
-            let reference = fault_simulate_reference(&net, &faults, &tests);
-            assert_eq!(
-                fault_simulate(&net, &faults, &tests).detected_by,
-                reference.detected_by,
+            let reference = check_both_stop_rules(&net, &tests);
+            // Some detected fault is observed at a gate driving an output.
+            assert!(
+                all_faults(&net)
+                    .iter()
+                    .zip(&reference.detected_by)
+                    .any(|(f, d)| d.is_some()
+                        && net.outputs().iter().any(|o| o.src == f.observing_gate())),
                 "{}",
                 net.name()
             );

@@ -8,9 +8,15 @@
 //!
 //! * [`is_testable`] — testable/untestable verdicts for the stuck faults
 //!   on "the first edge of P" (Fig. 3);
-//! * [`find_redundant_fault`] / [`analyze`] — the "remove remaining
-//!   redundancies in any order" phase, standing in for the Schulz–Auth
-//!   ATPG the original implementation called.
+//! * [`IncrementalScan`] — the "remove remaining redundancies in any
+//!   order" phase, standing in for the Schulz–Auth ATPG the original
+//!   implementation called. `naive_redundancy_removal` in `kms-opt`
+//!   runs one scan per removal: in list order, it skips the faults known
+//!   testable, screens the rest against the cached tests ([`ConeSim`]),
+//!   and asks the shared-CNF engine only about those no test detects.
+//!
+//! [`analyze`] and [`find_redundant_fault`] classify a whole network or
+//! find one redundancy in a single call.
 //!
 //! # Example
 //!
