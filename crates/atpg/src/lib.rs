@@ -3,20 +3,24 @@
 //! redundancy identification.
 //!
 //! In the paper, *redundancy* means single stuck-at-fault redundancy: a
-//! fault no input vector can detect (Section I, footnote 1). The KMS
-//! algorithm needs exactly two oracles from this crate:
+//! fault no input vector can detect (Section I, footnote 1).
 //!
-//! * [`is_testable`] — testable/untestable verdicts for the stuck faults
-//!   on "the first edge of P" (Fig. 3);
-//! * [`IncrementalScan`] — the "remove remaining redundancies in any
-//!   order" phase, standing in for the Schulz–Auth ATPG the original
-//!   implementation called. `naive_redundancy_removal` in `kms-opt`
-//!   runs one scan per removal: in list order, it skips the faults known
-//!   testable, screens the rest against the cached tests ([`ConeSim`]),
-//!   and asks the shared-CNF engine only about those no test detects.
+//! The KMS loop itself asks this crate nothing. Fig. 3 sets "the first
+//! edge of P" to a constant because its stuck faults are untestable; the
+//! loop takes that on the strength of Theorem 7.1 (the duplicated path P′
+//! is still not sensitizable, and every gate on it has fanout one) and of
+//! the sensitization oracle in `kms-timing`, and calls no test generator.
+//! The crate serves the phase after the loop, "remove remaining
+//! redundancies in any order", standing in for the Schulz–Auth ATPG the
+//! original implementation called. `naive_redundancy_removal` in
+//! `kms-opt` runs one [`IncrementalScan`] per removal: in list order, it
+//! skips the faults known testable, screens the rest against the cached
+//! tests ([`ConeSim`]), and asks the shared-CNF engine only about those no
+//! test detects.
 //!
-//! [`analyze`] and [`find_redundant_fault`] classify a whole network or
-//! find one redundancy in a single call.
+//! [`is_testable`] answers the verdict for one fault, [`analyze`] and
+//! [`find_redundant_fault`] classify a whole network or find one
+//! redundancy in a single call.
 //!
 //! # Example
 //!

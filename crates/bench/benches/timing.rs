@@ -1,5 +1,6 @@
-//! Timing-analysis benchmarks: STA, best-first path enumeration, and the
-//! three computed-delay models on the paper's circuits.
+//! Timing-analysis benchmarks: STA, the longest-path walk, best-first path
+//! enumeration, and the three computed-delay models on the paper's
+//! circuits.
 
 use std::hint::black_box;
 

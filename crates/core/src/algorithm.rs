@@ -27,14 +27,16 @@ use std::time::{Duration, Instant};
 use kms_analysis::SignatureInterner;
 use kms_atpg::{Engine, Fault, ParallelOptions};
 use kms_netlist::json::Json;
-use kms_netlist::{errln, transform, NetlistError, Network, Path};
+use kms_netlist::{errln, transform, NetlistError, Network};
 use kms_opt::naive_redundancy_removal;
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
-use kms_timing::{is_statically_sensitizable, InputArrivals, ResumablePathEnumerator, Sta, Time};
+use kms_timing::{
+    count_critical_paths, is_statically_sensitizable, walk_longest_paths, InputArrivals, Sta, Time,
+};
 
 use crate::checkpoint::{self, Checkpoint};
-use crate::engine::{count_critical_paths, oracle_phase, EngineStats, VerdictCache};
+use crate::engine::{oracle_phase, EngineStats, VerdictCache};
 
 /// The sensitization condition used in the while-loop header (Section VI:
 /// "the user may choose whether viability or static sensitization is
@@ -483,46 +485,27 @@ pub fn kms_with_control(
             break;
         }
         // Fig. 3 recomputes the longest paths after every transformation:
-        // a fresh timing pass and path frontier each iteration. Rebuilding
-        // both measured no slower than patching them in place (EXPERIMENTS
-        // E17); only the verdict cache carries across iterations.
+        // a fresh timing pass and a fresh depth-first walk over its tight
+        // pins each iteration. Rebuilding measured no slower than patching
+        // in place (EXPERIMENTS E17); only the verdict cache carries across
+        // iterations.
         let t0 = Instant::now();
         let sta = Sta::run(net, arrivals);
-        let mut enumerator =
-            ResumablePathEnumerator::new(net, &sta).with_effort_cap(options.effort_cap);
         timings.engine += t0.elapsed();
         engine_stats.full_recomputes += 1;
 
         // Collect the longest paths (all of maximal length, capped).
         let t0 = Instant::now();
-        let mut longest: Vec<Path> = Vec::new();
-        let mut longest_length: Option<Time> = None;
-        let mut cap_hit = false;
-        while let Some((p, len)) = enumerator.next_path(net, &sta) {
-            match longest_length {
-                None => {
-                    longest_length = Some(len);
-                    longest.push(p);
-                }
-                Some(l) if len == l => {
-                    if longest.len() < options.max_longest_paths {
-                        longest.push(p);
-                    } else {
-                        cap_hit = true;
-                        break;
-                    }
-                }
-                Some(_) => break,
-            }
-        }
+        let walk = walk_longest_paths(net, &sta, options.max_longest_paths, options.effort_cap);
         timings.path_enum += t0.elapsed();
-        let Some(longest_length) = longest_length else {
-            break; // no IO-paths at all (constant circuit)
+        let longest = walk.paths;
+        let Some(longest_length) = walk.length.filter(|_| !longest.is_empty()) else {
+            break; // no IO-paths at all (constant circuit), or none within the effort cap
         };
         // The cap must not truncate silently: count what it dropped (the
         // DP is exact and cheap — one pass over the tight edges).
         let mut dropped = 0u64;
-        if cap_hit || enumerator.truncated() {
+        if walk.cap_hit || walk.truncated {
             dropped = count_critical_paths(net, &sta).saturating_sub(longest.len() as u64);
             if dropped > 0 {
                 errln!(
@@ -1264,6 +1247,39 @@ mod tests {
                 .delay
         };
         assert_eq!((viability(&net), viability(&out)), (17, 18));
+    }
+
+    /// An output wired straight to a late input ends no path, so its
+    /// arrival must not set the length the path cap counts against: the
+    /// AND/OR fabric has 16 equal longest paths of length 4, and a cap of
+    /// 4 drops 12 of them although the feedthrough `z` arrives at 100.
+    #[test]
+    fn feedthrough_output_does_not_hide_dropped_paths() {
+        let mut net = Network::new("w");
+        let a = net.add_input("a");
+        let b = net.add_input("b");
+        let c = net.add_input("c");
+        let mut prev = [a, b];
+        for _ in 0..4 {
+            prev = [
+                net.add_gate(GateKind::And, &prev, Delay::UNIT),
+                net.add_gate(GateKind::Or, &prev, Delay::UNIT),
+            ];
+        }
+        net.add_output("y", prev[0]);
+        net.add_output("z", c);
+        let arr = InputArrivals::zero().with(c, 100);
+        let options = KmsOptions {
+            max_longest_paths: 4,
+            ..KmsOptions::default()
+        };
+        let (_, report) = kms_on_copy(&net, &arr, options).unwrap();
+        assert_eq!(
+            report.iterations.len(),
+            0,
+            "the first longest path is sensitizable"
+        );
+        assert_eq!(report.dropped_longest_paths, 12);
     }
 
     /// The default removal phase runs the shared-CNF engine, so a run

@@ -19,12 +19,12 @@
 //! that satisfies the condition.
 
 use kms_analysis::{SignatureInterner, Signatures};
-use kms_netlist::{FxHashMap, FxHashSet, GateId, GateKind, NetlistError, Network, Path};
+use kms_netlist::{FxHashMap, FxHashSet, GateId, NetlistError, Network, Path};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{
     early_side_constraints, static_side_constraints, InputArrivals, LatenessRule, Refutation,
-    SensitizationOracle, Sta, ViabilityAnalysis, NEVER,
+    SensitizationOracle, Sta, ViabilityAnalysis,
 };
 
 use crate::algorithm::Condition;
@@ -364,50 +364,6 @@ pub(crate) fn oracle_phase(
     })
 }
 
-/// Exact count of maximal-length IO-paths (per primary output), by
-/// dynamic programming over the tight-arrival edges — `cnt(g)` sums
-/// `cnt(src)` over the pins that realize `arrival(g)`. Saturating: a
-/// reconvergent circuit can hold astronomically many equal paths, which
-/// is precisely why the enumerator caps and why this counter exists (the
-/// no-silent-caps rule: report what the cap dropped, never enumerate
-/// it).
-pub(crate) fn count_critical_paths(net: &Network, sta: &Sta) -> u64 {
-    let delay = sta.delay();
-    let mut cnt = vec![0u64; net.num_gate_slots()];
-    for id in net.topo_order() {
-        let g = net.gate(id);
-        cnt[id.index()] = match g.kind {
-            GateKind::Input => 1,
-            GateKind::Const(_) => 0,
-            _ => {
-                let a = sta.arrival(id);
-                if a == NEVER {
-                    0
-                } else {
-                    let mut total = 0u64;
-                    for p in &g.pins {
-                        let sa = sta.arrival(p.src);
-                        if sa != NEVER && sa + p.wire_delay.units() + g.delay.units() == a {
-                            total = total.saturating_add(cnt[p.src.index()]);
-                        }
-                    }
-                    total
-                }
-            }
-        };
-    }
-    let mut total = 0u64;
-    for o in net.outputs() {
-        if net.gate(o.src).kind.is_source() {
-            continue; // no enumerable path ends at a source-driven output
-        }
-        if sta.arrival(o.src) == delay {
-            total = total.saturating_add(cnt[o.src.index()]);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,20 +384,6 @@ mod tests {
         }
         net.add_output("y", prev[0]);
         net
-    }
-
-    #[test]
-    fn count_matches_enumeration() {
-        for levels in 1..5 {
-            let net = wide(levels);
-            let arr = InputArrivals::zero();
-            let sta = Sta::run(&net, &arr);
-            let delay = sta.delay();
-            let enumerated = PathEnumerator::new(&net, &arr)
-                .take_while(|&(_, len)| len == delay)
-                .count() as u64;
-            assert_eq!(count_critical_paths(&net, &sta), enumerated);
-        }
     }
 
     /// The walk stops at the first satisfying path: when the first of
@@ -577,21 +519,5 @@ mod tests {
         let after = walk(&net, &mut cache, &mut stats);
         assert_ne!(before, after, "the transform must change the key");
         assert_eq!((cache.hits, cache.misses, stats.sat_calls), (1, 1, 1));
-    }
-
-    /// The loop counts on a fresh [`Sta`] of the network it just
-    /// transformed: constants and tombstones included.
-    #[test]
-    fn count_works_after_transform() {
-        let mut net = wide(4);
-        let arr = InputArrivals::zero();
-        let y = net.outputs()[0].src;
-        kms_netlist::transform::set_conn_const(&mut net, kms_netlist::ConnRef::new(y, 0), true);
-        let sta = Sta::run(&net, &arr);
-        let enumerated = PathEnumerator::new(&net, &arr)
-            .take_while(|&(_, len)| len == sta.delay())
-            .count() as u64;
-        assert!(enumerated > 0);
-        assert_eq!(count_critical_paths(&net, &sta), enumerated);
     }
 }

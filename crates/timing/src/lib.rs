@@ -43,7 +43,10 @@ mod sta;
 mod viability;
 
 pub use analysis::{computed_delay, computed_delay_with_rule, DelayReport, PathCondition};
-pub use paths::{longest_paths, PathEnumerator, ResumablePathEnumerator};
+pub use paths::{
+    count_critical_paths, longest_paths, walk_longest_paths, LongestPaths, PathEnumerator,
+    ResumablePathEnumerator,
+};
 pub use report::{critical_paths, CriticalPathReport, PathVerdict};
 pub use sensitize::{
     is_statically_sensitizable, sensitization_cube, sensitization_function,
