@@ -119,10 +119,15 @@ fn for_each_fault(
 /// over the collapsed set equal those over the full set. The universe is
 /// filtered as it is enumerated, so the full list is never built.
 pub fn collapsed_faults(net: &Network) -> Vec<Fault> {
-    let fanouts = net.fanouts();
+    collapsed_faults_with(net, &net.fanouts())
+}
+
+/// [`collapsed_faults`] over `net`'s fanout table `fanouts` (a caller that
+/// holds a [`kms_netlist::Topology`] passes its table).
+pub(crate) fn collapsed_faults_with(net: &Network, fanouts: &Fanouts) -> Vec<Fault> {
     let output_counts = net.output_counts();
     let mut out = Vec::new();
-    for_each_fault(net, &fanouts, &output_counts, |f| match f.site {
+    for_each_fault(net, fanouts, &output_counts, |f| match f.site {
         FaultSite::GateOutput(_) => out.push(f),
         FaultSite::Conn(c) => {
             let sink = net.gate(c.gate);

@@ -11,7 +11,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kms_netlist::{Network, Topology};
+use kms_netlist::transform::Touched;
+use kms_netlist::{GateId, Network, Topology};
 
 use crate::fault::Fault;
 #[cfg(test)]
@@ -255,11 +256,18 @@ impl PackedTests {
 
     /// Brings every batch's good words up to date with `net` after an
     /// edit, overwriting them in place (no second copy of the words), and
-    /// sets `changed[g]` for each gate slot below `old_slots` whose word
-    /// differs from the stored one in a lane that holds a test. Every batch
-    /// must be clean, i.e. simulated on the network before the edit, and
-    /// the edit must keep the primary inputs. Slots at or past `old_slots`
-    /// are new and not compared.
+    /// sets `changed[g]` for each gate slot that existed before the edit
+    /// whose word differs from the stored one in a lane that holds a test.
+    /// Every batch must be clean, i.e. simulated on the network before the
+    /// edit, the edit must keep the primary inputs, and `touched` must
+    /// list every gate it changed.
+    ///
+    /// Only a touched gate, or a reader of a gate whose word changed, can
+    /// get a new word. So the walk starts from the live touched gates and
+    /// runs forward in topological position order (the event queue of
+    /// [`ConeSim`]), evaluating each queued gate in every batch and queuing
+    /// its readers only where some word changed. Every stored word then
+    /// equals a fresh simulation's, lane for lane.
     ///
     /// # Panics
     ///
@@ -269,33 +277,54 @@ impl PackedTests {
         &mut self,
         net: &Network,
         topo: &Topology,
-        old_slots: usize,
+        touched: &Touched,
         changed: &mut [bool],
     ) {
         let total = self.tests.len();
-        let mut pin_buf = Vec::new();
+        let slots = net.num_gate_slots();
         for batch in &mut self.batches {
             assert!(!batch.dirty, "resimulate needs clean batches");
-            let mask = batch.mask(total);
             // An edit adds a slot or two at a time; grow to fit exactly
             // rather than doubling the largest buffer of the store.
-            batch
-                .good
-                .reserve_exact(net.num_gate_slots() - batch.good.len());
-            batch.good.resize(net.num_gate_slots(), 0);
-            for &id in topo.order() {
-                let g = net.gate(id);
-                if g.kind == kms_netlist::GateKind::Input {
-                    continue;
-                }
+            batch.good.reserve_exact(slots - batch.good.len());
+            batch.good.resize(slots, 0);
+        }
+        let mut queued = vec![false; slots];
+        let mut heap = BinaryHeap::new();
+        let mut enqueue = |g: GateId, heap: &mut BinaryHeap<Reverse<u32>>| {
+            if !std::mem::replace(&mut queued[g.index()], true) {
+                heap.push(Reverse(topo.pos(g) as u32));
+            }
+        };
+        for g in touched.gates().filter(|&g| !net.gate(g).is_dead()) {
+            enqueue(g, &mut heap);
+        }
+        let mut pin_buf = Vec::new();
+        while let Some(Reverse(pos)) = heap.pop() {
+            let id = topo.order()[pos as usize];
+            let g = net.gate(id);
+            if g.kind == kms_netlist::GateKind::Input {
+                continue;
+            }
+            let mut moved = false;
+            for batch in &mut self.batches {
                 pin_buf.clear();
                 pin_buf.extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
                 let word = kms_netlist::eval_gate_words(g.kind, &pin_buf);
+                let mask = batch.mask(total);
                 let slot = &mut batch.good[id.index()];
-                if id.index() < old_slots && (word ^ *slot) & mask != 0 {
-                    changed[id.index()] = true;
+                if word != *slot {
+                    moved = true;
+                    if id.index() < touched.old_slots() && (word ^ *slot) & mask != 0 {
+                        changed[id.index()] = true;
+                    }
+                    *slot = word;
                 }
-                *slot = word;
+            }
+            if moved {
+                for c in topo.fanouts(id) {
+                    enqueue(c.gate, &mut heap);
+                }
             }
         }
     }
@@ -419,7 +448,8 @@ impl<'n> ConeSim<'n> {
         &self.tests.tests[i]
     }
 
-    /// Appends one test vector (see [`PackedTests::push`]).
+    /// Appends one test vector. The packing is immediate; the good
+    /// values are simulated at the next query.
     ///
     /// # Panics
     ///
@@ -725,57 +755,72 @@ mod tests {
         }
     }
 
-    /// After an edit, `resimulate` leaves the words a fresh simulation of
-    /// the edited network gives, and flags exactly the old gates whose
-    /// word changed in a lane that holds a test.
+    /// After each edit of a run, the event-driven `resimulate` leaves the
+    /// words a fresh simulation of the edited network gives, and flags
+    /// exactly the old gates whose word changed in a lane that holds a
+    /// test, which is what a walk over the whole order flags. The run mixes
+    /// connection and gate-output constants (input stems included); its
+    /// first edit is the whole-network one and the rest are seeded.
     #[test]
     fn resimulate_flags_exactly_the_changed_words() {
+        use kms_netlist::transform::ConstEdits;
+        use kms_netlist::ConnRef;
         for net in random_nets() {
-            let gates: Vec<_> = net
-                .gate_ids()
-                .filter(|&g| net.gate(g).kind.is_logic())
-                .collect();
-            for (k, &g) in gates.iter().enumerate().step_by(7) {
+            let mut edits_made = 0;
+            for round in 0..3 {
                 let mut edited = net.clone();
-                let topo = Topology::build(&edited);
+                let mut edits = ConstEdits::default();
                 // 70 tests: the second batch has six live lanes only.
-                let tests = crate::random_tests(&edited, 70, k as u64);
+                let tests = crate::random_tests(&edited, 70, round);
                 let mut packed = PackedTests::new(edited.inputs().len());
                 for t in &tests {
                     packed.push(t);
                 }
-                packed.refresh(&edited, &topo);
-                let before = packed.clone();
-                let old_slots = edited.num_gate_slots();
-                kms_netlist::transform::set_conn_const(
-                    &mut edited,
-                    kms_netlist::ConnRef::new(g, 0),
-                    k % 2 == 0,
-                );
-                let topo = Topology::build(&edited);
-                let mut changed = vec![false; edited.num_gate_slots()];
-                packed.resimulate(&edited, &topo, old_slots, &mut changed);
-                let mut fresh = PackedTests::new(edited.inputs().len());
-                for t in &tests {
-                    fresh.push(t);
-                }
-                fresh.refresh(&edited, &topo);
-                for id in edited.gate_ids() {
-                    let i = id.index();
-                    let mut differs = false;
-                    for ((now, new), old) in packed
-                        .batches
-                        .iter()
-                        .zip(&fresh.batches)
-                        .zip(&before.batches)
-                    {
-                        assert_eq!(now.good[i], new.good[i], "{} gate {id}", net.name());
-                        let mask = now.mask(tests.len());
-                        differs |= i < old_slots && (old.good[i] ^ new.good[i]) & mask != 0;
+                packed.refresh(&edited, &Topology::build(&edited));
+                let sites: Vec<_> = net.gate_ids().collect();
+                for (k, &g) in sites.iter().enumerate().skip(round as usize).step_by(3) {
+                    let gate = edited.gate(g);
+                    if gate.is_dead() || matches!(gate.kind, GateKind::Const(_)) {
+                        continue;
                     }
-                    assert_eq!(changed[i], differs, "{} gate {id}", net.name());
+                    let (pins, kind) = (gate.pins.len(), gate.kind);
+                    let before = packed.clone();
+                    let touched = if k % 4 == 0 || pins == 0 {
+                        edits.set_gate_const(&mut edited, g, k % 8 == 0)
+                    } else {
+                        // Mostly the noncontrolling value, which drops
+                        // one pin and keeps the gate.
+                        let value = kind.controlling_value().is_some_and(|c| c != (k % 3 == 0));
+                        edits.set_conn_const(&mut edited, ConnRef::new(g, k % pins), value)
+                    };
+                    edits_made += 1;
+                    let old_slots = touched.old_slots();
+                    let topo = Topology::build(&edited);
+                    let mut changed = vec![false; edited.num_gate_slots()];
+                    packed.resimulate(&edited, &topo, &touched, &mut changed);
+                    let mut fresh = PackedTests::new(edited.inputs().len());
+                    for t in &tests {
+                        fresh.push(t);
+                    }
+                    fresh.refresh(&edited, &topo);
+                    for id in edited.gate_ids() {
+                        let i = id.index();
+                        let mut differs = false;
+                        for ((now, new), old) in packed
+                            .batches
+                            .iter()
+                            .zip(&fresh.batches)
+                            .zip(&before.batches)
+                        {
+                            assert_eq!(now.good[i], new.good[i], "{} gate {id}", net.name());
+                            let mask = now.mask(tests.len());
+                            differs |= i < old_slots && (old.good[i] ^ new.good[i]) & mask != 0;
+                        }
+                        assert_eq!(changed[i], differs, "{} gate {id}", net.name());
+                    }
                 }
             }
+            assert!(edits_made >= 10, "{}: {edits_made} edits", net.name());
         }
     }
 }

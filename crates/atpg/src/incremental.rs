@@ -12,14 +12,20 @@
 //! * a *known testable* mark per fault that an earlier scan proved
 //!   testable, by a screen hit or an engine test.
 //!
-//! Each edit ([`IncrementalScan::edit`]) is bracketed by a snapshot of
-//! every gate's kind and pin sources. After the edit it collects the set
-//! `D` of gates that are new or killed, changed kind or pins, gained or
-//! lost a fanout, drive a changed primary-output entry, or changed their
-//! good word in a lane of a cached test, and clears the mark of every
-//! fault whose observing gate lies in the reflexive transitive fanin of
-//! `D` and the readers of `D`. The next scan screens only unmarked faults, in list
-//! order, and still stops at the first redundancy.
+//! Each edit ([`IncrementalScan::edit`]) reports the slots it touched
+//! ([`kms_netlist::transform::Touched`]): the gates it re-kinded,
+//! re-pinned, killed or created, with their pins from before the edit,
+//! and the output entries it re-sourced. From that report alone the scan
+//! collects the set `D` of gates that are new or killed, changed kind or
+//! pins, gained or lost a fanout, or drive a changed primary-output entry,
+//! re-simulates the cached tests forward from the touched gates in
+//! topological order, stopping wherever a word comes out unchanged, and
+//! adds to `D` every gate whose good word changed in a lane of a cached
+//! test. It then clears the mark of every fault whose observing gate lies
+//! in the reflexive transitive fanin of `D` and the readers of `D`. The
+//! next scan screens only unmarked faults, in list order, and still stops
+//! at the first redundancy. Besides per-slot scratch flags, only the
+//! edit's fanout table and the topology rebuild visit every gate.
 //!
 //! **Exactness.** A marked fault whose observing gate `o` is outside that
 //! fanin keeps its fanout cone, the good values of the cone and of its side
@@ -33,7 +39,8 @@
 //! fault is screened anyway, and the scan panics if no cached test detects
 //! it.
 
-use kms_netlist::{GateId, GateKind, Network, Topology};
+use kms_netlist::transform::Touched;
+use kms_netlist::{GateId, Network, Topology};
 
 use crate::classify::{scan_with, ParallelOptions, RedundancyScan, Screen};
 use crate::fault::{Fault, FaultSite};
@@ -75,73 +82,6 @@ impl Marks {
     }
 }
 
-/// Each gate slot's kind (`None` when dead) and pin sources, plus the
-/// primary-output sources: what [`IncrementalScan::edit`] compares the
-/// edited network against.
-struct Snapshot {
-    kinds: Vec<Option<GateKind>>,
-    /// `pins[off[i]..off[i + 1]]` are slot `i`'s pin sources.
-    off: Vec<u32>,
-    pins: Vec<GateId>,
-    outputs: Vec<GateId>,
-}
-
-impl Snapshot {
-    fn take(net: &Network) -> Snapshot {
-        let slots = net.num_gate_slots();
-        let mut snap = Snapshot {
-            kinds: Vec::with_capacity(slots),
-            off: Vec::with_capacity(slots + 1),
-            pins: Vec::new(),
-            outputs: net.outputs().iter().map(|o| o.src).collect(),
-        };
-        snap.off.push(0);
-        for i in 0..slots {
-            let g = net.gate(GateId::from_index(i));
-            snap.kinds.push((!g.is_dead()).then_some(g.kind));
-            snap.pins.extend(g.pins.iter().map(|p| p.src));
-            snap.off.push(snap.pins.len() as u32);
-        }
-        snap
-    }
-
-    /// Sets `d[g]` for every gate the edit changed structurally: new,
-    /// killed, or re-kinded or re-pinned gates, the old and new sources of
-    /// their pins (which gained or lost a fanout), and the old and new
-    /// sources of every changed output entry.
-    fn diff(&self, net: &Network, d: &mut [bool]) {
-        for i in 0..net.num_gate_slots() {
-            let g = net.gate(GateId::from_index(i));
-            let kind = (!g.is_dead()).then_some(g.kind);
-            let (old_kind, old_pins) = match self.kinds.get(i) {
-                Some(&k) => (
-                    k,
-                    &self.pins[self.off[i] as usize..self.off[i + 1] as usize],
-                ),
-                None => (None, &[][..]),
-            };
-            let same = old_kind == kind
-                && old_pins.len() == g.pins.len()
-                && old_pins.iter().zip(&g.pins).all(|(&s, p)| s == p.src);
-            if !same {
-                d[i] = true;
-                for &s in old_pins {
-                    d[s.index()] = true;
-                }
-                for p in &g.pins {
-                    d[p.src.index()] = true;
-                }
-            }
-        }
-        for (o, &old) in net.outputs().iter().zip(&self.outputs) {
-            if o.src != old {
-                d[old.index()] = true;
-                d[o.src.index()] = true;
-            }
-        }
-    }
-}
-
 /// The removal loop's scan state across network edits; see the module
 /// docs.
 ///
@@ -150,10 +90,10 @@ impl Snapshot {
 /// the primary inputs (as `remove_fault` does).
 ///
 /// Memory: the state holds one copy of the tests and their good words,
-/// one mark word per gate slot and the network's topology. The snapshot
-/// and the scratch of an edit live only during [`IncrementalScan::edit`],
-/// and the topology is dropped before the edit runs, so neither adds to
-/// what the edit itself allocates.
+/// one mark word per gate slot and the network's topology. The scratch of
+/// an edit lives only during [`IncrementalScan::edit`], and the old
+/// topology is dropped before the edit builds its fanout table, so it
+/// never holds two topologies, or a topology and the edit's table.
 #[derive(Debug)]
 pub struct IncrementalScan {
     /// The topology of the network as it stands (`None` only inside
@@ -217,27 +157,34 @@ impl IncrementalScan {
         scan
     }
 
+    /// The collapsed fault list of `net` ([`crate::collapsed_faults`]),
+    /// read off the fanout table the scan's topology already holds.
+    pub fn collapsed_faults(&self, net: &Network) -> Vec<Fault> {
+        let topo = self.topo.as_ref().expect("set outside edit()");
+        crate::fault::collapsed_faults_with(net, topo.fanout_table())
+    }
+
     /// Applies `edit` to `net`, brings the cached tests' good words up to
     /// date in place, and forgets the marks the edit could have
-    /// invalidated.
+    /// invalidated. `edit` makes one [`kms_netlist::transform::ConstEdits`]
+    /// edit and returns its report, which lists every slot and output
+    /// entry the edit changed.
     ///
     /// # Panics
     ///
     /// Panics if the edit changed the primary inputs.
-    pub fn edit(&mut self, net: &mut Network, edit: impl FnOnce(&mut Network)) {
-        let snapshot = Snapshot::take(net);
-        let old_slots = net.num_gate_slots();
+    pub fn edit(&mut self, net: &mut Network, edit: impl FnOnce(&mut Network) -> Touched) {
         let inputs = net.inputs().to_vec();
+        // Drop the old topology before the edit builds its fanout table
+        // and before the new topology is built.
         self.topo = None;
-        edit(net);
+        let touched = edit(net);
         assert_eq!(net.inputs(), inputs, "an edit must keep the primary inputs");
         let topo = Topology::build(net);
         let slots = net.num_gate_slots();
         let mut changed = vec![false; slots];
-        snapshot.diff(net, &mut changed);
-        // Free the snapshot before the test words grow.
-        drop(snapshot);
-        self.tests.resimulate(net, &topo, old_slots, &mut changed);
+        touched.mark_changed(net, &mut changed);
+        self.tests.resimulate(net, &topo, &touched, &mut changed);
         self.marks.0.reserve_exact(slots - self.marks.0.len());
         self.marks.0.resize(slots, 0);
         // Taint: the reflexive transitive fanin of D and of D's readers.

@@ -135,8 +135,8 @@ pub struct KmsPhaseTimings {
     pub transform: Duration,
     /// The final remove-remaining-redundancies phase (ATPG).
     pub atpg: Duration,
-    /// Timing upkeep: the static timing pass and the path-frontier seeding
-    /// at the start of every iteration.
+    /// Timing upkeep: the static timing pass at the start of every
+    /// iteration.
     pub engine: Duration,
 }
 
@@ -170,7 +170,9 @@ pub struct KmsReport {
     /// See [`KmsReport::max_fanout_before`].
     pub max_fanout_after: usize,
     /// `true` if [`KmsOptions::max_iterations`] stopped the loop before a
-    /// longest path satisfied the condition. The removal phase still ran,
+    /// longest path satisfied the condition, or the effort cap stopped an
+    /// iteration's longest-path walk before its first path. The removal
+    /// phase still ran,
     /// but Theorems 7.1/7.2 no longer bound the result's delay: callers
     /// report a degraded outcome (the `kms` CLI exits 3). Never observed
     /// on the Table I rows at the default cap; csa 16.2 hits it.
@@ -478,6 +480,10 @@ pub fn kms_with_control(
     let mut capped = false;
     let mut timings = KmsPhaseTimings::default();
     let mut completed_this_run = 0usize;
+    // The run's first constant propagates and sweeps the whole network (the
+    // input may hold dangling logic); every later one starts from the
+    // fixpoint the previous edit left and pays for what it changes.
+    let mut edits = transform::ConstEdits::default();
 
     for iter in start_iter.. {
         if iter >= options.max_iterations {
@@ -500,7 +506,11 @@ pub fn kms_with_control(
         timings.path_enum += t0.elapsed();
         let longest = walk.paths;
         let Some(longest_length) = walk.length.filter(|_| !longest.is_empty()) else {
-            break; // no IO-paths at all (constant circuit), or none within the effort cap
+            // No IO-path at all (a constant circuit) ends the loop cleanly.
+            // A walk a cap stopped before its first path proved nothing
+            // about the longest paths: the loop is capped.
+            capped = walk.truncated || walk.cap_hit;
+            break;
         };
         // The cap must not truncate silently: count what it dropped (the
         // DP is exact and cheap — one pass over the tight edges).
@@ -586,7 +596,7 @@ pub fn kms_with_control(
         let first_kind = net.gate(first.gate).kind;
         let value = first_kind.controlling_value().unwrap_or(false);
         let pre_live = strash_snapshot(net);
-        transform::set_conn_const(net, first, value);
+        edits.set_conn_const(net, first, value);
         check_invariants(net, "after set_conn_const");
         // Constant propagation may fold existing gates into twins (the
         // final structural hash merges those) but must not mint new
@@ -1247,6 +1257,25 @@ mod tests {
                 .delay
         };
         assert_eq!((viability(&net), viability(&out)), (17, 18));
+    }
+
+    /// A walk the effort cap stops before its first path says nothing
+    /// about the longest paths, so it must not end the loop as a constant
+    /// circuit would: csa 8.2 at an effort cap of 1 makes no iteration and
+    /// reports the run capped.
+    #[test]
+    fn effort_capped_walk_caps_the_loop() {
+        use kms_netlist::DelayModel;
+        let mut net = kms_gen::adders::carry_skip_adder(8, 2, DelayModel::Unit);
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(DelayModel::Unit);
+        let options = KmsOptions {
+            effort_cap: 1,
+            ..KmsOptions::default()
+        };
+        let (_, report) = kms_on_copy(&net, &InputArrivals::zero(), options).unwrap();
+        assert!(report.iterations.is_empty());
+        assert!(report.capped);
     }
 
     /// An output wired straight to a late input ends no path, so its

@@ -19,6 +19,10 @@ pub struct InvariantReport {
     pub delay_before: Time,
     /// Viability-model delay of the result.
     pub delay_after: Time,
+    /// Both delays were measured in full: the effort cap stopped neither
+    /// path walk, so neither fell back to the topological bound, and
+    /// `delay_after <= delay_before` compares two proved delays.
+    pub delay_proved: bool,
     /// Longest statically sensitizable path, before/after.
     pub static_delay_before: Time,
     /// See [`InvariantReport::static_delay_before`].
@@ -27,9 +31,13 @@ pub struct InvariantReport {
 
 impl InvariantReport {
     /// `true` iff all three of the paper's guarantees hold: equivalence,
-    /// irredundancy, and no viable-delay increase.
+    /// irredundancy, and no viable-delay increase, the last on two
+    /// delays measured in full ([`InvariantReport::delay_proved`]).
     pub fn holds(&self) -> bool {
-        self.equivalent && self.fully_testable && self.delay_after <= self.delay_before
+        self.equivalent
+            && self.fully_testable
+            && self.delay_proved
+            && self.delay_after <= self.delay_before
     }
 }
 
@@ -85,49 +93,61 @@ pub fn verify_kms_invariants_engine(
 ) -> Result<InvariantReport, NetlistError> {
     let equivalent = check_equivalence(before, after).is_equivalent();
     let fully_testable = analyze(after, engine).fully_testable();
-    let (db, da, sb, sa) = measure_delays(before, after, arrivals, condition, effort_cap)?;
+    let delays = measure_delays(before, after, arrivals, condition, effort_cap)?;
     Ok(InvariantReport {
         equivalent,
         fully_testable,
-        delay_before: db,
-        delay_after: da,
-        static_delay_before: sb,
-        static_delay_after: sa,
+        delay_before: delays.before,
+        delay_after: delays.after,
+        delay_proved: delays.proved,
+        static_delay_before: delays.static_before,
+        static_delay_after: delays.static_after,
     })
 }
 
-/// Measures `(before, after, static_before, static_after)` delays under
-/// the chosen metric, reusing the primary numbers when the metric already
-/// is static sensitization.
+/// What [`measure_delays`] measured.
+struct Delays {
+    before: Time,
+    after: Time,
+    /// Neither primary measurement was truncated by the effort cap.
+    proved: bool,
+    static_before: Time,
+    static_after: Time,
+}
+
+/// Measures the before and after delays under the chosen metric, and
+/// under static sensitization (reusing the primary numbers when the
+/// metric already is static sensitization).
 fn measure_delays(
     before: &Network,
     after: &Network,
     arrivals: &InputArrivals,
     condition: PathCondition,
     effort_cap: usize,
-) -> Result<(Time, Time, Time, Time), NetlistError> {
-    let db = computed_delay(before, arrivals, condition, effort_cap)?.delay;
-    let da = computed_delay(after, arrivals, condition, effort_cap)?.delay;
+) -> Result<Delays, NetlistError> {
+    let db = computed_delay(before, arrivals, condition, effort_cap)?;
+    let da = computed_delay(after, arrivals, condition, effort_cap)?;
     let (sb, sa) = if condition == PathCondition::StaticSensitization {
-        (db, da)
+        (db.delay, da.delay)
     } else {
-        let sb = computed_delay(
-            before,
-            arrivals,
-            PathCondition::StaticSensitization,
-            effort_cap,
-        )?
-        .delay;
-        let sa = computed_delay(
-            after,
-            arrivals,
-            PathCondition::StaticSensitization,
-            effort_cap,
-        )?
-        .delay;
-        (sb, sa)
+        let stat = |net| {
+            computed_delay(
+                net,
+                arrivals,
+                PathCondition::StaticSensitization,
+                effort_cap,
+            )
+            .map(|r| r.delay)
+        };
+        (stat(before)?, stat(after)?)
     };
-    Ok((db, da, sb, sa))
+    Ok(Delays {
+        before: db.delay,
+        after: da.delay,
+        proved: !db.truncated && !da.truncated,
+        static_before: sb,
+        static_after: sa,
+    })
 }
 
 /// As [`check_equivalence`], but with proof logging enabled: when the
@@ -197,15 +217,16 @@ pub fn verify_kms_invariants_certified(
     }
     let fully_testable = classify.testability.fully_testable();
 
-    let (db, da, sb, sa) = measure_delays(before, after, arrivals, condition, effort_cap)?;
+    let delays = measure_delays(before, after, arrivals, condition, effort_cap)?;
     Ok((
         InvariantReport {
             equivalent,
             fully_testable,
-            delay_before: db,
-            delay_after: da,
-            static_delay_before: sb,
-            static_delay_after: sa,
+            delay_before: delays.before,
+            delay_after: delays.after,
+            delay_proved: delays.proved,
+            static_delay_before: delays.static_before,
+            static_delay_after: delays.static_after,
         },
         report,
     ))
@@ -516,6 +537,24 @@ mod tests {
         assert!(!verdict.is_equivalent());
         assert_eq!(report.proofs_emitted, 0);
         assert!(report.all_verified());
+    }
+
+    /// An effort cap too small to walk a single path leaves the delay
+    /// check unproved, so the invariants do not hold however the
+    /// topological fallbacks compare.
+    #[test]
+    fn truncated_delay_measurement_is_not_proved() {
+        let net = fig4_c2_cone();
+        let cin = net.input_by_name("cin").unwrap();
+        let arr = InputArrivals::zero().with(cin, 5);
+        let (after, _) = kms_on_copy(&net, &arr, KmsOptions::default()).unwrap();
+        let inv =
+            verify_kms_invariants_with(&net, &after, &arr, PathCondition::Viability, 1).unwrap();
+        assert!(inv.equivalent && inv.fully_testable, "{inv:?}");
+        assert!(!inv.delay_proved, "{inv:?}");
+        assert!(!inv.holds(), "{inv:?}");
+        let full = verify_kms_invariants(&net, &after, &arr).unwrap();
+        assert!(full.delay_proved && full.holds(), "{full:?}");
     }
 
     #[test]

@@ -20,9 +20,16 @@
 //!
 //! # Invalidation
 //!
-//! A [`Fanouts`] table or a [`Topology`] built from a network is valid for
-//! exactly that network until a gate is added, removed, or rewired; rebuild
-//! it after such an edit.
+//! A [`Fanouts`] table or a [`Topology`] built from a network is exact for
+//! that network until a gate is added, removed, or rewired; rebuild it
+//! after such an edit. One weaker use survives edits that only drop pins
+//! or kill gates: the table still lists, for every gate, each reader it
+//! has left, and possibly more. The constant edits of
+//! [`crate::transform::ConstEdits`] rely on that: each builds one table
+//! during the edit, after its rewire, and checks every entry against the
+//! reader's current pins; a gate-output constant needs the readers of the
+//! replaced gate first, so it builds the table before the rewire and
+//! tracks the constant's new readers (the gates it re-pinned) itself.
 
 use std::ops::Index;
 
@@ -194,6 +201,11 @@ impl Topology {
     /// topology was built from.
     pub fn num_slots(&self) -> usize {
         self.fo.num_slots()
+    }
+
+    /// The whole fanout table, as [`Network::fanouts`] builds it.
+    pub fn fanout_table(&self) -> &Fanouts {
+        &self.fo
     }
 
     /// The fanout connections of `g`, as in [`Network::fanouts`].

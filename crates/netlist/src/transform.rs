@@ -8,6 +8,10 @@
 //!   possible, removing useless gates" (Fig. 3). A multi-input gate that
 //!   becomes single-input is kept as a zero-delay buffer rather than deleted
 //!   (Section VII preamble), so gate ids stay stable for path bookkeeping.
+//! * [`ConstEdits`] — the same edits for a caller that makes one after
+//!   another: from the second on, each seeds the worklist with the gates it
+//!   re-pinned and sweeps by reference count, so it costs what it changes,
+//!   and reports what it touched ([`Touched`]).
 //! * [`duplicate_path_prefix`] — the Theorem 7.1 duplication: copy the gates
 //!   of a path up to its last multiple-fanout gate and retarget one fanout
 //!   edge so that every gate along the new path has fanout exactly one.
@@ -123,9 +127,9 @@ pub fn decompose_to_simple(net: &mut Network) {
 enum Simplified {
     /// Gate's output is now the given constant.
     Const(bool),
-    /// Gate changed in place (pins dropped / kind changed); re-examine
-    /// fanouts only if it became constant.
-    InPlace,
+    /// Gate becomes this kind, pin list and delay (pins dropped, kind
+    /// changed); it is visited again, since it may simplify further.
+    Rewrite(GateKind, Vec<Pin>, Delay),
     /// Nothing to do.
     Unchanged,
 }
@@ -137,14 +141,14 @@ fn const_of(net: &Network, id: GateId) -> Option<bool> {
     }
 }
 
-fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
+fn simplify_gate(net: &Network, id: GateId) -> Simplified {
     let gate = net.gate(id);
-    let kind = gate.kind;
+    let (kind, delay) = (gate.kind, gate.delay);
     // Most visits find no constant pin; answer those before copying pins.
     if kind != GateKind::Mux && gate.pins.iter().all(|p| const_of(net, p.src).is_none()) {
         return Simplified::Unchanged;
     }
-    let pins = gate.pins.clone();
+    let pins = &gate.pins;
     let consts: Vec<Option<bool>> = pins.iter().map(|p| const_of(net, p.src)).collect();
     match kind {
         GateKind::Input | GateKind::Const(_) => Simplified::Unchanged,
@@ -183,20 +187,14 @@ fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
                 // input is kept, with the gate and input-edge delay set to
                 // zero — it is "equivalent to a wire". Inverting kinds keep
                 // their delay: an inverter is not a wire.
-                let g = net.gate_mut(id);
-                if inverting {
-                    g.kind = GateKind::Not;
-                    g.pins = vec![keep[0]];
+                return if inverting {
+                    Simplified::Rewrite(GateKind::Not, keep, delay)
                 } else {
-                    g.kind = GateKind::Buf;
-                    g.pins = vec![Pin::new(keep[0].src)];
-                    g.delay = Delay::ZERO;
-                }
-                return Simplified::InPlace;
+                    Simplified::Rewrite(GateKind::Buf, vec![Pin::new(keep[0].src)], Delay::ZERO)
+                };
             }
             if keep.len() < pins.len() {
-                net.gate_mut(id).pins = keep;
-                return Simplified::InPlace;
+                return Simplified::Rewrite(kind, keep, delay);
             }
             Simplified::Unchanged
         }
@@ -221,58 +219,236 @@ fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
             if keep.len() == pins.len() {
                 return Simplified::Unchanged;
             }
-            let delay = net.gate(id).delay;
-            let g = net.gate_mut(id);
-            if keep.len() == 1 {
-                g.kind = if parity { GateKind::Not } else { GateKind::Buf };
-                g.pins = keep;
-                g.delay = delay; // an XOR slice is not a wire; keep its cost
-            } else {
-                g.kind = if parity {
-                    GateKind::Xnor
-                } else {
-                    GateKind::Xor
-                };
-                g.pins = keep;
-            }
-            Simplified::InPlace
+            // An XOR slice is not a wire; every rewrite keeps its cost.
+            let kind = match (keep.len(), parity) {
+                (1, true) => GateKind::Not,
+                (1, false) => GateKind::Buf,
+                (_, true) => GateKind::Xnor,
+                (_, false) => GateKind::Xor,
+            };
+            Simplified::Rewrite(kind, keep, delay)
         }
-        GateKind::Mux => {
-            match consts[0] {
-                Some(sel) => {
-                    let data = pins[if sel { 2 } else { 1 }];
-                    if let Some(v) = const_of(net, data.src) {
-                        return Simplified::Const(v);
-                    }
-                    let g = net.gate_mut(id);
-                    g.kind = GateKind::Buf;
-                    g.pins = vec![data];
-                    Simplified::InPlace
+        GateKind::Mux => match consts[0] {
+            Some(sel) => {
+                let data = pins[if sel { 2 } else { 1 }];
+                match const_of(net, data.src) {
+                    Some(v) => Simplified::Const(v),
+                    None => Simplified::Rewrite(GateKind::Buf, vec![data], delay),
                 }
-                None => {
-                    if let (Some(v0), Some(v1)) = (consts[1], consts[2]) {
-                        if v0 == v1 {
-                            return Simplified::Const(v0);
-                        }
-                        // mux(s, 0, 1) = s; mux(s, 1, 0) = NOT s.
-                        let delay = net.gate(id).delay;
-                        let g = net.gate_mut(id);
-                        g.kind = if v1 { GateKind::Buf } else { GateKind::Not };
-                        g.pins = vec![pins[0]];
-                        g.delay = delay;
-                        return Simplified::InPlace;
+            }
+            None => {
+                if let (Some(v0), Some(v1)) = (consts[1], consts[2]) {
+                    if v0 == v1 {
+                        return Simplified::Const(v0);
                     }
-                    if pins[1].src == pins[2].src {
-                        let g = net.gate_mut(id);
-                        g.kind = GateKind::Buf;
-                        g.pins = vec![pins[1]];
-                        return Simplified::InPlace;
-                    }
-                    Simplified::Unchanged
+                    // mux(s, 0, 1) = s; mux(s, 1, 0) = NOT s.
+                    let kind = if v1 { GateKind::Buf } else { GateKind::Not };
+                    return Simplified::Rewrite(kind, vec![pins[0]], delay);
                 }
+                if pins[1].src == pins[2].src {
+                    return Simplified::Rewrite(GateKind::Buf, vec![pins[1]], delay);
+                }
+                Simplified::Unchanged
+            }
+        },
+    }
+}
+
+/// What one constant-setting edit changed: every gate slot it re-kinded,
+/// re-pinned, killed or created, each with its kind (`None` when dead or
+/// not yet created) and pin sources from before the edit, and every
+/// primary-output entry it re-sourced, with its old source.
+///
+/// A caller that keeps state derived from the network (the incremental
+/// removal scan keeps simulation words and known-testable marks) reads
+/// what it must update from here instead of comparing the whole network
+/// before and after the edit. Every slot the edit changed is listed; a
+/// listed slot may also have ended as it began (a new constant that the
+/// sweep removed again), which [`Touched::mark_changed`] filters out.
+///
+/// Only a [`ConstEdits`] edit makes one, so a report always describes the
+/// edit that returned it.
+#[derive(Debug)]
+pub struct Touched {
+    /// Whether [`Touched::touch`] records; the whole-network free
+    /// functions, whose callers discard the report, record nothing.
+    record: bool,
+    old_slots: usize,
+    /// `(slot, kind before the edit, its old pin sources as a range of
+    /// pins)`, one entry per slot once [`Touched::finish`] has run.
+    gates: Vec<(GateId, Option<GateKind>, u32, u32)>,
+    pins: Vec<GateId>,
+    /// `(output index, source before the edit)`.
+    outputs: Vec<(usize, GateId)>,
+}
+
+impl Touched {
+    fn new(net: &Network) -> Touched {
+        Touched {
+            record: true,
+            old_slots: net.num_gate_slots(),
+            gates: Vec::new(),
+            pins: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// A report that records nothing.
+    fn off(net: &Network) -> Touched {
+        Touched {
+            record: false,
+            ..Touched::new(net)
+        }
+    }
+
+    /// Records `id` as it stands, before the caller changes it. Only the
+    /// first record of a slot survives [`Touched::finish`].
+    fn touch(&mut self, net: &Network, id: GateId) {
+        if !self.record {
+            return;
+        }
+        let start = self.pins.len() as u32;
+        let kind = if id.index() < self.old_slots && !net.gate(id).is_dead() {
+            self.pins.extend(net.gate(id).pins.iter().map(|p| p.src));
+            Some(net.gate(id).kind)
+        } else {
+            None
+        };
+        self.gates.push((id, kind, start, self.pins.len() as u32));
+    }
+
+    /// Records that output entry `i`, read from `old`, is re-sourced.
+    fn touch_output(&mut self, i: usize, old: GateId) {
+        if self.record {
+            self.outputs.push((i, old));
+        }
+    }
+
+    /// Keeps the first record of each slot, in slot order.
+    fn finish(&mut self) {
+        self.gates.sort_by_key(|g| g.0);
+        self.gates.dedup_by_key(|g| g.0);
+    }
+
+    /// The number of gate slots before the edit; slots at or past it are
+    /// new.
+    pub fn old_slots(&self) -> usize {
+        self.old_slots
+    }
+
+    /// Every slot the edit touched, in slot order.
+    pub fn gates(&self) -> impl Iterator<Item = GateId> + '_ {
+        self.gates.iter().map(|g| g.0)
+    }
+
+    /// The indices of the primary outputs the edit re-sourced.
+    pub fn outputs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outputs.iter().map(|o| o.0)
+    }
+
+    /// Sets `mark[g]` for every gate the edit changed structurally: each
+    /// gate that is new, killed, re-kinded or re-pinned (its pin sources
+    /// differ), the old and new sources of its pins (which gained or lost
+    /// a fanout), and the old and new sources of each changed output
+    /// entry. This is exactly the set a comparison of every slot before
+    /// and after the edit finds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` is shorter than the slot count of `net`.
+    pub fn mark_changed(&self, net: &Network, mark: &mut [bool]) {
+        for &(id, old_kind, start, end) in &self.gates {
+            let g = net.gate(id);
+            let kind = (!g.is_dead()).then_some(g.kind);
+            let old_pins = &self.pins[start as usize..end as usize];
+            let same = old_kind == kind
+                && old_pins.len() == g.pins.len()
+                && old_pins.iter().zip(&g.pins).all(|(&s, p)| s == p.src);
+            if !same {
+                mark[id.index()] = true;
+                for &s in old_pins {
+                    mark[s.index()] = true;
+                }
+                for p in &g.pins {
+                    mark[p.src.index()] = true;
+                }
+            }
+        }
+        for &(i, old) in &self.outputs {
+            let now = net.outputs()[i].src;
+            if now != old {
+                mark[old.index()] = true;
+                mark[now.index()] = true;
             }
         }
     }
+}
+
+/// The edit's fanout table, built from `net` the first time it is needed.
+/// Propagation and sweeping only drop pins and add no gate, so a table
+/// built at any point of the edit lists, for every gate it covers, each
+/// reader the gate has left or more (a stale entry only costs a look).
+fn table<'a>(fo: &'a mut Option<Fanouts>, net: &Network) -> &'a Fanouts {
+    fo.get_or_insert_with(|| net.fanouts())
+}
+
+/// `g`'s readers in the edit's table `fo`. A slot the table does not cover
+/// (the constant of a gate-output edit, whose table predates it) has none
+/// listed.
+fn readers(fo: &Fanouts, g: GateId) -> &[ConnRef] {
+    if g.index() < fo.num_slots() {
+        &fo[g.index()]
+    } else {
+        &[]
+    }
+}
+
+/// Runs the propagation worklist from `queue` to the fixpoint. Every gate
+/// it rewrites is recorded in `log` first, and the old sources of its pins
+/// join `cut` (the local sweep's candidates). Returns the number of gates
+/// that became constant.
+///
+/// A gate that turns constant queues its readers from the edit's fanout
+/// table `fo`, built when the first gate turns constant unless the edit
+/// built it already; a stale entry only re-queues a gate, and since the
+/// rewrites are confluent the fixpoint does not depend on the order of
+/// visits.
+fn propagate_from(
+    net: &mut Network,
+    mut queue: VecDeque<GateId>,
+    fo: &mut Option<Fanouts>,
+    log: &mut Touched,
+    cut: &mut Vec<GateId>,
+) -> usize {
+    let mut became_const = 0;
+    while let Some(id) = queue.pop_front() {
+        if net.gate(id).is_dead() {
+            continue;
+        }
+        let (kind, pins, delay) = match simplify_gate(net, id) {
+            Simplified::Unchanged => continue,
+            Simplified::Const(v) => {
+                became_const += 1;
+                (GateKind::Const(v), Vec::new(), Delay::ZERO)
+            }
+            Simplified::Rewrite(kind, pins, delay) => (kind, pins, delay),
+        };
+        log.touch(net, id);
+        cut.extend(net.gate(id).pins.iter().map(|p| p.src));
+        let g = net.gate_mut(id);
+        g.kind = kind;
+        g.pins = pins;
+        g.delay = delay;
+        if matches!(kind, GateKind::Const(_)) {
+            // Re-examine everything this gate feeds.
+            queue.extend(readers(table(fo, net), id).iter().map(|c| c.gate));
+        } else {
+            // The gate itself may simplify further (e.g. Buf of a
+            // constant), so revisit it.
+            queue.push_back(id);
+        }
+    }
+    became_const
 }
 
 /// Propagates constants through the network until a fixpoint, then sweeps
@@ -284,54 +460,38 @@ fn simplify_gate(net: &mut Network, id: GateId) -> Simplified {
 /// becomes a **zero-delay buffer** (its residual delay is dropped), so path
 /// lengths through it can only shrink.
 ///
-/// The fanout table is built at most once per call, when the first gate
-/// turns constant. Simplification only drops pins and adds no gate, so
-/// that table holds every later fanout list; a stale entry only re-queues
-/// a gate, and since the rewrites are confluent the fixpoint does not
-/// depend on the order of visits.
+/// This whole-network form takes any network: it seeds the worklist with
+/// every live gate and sweeps from the outputs. A run of edits that starts
+/// from its result can seed the worklist with the edited gates only and
+/// sweep locally ([`ConstEdits`]); both run the same worklist.
 pub fn propagate_constants(net: &mut Network) -> usize {
-    let mut queue: VecDeque<GateId> = net.gate_ids().collect();
-    let mut fanouts: Option<Fanouts> = None;
-    let mut became_const = 0;
-    while let Some(id) = queue.pop_front() {
-        if net.gate(id).is_dead() {
-            continue;
-        }
-        match simplify_gate(net, id) {
-            Simplified::Const(v) => {
-                became_const += 1;
-                let g = net.gate_mut(id);
-                g.kind = GateKind::Const(v);
-                g.pins.clear();
-                g.delay = Delay::ZERO;
-                // Re-examine everything this gate feeds.
-                let fo = fanouts.get_or_insert_with(|| net.fanouts());
-                queue.extend(fo[id.index()].iter().map(|c| c.gate));
-            }
-            Simplified::InPlace => {
-                // Pins were dropped; the gate itself may simplify further
-                // (e.g. Buf of a constant), so revisit it.
-                queue.push_back(id);
-            }
-            Simplified::Unchanged => {}
-        }
-    }
-    sweep(net);
+    propagate_all(net, &mut None, &mut Touched::off(net))
+}
+
+/// [`propagate_constants`] with the edit's fanout table `fo` (see
+/// [`propagate_from`]), recording what it changes in `log`.
+fn propagate_all(net: &mut Network, fo: &mut Option<Fanouts>, log: &mut Touched) -> usize {
+    let queue = net.gate_ids().collect();
+    let became_const = propagate_from(net, queue, fo, log, &mut Vec::new());
+    sweep_logged(net, log);
     became_const
 }
 
 /// Asserts the constant `value` on connection `conn` — the redundancy
 /// removal rewrite ("set first edge of P' to either constant 0 or 1",
-/// Fig. 3) — then propagates and sweeps.
+/// Fig. 3) — then propagates and sweeps the whole network as
+/// [`propagate_constants`] does.
 ///
 /// # Panics
 ///
 /// Panics if `conn` does not reference a live pin; use
 /// [`try_set_conn_const`] for a fallible version.
 pub fn set_conn_const(net: &mut Network, conn: ConnRef, value: bool) {
-    if let Err(e) = try_set_conn_const(net, conn, value) {
+    if let Err(e) = check_conn(net, conn) {
         panic!("{e}");
     }
+    let mut log = Touched::off(net);
+    ConstEdits::default().edit(net, Site::Conn(conn), value, &mut log);
 }
 
 /// Fallible [`set_conn_const`].
@@ -345,22 +505,260 @@ pub fn try_set_conn_const(
     conn: ConnRef,
     value: bool,
 ) -> Result<(), NetlistError> {
+    check_conn(net, conn)?;
+    set_conn_const(net, conn, value);
+    Ok(())
+}
+
+fn check_conn(net: &Network, conn: ConnRef) -> Result<(), NetlistError> {
     let valid = conn.gate.index() < net.num_gate_slots()
         && !net.gate(conn.gate).is_dead()
         && conn.pin < net.gate(conn.gate).pins.len();
-    if !valid {
-        return Err(NetlistError::BadConn { conn });
+    if valid {
+        Ok(())
+    } else {
+        Err(NetlistError::BadConn { conn })
     }
-    let c = net.add_const(value);
-    net.gate_mut(conn.gate).pins[conn.pin] = Pin::new(c);
-    propagate_constants(net);
-    Ok(())
+}
+
+/// Where a constant-setting edit puts its constant.
+#[derive(Clone, Copy, Debug)]
+enum Site {
+    /// One connection: its pin now reads the constant.
+    Conn(ConnRef),
+    /// A gate's output: every pin and primary output it drove now reads
+    /// the constant, and the gate dies unless it is a primary input.
+    Gate(GateId),
+}
+
+/// A run of constant-setting edits, each costing what it changes.
+///
+/// [`set_conn_const`] and [`propagate_constants`] take any network, so
+/// they visit every gate and sweep from the outputs. A caller that makes
+/// edit after edit (the KMS loop, the removal loop) keeps one `ConstEdits`
+/// across them instead. Its first edit is the whole-network one, which
+/// leaves the network at the constant fixpoint (no live gate simplifies)
+/// and swept (every live gate but a primary input reaches an output). From
+/// there, one more constant changes only the gates downstream of it and
+/// strands only gates upstream of the pins it drops. So each later edit
+/// seeds the worklist with the gates it re-pinned, and sweeps by reference
+/// count: a gate whose reader dropped its pin, turned constant or died,
+/// which drives no output, is no input and has no live reader left, dies,
+/// and its sources are examined in turn. The result equals the
+/// whole-network edit slot by slot (DESIGN §18); with the
+/// `debug-invariants` feature each such edit is checked against the
+/// whole-network edit on a clone.
+///
+/// Between edits the caller may change the network only in ways that keep
+/// it at the fixpoint and swept, as [`duplicate_path_prefix`] does on the
+/// KMS loop's paths (whose gate `n` keeps another fanout). The run state
+/// belongs to one network, so a `ConstEdits` is neither `Clone` nor
+/// `Copy`.
+#[derive(Debug, Default)]
+pub struct ConstEdits {
+    at_fixpoint: bool,
+}
+
+impl ConstEdits {
+    /// Asserts `value` on connection `conn`, as [`set_conn_const`] does,
+    /// and returns what the edit touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conn` does not reference a live pin.
+    pub fn set_conn_const(&mut self, net: &mut Network, conn: ConnRef, value: bool) -> Touched {
+        if let Err(e) = check_conn(net, conn) {
+            panic!("{e}");
+        }
+        let mut log = Touched::new(net);
+        self.edit(net, Site::Conn(conn), value, &mut log);
+        log
+    }
+
+    /// Replaces gate `g`'s output by the constant `value`: every pin and
+    /// primary output that `g` drove reads the constant (wire delays
+    /// kept), `g` dies unless it is a primary input (the circuit interface
+    /// is preserved), and the constant is propagated. Returns what the
+    /// edit touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is dead.
+    pub fn set_gate_const(&mut self, net: &mut Network, g: GateId, value: bool) -> Touched {
+        assert!(!net.gate(g).is_dead(), "set_gate_const on dead gate {g}");
+        let mut log = Touched::new(net);
+        self.edit(net, Site::Gate(g), value, &mut log);
+        log
+    }
+
+    /// Makes the edit at `site`, recording it in `log` (made for `net`
+    /// before the edit).
+    fn edit(&mut self, net: &mut Network, site: Site, value: bool, log: &mut Touched) {
+        #[cfg(feature = "debug-invariants")]
+        let before = net.clone();
+        // A gate-output edit looks up the gate's readers before the
+        // rewire; otherwise the table waits until a gate turns constant or
+        // the sweep needs it.
+        let mut fo = match site {
+            Site::Gate(_) => Some(net.fanouts()),
+            Site::Conn(_) => None,
+        };
+        let c = net.add_const(value);
+        log.touch(net, c);
+        // The re-pinned gates seed the worklist; the constant and the
+        // sources of the pins the edit drops are the sweep's first
+        // candidates.
+        let mut seeds = Vec::new();
+        let mut cut = vec![c];
+        match site {
+            Site::Conn(conn) => {
+                log.touch(net, conn.gate);
+                cut.push(net.pin(conn).src);
+                net.gate_mut(conn.gate).pins[conn.pin] = Pin::new(c);
+                seeds.push(conn.gate);
+            }
+            Site::Gate(g) => {
+                for &r in &fo.as_ref().expect("built above")[g.index()] {
+                    log.touch(net, r.gate);
+                    net.gate_mut(r.gate).pins[r.pin].src = c;
+                    seeds.push(r.gate);
+                }
+                for i in 0..net.outputs().len() {
+                    if net.outputs()[i].src == g {
+                        log.touch_output(i, g);
+                        net.set_output_src(i, c);
+                    }
+                }
+                if net.gate(g).kind != GateKind::Input {
+                    log.touch(net, g);
+                    cut.extend(net.gate(g).pins.iter().map(|p| p.src));
+                    net.kill(g);
+                }
+            }
+        }
+        let seeded = self.at_fixpoint;
+        if seeded {
+            let queue = seeds.iter().copied().collect();
+            propagate_from(net, queue, &mut fo, log, &mut cut);
+            sweep_from(net, cut, &mut fo, (c, &seeds), log);
+        } else {
+            propagate_all(net, &mut fo, log);
+            self.at_fixpoint = true;
+        }
+        log.finish();
+        #[cfg(feature = "debug-invariants")]
+        check_edit(&before, net, site, value, seeded, log);
+    }
+}
+
+/// With the `debug-invariants` feature: panics unless a recording `log`
+/// lists every slot and output entry that differs between `before` and
+/// `after`, and, for a `seeded` edit, unless `after` is the whole-network
+/// edit's network, slot by slot.
+#[cfg(feature = "debug-invariants")]
+fn check_edit(
+    before: &Network,
+    after: &Network,
+    site: Site,
+    value: bool,
+    seeded: bool,
+    log: &Touched,
+) {
+    let context = format!("{}: {site:?} = {value}", before.name());
+    if log.record {
+        for i in 0..after.num_gate_slots() {
+            let id = GateId::from_index(i);
+            let old = (i < before.num_gate_slots()).then(|| before.gate(id));
+            if old != Some(after.gate(id)) {
+                assert!(
+                    log.gates().any(|t| t == id),
+                    "edit {context}: gate {id} changed but is not reported"
+                );
+            }
+        }
+        for (i, (a, b)) in before.outputs().iter().zip(after.outputs()).enumerate() {
+            if a != b {
+                assert!(
+                    log.outputs().any(|o| o == i),
+                    "edit {context}: output {i} changed but is not reported"
+                );
+            }
+        }
+    }
+    if !seeded {
+        return;
+    }
+    let mut whole = before.clone();
+    ConstEdits::default().edit(&mut whole, site, value, &mut Touched::off(before));
+    assert_eq!(
+        after.num_gate_slots(),
+        whole.num_gate_slots(),
+        "seeded edit {context}: slot count"
+    );
+    for i in 0..after.num_gate_slots() {
+        let id = GateId::from_index(i);
+        assert_eq!(
+            after.gate(id),
+            whole.gate(id),
+            "seeded edit {context}: gate {id} differs from the whole-network edit"
+        );
+    }
+    assert_eq!(
+        after.outputs(),
+        whole.outputs(),
+        "seeded edit {context}: outputs"
+    );
+}
+
+/// The reference-counted sweep of a seeded edit: each candidate that is
+/// live, no primary input, drives no primary output and has no live
+/// reader left dies, and the sources of its pins become candidates in
+/// turn. From a swept network whose only lost fanouts are the candidates',
+/// this kills exactly what [`sweep`] would. Readers come from the edit's
+/// fanout table `fo` (see [`propagate_from`]); `constant` is the edit's
+/// constant and the gates it re-pinned to read it, which a table built
+/// before the rewire does not list.
+fn sweep_from(
+    net: &mut Network,
+    mut candidates: Vec<GateId>,
+    fo: &mut Option<Fanouts>,
+    constant: (GateId, &[GateId]),
+    log: &mut Touched,
+) -> usize {
+    let reads = |net: &Network, r: GateId, id: GateId| {
+        let g = net.gate(r);
+        !g.is_dead() && g.pins.iter().any(|p| p.src == id)
+    };
+    let mut removed = 0;
+    while let Some(id) = candidates.pop() {
+        let g = net.gate(id);
+        if g.is_dead() || g.kind == GateKind::Input || net.outputs().iter().any(|o| o.src == id) {
+            continue;
+        }
+        let read = (id == constant.0 && constant.1.iter().any(|&r| reads(net, r, id)))
+            || readers(table(fo, net), id)
+                .iter()
+                .any(|c| reads(net, c.gate, id));
+        if read {
+            continue;
+        }
+        log.touch(net, id);
+        candidates.extend(net.gate(id).pins.iter().map(|p| p.src));
+        net.kill(id);
+        removed += 1;
+    }
+    removed
 }
 
 /// Kills every logic gate that no longer reaches a primary output. Primary
 /// inputs are never killed (the interface of the circuit is preserved).
 /// Returns the number of gates removed.
 pub fn sweep(net: &mut Network) -> usize {
+    sweep_logged(net, &mut Touched::off(net))
+}
+
+/// [`sweep`], recording every gate it kills in `log`.
+fn sweep_logged(net: &mut Network, log: &mut Touched) -> usize {
     let mut live = vec![false; net.num_gate_slots()];
     let mut stack: Vec<GateId> = net.outputs().iter().map(|o| o.src).collect();
     while let Some(id) = stack.pop() {
@@ -376,6 +774,7 @@ pub fn sweep(net: &mut Network) -> usize {
     let mut removed = 0;
     for id in ids {
         if !live[id.index()] && net.gate(id).kind != GateKind::Input {
+            log.touch(net, id);
             net.kill(id);
             removed += 1;
         }

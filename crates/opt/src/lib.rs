@@ -24,4 +24,4 @@ mod naive;
 
 pub use balance::{balance_fanin, balanced_depth};
 pub use bypass::{bypass_repeatedly, bypass_transform, BypassOptions, BypassReport};
-pub use naive::{naive_redundancy_removal, remove_fault, NaiveRemovalReport};
+pub use naive::{naive_redundancy_removal, remove_fault, remove_fault_with, NaiveRemovalReport};

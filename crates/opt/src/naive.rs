@@ -15,7 +15,8 @@
 //! faults whose cone the removal could have changed are screened again.
 
 use kms_atpg::{Engine, Fault, FaultSite};
-use kms_netlist::{transform, Network};
+use kms_netlist::transform::{ConstEdits, Touched};
+use kms_netlist::Network;
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
 
@@ -65,35 +66,23 @@ fn check_invariants(_net: &Network, _context: &str) {}
 
 /// Removes one redundant fault from `net` by asserting its stuck value
 /// and propagating constants (the function is unchanged because the fault
-/// is untestable).
+/// is untestable). Takes any network: it propagates and sweeps the whole
+/// network, as [`kms_netlist::transform::propagate_constants`] does.
 pub fn remove_fault(net: &mut Network, fault: Fault) {
-    match fault.site {
-        FaultSite::Conn(conn) => {
-            transform::set_conn_const(net, conn, fault.stuck);
-        }
-        FaultSite::GateOutput(g) => {
-            let c = net.add_const(fault.stuck);
-            if net.gate(g).kind == kms_netlist::GateKind::Input {
-                // A redundant input stem: rewire its consumers but keep
-                // the primary input itself (the circuit interface is
-                // preserved, as in the paper's gate-count bookkeeping).
-                let fanouts = net.fanouts();
-                for conn in &fanouts[g.index()] {
-                    net.gate_mut(conn.gate).pins[conn.pin].src = c;
-                }
-                for i in 0..net.outputs().len() {
-                    if net.outputs()[i].src == g {
-                        net.set_output_src(i, c);
-                    }
-                }
-                transform::propagate_constants(net);
-            } else {
-                transform::substitute_gate(net, g, c);
-                transform::propagate_constants(net);
-            }
-        }
-    }
+    remove_fault_with(&mut ConstEdits::default(), net, fault);
+}
+
+/// [`remove_fault`] as one edit of the run `edits`, returning what it
+/// touched (see [`ConstEdits`]). A redundant input stem
+/// keeps its primary input: its consumers read the constant (the circuit
+/// interface is preserved, as in the paper's gate-count bookkeeping).
+pub fn remove_fault_with(edits: &mut ConstEdits, net: &mut Network, fault: Fault) -> Touched {
+    let touched = match fault.site {
+        FaultSite::Conn(conn) => edits.set_conn_const(net, conn, fault.stuck),
+        FaultSite::GateOutput(g) => edits.set_gate_const(net, g, fault.stuck),
+    };
     check_invariants(net, "after remove_fault");
+    touched
 }
 
 /// Iteratively removes redundancies in discovery order until the circuit
@@ -115,7 +104,7 @@ pub fn remove_fault(net: &mut Network, fault: Fault) {
 /// fault in collapsed list order, per restart) is the same for any
 /// options.
 pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemovalReport {
-    use kms_atpg::{collapsed_faults, IncrementalScan, ParallelOptions};
+    use kms_atpg::{IncrementalScan, ParallelOptions};
     let opts = match engine {
         Engine::SharedSat(p) => p,
         Engine::Sat => ParallelOptions::default(),
@@ -127,8 +116,12 @@ pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemov
     let mut engine_calls = 0;
     let mut certification = opts.certify.then(CertificationReport::default);
     let mut scanner = IncrementalScan::new(net, &kms_atpg::random_tests(net, 128, 0x4B4D_5332));
+    // The first removal propagates and sweeps the whole network; every
+    // later one starts from the fixpoint it left and pays for what it
+    // changes.
+    let mut edits = ConstEdits::default();
     loop {
-        let faults = collapsed_faults(net);
+        let faults = scanner.collapsed_faults(net);
         let scan = scanner.scan(net, &faults, opts);
         engine_calls += scan.engine_calls;
         solver.merge(&scan.solver);
@@ -137,7 +130,7 @@ pub fn naive_redundancy_removal(net: &mut Network, engine: Engine) -> NaiveRemov
         }
         match scan.redundant {
             Some(f) => {
-                scanner.edit(net, |net| remove_fault(net, f));
+                scanner.edit(net, |net| remove_fault_with(&mut edits, net, f));
                 removed.push(f);
                 // Removal changes the input count only if constant
                 // propagation killed an input's last consumer — inputs are
@@ -169,7 +162,7 @@ mod tests {
     use super::*;
     use kms_atpg::analyze;
     use kms_gen::adders::carry_skip_adder;
-    use kms_netlist::{Delay, DelayModel, GateKind};
+    use kms_netlist::{transform, Delay, DelayModel, GateKind};
     use kms_timing::topological_delay;
 
     #[test]

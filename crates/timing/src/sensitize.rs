@@ -126,7 +126,7 @@ impl SensitizationOracle {
 
     /// As [`SensitizationOracle::new`], with proof logging enabled so
     /// that unsensitizable verdicts can be certified through
-    /// [`SensitizationOracle::is_sensitizable_certified`].
+    /// [`SensitizationOracle::refute`] with a certification report.
     pub fn with_certification(net: &Network) -> Self {
         Self::build(net, true)
     }

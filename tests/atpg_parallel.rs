@@ -23,8 +23,9 @@ use kms::atpg::{
 };
 use kms::gen::paper::fig1_carry_skip_block;
 use kms::gen::random::{random_network, RandomNetworkSpec};
+use kms::netlist::transform::ConstEdits;
 use kms::netlist::{transform, DelayModel, Network};
-use kms::opt::{naive_redundancy_removal, remove_fault};
+use kms::opt::{naive_redundancy_removal, remove_fault, remove_fault_with};
 
 fn carry_skip() -> Network {
     let mut net = kms::gen::adders::carry_skip_adder(4, 4, DelayModel::Unit);
@@ -419,6 +420,7 @@ fn incremental_scan_matches_each_from_scratch_scan() {
             let opts = ParallelOptions::default();
             let mut tests = random_tests(&net, cached, seed);
             let mut scanner = IncrementalScan::new(&net, &tests);
+            let mut edits = ConstEdits::default();
             loop {
                 let faults = collapsed_faults(&net);
                 let reference = scan_for_redundancy(&net, &faults, opts, &tests);
@@ -432,7 +434,7 @@ fn incremental_scan_matches_each_from_scratch_scan() {
                 tests.extend(reference.tests);
                 restarts += 1;
                 match reference.redundant {
-                    Some(f) => scanner.edit(&mut net, |net| remove_fault(net, f)),
+                    Some(f) => scanner.edit(&mut net, |net| remove_fault_with(&mut edits, net, f)),
                     None => break,
                 }
             }

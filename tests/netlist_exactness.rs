@@ -7,6 +7,11 @@
 //!   must leave the same network and the same count of gates turned
 //!   constant as the full-rescan propagation that rebuilt the table after
 //!   every constant gate, kept below as a reference.
+//! * A run of constant edits through one [`transform::ConstEdits`] seeds
+//!   each edit after the first with the gates it re-pinned and sweeps by
+//!   reference count. From a network at the constant fixpoint, every such
+//!   edit must leave what the whole-network edit leaves, and its report
+//!   must list every slot and output entry it changed.
 //! * [`Network::fanouts`] is one flat table; it must equal a per-slot
 //!   nested-`Vec` table built from the pins, in order, with dead slots
 //!   empty.
@@ -14,6 +19,7 @@
 use proptest::prelude::*;
 
 use kms::gen::random::{random_network, RandomNetworkSpec};
+use kms::netlist::transform::ConstEdits;
 use kms::netlist::{transform, ConnRef, GateId, GateKind, Network, Path, Pin, Topology};
 use kms::timing::{InputArrivals, PathEnumerator};
 
@@ -358,6 +364,65 @@ proptest! {
                 prop_assert_eq!(net.gate(id), reference.gate(id), "{} gate {}", context, id);
             }
             prop_assert_eq!(net.outputs(), reference.outputs(), "{}", context);
+            prop_assert!(net.validate().is_ok(), "{}", context);
+        }
+    }
+
+    /// From a network brought to the fixpoint by the whole-network
+    /// propagation, a random run of connection and gate-output constants
+    /// (input stems included) through one `ConstEdits` matches the
+    /// whole-network edit after every step: kind, pins, delay and dead
+    /// flag of every slot, and the outputs. Each step's report lists every
+    /// slot and output entry that differs from the network before it.
+    #[test]
+    fn seeded_edits_match_the_whole_network_edit(seed in 1u64..1_000_000) {
+        let mut rng = Rng(seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1);
+        let mut net = mixed_network(seed, &mut rng);
+        transform::propagate_constants(&mut net);
+        let mut edits = ConstEdits::default();
+        for step_no in 0..8 {
+            let sites: Vec<GateId> = net
+                .gate_ids()
+                .filter(|&g| !matches!(net.gate(g).kind, GateKind::Const(_)))
+                .collect();
+            if sites.is_empty() {
+                break;
+            }
+            let g = sites[rng.below(sites.len())];
+            let value = rng.below(2) == 1;
+            let pins = net.gate(g).pins.len();
+            let before = net.clone();
+            let mut whole = net.clone();
+            let (touched, context) = if pins == 0 || rng.below(3) == 0 {
+                ConstEdits::default().set_gate_const(&mut whole, g, value);
+                let touched = edits.set_gate_const(&mut net, g, value);
+                (touched, format!("seed {seed}, step {step_no}: {g} = {value}"))
+            } else {
+                let conn = ConnRef::new(g, rng.below(pins));
+                transform::set_conn_const(&mut whole, conn, value);
+                let touched = edits.set_conn_const(&mut net, conn, value);
+                (touched, format!("seed {seed}, step {step_no}: {conn} = {value}"))
+            };
+            prop_assert_eq!(net.num_gate_slots(), whole.num_gate_slots(), "{}", context);
+            prop_assert_eq!(touched.old_slots(), before.num_gate_slots(), "{}", context);
+            for i in 0..net.num_gate_slots() {
+                let id = GateId::from_index(i);
+                let (got, want) = (net.gate(id), whole.gate(id));
+                prop_assert_eq!(got.kind, want.kind, "{} gate {}", context, id);
+                prop_assert_eq!(&got.pins, &want.pins, "{} gate {}", context, id);
+                prop_assert_eq!(got.delay, want.delay, "{} gate {}", context, id);
+                prop_assert_eq!(got.is_dead(), want.is_dead(), "{} gate {}", context, id);
+                let old = (i < before.num_gate_slots()).then(|| before.gate(id));
+                if old != Some(got) {
+                    prop_assert!(touched.gates().any(|t| t == id), "{} gate {} not reported", context, id);
+                }
+            }
+            prop_assert_eq!(net.outputs(), whole.outputs(), "{}", context);
+            for (i, (a, b)) in before.outputs().iter().zip(net.outputs()).enumerate() {
+                if a != b {
+                    prop_assert!(touched.outputs().any(|o| o == i), "{} output {} not reported", context, i);
+                }
+            }
             prop_assert!(net.validate().is_ok(), "{}", context);
         }
     }
