@@ -51,7 +51,7 @@ fn die(msg: &str) -> ! {
 }
 
 /// The late-last-input arrivals of the Table I MCNC flow (same preparation
-/// as `bench_sweep`/`bench_atpg`, so rows are comparable across the
+/// as `bench_atpg`, so rows are comparable across the
 /// benchmark binaries).
 fn mcnc_net(name: &str) -> (Network, InputArrivals) {
     let suite = kms_gen::mcnc::table1_suite();

@@ -24,7 +24,6 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use kms_analysis::SignatureInterner;
 use kms_atpg::{Engine, Fault, ParallelOptions};
 use kms_netlist::json::Json;
 use kms_netlist::{errln, transform, NetlistError, Network};
@@ -37,6 +36,7 @@ use kms_timing::{
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::engine::{oracle_phase, EngineStats, VerdictCache};
+use crate::signature::SignatureInterner;
 
 /// The sensitization condition used in the while-loop header (Section VI:
 /// "the user may choose whether viability or static sensitization is
@@ -286,7 +286,7 @@ fn check_invariants(net: &Network, context: &str) {
 fn check_invariants(_net: &Network, _context: &str) {}
 
 /// With the `debug-invariants` feature enabled, the number of structural
-/// duplicates currently in the network (the `kms-analysis` strash table);
+/// duplicates currently in the network (the `kms-lint` strash table);
 /// always zero otherwise. Paired with [`check_shared`] and
 /// [`check_new_gates_shared`] it pins down the sharing discipline of each
 /// transform step: duplication grows the count by exactly its declared
@@ -295,7 +295,7 @@ fn check_invariants(_net: &Network, _context: &str) {}
 /// structural hash drives the count to zero.
 #[cfg(feature = "debug-invariants")]
 fn strash_duplicates(net: &Network) -> usize {
-    kms_analysis::StrashTable::build(net).duplicate_count()
+    kms_lint::StrashTable::build(net).duplicate_count()
 }
 
 #[cfg(not(feature = "debug-invariants"))]
@@ -308,7 +308,7 @@ fn strash_duplicates(_net: &Network) -> usize {
 /// otherwise.
 #[cfg(feature = "debug-invariants")]
 fn check_shared(net: &Network, context: &str, allowed: usize) {
-    kms_analysis::assert_shared(net, context, allowed);
+    kms_lint::assert_shared(net, context, allowed);
 }
 
 #[cfg(not(feature = "debug-invariants"))]
@@ -317,13 +317,13 @@ fn check_shared(_net: &Network, _context: &str, _allowed: usize) {}
 /// Pre-transform liveness snapshot feeding [`check_new_gates_shared`];
 /// a zero-sized placeholder when the `debug-invariants` feature is off.
 #[cfg(feature = "debug-invariants")]
-type StrashSnapshot = kms_analysis::StrashSnapshot;
+type StrashSnapshot = kms_lint::StrashSnapshot;
 #[cfg(not(feature = "debug-invariants"))]
 struct StrashSnapshot;
 
 #[cfg(feature = "debug-invariants")]
 fn strash_snapshot(net: &Network) -> StrashSnapshot {
-    kms_analysis::StrashSnapshot::take(net)
+    kms_lint::StrashSnapshot::take(net)
 }
 
 #[cfg(not(feature = "debug-invariants"))]
@@ -338,7 +338,7 @@ fn strash_snapshot(_net: &Network) -> StrashSnapshot {
 /// unshared duplicates); compiles to nothing otherwise.
 #[cfg(feature = "debug-invariants")]
 fn check_new_gates_shared(net: &Network, context: &str, pre: &StrashSnapshot) {
-    kms_analysis::assert_new_gates_shared(net, context, pre);
+    kms_lint::assert_new_gates_shared(net, context, pre);
 }
 
 #[cfg(not(feature = "debug-invariants"))]

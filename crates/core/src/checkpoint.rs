@@ -25,7 +25,6 @@ use std::io;
 use std::path::Path as FsPath;
 use std::time::Duration;
 
-use kms_analysis::SignatureInterner;
 use kms_netlist::{escape_token, unescape_token, Network};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -33,6 +32,7 @@ use kms_timing::{InputArrivals, Time};
 
 use crate::algorithm::{removal_options, KmsIteration, KmsOptions};
 use crate::engine::{CacheEntry, EngineStats};
+use crate::signature::SignatureInterner;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]

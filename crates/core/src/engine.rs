@@ -8,7 +8,7 @@
 //! shape — *is the conjunction of "gate g outputs value v" constraints
 //! satisfiable?* — so a verdict is a pure function of the constraint
 //! set, where each gate is identified by its function over the primary
-//! inputs. The [`kms_analysis::SignatureInterner`] provides exactly that
+//! inputs. The [`SignatureInterner`] provides exactly that
 //! identity, stable across iterations, which makes verdicts cacheable
 //! across the whole run: a duplicated-but-functionally-unchanged cone
 //! hits the cache instead of rebuilding a BDD or re-running SAT.
@@ -18,7 +18,6 @@
 //! built lazily once per iteration, and the walk stops at the first path
 //! that satisfies the condition.
 
-use kms_analysis::{SignatureInterner, Signatures};
 use kms_netlist::{FxHashMap, FxHashSet, GateId, NetlistError, Network, Path};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -28,6 +27,7 @@ use kms_timing::{
 };
 
 use crate::algorithm::Condition;
+use crate::signature::{SignatureInterner, Signatures};
 
 /// Counters from the timing upkeep and the verdict cache of a
 /// [`crate::kms`] run. The three fields that are always 0 counted the

@@ -36,6 +36,7 @@ mod checkpoint;
 mod engine;
 #[cfg(feature = "fault-inject")]
 pub mod inject;
+mod signature;
 mod verify;
 
 pub use algorithm::{
@@ -44,8 +45,8 @@ pub use algorithm::{
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use engine::EngineStats;
+pub use signature::{SignatureInterner, Signatures};
 pub use verify::{
-    check_equivalence_certified, cross_check_static_analysis, verify_kms_invariants,
-    verify_kms_invariants_certified, verify_kms_invariants_engine, verify_kms_invariants_with,
-    InvariantReport, StaticCrossCheck,
+    check_equivalence_certified, verify_kms_invariants, verify_kms_invariants_certified,
+    verify_kms_invariants_engine, verify_kms_invariants_with, InvariantReport,
 };

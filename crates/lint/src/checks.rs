@@ -8,14 +8,11 @@
 
 use std::collections::HashMap;
 
-use kms_analysis::{AnalysisOptions, FaultRef, StaticAnalysis};
 use kms_netlist::{ConnRef, GateId, GateKind, Network};
 
 use crate::diagnostic::{CheckId, Diagnostic, Severity, Site};
 
-/// Runs one structural check over `net`, appending findings at `severity`
-/// to `out`. Semantic checks go through [`run_semantic_checks`], which
-/// shares one analysis pass across them.
+/// Runs one check over `net`, appending findings at `severity` to `out`.
 pub(crate) fn run_check(
     net: &Network,
     check: CheckId,
@@ -41,133 +38,6 @@ pub(crate) fn run_check(
         CheckId::Unreachable => check_unreachable(net, &mut emit),
         CheckId::NotSimple => check_not_simple(net, &mut emit),
         CheckId::ConstAnomaly => check_const_anomaly(net, &mut emit),
-        CheckId::RedundantNode | CheckId::EquivalentNodePair | CheckId::ConstantNode => {
-            unreachable!("semantic checks run through run_semantic_checks")
-        }
-    }
-}
-
-/// Runs the enabled semantic-tier checks, sharing a single
-/// [`StaticAnalysis`] pass (structural hash, SAT sweep, implication
-/// learning) across all of them.
-///
-/// The analysis engines index straight into the netlist, so the semantic
-/// tier runs only when the hard structural invariants hold — on a broken
-/// graph the structural tier owns the findings and this pass stays silent.
-pub(crate) fn run_semantic_checks(
-    net: &Network,
-    enabled: &[(CheckId, Severity)],
-    out: &mut Vec<Diagnostic>,
-) {
-    if enabled.is_empty() {
-        return;
-    }
-    let mut hard = Vec::new();
-    for check in [
-        CheckId::Cycle,
-        CheckId::Undriven,
-        CheckId::Arity,
-        CheckId::Fanout,
-    ] {
-        run_check(net, check, Severity::Error, &mut hard);
-    }
-    if !hard.is_empty() {
-        return;
-    }
-    let analysis = StaticAnalysis::build(net, &AnalysisOptions::default());
-    for &(check, severity) in enabled {
-        let mut emit = |site: Site, message: String, suggestion: Option<&str>| {
-            out.push(Diagnostic {
-                severity,
-                check,
-                site,
-                message,
-                suggestion: suggestion.map(String::from),
-            });
-        };
-        match check {
-            CheckId::RedundantNode => check_redundant_node(net, &analysis, &mut emit),
-            CheckId::EquivalentNodePair => check_equivalent_node_pair(net, &analysis, &mut emit),
-            CheckId::ConstantNode => check_constant_node(net, &analysis, &mut emit),
-            _ => unreachable!("structural checks run through run_check"),
-        }
-    }
-}
-
-/// A stuck-at fault on a gate output that the static pass proves no input
-/// vector can ever expose: the classic KMS signal that the node carries
-/// removable redundancy (the paper's Section III connection between
-/// untestable faults and removable logic).
-fn check_redundant_node(net: &Network, analysis: &StaticAnalysis<'_>, emit: &mut Emit) {
-    for id in net.gate_ids() {
-        if !net.gate(id).kind.is_logic() {
-            continue;
-        }
-        for stuck in [false, true] {
-            if let Some(witness) = analysis.prove_untestable(FaultRef::Output(id), stuck) {
-                emit(
-                    Site::Gate(id),
-                    format!(
-                        "stuck-at-{} on gate {} is untestable ({})",
-                        u8::from(stuck),
-                        label(net, id),
-                        witness.kind()
-                    ),
-                    Some(
-                        "redundancy_removal can replace the node with the stuck value and simplify",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Node pairs the analysis proved to compute the same (or complementary)
-/// function — sharing candidates the netlist pays area and fault surface
-/// for twice.
-fn check_equivalent_node_pair(net: &Network, analysis: &StaticAnalysis<'_>, emit: &mut Emit) {
-    for &(dup, rep) in analysis.classes().structural_pairs() {
-        emit(
-            Site::Gate(dup),
-            format!(
-                "gate {} is structurally identical to gate {}",
-                label(net, dup),
-                label(net, rep)
-            ),
-            Some("transform::structural_hash shares signature-identical gates"),
-        );
-    }
-    for &(dup, rep, same) in analysis.classes().sat_pairs() {
-        emit(
-            Site::Gate(dup),
-            format!(
-                "gate {} is proved {} to gate {} (SAT sweep)",
-                label(net, dup),
-                if same { "equivalent" } else { "antivalent" },
-                label(net, rep)
-            ),
-            Some("rewire fanout to the representative (inverted for antivalent pairs)"),
-        );
-    }
-}
-
-/// Live logic gates proved to compute a constant function over all inputs.
-fn check_constant_node(net: &Network, analysis: &StaticAnalysis<'_>, emit: &mut Emit) {
-    for id in net.gate_ids() {
-        if !net.gate(id).kind.is_logic() {
-            continue;
-        }
-        if let Some(v) = analysis.node_constant(id) {
-            emit(
-                Site::Gate(id),
-                format!(
-                    "gate {} computes the constant {} on every input",
-                    label(net, id),
-                    u8::from(v)
-                ),
-                Some("replace the gate with a constant and run transform::propagate_constants"),
-            );
-        }
     }
 }
 
@@ -487,15 +357,8 @@ fn check_not_simple(net: &Network, emit: &mut Emit) {
 fn check_const_anomaly(net: &Network, emit: &mut Emit) {
     for id in net.gate_ids() {
         let g = net.gate(id);
-        let degenerate = matches!(
-            g.kind,
-            GateKind::And
-                | GateKind::Or
-                | GateKind::Nand
-                | GateKind::Nor
-                | GateKind::Xor
-                | GateKind::Xnor
-        ) && g.pins.len() == 1;
+        // The commutative kinds are the n-ary ones.
+        let degenerate = g.kind.is_commutative() && g.pins.len() == 1;
         if degenerate {
             emit(
                 Site::Gate(id),
@@ -697,78 +560,6 @@ mod tests {
         net.add_gate(GateKind::Not, &[a], Delay::UNIT); // unreachable
         let config = LintConfig::default().with_level(CheckId::Unreachable, crate::Level::Allow);
         assert!(lint_network(&net, &config).is_clean());
-    }
-
-    #[test]
-    fn semantic_checks_fire_when_enabled() {
-        // y = (a & b) | (b & a): the second AND is a (commuted) structural
-        // duplicate of the first, so equivalent-node-pair fires; both ANDs
-        // also make each OR-side fault dominated — but at minimum the pair
-        // itself must be reported. Default config: semantic tier off.
-        let mut net = Network::new("t");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let g1 = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
-        let g2 = net.add_gate(GateKind::And, &[b, a], Delay::UNIT);
-        let o = net.add_gate(GateKind::Or, &[g1, g2], Delay::UNIT);
-        net.add_output("y", o);
-        assert_eq!(
-            net.lint().by_check(CheckId::EquivalentNodePair).count(),
-            0,
-            "semantic tier must be off by default"
-        );
-        let config = LintConfig::default()
-            .with_level(CheckId::EquivalentNodePair, crate::Level::Warn)
-            .with_level(CheckId::RedundantNode, crate::Level::Warn);
-        let report = lint_network(&net, &config);
-        // Two findings: g2 is a structural duplicate of g1, and the SAT
-        // sweep proves o = g1|g2 = g1 equivalent to g1 itself.
-        assert_eq!(report.by_check(CheckId::EquivalentNodePair).count(), 2);
-        // x OR x == x: each OR input connection is individually redundant,
-        // and the analysis proves the dominated output faults untestable.
-        assert!(report.by_check(CheckId::RedundantNode).count() >= 1);
-    }
-
-    #[test]
-    fn constant_node_check_fires() {
-        // g = a & !a == 0.
-        let mut net = Network::new("t");
-        let a = net.add_input("a");
-        let na = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-        let g = net.add_gate(GateKind::And, &[a, na], Delay::UNIT);
-        let b = net.add_input("b");
-        let o = net.add_gate(GateKind::Or, &[g, b], Delay::UNIT);
-        net.add_output("y", o);
-        let config = LintConfig::default().with_level(CheckId::ConstantNode, crate::Level::Warn);
-        let report = lint_network(&net, &config);
-        let d = report
-            .by_check(CheckId::ConstantNode)
-            .next()
-            .expect("constant-node fires");
-        assert_eq!(d.site, Site::Gate(g));
-        assert!(d.message.contains("constant 0"), "{}", d.message);
-    }
-
-    #[test]
-    fn semantic_tier_skipped_on_broken_graph() {
-        // An undriven pin makes the graph unsafe for the analysis engines;
-        // the semantic tier must stay silent rather than panic.
-        let mut net = Network::new("t");
-        let a = net.add_input("a");
-        let g1 = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-        let g2 = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-        net.add_output("y", g1);
-        net.add_output("z", g2);
-        net.gate_mut(g2).pins[0] = Pin::new(GateId::from_index(99));
-        let config = LintConfig::default()
-            .with_level(CheckId::EquivalentNodePair, crate::Level::Warn)
-            .with_level(CheckId::ConstantNode, crate::Level::Warn)
-            .with_level(CheckId::RedundantNode, crate::Level::Warn);
-        let report = lint_network(&net, &config);
-        assert!(report.by_check(CheckId::Undriven).count() > 0);
-        assert_eq!(report.by_check(CheckId::EquivalentNodePair).count(), 0);
-        assert_eq!(report.by_check(CheckId::ConstantNode).count(), 0);
-        assert_eq!(report.by_check(CheckId::RedundantNode).count(), 0);
     }
 
     #[test]

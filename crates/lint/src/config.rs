@@ -16,12 +16,9 @@ pub enum Level {
 /// Per-check levels for one lint run.
 ///
 /// The defaults deny everything that breaks a hard structural invariant
-/// (`cycle`, `undriven`, `arity`, `duplicate-name`, `fanout`, `delay`),
-/// warn on the KMS conventions that are legal but suspicious
-/// (`unreachable`, `not-simple`, `const-anomaly`), and *allow* the
-/// semantic tier (`redundant-node`, `equivalent-node-pair`,
-/// `constant-node`): those checks run the `kms-analysis` SAT-backed
-/// pass, a cost callers opt into explicitly.
+/// (`cycle`, `undriven`, `arity`, `duplicate-name`, `fanout`, `delay`)
+/// and warn on the KMS conventions that are legal but suspicious
+/// (`unreachable`, `not-simple`, `const-anomaly`).
 ///
 /// ```
 /// use kms_lint::{CheckId, Level, LintConfig};
@@ -45,13 +42,6 @@ impl Default for LintConfig {
             CheckId::ConstAnomaly,
         ] {
             config.set_level(check, Level::Warn);
-        }
-        for check in [
-            CheckId::RedundantNode,
-            CheckId::EquivalentNodePair,
-            CheckId::ConstantNode,
-        ] {
-            config.set_level(check, Level::Allow);
         }
         config
     }
@@ -112,9 +102,6 @@ mod tests {
         assert_eq!(config.level(CheckId::Unreachable), Level::Warn);
         assert_eq!(config.level(CheckId::NotSimple), Level::Warn);
         assert_eq!(config.level(CheckId::ConstAnomaly), Level::Warn);
-        assert_eq!(config.level(CheckId::RedundantNode), Level::Allow);
-        assert_eq!(config.level(CheckId::EquivalentNodePair), Level::Allow);
-        assert_eq!(config.level(CheckId::ConstantNode), Level::Allow);
     }
 
     #[test]

@@ -45,44 +45,12 @@ pub enum CheckId {
     NotSimple,
     /// Constant-propagation anomaly (Section VII conventions).
     ConstAnomaly,
-    /// Gate carrying a statically-proved-untestable stuck-at fault
-    /// (semantic tier, `kms-analysis`).
-    RedundantNode,
-    /// Two live gates proved functionally equivalent or antivalent
-    /// (semantic tier, `kms-analysis`).
-    EquivalentNodePair,
-    /// Live logic gate proved to compute a constant function (semantic
-    /// tier, `kms-analysis`).
-    ConstantNode,
-}
-
-/// Which analysis family a check belongs to.
-///
-/// Structural checks read the netlist graph only and run in linear time;
-/// semantic checks reason about the *functions* the gates compute (the
-/// `kms-analysis` structural-hash / SAT-sweep / implication pass) and may
-/// invoke a SAT solver, so they default to [`crate::Level::Allow`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Tier {
-    /// Graph well-formedness and KMS conventions.
-    Structural,
-    /// Function-level facts proved by `kms-analysis`.
-    Semantic,
-}
-
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Tier::Structural => "structural",
-            Tier::Semantic => "semantic",
-        })
-    }
 }
 
 impl CheckId {
-    /// Every check, in execution order (structural errors first, then the
-    /// semantic tier).
-    pub const ALL: [CheckId; 12] = [
+    /// Every check, in execution order (hard invariants first, then the
+    /// KMS conventions).
+    pub const ALL: [CheckId; 9] = [
         CheckId::Cycle,
         CheckId::Undriven,
         CheckId::Arity,
@@ -92,9 +60,6 @@ impl CheckId {
         CheckId::Unreachable,
         CheckId::NotSimple,
         CheckId::ConstAnomaly,
-        CheckId::RedundantNode,
-        CheckId::EquivalentNodePair,
-        CheckId::ConstantNode,
     ];
 
     /// The stable string id, e.g. `"duplicate-name"`.
@@ -109,25 +74,12 @@ impl CheckId {
             CheckId::Unreachable => "unreachable",
             CheckId::NotSimple => "not-simple",
             CheckId::ConstAnomaly => "const-anomaly",
-            CheckId::RedundantNode => "redundant-node",
-            CheckId::EquivalentNodePair => "equivalent-node-pair",
-            CheckId::ConstantNode => "constant-node",
         }
     }
 
     /// Parses a string id back to a check; `None` for unknown ids.
     pub fn parse(s: &str) -> Option<CheckId> {
         CheckId::ALL.into_iter().find(|c| c.as_str() == s)
-    }
-
-    /// The analysis tier the check belongs to.
-    pub fn tier(self) -> Tier {
-        match self {
-            CheckId::RedundantNode | CheckId::EquivalentNodePair | CheckId::ConstantNode => {
-                Tier::Semantic
-            }
-            _ => Tier::Structural,
-        }
     }
 
     /// One-line description of what the check looks for.
@@ -142,9 +94,6 @@ impl CheckId {
             CheckId::Unreachable => "live logic gate with no path to a primary output",
             CheckId::NotSimple => "complex gate where KMS requires simple gates",
             CheckId::ConstAnomaly => "constant-propagation anomaly (paper Section VII)",
-            CheckId::RedundantNode => "gate with a statically-proved-untestable stuck-at fault",
-            CheckId::EquivalentNodePair => "two gates proved functionally equivalent or antivalent",
-            CheckId::ConstantNode => "live logic gate proved to compute a constant",
         }
     }
 }

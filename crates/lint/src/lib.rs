@@ -10,25 +10,24 @@
 //!
 //! # Check catalog
 //!
-//! | check id | tier | default | meaning |
-//! |---|---|---|---|
-//! | `cycle` | structural | deny | combinational cycle among live gates |
-//! | `undriven` | structural | deny | pin or primary output referencing a dead/missing gate |
-//! | `arity` | structural | deny | pin count invalid for the gate kind |
-//! | `duplicate-name` | structural | deny | two live gates (or two outputs) share a name |
-//! | `fanout` | structural | deny | fanout table inconsistent with the pin edge list |
-//! | `delay` | structural | deny | negative gate or wire delay (defensive; see [`Delay`]) |
-//! | `unreachable` | structural | warn | live logic gate with no path to any primary output |
-//! | `not-simple` | structural | warn | complex gate where the KMS oracles need simple ones |
-//! | `const-anomaly` | structural | warn | unpropagated constants / single-input AND-OR gates |
-//! | `redundant-node` | semantic | allow | gate with a statically-proved-untestable stuck-at fault |
-//! | `equivalent-node-pair` | semantic | allow | two gates proved equivalent/antivalent (`kms-analysis`) |
-//! | `constant-node` | semantic | allow | live logic gate proved constant over all inputs |
+//! | check id | default | meaning |
+//! |---|---|---|
+//! | `cycle` | deny | combinational cycle among live gates |
+//! | `undriven` | deny | pin or primary output referencing a dead/missing gate |
+//! | `arity` | deny | pin count invalid for the gate kind |
+//! | `duplicate-name` | deny | two live gates (or two outputs) share a name |
+//! | `fanout` | deny | fanout table inconsistent with the pin edge list |
+//! | `delay` | deny | negative gate or wire delay (defensive; see [`Delay`]) |
+//! | `unreachable` | warn | live logic gate with no path to any primary output |
+//! | `not-simple` | warn | complex gate where the KMS oracles need simple ones |
+//! | `const-anomaly` | warn | unpropagated constants / single-input AND-OR gates |
 //!
-//! The *structural* tier reads the graph only; the *semantic* tier runs
-//! the `kms-analysis` pass (structural hashing, SAT sweeping, implication
-//! learning) and can therefore invoke a SAT solver — it is allow-by-default
-//! and opt-in per check (`--warn redundant-node` on the CLI).
+//! Every check reads the graph only. Whether a gate is redundant is the
+//! ATPG engine's question (`kms-atpg`), decided exactly.
+//!
+//! The crate also holds the structural-hash table ([`StrashTable`]) behind
+//! the `debug-invariants` sharing checks of the KMS pipeline
+//! ([`assert_shared`], [`assert_new_gates_shared`]).
 //!
 //! # Example
 //!
@@ -58,9 +57,11 @@ mod checks;
 mod config;
 mod diagnostic;
 mod render;
+mod strash;
 
 pub use config::{Level, LintConfig};
-pub use diagnostic::{CheckId, Diagnostic, Severity, Site, Tier};
+pub use diagnostic::{CheckId, Diagnostic, Severity, Site};
+pub use strash::{assert_new_gates_shared, assert_shared, StrashSnapshot, StrashTable};
 
 use kms_netlist::json::Json;
 use kms_netlist::Network;
@@ -123,7 +124,6 @@ impl LintReport {
 /// defect does not hide an unrelated one.
 pub fn lint_network(net: &Network, config: &LintConfig) -> LintReport {
     let mut diagnostics = Vec::new();
-    let mut semantic: Vec<(CheckId, Severity)> = Vec::new();
     for check in CheckId::ALL {
         let level = config.level(check);
         if level == Level::Allow {
@@ -133,22 +133,15 @@ pub fn lint_network(net: &Network, config: &LintConfig) -> LintReport {
             Level::Deny => Severity::Error,
             _ => Severity::Warning,
         };
-        if check.tier() != Tier::Structural {
-            // Deferred: the semantic checks share one analysis pass.
-            semantic.push((check, severity));
-        } else {
-            checks::run_check(net, check, severity, &mut diagnostics);
-        }
+        checks::run_check(net, check, severity, &mut diagnostics);
     }
-    checks::run_semantic_checks(net, &semantic, &mut diagnostics);
     sort_diagnostics(&mut diagnostics);
     LintReport { diagnostics }
 }
 
 /// Sorts diagnostics into the report's total order: errors first, then by
 /// check, site and message text. Checks can emit several diagnostics at
-/// the same site (e.g. both stuck-at values of one gate), so the message
-/// text is the final tie-break — without it the order within a site would
+/// the same site, so the message text is the final tie-break — without it the order within a site would
 /// be whatever emission order the check used, and JSON output would not
 /// be reproducible across refactors of the check internals.
 fn sort_diagnostics(diagnostics: &mut [Diagnostic]) {
@@ -250,7 +243,7 @@ mod tests {
         // can put them in order.
         let diag = |message: &str| Diagnostic {
             severity: Severity::Warning,
-            check: CheckId::RedundantNode,
+            check: CheckId::ConstAnomaly,
             site: Site::Network,
             message: message.into(),
             suggestion: None,

@@ -9,16 +9,18 @@
 //! `dataflow-untestable` / `codc-unobservable` check ids — and made the
 //! diagnostic order a total order by breaking site ties on the message
 //! text; 4 removed the dataflow tier and its two check ids again, keeping
-//! the total order):
+//! the total order; 5 removed the semantic tier — the `redundant-node`,
+//! `equivalent-node-pair` and `constant-node` check ids — and with it the
+//! `tier` field, since every check left is structural):
 //!
 //! ```json
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "network": "<model name>",
 //!   "errors": 1,
 //!   "warnings": 2,
 //!   "diagnostics": [
-//!     {"severity": "error", "check": "undriven", "tier": "structural", "site": "g4.0", "message": "...", "suggestion": "..."}
+//!     {"severity": "error", "check": "undriven", "site": "g4.0", "message": "...", "suggestion": "..."}
 //!   ]
 //! }
 //! ```
@@ -54,7 +56,6 @@ pub(crate) fn to_json(report: &LintReport, network_name: &str) -> Json {
             let mut fields = vec![
                 ("severity", d.severity.to_string().into()),
                 ("check", d.check.as_str().into()),
-                ("tier", d.check.tier().to_string().into()),
                 ("site", d.site.to_string().into()),
                 ("message", d.message.as_str().into()),
             ];
@@ -65,7 +66,7 @@ pub(crate) fn to_json(report: &LintReport, network_name: &str) -> Json {
         })
         .collect();
     Json::Object(vec![
-        ("schema_version", Json::Int(4)),
+        ("schema_version", Json::Int(5)),
         ("network", network_name.into()),
         ("errors", report.error_count().into()),
         ("warnings", report.warning_count().into()),
@@ -100,29 +101,18 @@ mod tests {
     #[test]
     fn json_structure_and_escaping() {
         let json = to_json(&sample_report(), "c17").rows();
-        assert!(json.contains("\"schema_version\": 4"));
         assert!(json.contains("\"network\": \"c17\""));
         assert!(json.contains("\"check\": \"undriven\""));
-        assert!(json.contains("\"tier\": \"structural\""));
         assert!(json.contains("\\\"x\\\" broken\\n(second line)"));
         assert!(json.contains("\"suggestion\": \"fix it\""));
         assert!(json.contains("\"errors\": 1"));
     }
 
     #[test]
-    fn json_semantic_tier_field() {
-        let report = LintReport {
-            diagnostics: vec![Diagnostic {
-                severity: Severity::Warning,
-                check: CheckId::ConstantNode,
-                site: Site::Network,
-                message: "m".into(),
-                suggestion: None,
-            }],
-        };
-        let json = to_json(&report, "n").rows();
-        assert!(json.contains("\"check\": \"constant-node\""));
-        assert!(json.contains("\"tier\": \"semantic\""));
+    fn json_schema_5_has_no_tier_key() {
+        let json = to_json(&sample_report(), "n").rows();
+        assert!(json.contains("\"schema_version\": 5"));
+        assert!(!json.contains("\"tier\""));
     }
 
     #[test]

@@ -90,6 +90,27 @@ impl GateKind {
         !self.is_source()
     }
 
+    /// `true` for the kinds whose pins form an unordered multiset (AND,
+    /// OR, NAND, NOR, XOR, XNOR): reordering the pins keeps the function.
+    /// MUX pins are positional.
+    ///
+    /// ```
+    /// use kms_netlist::GateKind;
+    /// assert!(GateKind::Nand.is_commutative());
+    /// assert!(!GateKind::Mux.is_commutative());
+    /// ```
+    pub fn is_commutative(self) -> bool {
+        matches!(
+            self,
+            GateKind::And
+                | GateKind::Or
+                | GateKind::Nand
+                | GateKind::Nor
+                | GateKind::Xor
+                | GateKind::Xnor
+        )
+    }
+
     /// The *controlling value* of this gate kind (Definition 4.9): the input
     /// value that determines the output regardless of the other inputs.
     ///

@@ -1,5 +1,5 @@
-//! The one JSON writer: every report (`kms -f json`, `kms-lint`,
-//! `kms-sweep`, the solver and certification counters) and every
+//! The one JSON writer: every report (`kms -f json`, `kms-lint`, the
+//! solver and certification counters) and every
 //! `BENCH_*.json` file builds a [`Json`] value and renders it in one of
 //! two layouts, [`Json::compact`] or [`Json::rows`]. Objects keep
 //! insertion order, so a report's key order is the order in which its

@@ -1159,16 +1159,7 @@ pub fn structural_hash(net: &mut Network) -> usize {
                 continue;
             }
             let mut pins = g.pins.clone();
-            let commutative = matches!(
-                g.kind,
-                GateKind::And
-                    | GateKind::Or
-                    | GateKind::Nand
-                    | GateKind::Nor
-                    | GateKind::Xor
-                    | GateKind::Xnor
-            );
-            if commutative {
+            if g.kind.is_commutative() {
                 pins.sort_by_key(|p| (p.src, p.wire_delay));
             }
             let key = (g.kind, g.delay, pins);

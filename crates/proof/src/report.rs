@@ -1,5 +1,5 @@
 //! Aggregated certification accounting, rendered as text or JSON by the
-//! `--certify` modes of `kms`, `kms-sweep` and `table1`.
+//! `--certify` modes of `kms` and `table1`.
 
 use std::fmt::Write as _;
 use std::time::Duration;

@@ -23,7 +23,9 @@
 //!                           cap the delay-reduction loop at n iterations
 //!                           (default 10000); a capped run completes
 //!                           degraded (exit 3) and reports the computed
-//!                           viability delay of the input and the output
+//!                           viability delay of the input and the output,
+//!                           marked unproved when the effort cap cut
+//!                           either measurement short
 //!       --checkpoint <file> write a digest-guarded checkpoint after each
 //!                           loop iteration; a completed run removes it
 //!       --resume <file>     resume a previous run from its checkpoint
@@ -210,22 +212,29 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
     let report = kms_with_control(&mut net, &arrivals, options, control)?
         .expect("a run without stop_after always completes");
     // A capped loop voids Theorem 7.2, so measure what it promised: the
-    // viability delay of the input against that of the output.
+    // viability delay of the input against that of the output. A
+    // measurement the effort cap truncated is the topological bound, not
+    // a proved viability delay.
     let viability = if report.capped {
         let delay = |n: &Network| {
             computed_delay(n, &arrivals, PathCondition::Viability, options.effort_cap)
-                .map(|r| r.delay)
         };
-        Some((delay(&input)?, delay(&net)?))
+        let (before, after) = (delay(&input)?, delay(&net)?);
+        Some((
+            before.delay,
+            after.delay,
+            !before.truncated && !after.truncated,
+        ))
     } else {
         None
     };
 
     if !args.quiet && args.json {
         let mut json = report.to_json();
-        if let (Json::Object(members), Some((before, after))) = (&mut json, viability) {
+        if let (Json::Object(members), Some((before, after, proved))) = (&mut json, viability) {
             members.push(("viability_delay_before", before.into()));
             members.push(("viability_delay_after", after.into()));
+            members.push(("viability_delay_proved", proved.into()));
         }
         errln!("{}", json.compact());
     }
@@ -311,13 +320,18 @@ fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
             report.unknown
         );
     }
-    if let Some((before, after)) = viability {
+    if let Some((before, after, proved)) = viability {
         errln!(
             "warning: the delay-reduction loop hit its cap of {} iterations before \
              a longest path satisfied the condition; the no-slower guarantee does \
              not hold, and the output may be slower than the input \
-             (viability delay {before} -> {after})",
-            options.max_iterations
+             (viability delay {before} -> {after}){}",
+            options.max_iterations,
+            if proved {
+                ""
+            } else {
+                " (unproved: effort cap reached)"
+            }
         );
     }
     if report.unknown > 0 || report.capped {

@@ -16,7 +16,6 @@
 
 pub mod sequential;
 
-pub use kms_analysis as analysis;
 pub use kms_atpg as atpg;
 pub use kms_bdd as bdd;
 pub use kms_blif as blif;

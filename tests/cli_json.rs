@@ -1,4 +1,4 @@
-//! The `-f json` output of the three CLIs, driven as subprocesses on the
+//! The `-f json` output of the two CLIs, driven as subprocesses on the
 //! Fig. 1 network with quote characters in a signal and the model name:
 //! every printed document ends in exactly one newline, names come out
 //! escaped, and the exit codes follow the shared convention (0 clean,
@@ -55,7 +55,6 @@ fn assert_one_final_newline(doc: &str) {
 
 const KMS: &str = env!("CARGO_BIN_EXE_kms");
 const LINT: &str = env!("CARGO_BIN_EXE_kms-lint");
-const SWEEP: &str = env!("CARGO_BIN_EXE_kms-sweep");
 
 #[test]
 fn kms_json_report_is_one_line() {
@@ -80,32 +79,21 @@ fn kms_lint_json_escapes_the_network_name() {
 }
 
 #[test]
-fn kms_sweep_json_report_and_ledger_each_end_a_line() {
-    let out = run(SWEEP, &["-f", "json", "--certify", "-"], FIG1);
-    // Fig. 1 carries statically provable redundancies: findings exit 1.
-    assert_eq!(out.status.code(), Some(1));
-    let printed = text(&out.stdout);
-    assert_one_final_newline(&printed);
-    assert!(printed.contains("\"network\": \"fig\\\"1\""), "{printed}");
-    let (report, ledger) = printed
-        .trim_end()
-        .rsplit_once('\n')
-        .expect("report, then ledger");
-    assert!(report.ends_with("\n}"), "{report}");
-    assert!(
-        ledger.starts_with("{\"proofs_emitted\": ") && ledger.ends_with("\"failures\": []}"),
-        "{ledger}"
-    );
-}
-
-#[test]
 fn bad_usage_and_unreadable_input_exit_2() {
-    for bin in [KMS, LINT, SWEEP] {
+    for bin in [KMS, LINT] {
         let out = run(bin, &["-f", "xml", "-"], FIG1);
         assert_eq!(out.status.code(), Some(2), "{bin} -f xml");
         let out = run(bin, &["-f", "json", "-"], ".model broken\n.names\n");
         assert_eq!(out.status.code(), Some(2), "{bin} on a malformed BLIF");
     }
+}
+
+/// The semantic check ids are gone: naming one is a usage error.
+#[test]
+fn kms_lint_rejects_a_retired_check_id() {
+    let out = run(LINT, &["--warn", "redundant-node", "-"], FIG1);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(text(&out.stderr).contains("unknown check"));
 }
 
 #[test]
@@ -125,8 +113,9 @@ fn kms_exhausted_fault_budget_exits_3_with_json_intact() {
 /// the run is degraded: csa 8.2 needs about 400 iterations, and at a cap
 /// of 10 `kms` exits 3 with `"capped": true` in the report and a warning
 /// after it, and both report the computed viability delay of the input and
-/// the output, which grows (Theorem 7.2 fails). The same input under the default cap exits
-/// 0 and measures no viability delay.
+/// the output, which grows (Theorem 7.2 fails). Neither measurement hits
+/// the effort cap, so both are proved. The same input under the default
+/// cap exits 0 and measures no viability delay.
 #[test]
 fn kms_capped_loop_exits_3_and_warns() {
     let mut net = kms::gen::adders::carry_skip_adder(8, 2, DelayModel::Unit);
@@ -144,7 +133,10 @@ fn kms_capped_loop_exits_3_and_warns() {
     // where the library run on the same adder sees 17 -> 18
     // (`capped_loop_grows_the_viability_delay` in kms-core).
     assert!(
-        report.contains("\"viability_delay_before\": 27, \"viability_delay_after\": 33"),
+        report.contains(
+            "\"viability_delay_before\": 27, \"viability_delay_after\": 33, \
+             \"viability_delay_proved\": true"
+        ),
         "{report}"
     );
     assert!(
@@ -152,6 +144,7 @@ fn kms_capped_loop_exits_3_and_warns() {
         "{stderr}"
     );
     assert!(stderr.contains("(viability delay 27 -> 33)"), "{stderr}");
+    assert!(!stderr.contains("unproved"), "{stderr}");
     let out = run(KMS, &["-f", "json", "-"], &blif);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     assert!(text(&out.stderr).contains("\"capped\": false"));

@@ -197,31 +197,38 @@ fn lint_error_renders_in_blif_error_display() {
 #[test]
 fn diagnostic_order_is_total_and_stable() {
     // Regression: the report order used to tie-break on (severity, check,
-    // site) only, so two findings at the same site (here: both stuck
-    // values of one gate whose only fanout is masked by a constant-0
-    // side input) could legally appear in either order and the JSON
-    // output was not reproducible. The message text is now the final
-    // sort key — assert the whole report is sorted by the documented
-    // total order and that repeated runs render byte-identical JSON.
+    // site) only, so two findings at the same site could legally appear in
+    // either order and the JSON output was not reproducible. The message
+    // text is now the final sort key (`same_site_ties_break_on_message`
+    // pins that tie-break in the crate). Here one gate draws findings from
+    // three checks at two severities, and other gates add more of each:
+    // the whole report must follow the documented total order, and
+    // repeated runs must render byte-identical JSON.
     let mut net = Network::new("order");
     let a = net.add_input("a");
-    let c = net.add_input("c");
-    let d = net.add_input("d");
-    let na = net.add_gate(GateKind::Not, &[a], Delay::UNIT);
-    let k = net.add_gate(GateKind::And, &[a, na], Delay::UNIT); // == 0
-    let g = net.add_gate(GateKind::Not, &[c], Delay::UNIT);
-    let m = net.add_gate(GateKind::And, &[g, k], Delay::UNIT);
-    let o = net.add_gate(GateKind::Or, &[m, d], Delay::UNIT);
+    let one = net.add_const(true);
+    let x = net.add_gate(GateKind::Xor, &[a], Delay::UNIT); // single-input, unread
+    let m = net.add_gate(GateKind::Nand, &[a, one], Delay::UNIT);
+    let o = net.add_gate(GateKind::Or, &[m, one], Delay::UNIT);
     net.add_output("y", o);
-    let config = LintConfig::default().with_level(CheckId::RedundantNode, Level::Warn);
+    let config = LintConfig::default().with_level(CheckId::NotSimple, Level::Deny);
     let report = lint_network(&net, &config);
-    let same_site: Vec<&str> = report
-        .by_check(CheckId::RedundantNode)
-        .filter(|diag| diag.site == Site::Gate(g))
-        .map(|diag| diag.message.as_str())
+    let at_x: Vec<CheckId> = report
+        .diagnostics
+        .iter()
+        .filter(|diag| diag.site == Site::Gate(x))
+        .map(|diag| diag.check)
         .collect();
-    assert_eq!(same_site.len(), 2, "{same_site:?}");
-    assert!(same_site[0] < same_site[1], "{same_site:?}");
+    assert_eq!(
+        at_x,
+        [
+            CheckId::NotSimple,
+            CheckId::Unreachable,
+            CheckId::ConstAnomaly
+        ],
+        "{}",
+        report.to_text()
+    );
     let keys: Vec<_> = report
         .diagnostics
         .iter()
