@@ -1,13 +1,16 @@
-//! A reduced ordered BDD package for the KMS reproduction.
+//! A reduced ordered BDD package for the KMS reproduction, kept as a test
+//! oracle: no production crate depends on it.
 //!
 //! Viability analysis (paper Section V.1, after McGeer–Brayton's *Provably
-//! correct critical paths*) manipulates the logic functions along a path
-//! symbolically: early side-inputs must carry noncontrolling values, and
-//! late side-inputs are **smoothed out** — existentially quantified. This
-//! crate provides the symbolic substrate: hash-consed BDDs with ITE,
-//! cofactoring, quantification ([`BddManager::exists`]), support and model
-//! counting, plus [`NodeFunctions`] for computing the global function of
-//! every gate in a network.
+//! correct critical paths*) can be stated symbolically: early side-inputs
+//! must carry noncontrolling values, and late side-inputs are **smoothed
+//! out** — existentially quantified. The pipeline answers that question
+//! with one SAT query per path (`kms-timing`); the tests check each answer
+//! against the BDD of the same conjunction. This crate provides
+//! hash-consed BDDs with ITE, cofactoring, quantification
+//! ([`BddManager::exists`]), support and model counting, plus
+//! [`NodeFunctions`] for computing the global function of every gate in a
+//! network.
 //!
 //! # Example
 //!

@@ -2,8 +2,8 @@
 //!
 //! Each primary input is mapped to the BDD variable with the same position,
 //! so cubes over the inputs (Definition 4.5) and characteristic functions
-//! compose directly. Used by the BDD-backed static-sensitization and
-//! viability oracles in `kms-timing` and by exact equivalence checks.
+//! compose directly. Used by the tests that check the SAT path-condition
+//! oracle of `kms-timing` and by exact equivalence checks.
 
 use kms_netlist::{GateId, GateKind, Network};
 

@@ -1,5 +1,5 @@
-//! BDD benchmarks: node-function construction over the adders (the
-//! viability substrate) and the smoothing operator.
+//! BDD benchmarks: node-function construction over the adders (the test
+//! oracle's substrate) and the smoothing operator.
 
 use std::hint::black_box;
 

@@ -1,5 +1,5 @@
 //! Regenerates the Section VI design-choice ablation (experiment E6):
-//! running the KMS while-loop with the cheap **static sensitization**
+//! running the KMS while-loop with the **static sensitization**
 //! condition versus the tighter **viability** condition.
 //!
 //! Paper: "the only penalty for this tradeoff occurs if an unnecessary
@@ -45,5 +45,5 @@ fn main() {
     }
     outln!("\nviability is the weaker stopping condition (more paths qualify as");
     outln!("delay-determining), so it can stop the loop earlier and duplicate");
-    outln!("less, at a higher per-check cost (BDD functions vs one SAT call).");
+    outln!("less; each check is one SAT call under either condition.");
 }

@@ -148,17 +148,8 @@ pub fn run_row(
     verify: bool,
     popts: ParallelOptions,
 ) -> Table1Row {
-    // The BDD-backed viability oracle is exponential in the input count;
-    // wide benchmarks are measured with the SAT-backed static-
-    // sensitization metric instead (as the paper's own implementation
-    // did, Section VIII) and a bounded path-enumeration effort.
-    let wide = net.inputs().len() > 16;
-    let condition = if wide {
-        PathCondition::StaticSensitization
-    } else {
-        PathCondition::Viability
-    };
-    let cap = if wide { 200_000 } else { 1 << 22 };
+    let condition = PathCondition::Viability;
+    let cap = 1 << 22;
     let mut certification = popts.certify.then(CertificationReport::default);
     let classify = kms_atpg::classify_faults_report(net, kms_atpg::collapsed_faults(net), popts);
     if let (Some(total), Some(atpg)) = (certification.as_mut(), classify.certification.as_ref()) {

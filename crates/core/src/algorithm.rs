@@ -43,13 +43,14 @@ use crate::signature::SignatureInterner;
 /// used").
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Condition {
-    /// Static sensitization (Definition 4.11) — cheaper; may trigger an
+    /// Static sensitization (Definition 4.11) — may trigger an
     /// unnecessary duplication on a path that is viable but not
     /// statically sensitizable (the paper's stated trade-off). This is
     /// what the paper's own implementation used (Section VIII).
     #[default]
     StaticSensitization,
-    /// Viability (Section V.1) — tighter, dearer.
+    /// Viability (Section V.1) — tighter: late side-inputs are left
+    /// unconstrained. The same SAT oracle answers both conditions.
     Viability,
 }
 
@@ -78,10 +79,8 @@ pub struct KmsOptions {
     /// off by default to match the paper's algorithm exactly.
     pub strash: bool,
     /// Certify every UNSAT verdict behind the run with an independently
-    /// checked proof: unsensitizable-path verdicts in the oracle phase
-    /// (static sensitization only — viability verdicts are BDD-backed and
-    /// carry no SAT proof, a documented gap) and redundant-fault verdicts
-    /// in the removal phase (whose engine options get
+    /// checked proof: refuted-path verdicts in the oracle phase (under
+    /// either condition) and redundant-fault verdicts in the removal phase (whose engine options get
     /// [`ParallelOptions::certify`] set). Verdicts are unchanged; the
     /// merged ledger lands in [`KmsReport::certification`].
     pub certify: bool,
@@ -186,9 +185,8 @@ pub struct KmsReport {
     pub engine: EngineStats,
     /// Per-phase wall-clock breakdown.
     pub timings: KmsPhaseTimings,
-    /// SAT search counters of the oracle phase (the sensitization
-    /// solvers, summed over all iterations). All zeros under
-    /// the BDD-backed viability condition.
+    /// SAT search counters of the oracle phase (the path-condition
+    /// solvers, summed over all iterations), under either condition.
     pub oracle_solver: Stats,
     /// SAT search counters of the final removal phase (the shared-CNF
     /// engine, summed over every removal restart).
@@ -537,7 +535,6 @@ pub fn kms_with_control(
         let t0 = Instant::now();
         let outcome = oracle_phase(
             net,
-            arrivals,
             &sta,
             &longest,
             options.condition,
@@ -1113,6 +1110,51 @@ mod tests {
         assert_eq!(base_net.dump(), resumed.dump());
         assert_reports_identical(&base_report, &report, "resume with cores");
         assert!(report.certification.as_ref().unwrap().all_verified());
+    }
+
+    /// Viability refutations are SAT answers with checked certificates:
+    /// a certified csa 8.4 run under `Condition::Viability` makes oracle
+    /// SAT calls, every proof checks, and each refuted core its
+    /// checkpoint saved carries the digest of its certificate.
+    #[test]
+    fn certified_viability_run_checks_its_cores() {
+        let mut net = kms_gen::adders::carry_skip_adder(8, 4, kms_netlist::DelayModel::Unit);
+        transform::decompose_to_simple(&mut net);
+        net.apply_delay_model(kms_netlist::DelayModel::Unit);
+        let arr = InputArrivals::zero();
+        let options = KmsOptions {
+            condition: Condition::Viability,
+            certify: true,
+            ..Default::default()
+        };
+        let (_, report) = kms_on_copy(&net, &arr, options).unwrap();
+        assert!(
+            report.oracle_solver.sat_calls > 0,
+            "the loop asks the oracle"
+        );
+        let ledger = report.certification.as_ref().expect("certify ledger");
+        assert!(ledger.all_verified(), "failures: {:?}", ledger.failures);
+        let path = ckpt_path("viability-cores");
+        let suspended = kms_with_control(
+            &mut net.clone(),
+            &arr,
+            options,
+            RunControl {
+                checkpoint: Some(path.clone()),
+                stop_after: Some(report.iterations.len() - 1),
+                resume: None,
+            },
+        )
+        .unwrap();
+        assert!(suspended.is_none());
+        let ck = Checkpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let cores: Vec<_> = ck.cache.0.iter().filter(|(_, (sat, _))| !sat).collect();
+        assert!(!cores.is_empty(), "the loop refuted some path");
+        assert!(
+            cores.iter().all(|(_, (_, digest))| digest.is_some()),
+            "every certified viability core keeps its certificate digest"
+        );
     }
 
     /// Certification state survives the checkpoint: a certified run

@@ -11,19 +11,20 @@
 //! inputs. The [`SignatureInterner`] provides exactly that
 //! identity, stable across iterations, which makes verdicts cacheable
 //! across the whole run: a duplicated-but-functionally-unchanged cone
-//! hits the cache instead of rebuilding a BDD or re-running SAT.
+//! hits the cache instead of re-running SAT.
 //!
 //! The oracle phase is Fig. 3's while-loop header as one in-order walk:
-//! each longest path is looked up in the cache, a miss goes to an oracle
-//! built lazily once per iteration, and the walk stops at the first path
-//! that satisfies the condition.
+//! each longest path is looked up in the cache, a miss goes to a
+//! [`SensitizationOracle`] built lazily once per iteration, and the walk
+//! stops at the first path that satisfies the condition. Both conditions
+//! query that oracle with the constraint list of their key, so both mint
+//! unsat cores and, when certifying, checked certificates.
 
 use kms_netlist::{FxHashMap, FxHashSet, GateId, NetlistError, Network, Path};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{
-    early_side_constraints, static_side_constraints, InputArrivals, LatenessRule, Refutation,
-    SensitizationOracle, Sta, ViabilityAnalysis,
+    early_side_constraints, static_side_constraints, LatenessRule, SensitizationOracle, Sta,
 };
 
 use crate::algorithm::Condition;
@@ -49,70 +50,6 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Oracle queries that missed the cache and went to an oracle.
     pub cache_misses: u64,
-}
-
-/// A per-iteration condition oracle: the SAT encoding (or the BDD node
-/// functions) is built once per network state and shared across the
-/// longest-path checks of that iteration.
-pub(crate) enum ConditionOracle<'a> {
-    // Both variants boxed: the SAT oracle embeds the full arena solver
-    // and the BDD analysis carries its node table, so either inline body
-    // would bloat the enum.
-    Sens(Box<SensitizationOracle>),
-    Via(Box<ViabilityAnalysis<'a>>),
-}
-
-impl<'a> ConditionOracle<'a> {
-    pub(crate) fn new(
-        net: &'a Network,
-        arrivals: &InputArrivals,
-        condition: Condition,
-        certify: bool,
-    ) -> Self {
-        match condition {
-            Condition::StaticSensitization if certify => {
-                ConditionOracle::Sens(Box::new(SensitizationOracle::with_certification(net)))
-            }
-            Condition::StaticSensitization => {
-                ConditionOracle::Sens(Box::new(SensitizationOracle::new(net)))
-            }
-            // Viability is BDD-backed: its verdicts are not SAT answers
-            // and carry no proof (the documented certification gap).
-            Condition::Viability => {
-                ConditionOracle::Via(Box::new(ViabilityAnalysis::new(net, arrivals)))
-            }
-        }
-    }
-
-    /// Refutes `path`: `None` when it satisfies the condition, otherwise
-    /// the constraints that already make it fail. The SAT oracle returns
-    /// its unsat core — plus, when `certify` is given, the digest of the
-    /// checked certificate that concludes the core clause. The BDD-backed
-    /// viability oracle mints no cores: its refutation is the whole
-    /// constraint set `constraints`, uncertified.
-    pub(crate) fn refute(
-        &mut self,
-        net: &Network,
-        path: &Path,
-        constraints: &[(GateId, bool)],
-        certify: Option<&mut CertificationReport>,
-    ) -> Result<Option<Refutation>, NetlistError> {
-        match self {
-            ConditionOracle::Sens(o) => o.refute(net, path, certify),
-            ConditionOracle::Via(v) => Ok((!v.is_viable(path)?).then(|| Refutation {
-                core: constraints.to_vec(),
-                digest: None,
-            })),
-        }
-    }
-
-    /// The oracle's SAT search counters (zeros for the BDD-backed one).
-    pub(crate) fn stats(&self) -> Stats {
-        match self {
-            ConditionOracle::Sens(o) => o.solver_stats(),
-            ConditionOracle::Via(_) => Stats::default(),
-        }
-    }
 }
 
 /// One signed constraint: `(signature, required value)`.
@@ -265,16 +202,13 @@ fn signed(constraints: &[(GateId, bool)], sigs: &Signatures) -> Key {
 #[cfg(feature = "debug-invariants")]
 fn check_core_hit(
     net: &Network,
-    arrivals: &InputArrivals,
     path: &Path,
     constraints: &[(GateId, bool)],
     condition: Condition,
 ) {
-    let fresh = ConditionOracle::new(net, arrivals, condition, false)
-        .refute(net, path, constraints, None)
-        .expect("the cached query succeeded on this path");
+    let fresh = SensitizationOracle::new(net).query(net, constraints, None);
     assert!(
-        fresh.is_some(),
+        fresh.is_err(),
         "verdict cache: a cached core refutes {path}, but a fresh oracle finds it satisfies \
          {condition:?}"
     );
@@ -283,7 +217,6 @@ fn check_core_hit(
 #[cfg(not(feature = "debug-invariants"))]
 fn check_core_hit(
     _net: &Network,
-    _arrivals: &InputArrivals,
     _path: &Path,
     _constraints: &[(GateId, bool)],
     _condition: Condition,
@@ -304,11 +237,11 @@ pub(crate) struct OracleOutcome {
 /// order, answers each from the verdict cache or — on a miss — from the
 /// iteration's lazily built oracle (whose key, or core for a refutation,
 /// then enters the cache), and stops at the first path that satisfies
-/// the condition.
+/// the condition. The oracle's assumptions follow the path's constraint
+/// order, not the key's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn oracle_phase(
     net: &Network,
-    arrivals: &InputArrivals,
     sta: &Sta,
     longest: &[Path],
     condition: Condition,
@@ -318,7 +251,12 @@ pub(crate) fn oracle_phase(
     oracle_stats: &mut Stats,
 ) -> Result<OracleOutcome, NetlistError> {
     let sigs = interner.sign_network(net);
-    let mut oracle: Option<ConditionOracle> = None;
+    let mut oracle: Option<SensitizationOracle> = None;
+    // The certificate label names the condition and the path.
+    let label = match condition {
+        Condition::StaticSensitization => "sens",
+        Condition::Viability => "via",
+    };
     let mut any_sensitizable = false;
     let mut first_false: Option<&Path> = None;
     for p in longest {
@@ -328,21 +266,25 @@ pub(crate) fn oracle_phase(
             Some((v, _digest)) => {
                 cache.hits += 1;
                 if !v {
-                    check_core_hit(net, arrivals, p, &constraints, condition);
+                    check_core_hit(net, p, &constraints, condition);
                 }
                 v
             }
             None => {
                 cache.misses += 1;
-                let o = oracle.get_or_insert_with(|| {
-                    ConditionOracle::new(net, arrivals, condition, certify.is_some())
+                let o = oracle.get_or_insert_with(|| match certify {
+                    Some(_) => SensitizationOracle::with_certification(net),
+                    None => SensitizationOracle::new(net),
                 });
-                match o.refute(net, p, &constraints, certify.as_deref_mut())? {
-                    None => {
+                let ledger = certify
+                    .as_deref_mut()
+                    .map(|report| (report, format!("{label} {p}")));
+                match o.query(net, &constraints, ledger) {
+                    Ok(_) => {
                         cache.insert_satisfiable(key);
                         true
                     }
-                    Some(r) => {
+                    Err(r) => {
                         cache.insert_core(signed(&r.core, &sigs), r.digest);
                         false
                     }
@@ -356,7 +298,7 @@ pub(crate) fn oracle_phase(
         first_false.get_or_insert(p);
     }
     if let Some(o) = &oracle {
-        oracle_stats.merge(&o.stats());
+        oracle_stats.merge(&o.solver_stats());
     }
     Ok(OracleOutcome {
         any_sensitizable,
@@ -368,7 +310,7 @@ pub(crate) fn oracle_phase(
 mod tests {
     use super::*;
     use kms_netlist::{Delay, GateKind};
-    use kms_timing::PathEnumerator;
+    use kms_timing::{InputArrivals, PathEnumerator};
 
     /// A wide reconvergent fabric: layers of 2-input ANDs over shared
     /// fanin give exponentially many equal-length paths.
@@ -403,7 +345,6 @@ mod tests {
         let mut stats = Stats::default();
         let outcome = oracle_phase(
             &net,
-            &arr,
             &sta,
             &longest,
             Condition::StaticSensitization,
@@ -493,7 +434,6 @@ mod tests {
             let sta = Sta::run(net, &arr);
             let outcome = oracle_phase(
                 net,
-                &arr,
                 &sta,
                 std::slice::from_ref(&path),
                 Condition::StaticSensitization,

@@ -42,9 +42,8 @@ impl InvariantReport {
 
 /// Checks the three KMS guarantees for a (before, after) pair under the
 /// given arrival times, measuring delay with the viability model (the
-/// paper's). For circuits too wide for the BDD-backed viability oracle,
-/// use [`verify_kms_invariants_with`] and the SAT-backed
-/// [`PathCondition::StaticSensitization`] metric instead.
+/// paper's) at an effort cap of `1 << 22`. [`verify_kms_invariants_with`]
+/// takes another metric or cap.
 ///
 /// # Errors
 ///

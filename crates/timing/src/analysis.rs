@@ -4,15 +4,19 @@
 //! Paths are enumerated longest-first; the first path passing the condition
 //! fixes the delay. Static timing corresponds to
 //! [`PathCondition::Topological`]; [`PathCondition::Viability`] is the
-//! paper's model (tightest safe bound); static sensitization is the cheaper
-//! check the implementation in Section VIII actually used, at the risk of
-//! optimism on non-statically-sensitizable-but-viable paths.
+//! paper's model (tightest safe bound); static sensitization is the check
+//! the implementation in Section VIII actually used, at the risk of
+//! optimism on non-statically-sensitizable-but-viable paths. Both are one
+//! walk with one [`SensitizationOracle`]: they differ only in the
+//! constraint list a path yields, every side input for static
+//! sensitization and the early ones for viability.
 
-use kms_netlist::{NetlistError, Network, Path};
+use kms_netlist::{GateId, NetlistError, Network, Path};
 
-use crate::paths::PathEnumerator;
-use crate::sta::{InputArrivals, Time};
-use crate::viability::{LatenessRule, ViabilityAnalysis};
+use crate::paths::ResumablePathEnumerator;
+use crate::sensitize::{static_side_constraints, SensitizationOracle};
+use crate::sta::{InputArrivals, Sta, Time};
+use crate::viability::{early_side_constraints, LatenessRule};
 
 /// Which paths are considered able to determine the circuit delay.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -60,67 +64,26 @@ pub fn computed_delay(
     condition: PathCondition,
     effort_cap: usize,
 ) -> Result<DelayReport, NetlistError> {
-    let mut en = PathEnumerator::new(net, arrivals).with_effort_cap(effort_cap);
-    let topological = en.sta().delay();
-    if condition == PathCondition::Topological {
-        return Ok(DelayReport {
-            delay: topological,
-            witness: None,
-            topological,
-            paths_examined: 0,
-            truncated: false,
-        });
-    }
-    let mut viability = match condition {
-        PathCondition::Viability => Some(ViabilityAnalysis::new(net, arrivals)),
-        _ => None,
-    };
-    let mut sens_oracle = match condition {
-        PathCondition::StaticSensitization => Some(crate::sensitize::SensitizationOracle::new(net)),
-        _ => None,
-    };
-    let mut examined = 0usize;
-    for (path, len) in en.by_ref() {
-        examined += 1;
-        let witness = match condition {
-            PathCondition::StaticSensitization => sens_oracle
-                .as_mut()
-                .expect("constructed above")
-                .sensitization_cube(net, &path)?,
-            PathCondition::Viability => viability
-                .as_mut()
-                .expect("constructed above")
-                .viability_witness(&path)?,
-            PathCondition::Topological => unreachable!("returned earlier"),
-        };
-        if let Some(cube) = witness {
-            return Ok(DelayReport {
-                delay: len,
-                witness: Some((path, cube)),
+    match condition {
+        PathCondition::Topological => {
+            let topological = Sta::run(net, arrivals).delay();
+            Ok(DelayReport {
+                delay: topological,
+                witness: None,
                 topological,
-                paths_examined: examined,
+                paths_examined: 0,
                 truncated: false,
-            });
+            })
+        }
+        PathCondition::StaticSensitization => {
+            longest_satisfying(net, arrivals, effort_cap, |_, path| {
+                static_side_constraints(net, path)
+            })
+        }
+        PathCondition::Viability => {
+            computed_delay_with_rule(net, arrivals, LatenessRule::default(), effort_cap)
         }
     }
-    if en.truncated() {
-        // Safe fallback: report the static upper bound.
-        return Ok(DelayReport {
-            delay: topological,
-            witness: None,
-            topological,
-            paths_examined: examined,
-            truncated: true,
-        });
-    }
-    // No path satisfies the condition (e.g. constant outputs): delay 0.
-    Ok(DelayReport {
-        delay: 0,
-        witness: None,
-        topological,
-        paths_examined: examined,
-        truncated: false,
-    })
 }
 
 /// Computes the viability-based delay with a non-default lateness rule
@@ -135,13 +98,29 @@ pub fn computed_delay_with_rule(
     rule: LatenessRule,
     effort_cap: usize,
 ) -> Result<DelayReport, NetlistError> {
-    let mut en = PathEnumerator::new(net, arrivals).with_effort_cap(effort_cap);
-    let topological = en.sta().delay();
-    let mut viability = ViabilityAnalysis::new(net, arrivals).with_rule(rule);
+    longest_satisfying(net, arrivals, effort_cap, |sta, path| {
+        early_side_constraints(net, sta, path, rule)
+    })
+}
+
+/// Walks the paths of `net` longest first and stops at the first whose
+/// `constraints` one [`SensitizationOracle`] finds satisfiable. The
+/// enumerator yields no path from a source that never events, so every
+/// path it offers launches one.
+fn longest_satisfying(
+    net: &Network,
+    arrivals: &InputArrivals,
+    effort_cap: usize,
+    constraints: impl Fn(&Sta, &Path) -> Result<Vec<(GateId, bool)>, NetlistError>,
+) -> Result<DelayReport, NetlistError> {
+    let sta = Sta::run(net, arrivals);
+    let topological = sta.delay();
+    let mut walk = ResumablePathEnumerator::new(net, &sta).with_effort_cap(effort_cap);
+    let mut oracle = SensitizationOracle::new(net);
     let mut examined = 0usize;
-    for (path, len) in en.by_ref() {
+    while let Some((path, len)) = walk.next_path(net, &sta) {
         examined += 1;
-        if let Some(cube) = viability.viability_witness(&path)? {
+        if let Ok(cube) = oracle.query(net, &constraints(&sta, &path)?, None) {
             return Ok(DelayReport {
                 delay: len,
                 witness: Some((path, cube)),
@@ -151,7 +130,9 @@ pub fn computed_delay_with_rule(
             });
         }
     }
-    let truncated = en.truncated();
+    // A truncated walk falls back to the safe static bound; a finished
+    // one found no satisfying path (e.g. constant outputs): delay 0.
+    let truncated = walk.truncated();
     Ok(DelayReport {
         delay: if truncated { topological } else { 0 },
         witness: None,

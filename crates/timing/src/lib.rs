@@ -1,5 +1,6 @@
 //! Timing analysis for the KMS reproduction: static timing, path
-//! enumeration, static sensitization, and viability analysis.
+//! enumeration, static sensitization, and viability analysis, the last
+//! two answered by one SAT oracle.
 //!
 //! Section V of the paper defines the *computed delay* — a tight, provably
 //! safe upper bound on the true circuit delay — as the length of the
@@ -9,8 +10,12 @@
 //! | Model | API | Character |
 //! |---|---|---|
 //! | topological longest path | [`Sta`], [`PathCondition::Topological`] | safe, possibly very pessimistic (false paths) |
-//! | longest statically sensitizable path | [`sensitization_cube`], [`PathCondition::StaticSensitization`] | may be optimistic (Section II) |
-//! | longest viable path | [`ViabilityAnalysis`], [`PathCondition::Viability`] | the paper's model |
+//! | longest statically sensitizable path | [`static_side_constraints`], [`PathCondition::StaticSensitization`] | may be optimistic (Section II) |
+//! | longest viable path | [`early_side_constraints`], [`PathCondition::Viability`] | the paper's model |
+//!
+//! Both conditions reduce a path to a list of `(gate, value)` demands on
+//! its side inputs, and one [`SensitizationOracle::query`] decides the
+//! list: a witness cube, or a [`Refutation`] with its unsat core.
 //!
 //! Per-input arrival offsets (`c0 @ t = 5` of Section III) are supported
 //! via [`InputArrivals`].
@@ -49,8 +54,8 @@ pub use paths::{
 };
 pub use report::{critical_paths, CriticalPathReport, PathVerdict};
 pub use sensitize::{
-    is_statically_sensitizable, sensitization_cube, sensitization_function,
-    static_side_constraints, Refutation, SensitizationOracle,
+    is_statically_sensitizable, sensitization_cube, static_side_constraints, Refutation,
+    SensitizationOracle,
 };
 pub use sta::{topological_delay, IncrementalSta, InputArrivals, Sta, Time, NEVER};
-pub use viability::{early_side_constraints, LatenessRule, ViabilityAnalysis};
+pub use viability::{early_side_constraints, LatenessRule};

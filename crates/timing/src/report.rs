@@ -6,12 +6,12 @@
 //! — "is the longest path real, or is the static timing verifier being
 //! pessimistic?" — with evidence attached.
 
-use kms_netlist::{ConnRef, NetlistError, Network, Path};
+use kms_netlist::{ConnRef, GateId, NetlistError, Network, Path};
 
-use crate::paths::PathEnumerator;
-use crate::sensitize::SensitizationOracle;
-use crate::sta::{InputArrivals, Time};
-use crate::viability::ViabilityAnalysis;
+use crate::paths::ResumablePathEnumerator;
+use crate::sensitize::{side_demand, static_side_constraints, SensitizationOracle};
+use crate::sta::{InputArrivals, Sta, Time};
+use crate::viability::{early_side_constraints, LatenessRule};
 
 /// One row of a [`CriticalPathReport`].
 #[derive(Clone, Debug)]
@@ -22,8 +22,8 @@ pub struct PathVerdict {
     pub length: Time,
     /// Statically sensitizable? (Definition 4.11)
     pub statically_sensitizable: bool,
-    /// Viable? (Section V.1) — `None` if viability analysis was disabled.
-    pub viable: Option<bool>,
+    /// Viable? (Section V.1, under [`LatenessRule::BeforeGateOutput`])
+    pub viable: bool,
     /// For false paths: the conflicting side-input connections (a subset
     /// of the sensitization demands that is jointly unsatisfiable).
     pub conflict: Option<Vec<ConnRef>>,
@@ -43,11 +43,8 @@ pub struct CriticalPathReport {
     pub first_sensitizable: Option<Time>,
 }
 
-/// Builds the report over the `k` longest paths.
-///
-/// `with_viability` additionally runs the BDD-backed viability oracle —
-/// exponential in the input count in the worst case, so leave it off for
-/// wide networks.
+/// Builds the report over the `k` longest paths. One
+/// [`SensitizationOracle`] answers both conditions of every row.
 ///
 /// # Errors
 ///
@@ -57,33 +54,32 @@ pub fn critical_paths(
     net: &Network,
     arrivals: &InputArrivals,
     k: usize,
-    with_viability: bool,
 ) -> Result<CriticalPathReport, NetlistError> {
-    let mut en = PathEnumerator::new(net, arrivals);
-    let topological_delay = en.sta().delay();
+    let sta = Sta::run(net, arrivals);
+    let mut walk = ResumablePathEnumerator::new(net, &sta);
     let mut oracle = SensitizationOracle::new(net);
-    let mut viability = if with_viability {
-        Some(ViabilityAnalysis::new(net, arrivals))
-    } else {
-        None
-    };
     let mut verdicts = Vec::new();
     let mut first_sensitizable = None;
-    for (path, length) in en.by_ref().take(k) {
-        let witness = oracle.sensitization_cube(net, &path)?;
+    for (path, length) in std::iter::from_fn(|| walk.next_path(net, &sta)).take(k) {
+        let (witness, conflict) =
+            match oracle.query(net, &static_side_constraints(net, &path)?, None) {
+                Ok(cube) => (Some(cube), None),
+                Err(r) => (None, Some(conflict_conns(net, &path, &r.core)?)),
+            };
         let statically_sensitizable = witness.is_some();
-        let conflict = if statically_sensitizable {
-            None
-        } else {
-            oracle.explain_conflict(net, &path)?
-        };
         if statically_sensitizable && first_sensitizable.is_none() {
             first_sensitizable = Some(length);
         }
-        let viable = match viability.as_mut() {
-            Some(va) => Some(va.is_viable(&path)?),
-            None => None,
-        };
+        // Static sensitization implies viability: the early side-inputs
+        // are a subset of all of them.
+        let viable = statically_sensitizable
+            || oracle
+                .query(
+                    net,
+                    &early_side_constraints(net, &sta, &path, LatenessRule::default())?,
+                    None,
+                )
+                .is_ok();
         verdicts.push(PathVerdict {
             path,
             length,
@@ -95,9 +91,24 @@ pub fn critical_paths(
     }
     Ok(CriticalPathReport {
         verdicts,
-        topological_delay,
+        topological_delay: sta.delay(),
         first_sensitizable,
     })
+}
+
+/// The side-input connections of `path` whose demands are in `core`.
+fn conflict_conns(
+    net: &Network,
+    path: &Path,
+    core: &[(GateId, bool)],
+) -> Result<Vec<ConnRef>, NetlistError> {
+    let mut out = Vec::new();
+    for (_, conn) in path.side_inputs(net) {
+        if side_demand(net, conn)?.is_some_and(|nc| core.contains(&(net.pin(conn).src, nc))) {
+            out.push(conn);
+        }
+    }
+    Ok(out)
 }
 
 impl CriticalPathReport {
@@ -111,11 +122,6 @@ impl CriticalPathReport {
             "#", "length", "stat.sens", "viable"
         );
         for (i, v) in self.verdicts.iter().enumerate() {
-            let viable = match v.viable {
-                Some(true) => "yes",
-                Some(false) => "no",
-                None => "-",
-            };
             let _ = writeln!(
                 s,
                 "{:>4} {:>7} {:>10} {:>7}  {}",
@@ -126,7 +132,7 @@ impl CriticalPathReport {
                 } else {
                     "no"
                 },
-                viable,
+                if v.viable { "yes" } else { "no" },
                 v.path.describe(net)
             );
             if let Some(conflict) = &v.conflict {
@@ -160,14 +166,14 @@ mod tests {
     #[test]
     fn report_ranks_and_explains() {
         let net = false_path_net();
-        let r = critical_paths(&net, &InputArrivals::zero(), 8, true).unwrap();
+        let r = critical_paths(&net, &InputArrivals::zero(), 8).unwrap();
         assert_eq!(r.topological_delay, 3);
         assert!(!r.verdicts.is_empty());
         // Longest path first; it is false with a nonempty conflict core.
         let top = &r.verdicts[0];
         assert_eq!(top.length, 3);
         assert!(!top.statically_sensitizable);
-        assert_eq!(top.viable, Some(false));
+        assert!(!top.viable);
         let conflict = top.conflict.as_ref().expect("conflict explained");
         assert!(!conflict.is_empty() && conflict.len() <= 2);
         // Lengths are non-increasing.
@@ -186,19 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn viability_can_be_disabled() {
-        let net = false_path_net();
-        let r = critical_paths(&net, &InputArrivals::zero(), 4, false).unwrap();
-        assert!(r.verdicts.iter().all(|v| v.viable.is_none()));
-        assert!(r.render(&net).contains('-'));
-    }
-
-    #[test]
     fn conflict_core_is_genuinely_unsatisfiable() {
         // The reported conflicting side-inputs alone must be contradictory:
         // re-check by demanding just those noncontrolling values.
         let net = false_path_net();
-        let r = critical_paths(&net, &InputArrivals::zero(), 1, false).unwrap();
+        let r = critical_paths(&net, &InputArrivals::zero(), 1).unwrap();
         let top = &r.verdicts[0];
         let conflict = top.conflict.as_ref().unwrap();
         // The conflicting demands name `a` and `NOT a` side inputs of g.

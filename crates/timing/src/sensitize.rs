@@ -1,9 +1,14 @@
-//! Static sensitization of paths (Definition 4.11).
+//! One SAT oracle for both path conditions of the paper.
 //!
-//! A path is statically sensitizable if some input cube sets every
-//! side-input to a noncontrolling value. Two oracles are provided: a
-//! SAT-based decision procedure returning a witness cube, and a BDD-based
-//! one returning the full characteristic function of sensitizing cubes.
+//! Static sensitization (Definition 4.11) and viability (Section V.1,
+//! after McGeer–Brayton) ask the same question of a path: can some input
+//! cube make each listed side-input driver output its noncontrolling
+//! value? Static sensitization lists every side-input
+//! ([`static_side_constraints`]); viability lists only the *early* ones
+//! and smooths the late ones away ([`crate::early_side_constraints`]).
+//! [`SensitizationOracle::query`] answers either list with a witness cube
+//! or a [`Refutation`] carrying the unsat core and, when certifying, the
+//! digest of its checked proof.
 //!
 //! Side-input handling per gate kind: AND/OR/NAND/NOR side-inputs must take
 //! the kind's noncontrolling value; NOT/BUF have no side-inputs; XOR/XNOR
@@ -11,52 +16,40 @@
 //! inverted — all values are noncontrolling in the Definition 4.9 sense).
 //! MUX gates must be decomposed first ([`kms_netlist::transform::decompose_to_simple`]).
 
-use kms_bdd::{Bdd, BddManager, NodeFunctions};
-use kms_netlist::{GateKind, NetlistError, Network, Path};
+use kms_netlist::{ConnRef, GateId, GateKind, NetlistError, Network, Path};
 use kms_proof::{core_conclusion, Certificate, CertificationReport, Session};
 use kms_sat::{Lit, NetworkCnf, SatResult, Solver, Stats};
 
-/// The noncontrolling-value constraints of a path: for each constrained
-/// side-input connection, the connection itself, its driving gate, and the
-/// required (noncontrolling) value.
-fn side_constraints(
-    net: &Network,
-    path: &Path,
-) -> Result<Vec<(kms_netlist::ConnRef, kms_netlist::GateId, bool)>, NetlistError> {
-    let mut out = Vec::new();
-    for (_, conn) in path.side_inputs(net) {
-        let kind = net.gate(conn.gate).kind;
-        match kind {
-            GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => {
-                let nc = kind
-                    .noncontrolling_value()
-                    .expect("and/or/nand/nor have noncontrolling values");
-                out.push((conn, net.pin(conn).src, nc));
-            }
-            GateKind::Xor | GateKind::Xnor => {} // every value propagates
-            GateKind::Not | GateKind::Buf => {
-                unreachable!("single-input gates have no side-inputs")
-            }
-            GateKind::Mux => {
-                return Err(NetlistError::NotSimple {
-                    gate: conn.gate,
-                    kind,
-                })
-            }
-            GateKind::Input | GateKind::Const(_) => {
-                unreachable!("sources have no pins")
-            }
+/// The value side-input `conn` must carry for an event to pass its gate:
+/// the kind's noncontrolling value, or `None` when every value passes
+/// (XOR/XNOR).
+///
+/// # Errors
+///
+/// Returns [`NetlistError::NotSimple`] when the gate is a MUX.
+pub(crate) fn side_demand(net: &Network, conn: ConnRef) -> Result<Option<bool>, NetlistError> {
+    let kind = net.gate(conn.gate).kind;
+    match kind {
+        GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => {
+            Ok(kind.noncontrolling_value())
+        }
+        GateKind::Xor | GateKind::Xnor => Ok(None),
+        GateKind::Mux => Err(NetlistError::NotSimple {
+            gate: conn.gate,
+            kind,
+        }),
+        GateKind::Not | GateKind::Buf | GateKind::Input | GateKind::Const(_) => {
+            unreachable!("sources and single-input gates have no side-inputs")
         }
     }
-    Ok(out)
 }
 
 /// The static-sensitization constraint set of a path as `(driving gate,
-/// required value)` pairs: the path is statically sensitizable iff some
-/// input cube makes every listed gate output its required (noncontrolling)
-/// value. This is the cacheable abstraction of [`sensitization_cube`] —
-/// two paths with the same constraint set (up to gate-function identity)
-/// have the same verdict.
+/// required value)` pairs in path order: the path is statically
+/// sensitizable iff some input cube makes every listed gate output its
+/// required (noncontrolling) value. Two paths with the same constraint
+/// set (up to gate-function identity) have the same verdict, which is
+/// what makes it cacheable.
 ///
 /// # Errors
 ///
@@ -65,11 +58,14 @@ fn side_constraints(
 pub fn static_side_constraints(
     net: &Network,
     path: &Path,
-) -> Result<Vec<(kms_netlist::GateId, bool)>, NetlistError> {
-    Ok(side_constraints(net, path)?
-        .into_iter()
-        .map(|(_, src, nc)| (src, nc))
-        .collect())
+) -> Result<Vec<(GateId, bool)>, NetlistError> {
+    let mut out = Vec::new();
+    for (_, conn) in path.side_inputs(net) {
+        if let Some(nc) = side_demand(net, conn)? {
+            out.push((net.pin(conn).src, nc));
+        }
+    }
+    Ok(out)
 }
 
 /// SAT-based static sensitization check. Returns a sensitizing input
@@ -86,7 +82,10 @@ pub fn static_side_constraints(
 /// Panics if the path does not validate against `net`.
 pub fn sensitization_cube(net: &Network, path: &Path) -> Result<Option<Vec<bool>>, NetlistError> {
     assert!(path.validate(net), "path does not validate");
-    SensitizationOracle::new(net).sensitization_cube(net, path)
+    let constraints = static_side_constraints(net, path)?;
+    Ok(SensitizationOracle::new(net)
+        .query(net, &constraints, None)
+        .ok())
 }
 
 /// `true` if the path is statically sensitizable (SAT-backed).
@@ -98,18 +97,18 @@ pub fn is_statically_sensitizable(net: &Network, path: &Path) -> Result<bool, Ne
     Ok(sensitization_cube(net, path)?.is_some())
 }
 
-/// A reusable static-sensitization oracle for a fixed network: the CNF
-/// encoding and learnt clauses are shared across path queries, which is
-/// the inner loop of the KMS algorithm (every longest path gets checked
-/// each iteration).
+/// A reusable path-condition oracle for a fixed network: the CNF
+/// encoding and learnt clauses are shared across queries, which is the
+/// inner loop of the KMS algorithm (every longest path gets checked each
+/// iteration) and of the computed delay.
 ///
 /// The encoding is lazy: the oracle starts empty, and each query adds
-/// the not-yet-encoded fanin cones of the side-input drivers it
-/// constrains. That is exact. The encoded gates are fanin-closed, so
-/// their variables range over exactly the values some circuit evaluation
-/// gives them, and every such assignment extends to the rest of the
-/// network — leaving it out changes no verdict. Inputs outside every
-/// encoded cone read as 0 in witness cubes.
+/// the not-yet-encoded fanin cones of the gates it constrains. That is
+/// exact. The encoded gates are fanin-closed, so their variables range
+/// over exactly the values some circuit evaluation gives them, and every
+/// such assignment extends to the rest of the network — leaving it out
+/// changes no verdict. Inputs outside every encoded cone read as 0 in
+/// witness cubes.
 pub struct SensitizationOracle {
     solver: Solver,
     cnf: NetworkCnf,
@@ -118,15 +117,14 @@ pub struct SensitizationOracle {
 }
 
 impl SensitizationOracle {
-    /// An oracle for `net`. It answers queries for paths of this network
+    /// An oracle for `net`. It answers queries for gates of this network
     /// only; rebuild after any structural change.
     pub fn new(net: &Network) -> Self {
         Self::build(net, false)
     }
 
     /// As [`SensitizationOracle::new`], with proof logging enabled so
-    /// that unsensitizable verdicts can be certified through
-    /// [`SensitizationOracle::refute`] with a certification report.
+    /// that [`SensitizationOracle::query`] can certify its refutations.
     pub fn with_certification(net: &Network) -> Self {
         Self::build(net, true)
     }
@@ -148,182 +146,78 @@ impl SensitizationOracle {
         self.solver.stats()
     }
 
-    /// The noncontrolling-value assumptions of `constraints`, encoding
-    /// the drivers' fanin cones first.
-    fn assumptions(
-        &mut self,
-        net: &Network,
-        constraints: &[(kms_netlist::ConnRef, kms_netlist::GateId, bool)],
-    ) -> Vec<Lit> {
-        self.cnf
-            .ensure_cone(net, &mut self.solver, constraints.iter().map(|c| c.1));
-        constraints
-            .iter()
-            .map(|&(_, src, nc)| self.cnf.lit(src, nc))
-            .collect()
-    }
-
-    /// A sensitizing input vector (in input order) for `path`, or `None`
-    /// if it is not statically sensitizable.
+    /// Is the conjunction of `constraints` — each `(gate, value)` demands
+    /// that the gate output `value` — satisfiable? `Ok` carries a witness
+    /// input vector (in input order); the witness is checkable by
+    /// simulation, so it carries no certificate. `Err` carries the
+    /// [`Refutation`]: the constraints of the solver's unsat core,
+    /// already jointly unsatisfiable on their own.
     ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NotSimple`] for MUX fanouts.
-    pub fn sensitization_cube(
-        &mut self,
-        net: &Network,
-        path: &Path,
-    ) -> Result<Option<Vec<bool>>, NetlistError> {
-        let constraints = side_constraints(net, path)?;
-        let assumptions = self.assumptions(net, &constraints);
-        Ok(match self.solver.solve_with(&assumptions) {
-            SatResult::Sat => Some(self.cnf.model_inputs(&self.solver, net)),
-            SatResult::Unsat => None,
-            SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
-        })
-    }
-
-    /// `true` if the path is statically sensitizable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NotSimple`] for MUX fanouts.
-    pub fn is_sensitizable(&mut self, net: &Network, path: &Path) -> Result<bool, NetlistError> {
-        Ok(self.sensitization_cube(net, path)?.is_some())
-    }
-
-    /// Refutes `path`: `None` when it is statically sensitizable,
-    /// otherwise the [`Refutation`] — the side-input constraints of the
-    /// solver's unsat core, already jointly unsatisfiable on their own.
     /// With `certify`, the refutation is re-derived by the independent
-    /// `kms-proof` checker and recorded in the report; its certificate
-    /// concludes exactly the core clause, so the digest stands for the
-    /// core, not for the whole path. One checker session follows the
-    /// oracle's proof stream, so each certificate is checked against only
-    /// what the stream gained since the previous one. Certifying requires
-    /// an oracle built with [`SensitizationOracle::with_certification`]
-    /// (panics otherwise). Sensitizable verdicts carry no certificate —
-    /// the witness cube is checkable by simulation.
+    /// `kms-proof` checker and recorded in the report under the given
+    /// label; its certificate concludes exactly the core clause, so the
+    /// digest stands for the core, not for the whole list. One checker
+    /// session follows the oracle's proof stream, so each certificate is
+    /// checked against only what the stream gained since the previous
+    /// one. Certifying requires an oracle built with
+    /// [`SensitizationOracle::with_certification`] (panics otherwise).
     ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NotSimple`] for MUX fanouts.
-    pub fn refute(
+    /// The constraints become solver assumptions in the order given.
+    pub fn query(
         &mut self,
         net: &Network,
-        path: &Path,
-        certify: Option<&mut CertificationReport>,
-    ) -> Result<Option<Refutation>, NetlistError> {
-        let constraints = side_constraints(net, path)?;
-        let assumptions = self.assumptions(net, &constraints);
-        Ok(match self.solver.solve_with(&assumptions) {
-            SatResult::Sat => None,
+        constraints: &[(GateId, bool)],
+        certify: Option<(&mut CertificationReport, String)>,
+    ) -> Result<Vec<bool>, Refutation> {
+        self.cnf
+            .ensure_cone(net, &mut self.solver, constraints.iter().map(|c| c.0));
+        let assumptions: Vec<Lit> = constraints
+            .iter()
+            .map(|&(gate, value)| self.cnf.lit(gate, value))
+            .collect();
+        match self.solver.solve_with(&assumptions) {
+            SatResult::Sat => Ok(self.cnf.model_inputs(&self.solver, net)),
             SatResult::Unsat => {
-                let core = self
-                    .core_constraints(&constraints, &assumptions)
-                    .map(|&(_, src, nc)| (src, nc))
+                // Two constraints sharing a literal both count, which keeps
+                // the result a superset of the core and so still
+                // unsatisfiable.
+                let core_lits = self.solver.unsat_core();
+                let core = constraints
+                    .iter()
+                    .zip(&assumptions)
+                    .filter(|(_, a)| core_lits.contains(a))
+                    .map(|(&c, _)| c)
                     .collect();
-                let digest = certify.and_then(|report| {
-                    let conclusion = core_conclusion(self.solver.unsat_core());
+                let digest = certify.and_then(|(report, label)| {
+                    let conclusion = core_conclusion(core_lits);
                     let cert = Certificate::from_solver(&self.solver, &assumptions, &conclusion)
                         .expect("oracle built with certification enabled");
                     let session = self
                         .session
                         .as_mut()
                         .expect("oracle built with certification enabled");
-                    session.certify(report, &format!("sens {path}"), &cert)
+                    session.certify(report, &label, &cert)
                 });
-                Some(Refutation { core, digest })
+                Err(Refutation { core, digest })
             }
-            SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
-        })
-    }
-
-    /// The constraints whose assumption literal is in the last unsat
-    /// core. Two constraints sharing a literal both count, which keeps
-    /// the result a superset of the core and so still unsatisfiable.
-    fn core_constraints<'c>(
-        &'c self,
-        constraints: &'c [(kms_netlist::ConnRef, kms_netlist::GateId, bool)],
-        assumptions: &'c [Lit],
-    ) -> impl Iterator<Item = &'c (kms_netlist::ConnRef, kms_netlist::GateId, bool)> {
-        let core = self.solver.unsat_core();
-        constraints
-            .iter()
-            .zip(assumptions)
-            .filter(move |(_, a)| core.contains(a))
-            .map(|(c, _)| c)
-    }
-
-    /// Explains *why* a path is false: for an unsensitizable path, returns
-    /// the side-input connections whose noncontrolling-value demands are
-    /// jointly unsatisfiable (an unsat core over the sensitization
-    /// assumptions — usually the two or three reconvergent side-inputs
-    /// that fight over a shared signal). Returns `None` if the path is
-    /// statically sensitizable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NotSimple`] for MUX fanouts.
-    pub fn explain_conflict(
-        &mut self,
-        net: &Network,
-        path: &Path,
-    ) -> Result<Option<Vec<kms_netlist::ConnRef>>, NetlistError> {
-        let constraints = side_constraints(net, path)?;
-        let assumptions = self.assumptions(net, &constraints);
-        match self.solver.solve_with(&assumptions) {
-            SatResult::Sat => Ok(None),
-            SatResult::Unsat => Ok(Some(
-                self.core_constraints(&constraints, &assumptions)
-                    .map(|&(conn, _, _)| conn)
-                    .collect(),
-            )),
             SatResult::Aborted(r) => unreachable!("unbudgeted solve aborted: {r}"),
         }
     }
 }
 
-/// Why a path is not statically sensitizable, from
-/// [`SensitizationOracle::refute`].
+/// Why a constraint list is unsatisfiable, from
+/// [`SensitizationOracle::query`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Refutation {
     /// The `(driving gate, required value)` constraints of the solver's
-    /// unsat core: a subset of the path's [`static_side_constraints`]
-    /// that is unsatisfiable on its own, so every constraint set that
-    /// contains it is unsatisfiable too.
-    pub core: Vec<(kms_netlist::GateId, bool)>,
+    /// unsat core: a subset of the queried list that is unsatisfiable on
+    /// its own, so every constraint set that contains it is
+    /// unsatisfiable too.
+    pub core: Vec<(GateId, bool)>,
     /// With certification: the digest of the checked certificate whose
     /// conclusion is the core clause (`None` when certification was off
     /// or the certificate failed to check).
     pub digest: Option<u64>,
-}
-
-/// BDD-based characteristic function of all sensitizing input cubes: the
-/// conjunction over side-inputs of "side-input function equals its
-/// noncontrolling value". The path is statically sensitizable iff the
-/// result is not constant false.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::NotSimple`] for MUX fanouts, as above.
-pub fn sensitization_function(
-    net: &Network,
-    path: &Path,
-    manager: &mut BddManager,
-    funcs: &NodeFunctions,
-) -> Result<Bdd, NetlistError> {
-    let constraints = side_constraints(net, path)?;
-    let mut acc = Bdd::TRUE;
-    for (_, src, nc) in constraints {
-        let f = funcs.of(src);
-        let lit = if nc { f } else { manager.not(f) };
-        acc = manager.and(acc, lit);
-        if acc.is_false() {
-            break;
-        }
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -384,22 +278,42 @@ mod tests {
         }
     }
 
-    /// A genuinely false path: y = (s AND a) OR (NOT s AND a); the path
-    /// through the first AND requires the second AND's output to be 0
-    /// while s=…; we build the classic "needs x and x̄" conflict.
-    #[test]
-    fn false_path_detected() {
+    /// `a AND s AND (NOT s)`: the path through `a` needs `s` and `s̄`.
+    fn false_path() -> (Network, Path) {
         let mut net = Network::new("fp");
         let s = net.add_input("s");
         let a = net.add_input("a");
         let n = net.add_gate(GateKind::Not, &[s], Delay::new(1));
-        // g = a AND s AND (NOT s): statically unsensitizable through `a`.
         let g = net.add_gate(GateKind::And, &[a, s, n], Delay::new(1));
         net.add_output("y", g);
-        let p = Path::new(vec![ConnRef::new(g, 0)], 0);
+        (net, Path::new(vec![ConnRef::new(g, 0)], 0))
+    }
+
+    #[test]
+    fn false_path_detected() {
+        let (net, p) = false_path();
         // Side inputs s and NOT s must both be 1: impossible.
         assert!(!is_statically_sensitizable(&net, &p).unwrap());
         assert_eq!(sensitization_cube(&net, &p).unwrap(), None);
+    }
+
+    /// A certified refutation names the two fighting side inputs and
+    /// carries the digest of a checked proof.
+    #[test]
+    fn refutation_core_is_certified() {
+        let (net, p) = false_path();
+        let constraints = static_side_constraints(&net, &p).unwrap();
+        let mut report = CertificationReport::default();
+        let mut oracle = SensitizationOracle::with_certification(&net);
+        let r = oracle
+            .query(&net, &constraints, Some((&mut report, format!("sens {p}"))))
+            .expect_err("s and NOT s fight");
+        assert_eq!(r.core, constraints);
+        assert!(r.digest.is_some());
+        assert_eq!((report.proofs_emitted, report.proofs_checked), (1, 1));
+        // Without a ledger the same oracle refutes without a digest.
+        let again = oracle.query(&net, &constraints, None).unwrap_err();
+        assert_eq!((again.core, again.digest), (constraints, None));
     }
 
     #[test]
@@ -408,29 +322,18 @@ mod tests {
         let mut oracle = SensitizationOracle::new(&net);
         for p in [&p1, &p2] {
             let one_shot = sensitization_cube(&net, p).unwrap();
-            let cached = oracle.sensitization_cube(&net, p).unwrap();
+            let constraints = static_side_constraints(&net, p).unwrap();
+            let cached = oracle.query(&net, &constraints, None).ok();
             assert_eq!(one_shot.is_some(), cached.is_some());
-            assert_eq!(oracle.is_sensitizable(&net, p).unwrap(), one_shot.is_some());
             if let Some(cube) = cached {
                 assert_eq!(cube.len(), net.inputs().len());
             }
         }
         // Repeated queries on the same oracle stay consistent (learnt
         // clauses must not change verdicts).
+        let constraints = static_side_constraints(&net, &p1).unwrap();
         for _ in 0..3 {
-            assert!(oracle.is_sensitizable(&net, &p1).unwrap());
-        }
-    }
-
-    #[test]
-    fn bdd_and_sat_agree() {
-        let (net, p1, p2) = reconvergent();
-        let mut m = BddManager::new(net.inputs().len());
-        let funcs = NodeFunctions::build(&net, &mut m);
-        for p in [&p1, &p2] {
-            let f = sensitization_function(&net, p, &mut m, &funcs).unwrap();
-            let sat = is_statically_sensitizable(&net, p).unwrap();
-            assert_eq!(!f.is_false(), sat);
+            assert!(oracle.query(&net, &constraints, None).is_ok());
         }
     }
 
@@ -444,10 +347,7 @@ mod tests {
         let p = Path::new(vec![ConnRef::new(g, 0)], 0);
         // XOR always propagates: trivially sensitizable.
         assert!(is_statically_sensitizable(&net, &p).unwrap());
-        let mut m = BddManager::new(2);
-        let funcs = NodeFunctions::build(&net, &mut m);
-        let f = sensitization_function(&net, &p, &mut m, &funcs).unwrap();
-        assert!(f.is_true());
+        assert!(static_side_constraints(&net, &p).unwrap().is_empty());
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! viability verdict, exactly the trade the paper's proofs rely on
 //! (Theorem 7.2 compares plain path lengths).
 
-use kms_bdd::{Bdd, BddManager, NodeFunctions};
-use kms_netlist::{GateId, GateKind, NetlistError, Network, Path};
+use kms_netlist::{GateId, NetlistError, Network, Path};
 
-use crate::sta::{InputArrivals, Sta, Time, NEVER};
+use crate::sensitize::side_demand;
+use crate::sta::{Sta, NEVER};
 
 /// When is a side-input of gate `gi` "early"?
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -36,14 +36,15 @@ pub enum LatenessRule {
 
 /// The viability constraint set of a path under `rule`: the `(driving
 /// gate, required noncontrolling value)` pairs of its **early**
-/// side-inputs. Late side-inputs are smoothed (omitted), XOR/XNOR
-/// side-inputs are unconstrained. The path is viable iff some input cube
-/// satisfies every listed constraint — this is the cacheable abstraction
-/// of [`ViabilityAnalysis::viability_function`].
+/// side-inputs, in path order. Late side-inputs are smoothed (omitted),
+/// XOR/XNOR side-inputs are unconstrained. The path is viable iff some
+/// input cube satisfies every listed constraint, which
+/// [`crate::SensitizationOracle::query`] decides.
 ///
 /// The caller must ensure the path's source actually launches events
 /// (arrival ≠ [`NEVER`]); a never-eventing source makes the path
-/// trivially non-viable regardless of constraints.
+/// trivially non-viable regardless of constraints. The path enumerators
+/// yield no such path.
 ///
 /// # Errors
 ///
@@ -59,22 +60,8 @@ pub fn early_side_constraints(
     debug_assert_ne!(source_arrival, NEVER, "path source never events");
     let mut out = Vec::new();
     for (i, conn) in path.side_inputs(net) {
-        let gate = net.gate(conn.gate);
-        let nc = match gate.kind {
-            GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => gate
-                .kind
-                .noncontrolling_value()
-                .expect("kinds above have noncontrolling values"),
-            GateKind::Xor | GateKind::Xnor => continue, // always propagate
-            GateKind::Mux => {
-                return Err(NetlistError::NotSimple {
-                    gate: conn.gate,
-                    kind: gate.kind,
-                })
-            }
-            GateKind::Not | GateKind::Buf | GateKind::Input | GateKind::Const(_) => {
-                unreachable!("no side-inputs on these kinds")
-            }
+        let Some(nc) = side_demand(net, conn)? else {
+            continue; // XOR/XNOR: always propagate
         };
         let tau = match rule {
             LatenessRule::BeforeGateOutput => source_arrival + path.event_time(net, i).units(),
@@ -101,121 +88,27 @@ pub fn early_side_constraints(
     Ok(out)
 }
 
-/// A viability oracle over one network + arrival context.
-///
-/// Holds the BDD manager, per-gate global functions, and the STA pass so
-/// repeated path queries share the symbolic work.
-pub struct ViabilityAnalysis<'a> {
-    net: &'a Network,
-    sta: Sta,
-    manager: BddManager,
-    funcs: NodeFunctions,
-    rule: LatenessRule,
-}
-
-impl<'a> ViabilityAnalysis<'a> {
-    /// Prepares the oracle for `net` under the given input arrivals.
-    pub fn new(net: &'a Network, arrivals: &InputArrivals) -> Self {
-        let sta = Sta::run(net, arrivals);
-        let mut manager = BddManager::new(net.inputs().len());
-        let funcs = NodeFunctions::build(net, &mut manager);
-        ViabilityAnalysis {
-            net,
-            sta,
-            manager,
-            funcs,
-            rule: LatenessRule::default(),
-        }
-    }
-
-    /// Selects the lateness rule (default: the paper's
-    /// [`LatenessRule::BeforeGateOutput`]).
-    pub fn with_rule(mut self, rule: LatenessRule) -> Self {
-        self.rule = rule;
-        self
-    }
-
-    /// The STA pass backing this analysis.
-    pub fn sta(&self) -> &Sta {
-        &self.sta
-    }
-
-    /// The characteristic function of the cubes under which `path` is
-    /// viable. The path is viable iff this is not constant false.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NotSimple`] if a MUX lies on the path's
-    /// fanout (decompose the network first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path does not validate.
-    pub fn viability_function(&mut self, path: &Path) -> Result<Bdd, NetlistError> {
-        assert!(path.validate(self.net), "path does not validate");
-        let source_arrival = self.sta.arrival(path.source(self.net));
-        if source_arrival == NEVER {
-            return Ok(Bdd::FALSE); // constants launch no events
-        }
-        let constraints = early_side_constraints(self.net, &self.sta, path, self.rule)?;
-        let mut acc = Bdd::TRUE;
-        for (src, nc) in constraints {
-            let f = self.funcs.of(src);
-            let lit = if nc { f } else { self.manager.not(f) };
-            acc = self.manager.and(acc, lit);
-            if acc.is_false() {
-                break;
-            }
-        }
-        Ok(acc)
-    }
-
-    /// A witness input vector under which `path` is viable, or `None` if
-    /// the path is not viable.
-    ///
-    /// # Errors
-    ///
-    /// See [`ViabilityAnalysis::viability_function`].
-    pub fn viability_witness(&mut self, path: &Path) -> Result<Option<Vec<bool>>, NetlistError> {
-        let f = self.viability_function(path)?;
-        Ok(self.manager.sat_one(f).map(|asg| {
-            (0..self.net.inputs().len())
-                .map(|i| asg.get(i).copied().flatten().unwrap_or(false))
-                .collect()
-        }))
-    }
-
-    /// `true` if some input cube makes `path` viable.
-    ///
-    /// # Errors
-    ///
-    /// See [`ViabilityAnalysis::viability_function`].
-    pub fn is_viable(&mut self, path: &Path) -> Result<bool, NetlistError> {
-        Ok(!self.viability_function(path)?.is_false())
-    }
-
-    /// The event time `τi` (including the source's arrival offset) used for
-    /// gate `i` of the path under the paper's rule. Exposed for tests and
-    /// the worked Section III example.
-    pub fn event_time(&self, path: &Path, i: usize) -> Time {
-        self.sta.arrival(path.source(self.net)) + path.event_time(self.net, i).units()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sensitize::is_statically_sensitizable;
+    use crate::sensitize::{is_statically_sensitizable, SensitizationOracle};
+    use crate::sta::InputArrivals;
     use kms_netlist::{ConnRef, Delay, GateKind, Network, Path};
 
-    /// The canonical viability-vs-static-sensitization fixture: a path
-    /// that is not statically sensitizable but *is* viable because the
-    /// conflicting side-input is late and gets smoothed.
-    ///
-    /// slow = NOT(NOT(NOT a)) (3 units); g = AND(a, slow); the path
-    /// a→g (direct pin) has side-input `slow` which conflicts statically
-    /// when … — we instead check the simpler property below on the
-    /// carry-skip cone in the integration tests; here: smoothing widens.
+    /// A witness cube under which `path` is viable (zero arrivals), or
+    /// `None`: one oracle query over the early side-input constraints.
+    fn viability_cube(net: &Network, path: &Path, rule: LatenessRule) -> Option<Vec<bool>> {
+        let sta = Sta::run(net, &InputArrivals::zero());
+        let constraints = early_side_constraints(net, &sta, path, rule).unwrap();
+        SensitizationOracle::new(net)
+            .query(net, &constraints, None)
+            .ok()
+    }
+
+    fn is_viable(net: &Network, path: &Path, rule: LatenessRule) -> bool {
+        viability_cube(net, path, rule).is_some()
+    }
+
     #[test]
     fn static_sensitization_implies_viability() {
         // Random-ish simple network; every statically sensitizable path
@@ -232,14 +125,16 @@ mod tests {
         net.add_output("y", g3);
 
         let arr = InputArrivals::zero();
-        let mut va = ViabilityAnalysis::new(&net, &arr);
         let all_paths: Vec<Path> = crate::paths::PathEnumerator::new(&net, &arr)
             .map(|(p, _)| p)
             .collect();
         assert!(!all_paths.is_empty());
         for p in &all_paths {
             if is_statically_sensitizable(&net, p).unwrap() {
-                assert!(va.is_viable(p).unwrap(), "stat-sens path must be viable");
+                assert!(
+                    is_viable(&net, p, LatenessRule::default()),
+                    "stat-sens path must be viable"
+                );
             }
         }
     }
@@ -267,18 +162,15 @@ mod tests {
         // Slow inverter: n settles at 5 ≥ τ(g) = 1 → smoothed → viable.
         let (net, p) = conflict_fixture(Delay::new(5), Delay::new(1));
         assert!(!is_statically_sensitizable(&net, &p).unwrap());
-        let arr = InputArrivals::zero();
-        let mut va = ViabilityAnalysis::new(&net, &arr);
         assert!(
-            va.is_viable(&p).unwrap(),
+            is_viable(&net, &p, LatenessRule::default()),
             "late side-input must be smoothed"
         );
 
         // Fast inverter: n settles at 0 < 1 → early → conflict stands.
         let (net2, p2) = conflict_fixture(Delay::ZERO, Delay::new(1));
         assert!(!is_statically_sensitizable(&net2, &p2).unwrap());
-        let mut va2 = ViabilityAnalysis::new(&net2, &arr);
-        assert!(!va2.is_viable(&p2).unwrap());
+        assert!(!is_viable(&net2, &p2, LatenessRule::default()));
     }
 
     #[test]
@@ -287,11 +179,8 @@ mod tests {
         // and gate-output time (2): early under the paper's output rule
         // (conflict stands), late under the input rule (smoothed).
         let (net, p) = conflict_fixture(Delay::new(1), Delay::new(2));
-        let arr = InputArrivals::zero();
-        let mut v_out = ViabilityAnalysis::new(&net, &arr);
-        assert!(!v_out.is_viable(&p).unwrap());
-        let mut v_in = ViabilityAnalysis::new(&net, &arr).with_rule(LatenessRule::BeforeGateInput);
-        assert!(v_in.is_viable(&p).unwrap());
+        assert!(!is_viable(&net, &p, LatenessRule::BeforeGateOutput));
+        assert!(is_viable(&net, &p, LatenessRule::BeforeGateInput));
     }
 
     #[test]
@@ -302,23 +191,26 @@ mod tests {
         let g = net.add_gate(GateKind::And, &[a, c0], Delay::new(1));
         net.add_output("y", g);
         let p = Path::new(vec![ConnRef::new(g, 0)], 0);
-        let arr = InputArrivals::zero();
-        let mut va = ViabilityAnalysis::new(&net, &arr);
-        assert!(!va.is_viable(&p).unwrap(), "controlling constant blocks");
+        assert!(
+            !is_viable(&net, &p, LatenessRule::default()),
+            "controlling constant blocks"
+        );
     }
 
+    /// The witness cube, simulated, drives every early side input of the
+    /// path to its noncontrolling value.
     #[test]
     fn witness_is_consistent() {
-        let mut net = Network::new("w");
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let g = net.add_gate(GateKind::And, &[a, b], Delay::new(1));
-        net.add_output("y", g);
-        let p = Path::new(vec![ConnRef::new(g, 0)], 0);
-        let arr = InputArrivals::zero();
-        let mut va = ViabilityAnalysis::new(&net, &arr);
-        let w = va.viability_witness(&p).unwrap().expect("viable");
-        // Side input b must be 1 in the witness (it is early).
-        assert!(w[1]);
+        let (net, p) = conflict_fixture(Delay::new(5), Delay::new(1));
+        let sta = Sta::run(&net, &InputArrivals::zero());
+        let early = early_side_constraints(&net, &sta, &p, LatenessRule::default()).unwrap();
+        assert_eq!(early.len(), 1, "the slow inverter is smoothed");
+        let cube = viability_cube(&net, &p, LatenessRule::default()).expect("viable");
+        assert_eq!(cube.len(), net.inputs().len());
+        let words: Vec<u64> = cube.iter().map(|&b| if b { !0 } else { 0 }).collect();
+        let values = net.node_words(&words);
+        for (src, nc) in early {
+            assert_eq!(values[src.index()] & 1 != 0, nc, "side input {src}");
+        }
     }
 }

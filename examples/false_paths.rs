@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The ranked critical-path report, with unsat-core explanations of
     // why each false path is false.
-    let report = critical_paths(&net, &arr, 16, true)?;
+    let report = critical_paths(&net, &arr, 16)?;
     print!("{}", report.render(&net));
     if let Some(len) = report.first_sensitizable {
         println!("\nfirst statically sensitizable path has length {len}");

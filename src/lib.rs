@@ -17,7 +17,6 @@
 pub mod sequential;
 
 pub use kms_atpg as atpg;
-pub use kms_bdd as bdd;
 pub use kms_blif as blif;
 pub use kms_core as core;
 pub use kms_gen as gen;

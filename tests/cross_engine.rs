@@ -8,12 +8,12 @@
 use proptest::prelude::*;
 
 use kms::atpg::{collapsed_faults, is_testable, podem, Engine, PodemResult};
-use kms::bdd::{bdd_equivalent, BddManager, NodeFunctions};
 use kms::gen::random::{random_network, RandomNetworkSpec};
 use kms::sat::check_equivalence;
 use kms::timing::{
-    is_statically_sensitizable, sensitization_function, InputArrivals, PathEnumerator,
+    is_statically_sensitizable, static_side_constraints, InputArrivals, PathEnumerator,
 };
+use kms_bdd::{bdd_equivalent, BddManager, NodeFunctions};
 
 fn spec() -> RandomNetworkSpec {
     RandomNetworkSpec {
@@ -56,7 +56,12 @@ proptest! {
         let funcs = NodeFunctions::build(&net, &mut manager);
         for (path, _) in PathEnumerator::new(&net, &arr).take(24) {
             let sat = is_statically_sensitizable(&net, &path).unwrap();
-            let f = sensitization_function(&net, &path, &mut manager, &funcs).unwrap();
+            let literals: Vec<_> = static_side_constraints(&net, &path)
+                .unwrap()
+                .into_iter()
+                .map(|(g, v)| if v { funcs.of(g) } else { manager.not(funcs.of(g)) })
+                .collect();
+            let f = manager.and_all(literals);
             prop_assert_eq!(sat, !f.is_false(), "path {} (seed {})", path, seed);
         }
     }

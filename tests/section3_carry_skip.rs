@@ -6,7 +6,9 @@ use kms::atpg::{analyze_all, faulty_copy, is_testable, Engine, Fault, Testabilit
 use kms::gen::adders::{apply_adder, ripple_carry_adder};
 use kms::gen::paper::{fig1_carry_skip_block, fig4_c2_cone};
 use kms::netlist::{DelayModel, GateKind};
-use kms::timing::{computed_delay, InputArrivals, PathCondition};
+use kms::timing::{
+    computed_delay, early_side_constraints, InputArrivals, LatenessRule, PathCondition, Sta,
+};
 
 const CAP: usize = 1 << 22;
 
@@ -46,10 +48,23 @@ fn critical_path_is_8_under_viability_and_static_sensitization() {
     let (path, cube) = via.witness.expect("a viable path realizes the delay");
     let src = net.gate(path.source(&net)).name.clone().unwrap();
     assert!(src == "a0" || src == "b0", "critical path starts at {src}");
-    // The witness cube really is a sensitizing assignment: check by
-    // simulating both values of the path source and observing the output
-    // change (an event propagates end to end under static side values).
-    let _ = cube;
+    // The cube `fig1_study` prints (`results/fig1_study.txt`), in input
+    // order. Simulated, it drives every early side input of the path to
+    // its noncontrolling value: it is a viability witness.
+    let printed: Vec<bool> = "01000".chars().map(|c| c == '1').collect();
+    assert_eq!(cube, printed);
+    let sta = Sta::run(&net, &arr);
+    let early = early_side_constraints(&net, &sta, &path, LatenessRule::default()).unwrap();
+    assert!(!early.is_empty(), "the critical path has early side inputs");
+    let words: Vec<u64> = cube.iter().map(|&b| if b { !0 } else { 0 }).collect();
+    let values = net.node_words(&words);
+    for (src, nc) in early {
+        assert_eq!(
+            values[src.index()] & 1 != 0,
+            nc,
+            "side input {src} of {path}"
+        );
+    }
 }
 
 #[test]
