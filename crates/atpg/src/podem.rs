@@ -11,7 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kms_netlist::{ConnRef, GateId, GateKind, Network, Topology, Value};
+use kms_netlist::{eval_gate3, ConnRef, GateId, GateKind, Network, Topology, Value};
 
 use crate::fault::{Fault, FaultSite};
 
@@ -63,70 +63,6 @@ impl Pair {
 
     fn has_unknown(self) -> bool {
         self.good == Value::X || self.faulty == Value::X
-    }
-}
-
-fn eval3(kind: GateKind, vals: &[Value]) -> Value {
-    match kind {
-        GateKind::Input => unreachable!("inputs seeded"),
-        GateKind::Const(b) => Value::known(b),
-        GateKind::Buf => vals[0],
-        GateKind::Not => vals[0].not(),
-        GateKind::And | GateKind::Nand => {
-            let mut out = Value::One;
-            for &v in vals {
-                out = match (out, v) {
-                    (Value::Zero, _) | (_, Value::Zero) => Value::Zero,
-                    (Value::X, _) | (_, Value::X) => Value::X,
-                    _ => Value::One,
-                };
-            }
-            if kind == GateKind::Nand {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut out = Value::Zero;
-            for &v in vals {
-                out = match (out, v) {
-                    (Value::One, _) | (_, Value::One) => Value::One,
-                    (Value::X, _) | (_, Value::X) => Value::X,
-                    _ => Value::Zero,
-                };
-            }
-            if kind == GateKind::Nor {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            let mut out = Value::Zero;
-            for &v in vals {
-                out = match (out, v) {
-                    (Value::X, _) | (_, Value::X) => Value::X,
-                    (a, b) => Value::known((a == Value::One) ^ (b == Value::One)),
-                };
-            }
-            if kind == GateKind::Xnor {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Mux => match vals[0] {
-            Value::Zero => vals[1],
-            Value::One => vals[2],
-            Value::X => {
-                if vals[1] == vals[2] && vals[1] != Value::X {
-                    vals[1]
-                } else {
-                    Value::X
-                }
-            }
-        },
     }
 }
 
@@ -279,8 +215,8 @@ impl<'a> Podem<'a> {
                     self.faulty_buf.push(pv.faulty);
                 }
                 Pair {
-                    good: eval3(g.kind, &self.good_buf),
-                    faulty: eval3(g.kind, &self.faulty_buf),
+                    good: eval_gate3(g.kind, &self.good_buf),
+                    faulty: eval_gate3(g.kind, &self.faulty_buf),
                 }
             }
         };

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use kms_atpg::{Engine, Fault, ParallelOptions};
 use kms_netlist::json::Json;
-use kms_netlist::{errln, transform, NetlistError, Network};
+use kms_netlist::{errln, transform, GateId, NetlistError, Network, Topology};
 use kms_opt::naive_redundancy_removal;
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
@@ -35,8 +35,8 @@ use kms_timing::{
 };
 
 use crate::checkpoint::{self, Checkpoint};
-use crate::engine::{oracle_phase, EngineStats, VerdictCache};
-use crate::signature::SignatureInterner;
+use crate::engine::{oracle_phase, sign_iteration, EngineStats, VerdictCache};
+use crate::signature::{SignatureInterner, Signatures};
 
 /// The sensitization condition used in the while-loop header (Section VI:
 /// "the user may choose whether viability or static sensitization is
@@ -128,14 +128,15 @@ pub struct KmsIteration {
 pub struct KmsPhaseTimings {
     /// Longest-path enumeration inside the while loop.
     pub path_enum: Duration,
-    /// Sensitization/viability oracle queries.
+    /// The oracle phase: signing, cache keys and lookups, and
+    /// sensitization/viability oracle queries.
     pub oracle: Duration,
     /// Network surgery: duplication and constant propagation.
     pub transform: Duration,
     /// The final remove-remaining-redundancies phase (ATPG).
     pub atpg: Duration,
-    /// Timing upkeep: the static timing pass at the start of every
-    /// iteration.
+    /// Timing upkeep: the topology and the static timing pass at the
+    /// start of every iteration.
     pub engine: Duration,
 }
 
@@ -482,6 +483,11 @@ pub fn kms_with_control(
     // input may hold dangling logic); every later one starts from the
     // fixpoint the previous edit left and pays for what it changes.
     let mut edits = transform::ConstEdits::default();
+    // The signatures carry across iterations: after the run's first
+    // signing, each iteration re-signs only what the previous one's edits
+    // changed.
+    let mut sigs: Option<Signatures> = None;
+    let mut changed: Vec<GateId> = Vec::new();
 
     for iter in start_iter.. {
         if iter >= options.max_iterations {
@@ -491,10 +497,12 @@ pub fn kms_with_control(
         // Fig. 3 recomputes the longest paths after every transformation:
         // a fresh timing pass and a fresh depth-first walk over its tight
         // pins each iteration. Rebuilding measured no slower than patching
-        // in place (EXPERIMENTS E17); only the verdict cache carries across
-        // iterations.
+        // in place (EXPERIMENTS E17). One topology per iteration serves the
+        // timing pass, the count of dropped paths, the signing and the
+        // fanout counts that choose `n`.
         let t0 = Instant::now();
-        let sta = Sta::run(net, arrivals);
+        let topo = Topology::build(net);
+        let sta = Sta::with_topology(net, &topo, arrivals);
         timings.engine += t0.elapsed();
         engine_stats.full_recomputes += 1;
 
@@ -514,7 +522,7 @@ pub fn kms_with_control(
         // DP is exact and cheap — one pass over the tight edges).
         let mut dropped = 0u64;
         if walk.cap_hit || walk.truncated {
-            dropped = count_critical_paths(net, &sta).saturating_sub(longest.len() as u64);
+            dropped = count_critical_paths(net, &topo, &sta).saturating_sub(longest.len() as u64);
             if dropped > 0 {
                 errln!(
                     "kms[{}] iteration {}: examining {} of {} equal-length longest paths \
@@ -533,13 +541,14 @@ pub fn kms_with_control(
         // condition — then that path determines the delay and the
         // remaining redundancies may go in any order.
         let t0 = Instant::now();
+        let signatures = sign_iteration(&mut interner, &mut sigs, net, &topo, &mut changed, iter);
         let outcome = oracle_phase(
             net,
             &sta,
             &longest,
             options.condition,
             &mut cache,
-            &mut interner,
+            signatures,
             certification.as_mut(),
             &mut oracle_solver,
         )?;
@@ -550,15 +559,11 @@ pub fn kms_with_control(
         let Some(path) = outcome.target else { break };
 
         // Find n: the gate in P closest to the output with fanout > 1.
-        // Both fanout tables are built once per iteration and shared by
-        // every per-gate lookup (the old code re-scanned `net.outputs()`
-        // for each gate on the path).
         let t0 = Instant::now();
-        let fo = net.fanouts();
         let oc = net.output_counts();
         let mut n_pos: Option<usize> = None;
         for (i, g) in path.gates().enumerate() {
-            if fo[g.index()].len() + oc[g.index()] > 1 {
+            if topo.fanouts(g).len() + oc[g.index()] > 1 {
                 n_pos = Some(i); // keep the last (closest to the output)
             }
         }
@@ -567,6 +572,9 @@ pub fn kms_with_control(
             Some(upto) => {
                 let dup = transform::duplicate_path_prefix(net, &path, upto);
                 duplicated_gates += dup.mapping.len();
+                // The duplicates are new; edge e's sink now reads n′.
+                changed.extend(dup.mapping.iter().map(|&(_, d)| d));
+                changed.extend(path.conns().get(upto + 1).map(|e| e.gate));
                 check_invariants(net, "after duplicate_path_prefix");
                 // The duplication is intentional: the count may grow by at
                 // most the declared mapping, never more.
@@ -593,7 +601,7 @@ pub fn kms_with_control(
         let first_kind = net.gate(first.gate).kind;
         let value = first_kind.controlling_value().unwrap_or(false);
         let pre_live = strash_snapshot(net);
-        edits.set_conn_const(net, first, value);
+        changed.extend(edits.set_conn_const(net, first, value).gates());
         check_invariants(net, "after set_conn_const");
         // Constant propagation may fold existing gates into twins (the
         // final structural hash merges those) but must not mint new
@@ -648,7 +656,7 @@ pub fn kms_with_control(
     engine_stats.cache_misses = cache.misses;
     // The cache and interner grow with the loop; free them before the
     // removal phase.
-    drop((cache, interner));
+    drop((cache, interner, sigs));
 
     // Final phase: remove remaining redundancies in any order.
     let t0 = Instant::now();

@@ -539,7 +539,7 @@ mod tests {
         let g = net.add_gate(GateKind::And, &[a, b], Delay::UNIT);
         net.add_output("y", g);
         let mut interner = SignatureInterner::new();
-        interner.sign_network(&net);
+        interner.sign_network(&net, &kms_netlist::Topology::build(&net));
         Checkpoint {
             fingerprint: 0xdead_beef_0102_0304,
             next_iter: 3,

@@ -20,7 +20,7 @@
 //! query that oracle with the constraint list of their key, so both mint
 //! unsat cores and, when certifying, checked certificates.
 
-use kms_netlist::{FxHashMap, FxHashSet, GateId, NetlistError, Network, Path};
+use kms_netlist::{FxHashMap, FxHashSet, GateId, NetlistError, Network, Path, Topology};
 use kms_proof::CertificationReport;
 use kms_sat::Stats;
 use kms_timing::{
@@ -187,13 +187,13 @@ fn path_constraints(
     }
 }
 
-/// The canonical key of a constraint set: gates replaced by their
-/// interned signatures, sorted and deduplicated.
-fn signed(constraints: &[(GateId, bool)], sigs: &Signatures) -> Key {
-    let mut key: Key = constraints.iter().map(|&(g, v)| (sigs.of(g), v)).collect();
+/// Writes the canonical key of a constraint set into `key`: gates
+/// replaced by their interned signatures, sorted and deduplicated.
+fn sign_key(constraints: &[(GateId, bool)], sigs: &Signatures, key: &mut Key) {
+    key.clear();
+    key.extend(constraints.iter().map(|&(g, v)| (sigs.of(g), v)));
     key.sort_unstable();
     key.dedup();
-    key
 }
 
 /// With the `debug-invariants` feature enabled, re-derives a verdict the
@@ -223,6 +223,84 @@ fn check_core_hit(
 ) {
 }
 
+/// The signatures of `net` for an iteration's oracle phase. A run's
+/// first signing, after a resume too, signs every live gate; every later
+/// one re-signs from the gates the previous iteration's edits changed
+/// (`changed`, emptied here), with the same signatures and ids as a full
+/// pass ([`SignatureInterner::resign`]). `topo` is the iteration's
+/// [`Topology`] of `net`.
+pub(crate) fn sign_iteration<'s>(
+    interner: &mut SignatureInterner,
+    sigs: &'s mut Option<Signatures>,
+    net: &Network,
+    topo: &Topology,
+    changed: &mut Vec<GateId>,
+    iter: usize,
+) -> &'s Signatures {
+    let signed = match sigs {
+        Some(s) => {
+            resign(interner, net, topo, s, changed, iter);
+            s
+        }
+        None => sigs.insert(interner.sign_network(net, topo)),
+    };
+    changed.clear();
+    signed
+}
+
+/// With the `debug-invariants` feature enabled, checks the re-sign of
+/// iteration `iter` against a full pass on a clone of the interner taken
+/// before it, and panics with the first slot (or shape id) where the two
+/// differ; otherwise just re-signs.
+#[cfg(feature = "debug-invariants")]
+fn resign(
+    interner: &mut SignatureInterner,
+    net: &Network,
+    topo: &Topology,
+    sigs: &mut Signatures,
+    changed: &[GateId],
+    iter: usize,
+) {
+    let mut reference = interner.clone();
+    interner.resign(net, topo, sigs, changed);
+    let full = reference.sign_network(net, topo);
+    if let Some(slot) = (0..net.num_gate_slots())
+        .map(GateId::from_index)
+        .find(|&g| sigs.of(g) != full.of(g))
+    {
+        panic!(
+            "signatures: iteration {iter}: the re-sign gives gate {slot} signature {}, a full \
+             pass {}",
+            sigs.of(slot),
+            full.of(slot)
+        );
+    }
+    if *interner != reference {
+        let (ours, theirs) = (interner.export_lines(), reference.export_lines());
+        let id = (0..ours.len().max(theirs.len()))
+            .find(|&i| ours.get(i) != theirs.get(i))
+            .unwrap_or_default();
+        panic!(
+            "signatures: iteration {iter}: the re-sign interned {:?} as shape {id}, a full pass \
+             {:?}",
+            ours.get(id),
+            theirs.get(id)
+        );
+    }
+}
+
+#[cfg(not(feature = "debug-invariants"))]
+fn resign(
+    interner: &mut SignatureInterner,
+    net: &Network,
+    topo: &Topology,
+    sigs: &mut Signatures,
+    changed: &[GateId],
+    _iter: usize,
+) {
+    interner.resign(net, topo, sigs, changed);
+}
+
 /// Outcome of one oracle phase over the capped longest-path set.
 pub(crate) struct OracleOutcome {
     /// `true` if some longest path satisfies the condition (the loop's
@@ -246,11 +324,10 @@ pub(crate) fn oracle_phase(
     longest: &[Path],
     condition: Condition,
     cache: &mut VerdictCache,
-    interner: &mut SignatureInterner,
+    sigs: &Signatures,
     mut certify: Option<&mut CertificationReport>,
     oracle_stats: &mut Stats,
 ) -> Result<OracleOutcome, NetlistError> {
-    let sigs = interner.sign_network(net);
     let mut oracle: Option<SensitizationOracle> = None;
     // The certificate label names the condition and the path.
     let label = match condition {
@@ -259,9 +336,12 @@ pub(crate) fn oracle_phase(
     };
     let mut any_sensitizable = false;
     let mut first_false: Option<&Path> = None;
+    // One key buffer for the walk: almost every key is a cache hit, and
+    // only a miss's key is stored.
+    let mut key = Key::new();
     for p in longest {
         let constraints = path_constraints(net, sta, p, condition)?;
-        let key = signed(&constraints, &sigs);
+        sign_key(&constraints, sigs, &mut key);
         let satisfies = match cache.lookup(&key) {
             Some((v, _digest)) => {
                 cache.hits += 1;
@@ -281,11 +361,13 @@ pub(crate) fn oracle_phase(
                     .map(|report| (report, format!("{label} {p}")));
                 match o.query(net, &constraints, ledger) {
                     Ok(_) => {
-                        cache.insert_satisfiable(key);
+                        cache.insert_satisfiable(key.clone());
                         true
                     }
                     Err(r) => {
-                        cache.insert_core(signed(&r.core, &sigs), r.digest);
+                        let mut core = Key::new();
+                        sign_key(&r.core, sigs, &mut core);
+                        cache.insert_core(core, r.digest);
                         false
                     }
                 }
@@ -349,7 +431,7 @@ mod tests {
             &longest,
             Condition::StaticSensitization,
             &mut cache,
-            &mut SignatureInterner::new(),
+            &SignatureInterner::new().sign_network(&net, &Topology::build(&net)),
             None,
             &mut stats,
         )
@@ -432,21 +514,27 @@ mod tests {
         let mut stats = Stats::default();
         let mut walk = |net: &Network, cache: &mut VerdictCache, stats: &mut Stats| {
             let sta = Sta::run(net, &arr);
+            let sigs = interner.sign_network(net, &Topology::build(net));
             let outcome = oracle_phase(
                 net,
                 &sta,
                 std::slice::from_ref(&path),
                 Condition::StaticSensitization,
                 cache,
-                &mut interner,
+                &sigs,
                 None,
                 stats,
             )
             .unwrap();
             assert!(!outcome.any_sensitizable);
             assert_eq!(outcome.target.as_ref(), Some(&path));
-            let sigs = interner.sign_network(net);
-            signed(&static_side_constraints(net, &path).unwrap(), &sigs)
+            let mut key = Key::new();
+            sign_key(
+                &static_side_constraints(net, &path).unwrap(),
+                &sigs,
+                &mut key,
+            );
+            key
         };
 
         let before = walk(&net, &mut cache, &mut stats);

@@ -61,6 +61,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use network::{Gate, Network, Output};
 pub use path::Path;
 pub use serialize::{escape_token, unescape_token};
-pub use sim::{eval_gate_words, Cube, ParseCubeError, Value};
+pub use sim::{eval_gate3, eval_gate_words, Cube, ParseCubeError, Value};
 pub use stats::NetworkStats;
 pub use topo::{Fanouts, Topology};

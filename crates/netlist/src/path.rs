@@ -99,19 +99,17 @@ impl Path {
     /// The side-inputs to the path (Definition 4.10): for every gate `gi`
     /// along the path, the input connections of `gi` other than `ci`.
     ///
-    /// Returned as `(i, conn)` pairs where `i` is the position of the gate
-    /// along the path.
-    pub fn side_inputs(&self, net: &Network) -> Vec<(usize, ConnRef)> {
-        let mut out = Vec::new();
-        for (i, &c) in self.conns.iter().enumerate() {
-            let fanin = net.gate(c.gate).fanin();
-            for pin in 0..fanin {
-                if pin != c.pin {
-                    out.push((i, ConnRef::new(c.gate, pin)));
-                }
-            }
-        }
-        out
+    /// Yielded as `(i, conn)` pairs where `i` is the position of the gate
+    /// along the path, in path and pin order.
+    pub fn side_inputs<'a>(
+        &'a self,
+        net: &'a Network,
+    ) -> impl Iterator<Item = (usize, ConnRef)> + 'a {
+        self.conns.iter().enumerate().flat_map(move |(i, &c)| {
+            (0..net.gate(c.gate).fanin())
+                .filter(move |&pin| pin != c.pin)
+                .map(move |pin| (i, ConnRef::new(c.gate, pin)))
+        })
     }
 
     /// Checks that consecutive connections chain (`ci+1`'s source is `gi`),
@@ -215,7 +213,7 @@ mod tests {
     #[test]
     fn side_inputs_enumerated() {
         let (net, path) = chain();
-        let sides = path.side_inputs(&net);
+        let sides: Vec<_> = path.side_inputs(&net).collect();
         assert_eq!(sides.len(), 2);
         // Side input of g1 is pin 1 (input b); of g2 is pin 1 (input c).
         assert_eq!(sides[0].0, 0);

@@ -183,7 +183,16 @@ pub fn eval_gate_words(kind: GateKind, pins: &[u64]) -> u64 {
     }
 }
 
-fn eval_gate3(kind: GateKind, pins: &[Value]) -> Value {
+/// Three-valued evaluation of one gate over its pin values, in the
+/// Kleene logic of [`Value`]: a controlling value decides an AND/OR
+/// whatever the other pins hold, and an unknown pin otherwise makes the
+/// output unknown. Exposed for simulators that keep their own per-gate
+/// values (PODEM's good/faulty pairs).
+///
+/// # Panics
+///
+/// Panics on [`GateKind::Input`] (inputs carry assigned values).
+pub fn eval_gate3(kind: GateKind, pins: &[Value]) -> Value {
     match kind {
         GateKind::Input => unreachable!("inputs are seeded"),
         GateKind::Const(b) => Value::known(b),

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use kms_netlist::{ConnRef, Gate, GateId, GateKind, Network, Path, Pin};
+use kms_netlist::{ConnRef, Gate, GateId, GateKind, Network, Path, Pin, Topology};
 
 use crate::sta::{InputArrivals, Sta, Time, NEVER};
 
@@ -372,13 +372,14 @@ pub fn longest_paths(net: &Network, arrivals: &InputArrivals, cap: usize) -> (Ve
 /// pins that realize `arrival(g)`. Saturating: a reconvergent circuit can
 /// hold astronomically many equal paths, which is why the walk caps and
 /// why this counter exists (report what the cap dropped, never enumerate
-/// it).
-pub fn count_critical_paths(net: &Network, sta: &Sta) -> u64 {
+/// it). `topo` is the caller's [`Topology`] of `net`, whose order the DP
+/// follows.
+pub fn count_critical_paths(net: &Network, topo: &Topology, sta: &Sta) -> u64 {
     let Some(length) = critical_length(net, sta) else {
         return 0;
     };
     let mut cnt = vec![0u64; net.num_gate_slots()];
-    for id in net.topo_order() {
+    for &id in topo.order() {
         let g = net.gate(id);
         let arrival = sta.arrival(id);
         cnt[id.index()] = match g.kind {
@@ -529,11 +530,9 @@ mod tests {
             let net = wide(levels);
             let arr = InputArrivals::zero();
             let sta = Sta::run(&net, &arr);
-            assert_eq!(count_critical_paths(&net, &sta), 1 << levels);
-            assert_eq!(
-                count_critical_paths(&net, &sta),
-                critical_by_enumeration(&net, &arr)
-            );
+            let counted = count_critical_paths(&net, &Topology::build(&net), &sta);
+            assert_eq!(counted, 1 << levels);
+            assert_eq!(counted, critical_by_enumeration(&net, &arr));
         }
     }
 
@@ -548,7 +547,10 @@ mod tests {
         let sta = Sta::run(&net, &arr);
         let enumerated = critical_by_enumeration(&net, &arr);
         assert!(enumerated > 0);
-        assert_eq!(count_critical_paths(&net, &sta), enumerated);
+        assert_eq!(
+            count_critical_paths(&net, &Topology::build(&net), &sta),
+            enumerated
+        );
     }
 
     /// An output wired straight to an input ends no path: its late
@@ -563,7 +565,7 @@ mod tests {
         let sta = Sta::run(&net, &arr);
         assert_eq!(sta.delay(), 100);
         assert_eq!(critical_length(&net, &sta), Some(4));
-        assert_eq!(count_critical_paths(&net, &sta), 16);
+        assert_eq!(count_critical_paths(&net, &Topology::build(&net), &sta), 16);
         let (paths, length) = longest_paths(&net, &arr, 64);
         assert_eq!((paths.len(), length), (16, 4));
     }

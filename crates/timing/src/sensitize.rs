@@ -59,7 +59,8 @@ pub fn static_side_constraints(
     net: &Network,
     path: &Path,
 ) -> Result<Vec<(GateId, bool)>, NetlistError> {
-    let mut out = Vec::new();
+    // One side input per gate for the common 2-input gates.
+    let mut out = Vec::with_capacity(path.len());
     for (_, conn) in path.side_inputs(net) {
         if let Some(nc) = side_demand(net, conn)? {
             out.push((net.pin(conn).src, nc));

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use kms_netlist::{Delay, GateId, GateKind, Network};
+use kms_netlist::{Delay, GateId, GateKind, Network, Topology};
 
 /// A signed time instant (arrival offsets are nonnegative in practice, but
 /// required-time arithmetic can go negative).
@@ -67,10 +67,20 @@ impl Sta {
     ///
     /// Panics if the network contains a cycle.
     pub fn run(net: &Network, arrivals: &InputArrivals) -> Sta {
+        Sta::in_order(net, &net.topo_order(), arrivals)
+    }
+
+    /// [`Sta::run`] over the order of a [`Topology`] the caller already
+    /// holds for `net`. The result does not depend on which topological
+    /// order the pass follows.
+    pub fn with_topology(net: &Network, topo: &Topology, arrivals: &InputArrivals) -> Sta {
+        Sta::in_order(net, topo.order(), arrivals)
+    }
+
+    fn in_order(net: &Network, order: &[GateId], arrivals: &InputArrivals) -> Sta {
         let n = net.num_gate_slots();
         let mut arrival = vec![NEVER; n];
-        let order = net.topo_order();
-        for &id in &order {
+        for &id in order {
             let g = net.gate(id);
             arrival[id.index()] = match g.kind {
                 GateKind::Input => arrivals.get(id),
