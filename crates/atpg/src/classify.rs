@@ -43,7 +43,7 @@ use crate::engine::{random_tests, Testability, TestabilityReport, UnknownReason}
 use crate::fault::{Fault, FaultSite};
 use crate::fsim::{fault_simulate_cone_with, ConeSim, PackedTests};
 use crate::incremental::Marks;
-use crate::podem::{Podem, PodemResult};
+use crate::podem::{Podem, PodemResult, PodemScratch};
 
 /// PODEM backtrack budget for the structural pre-pass of
 /// [`SharedCnf::classify`]. Deliberately modest: on the MCNC circuits every
@@ -276,6 +276,9 @@ pub(crate) struct SharedCnf<'n> {
     faulty_var: Vec<Option<Lit>>,
     touched: Vec<GateId>,
     visit: Vec<bool>,
+    /// PODEM's per-slot memory, reused from fault to fault until a fault
+    /// goes on to the solver.
+    podem: PodemScratch,
     /// Certification accounting, `Some` iff the solver logs proofs: every
     /// redundancy verdict is certified eagerly against the cumulative
     /// shared proof stream, and only counters/digests are retained.
@@ -309,6 +312,7 @@ impl<'n> SharedCnf<'n> {
             faulty_var: vec![None; n],
             touched: Vec::new(),
             visit: vec![false; n],
+            podem: PodemScratch::default(),
             certification: certify.then(CertificationReport::default),
             proof_session: Session::new(),
             engine_calls: 0,
@@ -372,7 +376,16 @@ impl<'n> SharedCnf<'n> {
         #[cfg(feature = "fault-inject")]
         crate::chaos::count_classification();
         self.engine_calls += 1;
-        let result = Podem::new(self.net, self.topo, fault, PODEM_BUDGET).run();
+        let result = Podem::new(self.net, self.topo, &mut self.podem, fault, PODEM_BUDGET).run();
+        #[cfg(feature = "debug-invariants")]
+        {
+            let reference = Podem::new(self.net, self.topo, &mut self.podem, fault, PODEM_BUDGET)
+                .run_reference();
+            assert_eq!(
+                result, reference,
+                "{fault}: region-confined PODEM differs from whole-network implication"
+            );
+        }
         let verdict = match result.test_vector() {
             Some(t) => Testability::Testable(t),
             // In certify mode PODEM's redundancy verdicts (decision-tree
@@ -383,7 +396,13 @@ impl<'n> SharedCnf<'n> {
             None if result == PodemResult::Redundant && self.certification.is_none() => {
                 Testability::Redundant
             }
-            None => self.classify_sat(fault),
+            None => {
+                // The solver grows during the query and PODEM's memory is
+                // idle until the next fault, so it is released first: the
+                // heap's peak stays the solver's.
+                self.podem = PodemScratch::default();
+                self.classify_sat(fault)
+            }
         };
         #[cfg(feature = "fault-inject")]
         crate::chaos::fire_if_armed();

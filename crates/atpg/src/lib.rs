@@ -67,4 +67,4 @@ pub use fault::{all_faults, collapsed_faults, Fault, FaultSite};
 pub use fsim::{fault_simulate, fault_simulate_cone_with, ConeSim, CoverageReport};
 pub use incremental::IncrementalScan;
 pub use inject::{faulty_copy, inject_fault_in_place};
-pub use podem::{podem, Podem, PodemResult};
+pub use podem::{podem, Podem, PodemResult, PodemScratch};

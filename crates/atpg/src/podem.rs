@@ -66,157 +66,250 @@ impl Pair {
     }
 }
 
-/// Marks a gate slot that is not a primary input in [`Podem::input_pos`].
-const NOT_INPUT: u32 = u32::MAX;
+// Slot bits of `PodemScratch::flags`. Only slots of the last run's region
+// ever have a bit set.
+
+/// In the region of the current fault: the reflexive transitive fanin of
+/// its transitive fanout.
+const IN_REGION: u8 = 1;
+/// In the fault's transitive fanout.
+const IN_TFO: u8 = 1 << 1;
+/// Awaiting re-evaluation in [`PodemScratch::queue`].
+const QUEUED: u8 = 1 << 2;
+/// Drives a primary output (set on transitive-fanout gates only, the only
+/// ones the X-path check asks about).
+const PO_DRIVER: u8 = 1 << 3;
+/// Visited by the current X-path walk.
+const SEEN: u8 = 1 << 4;
+/// A primary input assigned 0 or 1; neither bit means `X`.
+const PI_ZERO: u8 = 1 << 5;
+const PI_ONE: u8 = 1 << 6;
+
+/// The memory of a [`Podem`] run, kept for the next run: once its tables
+/// have grown to the network, a run allocates nothing and fills nothing in
+/// proportion to the network, since each run clears only the slots of the
+/// region the run before it used. One scratch serves any sequence of runs,
+/// on one network or several.
+#[derive(Default)]
+pub struct PodemScratch {
+    /// One byte of flags per gate slot (`IN_REGION`, `IN_TFO`, ...).
+    flags: Vec<u8>,
+    /// Good/faulty pair per gate slot, meaningful inside the region only.
+    pairs: Vec<Pair>,
+    /// The region of the current (or last) run, transitive fanout first.
+    region: Vec<GateId>,
+    /// The fault's transitive fanout in topological order: the only gates
+    /// that can carry D/D̄, hence the only D-frontier candidates.
+    tfo: Vec<GateId>,
+    /// Sources of the primary outputs inside the transitive fanout: no
+    /// other output can observe the fault.
+    tfo_outputs: Vec<GateId>,
+    /// Topo positions of the gates awaiting re-evaluation (a min-heap, so
+    /// every gate is evaluated after all of its changed fanins).
+    queue: BinaryHeap<Reverse<u32>>,
+    stack: Vec<GateId>,
+    /// Gates the current X-path walk marked `SEEN`.
+    visited: Vec<GateId>,
+    /// The D-frontier of the current decision, in topological order.
+    frontier: Vec<GateId>,
+    /// Decision stack: (input gate, current value, flipped already?).
+    decisions: Vec<(GateId, bool, bool)>,
+    good_buf: Vec<Value>,
+    faulty_buf: Vec<Value>,
+}
+
+impl PodemScratch {
+    /// Clears the last run's slots and sizes the tables for `slots`.
+    fn reset(&mut self, slots: usize) {
+        for &id in &self.region {
+            self.flags[id.index()] = 0;
+        }
+        self.region.clear();
+        self.tfo.clear();
+        self.tfo_outputs.clear();
+        self.queue.clear();
+        if self.flags.len() < slots {
+            self.flags.resize(slots, 0);
+            self.pairs.resize(slots, Pair::X);
+        }
+    }
+
+    /// Adds `id` to the region (with `extra` flags) unless it is there.
+    fn enter(&mut self, id: GateId, extra: u8) -> bool {
+        let f = &mut self.flags[id.index()];
+        if *f & IN_REGION != 0 {
+            return false;
+        }
+        *f = IN_REGION | extra;
+        self.pairs[id.index()] = Pair::X;
+        self.region.push(id);
+        true
+    }
+
+    /// Queues region gate `id` for re-evaluation; gates outside the
+    /// region are never evaluated.
+    fn enqueue(&mut self, topo: &Topology, id: GateId) {
+        let f = &mut self.flags[id.index()];
+        if *f & (IN_REGION | QUEUED) == IN_REGION {
+            *f |= QUEUED;
+            self.queue.push(Reverse(topo.pos(id) as u32));
+        }
+    }
+
+    fn pi_value(&self, id: GateId) -> Value {
+        let f = self.flags[id.index()];
+        if f & PI_ONE != 0 {
+            Value::One
+        } else if f & PI_ZERO != 0 {
+            Value::Zero
+        } else {
+            Value::X
+        }
+    }
+}
 
 /// The PODEM engine for one (network, fault) pair.
 ///
-/// Implication is **event-driven**: the good/faulty pairs persist across
-/// decisions, and a primary-input change re-evaluates only the gates it
-/// reaches, in topological order, stopping wherever a gate's pair comes
-/// out unchanged. Every pair is a pure function of the current input
+/// Implication is **event-driven** and confined to the fault's
+/// **region**, the reflexive transitive fanin of its transitive fanout:
+/// every pair the search reads (detection, excitation, D-frontier, X-path,
+/// objective, backtrace) lies there, and the region is closed under
+/// fanin, so its pairs are exactly a whole-network simulation's. The
+/// pairs persist across decisions, and a primary-input change
+/// re-evaluates only the region gates it reaches, in topological order,
+/// stopping wherever a gate's pair comes out unchanged. Outside the
+/// transitive fanout good equals faulty, so one three-valued evaluation
+/// gives both. Every pair is a pure function of the current input
 /// assignment, so the search — and therefore every [`PodemResult`] — is
 /// exactly what a full re-simulation per decision would give.
 pub struct Podem<'a> {
     net: &'a Network,
     topo: &'a Topology,
+    s: &'a mut PodemScratch,
     fault: Fault,
     /// The signal whose good value must differ from the stuck value.
     exc_source: GateId,
-    /// Good/faulty pair per gate slot, consistent with `pi_values` after
-    /// every [`Podem::imply`].
-    pairs: Vec<Pair>,
-    pi_values: Vec<Value>,
-    /// Slot → index in [`Network::inputs`], or [`NOT_INPUT`].
-    input_pos: Vec<u32>,
-    /// Slot → drives some primary output.
-    po_driver: Vec<bool>,
-    /// The fault's transitive fanout in topological order: the only gates
-    /// that can carry D/D̄, hence the only D-frontier candidates.
-    tfo: Vec<GateId>,
-    /// Topo positions of the gates awaiting re-evaluation (a min-heap, so
-    /// every gate is evaluated after all of its changed fanins), with a
-    /// per-slot flag against double queueing.
-    queue: BinaryHeap<Reverse<u32>>,
-    queued: Vec<bool>,
-    /// Generation-stamped visit marks for the TFO and X-path walks.
-    seen: Vec<u32>,
-    generation: u32,
-    stack: Vec<GateId>,
-    /// The D-frontier of the current decision, in topological order.
-    frontier: Vec<GateId>,
-    good_buf: Vec<Value>,
-    faulty_buf: Vec<Value>,
     backtrack_limit: u64,
     backtracks: u64,
 }
 
 impl<'a> Podem<'a> {
-    /// Prepares a PODEM run against the caller's [`Topology`] of `net`.
-    /// `backtrack_limit` bounds the search; for the circuit sizes of the
-    /// paper a limit in the thousands is effectively complete.
-    pub fn new(net: &'a Network, topo: &'a Topology, fault: Fault, backtrack_limit: u64) -> Self {
-        let slots = net.num_gate_slots();
-        let mut input_pos = vec![NOT_INPUT; slots];
-        for (i, &id) in net.inputs().iter().enumerate() {
-            input_pos[id.index()] = i as u32;
-        }
-        let mut po_driver = vec![false; slots];
-        for o in net.outputs() {
-            po_driver[o.src.index()] = true;
-        }
-        let mut podem = Podem {
-            net,
-            topo,
-            fault,
-            exc_source: fault.excitation_source(net),
-            pairs: vec![Pair::X; slots],
-            pi_values: vec![Value::X; net.inputs().len()],
-            input_pos,
-            po_driver,
-            tfo: Vec::new(),
-            queue: BinaryHeap::new(),
-            queued: vec![false; slots],
-            seen: vec![0; slots],
-            generation: 0,
-            stack: Vec::new(),
-            frontier: Vec::new(),
-            good_buf: Vec::new(),
-            faulty_buf: Vec::new(),
-            backtrack_limit,
-            backtracks: 0,
-        };
-        let gen = podem.next_generation();
-        podem.stack.push(fault.observing_gate());
-        while let Some(id) = podem.stack.pop() {
-            if podem.seen[id.index()] == gen {
-                continue;
+    /// Prepares a PODEM run against the caller's [`Topology`] of `net`,
+    /// in the caller's scratch. `backtrack_limit` bounds the search; for
+    /// the circuit sizes of the paper a limit in the thousands is
+    /// effectively complete.
+    pub fn new(
+        net: &'a Network,
+        topo: &'a Topology,
+        scratch: &'a mut PodemScratch,
+        fault: Fault,
+        backtrack_limit: u64,
+    ) -> Self {
+        let s = scratch;
+        s.reset(net.num_gate_slots());
+        // The transitive fanout, over fanouts...
+        s.stack.clear();
+        s.stack.push(fault.observing_gate());
+        while let Some(id) = s.stack.pop() {
+            if s.enter(id, IN_TFO) {
+                s.tfo.push(id);
+                s.stack.extend(topo.fanouts(id).iter().map(|c| c.gate));
             }
-            podem.seen[id.index()] = gen;
-            podem.tfo.push(id);
-            podem.stack.extend(topo.fanouts(id).iter().map(|c| c.gate));
         }
-        podem.tfo.sort_unstable_by_key(|&id| topo.pos(id));
-        // With every input at X, a gate whose fanins are all X evaluates
-        // to X — the initial pair. Only the faulted gate and fanin-less
-        // logic (constants) can differ, so they seed the first implication.
-        podem.enqueue(fault.observing_gate());
-        for &id in topo.order() {
+        s.tfo.sort_unstable_by_key(|&id| topo.pos(id));
+        for o in net.outputs() {
+            if s.flags[o.src.index()] & IN_TFO != 0 {
+                s.flags[o.src.index()] |= PO_DRIVER;
+                s.tfo_outputs.push(o.src);
+            }
+        }
+        // ...then its fanin, over pins, with the region list as the
+        // worklist. With every input at X, a gate whose fanins are all X
+        // evaluates to X — the initial pair. Only the faulted gate and
+        // fanin-less logic (constants) can differ, so they seed the first
+        // implication.
+        s.enqueue(topo, fault.observing_gate());
+        let mut k = 0;
+        while let Some(&id) = s.region.get(k) {
+            k += 1;
             let g = net.gate(id);
             if g.pins.is_empty() && g.kind != GateKind::Input {
-                podem.enqueue(id);
+                s.enqueue(topo, id);
+            }
+            for p in &g.pins {
+                s.enter(p.src, 0);
             }
         }
-        podem
-    }
-
-    /// A fresh stamp for [`Podem::seen`].
-    fn next_generation(&mut self) -> u32 {
-        if self.generation == u32::MAX {
-            self.seen.fill(0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        self.generation
-    }
-
-    fn enqueue(&mut self, id: GateId) {
-        if !self.queued[id.index()] {
-            self.queued[id.index()] = true;
-            self.queue.push(Reverse(self.topo.pos(id) as u32));
+        Podem {
+            net,
+            topo,
+            s,
+            fault,
+            exc_source: fault.excitation_source(net),
+            backtrack_limit,
+            backtracks: 0,
         }
     }
 
-    /// Assigns primary input `pi`, scheduling its gate for implication.
-    fn set_pi(&mut self, pi: usize, v: Value) {
-        if self.pi_values[pi] != v {
-            self.pi_values[pi] = v;
-            self.enqueue(self.net.inputs()[pi]);
+    /// Assigns primary input `pi` (a gate of the region), scheduling it
+    /// for implication.
+    fn set_pi(&mut self, pi: GateId, v: Value) {
+        if self.s.pi_value(pi) != v {
+            let f = &mut self.s.flags[pi.index()];
+            *f &= !(PI_ZERO | PI_ONE);
+            *f |= match v {
+                Value::Zero => PI_ZERO,
+                Value::One => PI_ONE,
+                Value::X => 0,
+            };
+            self.s.enqueue(self.topo, pi);
         }
     }
 
-    /// The five-valued pair of `id` under its fanins' current pairs.
+    /// The pair of `id` under its fanins' current pairs: one three-valued
+    /// evaluation outside the transitive fanout, where good equals
+    /// faulty, both evaluations inside it.
     fn eval_pair(&mut self, id: GateId) -> Pair {
+        if self.s.flags[id.index()] & IN_TFO != 0 {
+            return self.eval_both(id);
+        }
+        let g = self.net.gate(id);
+        let v = match g.kind {
+            GateKind::Input => self.s.pi_value(id),
+            _ => {
+                self.s.good_buf.clear();
+                for p in &g.pins {
+                    self.s.good_buf.push(self.s.pairs[p.src.index()].good);
+                }
+                eval_gate3(g.kind, &self.s.good_buf)
+            }
+        };
+        Pair { good: v, faulty: v }
+    }
+
+    /// The five-valued pair of `id` under its fanins' current pairs, with
+    /// the fault injected.
+    fn eval_both(&mut self, id: GateId) -> Pair {
         let g = self.net.gate(id);
         let mut pair = match g.kind {
             GateKind::Input => {
-                let v = self.pi_values[self.input_pos[id.index()] as usize];
+                let v = self.s.pi_value(id);
                 Pair { good: v, faulty: v }
             }
             _ => {
-                self.good_buf.clear();
-                self.faulty_buf.clear();
+                self.s.good_buf.clear();
+                self.s.faulty_buf.clear();
                 for (pin_idx, p) in g.pins.iter().enumerate() {
-                    let mut pv = self.pairs[p.src.index()];
+                    let mut pv = self.s.pairs[p.src.index()];
                     if self.fault.site == FaultSite::Conn(ConnRef::new(id, pin_idx)) {
                         pv.faulty = Value::known(self.fault.stuck);
                     }
-                    self.good_buf.push(pv.good);
-                    self.faulty_buf.push(pv.faulty);
+                    self.s.good_buf.push(pv.good);
+                    self.s.faulty_buf.push(pv.faulty);
                 }
                 Pair {
-                    good: eval_gate3(g.kind, &self.good_buf),
-                    faulty: eval_gate3(g.kind, &self.faulty_buf),
+                    good: eval_gate3(g.kind, &self.s.good_buf),
+                    faulty: eval_gate3(g.kind, &self.s.faulty_buf),
                 }
             }
         };
@@ -227,47 +320,52 @@ impl<'a> Podem<'a> {
     }
 
     /// Event-driven implication: re-evaluates the queued gates in
-    /// topological order, queueing a gate's fanouts only when its pair
-    /// changed.
+    /// topological order, queueing a gate's fanouts in the region only
+    /// when its pair changed.
     fn imply(&mut self) {
-        while let Some(Reverse(pos)) = self.queue.pop() {
+        while let Some(Reverse(pos)) = self.s.queue.pop() {
             let id = self.topo.order()[pos as usize];
-            self.queued[id.index()] = false;
+            self.s.flags[id.index()] &= !QUEUED;
             let pair = self.eval_pair(id);
-            if pair != self.pairs[id.index()] {
-                self.pairs[id.index()] = pair;
+            if pair != self.s.pairs[id.index()] {
+                self.s.pairs[id.index()] = pair;
                 for c in self.topo.fanouts(id) {
-                    self.enqueue(c.gate);
+                    self.s.enqueue(self.topo, c.gate);
                 }
             }
         }
     }
 
-    /// `true` if some primary output currently observes the fault.
+    /// `true` if the pair at output source `src` shows D or D̄.
+    fn observes(&self, src: GateId) -> bool {
+        let mut p = self.s.pairs[src.index()];
+        if self.fault.site == FaultSite::GateOutput(src) {
+            p.faulty = Value::known(self.fault.stuck);
+        }
+        p.is_d_or_dbar()
+    }
+
+    /// `true` if some primary output currently observes the fault. Only
+    /// outputs in the transitive fanout are asked: at every other one good
+    /// equals faulty.
     fn detected(&self) -> bool {
-        self.net.outputs().iter().any(|o| {
-            let mut p = self.pairs[o.src.index()];
-            if self.fault.site == FaultSite::GateOutput(o.src) {
-                p.faulty = Value::known(self.fault.stuck);
-            }
-            p.is_d_or_dbar()
-        })
+        self.s.tfo_outputs.iter().any(|&src| self.observes(src))
     }
 
     /// The good value at the excitation source.
     fn excitation_value(&self) -> Value {
-        self.pairs[self.exc_source.index()].good
+        self.s.pairs[self.exc_source.index()].good
     }
 
     /// Whether `id` is on the D-frontier: its output is still (partly)
     /// unknown but some input carries D/D̄.
     fn on_frontier(&self, id: GateId) -> bool {
         let g = self.net.gate(id);
-        if g.kind.is_source() || !self.pairs[id.index()].has_unknown() {
+        if g.kind.is_source() || !self.s.pairs[id.index()].has_unknown() {
             return false;
         }
         g.pins.iter().enumerate().any(|(pin_idx, p)| {
-            let mut pv = self.pairs[p.src.index()];
+            let mut pv = self.s.pairs[p.src.index()];
             if self.fault.site == FaultSite::Conn(ConnRef::new(id, pin_idx)) {
                 pv.faulty = Value::known(self.fault.stuck);
             }
@@ -275,38 +373,52 @@ impl<'a> Podem<'a> {
         })
     }
 
-    /// Fills [`Podem::frontier`] with the classic D-frontier, in
+    /// Fills [`PodemScratch::frontier`] with the classic D-frontier, in
     /// topological order. Only the fault's transitive fanout is scanned:
     /// outside it the good and faulty values agree, so no other gate can
     /// see a D/D̄.
     fn d_frontier(&mut self) {
-        let mut frontier = std::mem::take(&mut self.frontier);
+        let mut frontier = std::mem::take(&mut self.s.frontier);
         frontier.clear();
-        frontier.extend(self.tfo.iter().copied().filter(|&id| self.on_frontier(id)));
-        self.frontier = frontier;
+        frontier.extend(
+            self.s
+                .tfo
+                .iter()
+                .copied()
+                .filter(|&id| self.on_frontier(id)),
+        );
+        self.s.frontier = frontier;
     }
 
     /// `true` if some D-frontier gate reaches a primary output through
-    /// gates with unknown values (the X-path check).
+    /// gates with unknown values (the X-path check). The walk stays in the
+    /// transitive fanout, so its `SEEN` marks are cleared from the list of
+    /// gates it visited.
     fn x_path_exists(&mut self) -> bool {
-        let gen = self.next_generation();
-        self.stack.clear();
-        self.stack.extend_from_slice(&self.frontier);
-        while let Some(id) = self.stack.pop() {
-            if self.seen[id.index()] == gen {
+        let s = &mut *self.s;
+        s.stack.clear();
+        s.stack.extend_from_slice(&s.frontier);
+        let mut found = false;
+        while let Some(id) = s.stack.pop() {
+            let f = &mut s.flags[id.index()];
+            if *f & SEEN != 0 {
                 continue;
             }
-            self.seen[id.index()] = gen;
-            if !self.pairs[id.index()].has_unknown() {
+            *f |= SEEN;
+            s.visited.push(id);
+            if !s.pairs[id.index()].has_unknown() {
                 continue;
             }
-            if self.po_driver[id.index()] {
-                return true;
+            if *f & PO_DRIVER != 0 {
+                found = true;
+                break;
             }
-            self.stack
-                .extend(self.topo.fanouts(id).iter().map(|c| c.gate));
+            s.stack.extend(self.topo.fanouts(id).iter().map(|c| c.gate));
         }
-        false
+        for id in s.visited.drain(..) {
+            s.flags[id.index()] &= !SEEN;
+        }
+        found
     }
 
     /// The next objective `(gate, value)`: excite the fault, then drive it
@@ -316,18 +428,18 @@ impl<'a> Podem<'a> {
         if exc == Value::X {
             return Some((self.exc_source, !self.fault.stuck));
         }
-        let g = *self.frontier.first()?;
+        let g = *self.s.frontier.first()?;
         let gate = self.net.gate(g);
         // Set an unknown input to the gate's noncontrolling value (or an
         // arbitrary value for parity-style gates).
         for (pin_idx, p) in gate.pins.iter().enumerate() {
-            let pv = self.pairs[p.src.index()];
+            let pv = self.s.pairs[p.src.index()];
             if pv.good == Value::X {
                 let v = match gate.kind {
                     GateKind::Mux if pin_idx == 0 => {
                         // Select the data pin carrying the D, if any.
 
-                        self.pairs[gate.pins[2].src.index()].is_d_or_dbar()
+                        self.s.pairs[gate.pins[2].src.index()].is_d_or_dbar()
                     }
                     _ => gate.kind.noncontrolling_value().unwrap_or(false),
                 };
@@ -338,17 +450,12 @@ impl<'a> Podem<'a> {
     }
 
     /// Backtraces an objective to an unassigned primary input.
-    fn backtrace(&self, mut gate: GateId, mut value: bool) -> Option<(usize, bool)> {
+    fn backtrace(&self, mut gate: GateId, mut value: bool) -> Option<(GateId, bool)> {
         loop {
             let g = self.net.gate(gate);
             match g.kind {
                 GateKind::Input => {
-                    let pos = self.input_pos[gate.index()] as usize;
-                    return if self.pi_values[pos] == Value::X {
-                        Some((pos, value))
-                    } else {
-                        None
-                    };
+                    return (self.s.pi_value(gate) == Value::X).then_some((gate, value));
                 }
                 GateKind::Const(_) => return None,
                 GateKind::Buf => gate = g.pins[0].src,
@@ -364,7 +471,7 @@ impl<'a> Podem<'a> {
                     let next = g
                         .pins
                         .iter()
-                        .find(|p| self.pairs[p.src.index()].good == Value::X)?;
+                        .find(|p| self.s.pairs[p.src.index()].good == Value::X)?;
                     gate = next.src;
                     // For AND a 0 objective needs one 0 input; a 1 needs
                     // all 1 — either way the chosen input takes `value`.
@@ -374,7 +481,7 @@ impl<'a> Podem<'a> {
                     let mut v = value ^ (g.kind == GateKind::Xnor);
                     let mut next = None;
                     for p in &g.pins {
-                        match self.pairs[p.src.index()].good {
+                        match self.s.pairs[p.src.index()].good {
                             Value::One => v = !v,
                             Value::Zero => {}
                             Value::X => {
@@ -388,7 +495,7 @@ impl<'a> Podem<'a> {
                     value = v;
                 }
                 GateKind::Mux => {
-                    let sel = self.pairs[g.pins[0].src.index()].good;
+                    let sel = self.s.pairs[g.pins[0].src.index()].good;
                     match sel {
                         Value::Zero => gate = g.pins[1].src,
                         Value::One => gate = g.pins[2].src,
@@ -403,27 +510,54 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Runs the search.
-    pub fn run(&mut self) -> PodemResult {
-        self.search(Self::imply, Self::d_frontier)
+    /// The current assignment as a cube, one value per primary input.
+    /// Inputs outside the region are never assigned, so they read `X`.
+    fn cube(&self) -> Vec<Value> {
+        self.net
+            .inputs()
+            .iter()
+            .map(|&id| self.s.pi_value(id))
+            .collect()
     }
 
-    /// The decision loop, over the given implication and D-frontier steps
-    /// (the tests swap in full re-simulation to cross-check the
-    /// event-driven ones).
-    fn search(&mut self, imply: fn(&mut Self), d_frontier: fn(&mut Self)) -> PodemResult {
-        // Decision stack: (pi index, current value, flipped already?).
-        let mut stack: Vec<(usize, bool, bool)> = Vec::new();
+    /// Runs the search.
+    pub fn run(&mut self) -> PodemResult {
+        self.search(Self::imply, Self::d_frontier, Self::detected)
+    }
+
+    /// The decision loop, over the given implication, D-frontier and
+    /// detection steps (the reference swaps in whole-network ones to
+    /// cross-check the region-confined ones).
+    fn search(
+        &mut self,
+        imply: fn(&mut Self),
+        d_frontier: fn(&mut Self),
+        detected: fn(&Self) -> bool,
+    ) -> PodemResult {
+        let mut stack = std::mem::take(&mut self.s.decisions);
+        stack.clear();
+        let result = self.decide(&mut stack, imply, d_frontier, detected);
+        self.s.decisions = stack;
+        result
+    }
+
+    fn decide(
+        &mut self,
+        stack: &mut Vec<(GateId, bool, bool)>,
+        imply: fn(&mut Self),
+        d_frontier: fn(&mut Self),
+        detected: fn(&Self) -> bool,
+    ) -> PodemResult {
         loop {
             imply(self);
-            if self.detected() {
-                return PodemResult::Test(self.pi_values.clone());
+            if detected(self) {
+                return PodemResult::Test(self.cube());
             }
             let exc = self.excitation_value();
             let mut failed = exc == Value::known(self.fault.stuck);
             if !failed && exc != Value::X {
                 d_frontier(self);
-                failed = self.frontier.is_empty() || !self.x_path_exists();
+                failed = self.s.frontier.is_empty() || !self.x_path_exists();
             }
             if !failed {
                 match self.objective().and_then(|(g, v)| self.backtrace(g, v)) {
@@ -459,51 +593,76 @@ impl<'a> Podem<'a> {
     }
 
     /// The reference implication: full five-valued re-simulation of every
-    /// gate under the current input assignment.
-    #[cfg(test)]
+    /// gate of the network under the current input assignment.
+    #[cfg(any(test, feature = "debug-invariants"))]
     fn imply_reference(&mut self) {
-        self.queue.clear();
-        self.queued.fill(false);
-        self.pairs.fill(Pair::X);
-        for id in self.net.topo_order() {
-            self.pairs[id.index()] = self.eval_pair(id);
+        self.s.queue.clear();
+        for &id in &self.s.region {
+            self.s.flags[id.index()] &= !QUEUED;
+        }
+        self.s.pairs.fill(Pair::X);
+        for &id in self.topo.order() {
+            self.s.pairs[id.index()] = self.eval_both(id);
         }
     }
 
     /// The reference D-frontier: every gate, in topological order.
-    #[cfg(test)]
+    #[cfg(any(test, feature = "debug-invariants"))]
     fn d_frontier_reference(&mut self) {
-        let mut frontier = std::mem::take(&mut self.frontier);
+        let mut frontier = std::mem::take(&mut self.s.frontier);
         frontier.clear();
         frontier.extend(
-            self.net
-                .topo_order()
-                .into_iter()
+            self.topo
+                .order()
+                .iter()
+                .copied()
                 .filter(|&id| self.on_frontier(id)),
         );
-        self.frontier = frontier;
+        self.s.frontier = frontier;
     }
 
-    /// The search over the reference steps.
-    #[cfg(test)]
-    fn run_reference(&mut self) -> PodemResult {
-        self.search(Self::imply_reference, Self::d_frontier_reference)
+    /// The reference detection: every primary output.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn detected_reference(&self) -> bool {
+        self.net.outputs().iter().any(|o| self.observes(o.src))
     }
 
-    /// Event-driven implication, then a check that every pair equals the
-    /// full re-simulation's.
+    /// The search over the whole-network reference steps.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn run_reference(&mut self) -> PodemResult {
+        self.search(
+            Self::imply_reference,
+            Self::d_frontier_reference,
+            Self::detected_reference,
+        )
+    }
+
+    /// Region-confined implication, then a check that every region pair
+    /// equals the whole-network re-simulation's. Outside the region the
+    /// pairs are never read, so they are not compared.
     #[cfg(test)]
     fn imply_checked(&mut self) {
         self.imply();
-        let event_driven = self.pairs.clone();
+        let region: Vec<Pair> = self
+            .s
+            .region
+            .iter()
+            .map(|id| self.s.pairs[id.index()])
+            .collect();
         self.imply_reference();
-        assert_eq!(event_driven, self.pairs, "implication diverged");
+        let reference: Vec<Pair> = self
+            .s
+            .region
+            .iter()
+            .map(|id| self.s.pairs[id.index()])
+            .collect();
+        assert_eq!(region, reference, "implication diverged");
     }
 
     /// The production search with every implication checked.
     #[cfg(test)]
     fn run_checked(&mut self) -> PodemResult {
-        self.search(Self::imply_checked, Self::d_frontier)
+        self.search(Self::imply_checked, Self::d_frontier, Self::detected)
     }
 }
 
@@ -511,7 +670,14 @@ impl<'a> Podem<'a> {
 /// for this call.
 pub fn podem(net: &Network, fault: Fault, backtrack_limit: u64) -> PodemResult {
     let topo = Topology::build(net);
-    Podem::new(net, &topo, fault, backtrack_limit).run()
+    Podem::new(
+        net,
+        &topo,
+        &mut PodemScratch::default(),
+        fault,
+        backtrack_limit,
+    )
+    .run()
 }
 
 #[cfg(test)]
@@ -645,13 +811,14 @@ mod tests {
     /// ended `Redundant`, so callers can check the search was exercised.
     fn assert_matches_reference(net: &Network) -> usize {
         let topo = Topology::build(net);
+        let mut scratch = PodemScratch::default();
         let mut redundant = 0;
         for f in collapsed_faults(net) {
             for limit in [1, 128, 200_000] {
-                let fast = Podem::new(net, &topo, f, limit).run();
-                let reference = Podem::new(net, &topo, f, limit).run_reference();
+                let fast = Podem::new(net, &topo, &mut scratch, f, limit).run();
+                let reference = Podem::new(net, &topo, &mut scratch, f, limit).run_reference();
                 assert_eq!(fast, reference, "{f} at backtrack limit {limit}");
-                let checked = Podem::new(net, &topo, f, limit).run_checked();
+                let checked = Podem::new(net, &topo, &mut scratch, f, limit).run_checked();
                 assert_eq!(fast, checked, "{f} at backtrack limit {limit}");
                 redundant += usize::from(fast == PodemResult::Redundant);
             }
@@ -659,8 +826,50 @@ mod tests {
         redundant
     }
 
+    /// A random network in the `restart_heavy` shape at small size: two
+    /// outputs over 48 gates, so most logic reaches no output, with every
+    /// fifth gate's first pin re-wired to a constant.
+    fn dangling_with_constants(seed: u64) -> Network {
+        let spec = RandomNetworkSpec {
+            inputs: 8,
+            gates: 48,
+            outputs: 2,
+            max_fanin: 3,
+            max_delay: 1,
+        };
+        let mut net = random_network(seed, spec);
+        let consts = [net.add_const(false), net.add_const(true)];
+        let logic: Vec<GateId> = net
+            .gate_ids()
+            .filter(|&id| !net.gate(id).kind.is_source())
+            .collect();
+        for (k, &id) in logic.iter().enumerate() {
+            if k % 5 == (seed % 5) as usize {
+                net.gate_mut(id).pins[0].src = consts[(k / 5 + seed as usize) % 2];
+            }
+        }
+        net
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn region_matches_reference_with_constants_and_dangling_logic(
+            seed in 1u64..1_000_000,
+        ) {
+            let net = dangling_with_constants(seed);
+            net.validate().unwrap();
+            let mut observed = vec![false; net.num_gate_slots()];
+            let mut stack: Vec<GateId> = net.outputs().iter().map(|o| o.src).collect();
+            while let Some(id) = stack.pop() {
+                if !std::mem::replace(&mut observed[id.index()], true) {
+                    stack.extend(net.gate(id).pins.iter().map(|p| p.src));
+                }
+            }
+            prop_assert!(net.gate_ids().any(|id| !observed[id.index()]));
+            assert_matches_reference(&net);
+        }
 
         #[test]
         fn event_driven_matches_reference_on_random_networks(seed in 1u64..1_000_000) {

@@ -6,17 +6,15 @@
 //! is a slice. [`Network::fanouts`] builds it; [`Network::try_topo_order`]
 //! and [`Topology`] walk it with the same Kahn pass.
 //!
-//! [`Topology`] keeps one table together with the order and two derived
-//! arrays, for hot paths (ATPG, fault simulation) that ask for them
-//! thousands of times while the network does not change:
+//! [`Topology`] keeps one table together with the order and the
+//! positions derived from it, for hot paths (ATPG, fault simulation) that
+//! ask for them thousands of times while the network does not change:
 //!
 //! * **topological order** — bit-for-bit the order
 //!   [`Network::try_topo_order`] produces, so swapping a call site over to
 //!   the cache never changes behaviour;
 //! * **topo positions** — `pos(g)` gives `g`'s index in the order without a
-//!   `HashMap` (the sentinel `u32::MAX` marks dead slots);
-//! * **levels** — `level(g)` is 0 for sources and `1 + max(level(fanin))`
-//!   otherwise, the unit-delay levelization used for event scheduling.
+//!   `HashMap` (the sentinel `u32::MAX` marks dead slots).
 //!
 //! # Invalidation
 //!
@@ -142,15 +140,13 @@ pub(crate) fn kahn(net: &Network, fo: &Fanouts) -> Result<Vec<GateId>, NetlistEr
     Ok(order)
 }
 
-/// Cached fanout table, topological order, and levelization for a
+/// Cached fanout table, topological order and positions for a
 /// [`Network`]. See the module docs for the invalidation contract.
 #[derive(Clone, Debug)]
 pub struct Topology {
     fo: Fanouts,
     order: Vec<GateId>,
     pos: Vec<u32>,
-    level: Vec<u32>,
-    max_level: u32,
 }
 
 impl Topology {
@@ -174,27 +170,10 @@ impl Topology {
         let order = kahn(net, &fo)?;
         let n = net.num_gate_slots();
         let mut pos = vec![UNPLACED; n];
-        let mut level = vec![0u32; n];
-        let mut max_level = 0u32;
         for (i, &id) in order.iter().enumerate() {
             pos[id.index()] = i as u32;
-            let lvl = net
-                .gate(id)
-                .pins
-                .iter()
-                .map(|pin| level[pin.src.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            level[id.index()] = lvl;
-            max_level = max_level.max(lvl);
         }
-        Ok(Topology {
-            fo,
-            order,
-            pos,
-            level,
-            max_level,
-        })
+        Ok(Topology { fo, order, pos })
     }
 
     /// Number of gate slots (including tombstones) in the network this
@@ -231,18 +210,6 @@ impl Topology {
         let p = self.pos[g.index()];
         debug_assert_ne!(p, UNPLACED, "topo position queried for a dead gate");
         p as usize
-    }
-
-    /// Unit-delay level of `g`: 0 for sources, `1 + max(level of fanins)`
-    /// otherwise. Dead slots report level 0.
-    #[inline]
-    pub fn level(&self, g: GateId) -> usize {
-        self.level[g.index()] as usize
-    }
-
-    /// The largest level in the network (0 for an empty network).
-    pub fn max_level(&self) -> usize {
-        self.max_level as usize
     }
 }
 
@@ -298,25 +265,5 @@ mod tests {
             assert_eq!(topo.fanouts(GateId::from_index(i)), want.as_slice());
         }
         assert!(fo[x.index()].is_empty() && fo[y.index()].is_empty());
-    }
-
-    #[test]
-    fn levels_are_one_plus_max_fanin() {
-        let net = sample();
-        let topo = Topology::build(&net);
-        for &g in topo.order() {
-            let want = net
-                .gate(g)
-                .pins
-                .iter()
-                .map(|p| topo.level(p.src) + 1)
-                .max()
-                .unwrap_or(0);
-            assert_eq!(topo.level(g), want);
-        }
-        assert_eq!(
-            topo.max_level(),
-            topo.order().iter().map(|&g| topo.level(g)).max().unwrap()
-        );
     }
 }

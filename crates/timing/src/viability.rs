@@ -14,7 +14,7 @@
 //! viability verdict, exactly the trade the paper's proofs rely on
 //! (Theorem 7.2 compares plain path lengths).
 
-use kms_netlist::{GateId, NetlistError, Network, Path};
+use kms_netlist::{ConnRef, GateId, NetlistError, Network, Path};
 
 use crate::sensitize::side_demand;
 use crate::sta::{Sta, NEVER};
@@ -59,31 +59,34 @@ pub fn early_side_constraints(
     let source_arrival = sta.arrival(path.source(net));
     debug_assert_ne!(source_arrival, NEVER, "path source never events");
     let mut out = Vec::new();
-    for (i, conn) in path.side_inputs(net) {
-        let Some(nc) = side_demand(net, conn)? else {
-            continue; // XOR/XNOR: always propagate
-        };
+    // The event's time at the output of the gate before `gi`, summed along
+    // the path as it goes, so each key costs one pass over the path.
+    let mut reached = source_arrival;
+    for &c in path.conns() {
+        let gate = net.gate(c.gate);
+        let at_input = reached + net.pin(c).wire_delay.units();
+        let at_output = at_input + gate.delay.units();
         let tau = match rule {
-            LatenessRule::BeforeGateOutput => source_arrival + path.event_time(net, i).units(),
-            LatenessRule::BeforeGateInput => {
-                let before_gate = if i == 0 {
-                    source_arrival
-                } else {
-                    source_arrival + path.event_time(net, i - 1).units()
-                };
-                before_gate + net.pin(path.conns()[i]).wire_delay.units()
+            LatenessRule::BeforeGateOutput => at_output,
+            LatenessRule::BeforeGateInput => at_input,
+        };
+        reached = at_output;
+        for pin in (0..gate.fanin()).filter(|&pin| pin != c.pin) {
+            let conn = ConnRef::new(c.gate, pin);
+            let Some(nc) = side_demand(net, conn)? else {
+                continue; // XOR/XNOR: always propagate
+            };
+            let pin = net.pin(conn);
+            let settle = match sta.arrival(pin.src) {
+                NEVER => NEVER, // constants settled at -∞: always early
+                a => a + pin.wire_delay.units(),
+            };
+            let late = settle != NEVER && settle >= tau;
+            if late {
+                continue; // smoothed out (Section V.1)
             }
-        };
-        let pin = net.pin(conn);
-        let settle = match sta.arrival(pin.src) {
-            NEVER => NEVER, // constants settled at -∞: always early
-            a => a + pin.wire_delay.units(),
-        };
-        let late = settle != NEVER && settle >= tau;
-        if late {
-            continue; // smoothed out (Section V.1)
+            out.push((pin.src, nc));
         }
-        out.push((pin.src, nc));
     }
     Ok(out)
 }
@@ -91,9 +94,12 @@ pub fn early_side_constraints(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paths::PathEnumerator;
     use crate::sensitize::{is_statically_sensitizable, SensitizationOracle};
     use crate::sta::InputArrivals;
-    use kms_netlist::{ConnRef, Delay, GateKind, Network, Path};
+    use kms_gen::random::{random_network, RandomNetworkSpec};
+    use kms_netlist::{Delay, GateKind};
+    use proptest::prelude::*;
 
     /// A witness cube under which `path` is viable (zero arrivals), or
     /// `None`: one oracle query over the early side-input constraints.
@@ -211,6 +217,90 @@ mod tests {
         let values = net.node_words(&words);
         for (src, nc) in early {
             assert_eq!(values[src.index()] & 1 != 0, nc, "side input {src}");
+        }
+    }
+
+    /// The constraints as the per-index definition gives them: each side
+    /// input's event time summed from the path's source with
+    /// [`Path::event_time`].
+    fn early_side_constraints_by_index(
+        net: &Network,
+        sta: &Sta,
+        path: &Path,
+        rule: LatenessRule,
+    ) -> Vec<(GateId, bool)> {
+        let source_arrival = sta.arrival(path.source(net));
+        let mut out = Vec::new();
+        for (i, conn) in path.side_inputs(net) {
+            let Some(nc) = side_demand(net, conn).unwrap() else {
+                continue;
+            };
+            let tau = match rule {
+                LatenessRule::BeforeGateOutput => source_arrival + path.event_time(net, i).units(),
+                LatenessRule::BeforeGateInput => {
+                    let before_gate = if i == 0 {
+                        source_arrival
+                    } else {
+                        source_arrival + path.event_time(net, i - 1).units()
+                    };
+                    before_gate + net.pin(path.conns()[i]).wire_delay.units()
+                }
+            };
+            let pin = net.pin(conn);
+            let settle = match sta.arrival(pin.src) {
+                NEVER => NEVER,
+                a => a + pin.wire_delay.units(),
+            };
+            if settle == NEVER || settle < tau {
+                out.push((pin.src, nc));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On random networks with gate delays 1–3, wire delays 0–2,
+        /// staggered input arrivals and a constant side input, the running
+        /// sum gives every path the per-index constraints under both rules.
+        #[test]
+        fn running_sum_matches_per_index_event_times(seed in 1u64..1_000_000) {
+            let spec = RandomNetworkSpec {
+                inputs: 6,
+                gates: 30,
+                outputs: 3,
+                max_fanin: 3,
+                max_delay: 3,
+            };
+            let mut net = random_network(seed, spec);
+            let one = net.add_const(true);
+            let ids: Vec<GateId> = net.gate_ids().collect();
+            for (k, &id) in ids.iter().enumerate() {
+                let pins = net.gate(id).pins.len();
+                for (p, pin) in net.gate_mut(id).pins.iter_mut().enumerate() {
+                    pin.wire_delay = Delay::new(((seed as usize + 3 * k + p) % 3) as i64);
+                }
+                if net.gate(id).kind == GateKind::And && pins > 1 && k % 4 == 0 {
+                    net.gate_mut(id).pins[pins - 1].src = one;
+                }
+            }
+            let mut arrivals = InputArrivals::zero();
+            for (i, &input) in net.inputs().iter().enumerate() {
+                arrivals.set(input, ((seed as usize + i) % 4) as i64);
+            }
+            let sta = Sta::run(&net, &arrivals);
+            let mut paths = 0;
+            for (path, _) in PathEnumerator::new(&net, &arrivals).take(40) {
+                for rule in [LatenessRule::BeforeGateOutput, LatenessRule::BeforeGateInput] {
+                    prop_assert_eq!(
+                        early_side_constraints(&net, &sta, &path, rule).unwrap(),
+                        early_side_constraints_by_index(&net, &sta, &path, rule)
+                    );
+                }
+                paths += 1;
+            }
+            prop_assert!(paths > 0);
         }
     }
 }
