@@ -399,9 +399,11 @@ impl<'n> SharedCnf<'n> {
             None => {
                 // The solver grows during the query and PODEM's memory is
                 // idle until the next fault, so it is released first: the
-                // heap's peak stays the solver's.
+                // heap's peak stays the solver's. Only the fault's
+                // transitive fanout, which the query needs too, is kept.
+                let tfo = self.podem.take_tfo();
                 self.podem = PodemScratch::default();
-                self.classify_sat(fault)
+                self.classify_sat(fault, tfo)
             }
         };
         #[cfg(feature = "fault-inject")]
@@ -409,21 +411,15 @@ impl<'n> SharedCnf<'n> {
         verdict
     }
 
-    /// The shared-CNF decision procedure behind [`SharedCnf::classify`].
-    fn classify_sat(&mut self, fault: Fault) -> Testability {
+    /// The shared-CNF decision procedure behind [`SharedCnf::classify`],
+    /// given the fault's transitive fanout in topological order (the list
+    /// PODEM built for the same fault).
+    fn classify_sat(&mut self, fault: Fault, tfo: Vec<GateId>) -> Testability {
         let net = self.net;
         // Faulty region: the transitive fanout of the perturbed gate.
-        let mut stack: Vec<GateId> = vec![fault.observing_gate()];
-        while let Some(g) = stack.pop() {
-            let gi = g.index();
-            if self.in_tfo[gi] {
-                continue;
-            }
-            self.in_tfo[gi] = true;
-            self.touched.push(g);
-            for c in self.topo.fanouts(g) {
-                stack.push(c.gate);
-            }
+        self.touched = tfo;
+        for &g in &self.touched {
+            self.in_tfo[g.index()] = true;
         }
         if !net.outputs().iter().any(|o| self.in_tfo[o.src.index()]) && self.certification.is_none()
         {
@@ -444,9 +440,8 @@ impl<'n> SharedCnf<'n> {
             self.solver.add_clause(&[pinned]);
             v
         };
-        // The cone in topological order (the TFO walk above pushes in
-        // DFS order; faulty gates must see their faulty fanins first).
-        self.touched.sort_unstable_by_key(|&g| self.topo.pos(g));
+        // The cone in topological order: faulty gates must see their
+        // faulty fanins first.
         for t in 0..self.touched.len() {
             let id = self.touched[t];
             if fault.site == FaultSite::GateOutput(id) {

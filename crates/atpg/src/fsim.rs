@@ -8,11 +8,8 @@
 //! random pre-screen and its drop cascade, and [`fault_simulate`] grades
 //! a test set's coverage.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use kms_netlist::transform::Touched;
-use kms_netlist::{GateId, Network, Topology};
+use kms_netlist::{eval_gate_words, GateKind, Network, TopoQueue, Topology};
 
 use crate::fault::Fault;
 #[cfg(test)]
@@ -234,7 +231,6 @@ impl PackedTests {
     /// packer leaves them, so the good values agree lane for lane with
     /// [`fault_simulate_cone_with`].
     pub(crate) fn refresh(&mut self, net: &Network, topo: &Topology) {
-        let mut pin_buf = Vec::new();
         for batch in self.batches.iter_mut().filter(|b| b.dirty) {
             batch.good.clear();
             batch.good.resize(net.num_gate_slots(), 0);
@@ -243,12 +239,12 @@ impl PackedTests {
             }
             for &id in topo.order() {
                 let g = net.gate(id);
-                if g.kind == kms_netlist::GateKind::Input {
+                if g.kind == GateKind::Input {
                     continue;
                 }
-                pin_buf.clear();
-                pin_buf.extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
-                batch.good[id.index()] = kms_netlist::eval_gate_words(g.kind, &pin_buf);
+                let good = &batch.good;
+                batch.good[id.index()] =
+                    eval_gate_words(g.kind, g.pins.iter().map(|p| good[p.src.index()]));
             }
             batch.dirty = false;
         }
@@ -264,7 +260,7 @@ impl PackedTests {
     ///
     /// Only a touched gate, or a reader of a gate whose word changed, can
     /// get a new word. So the walk starts from the live touched gates and
-    /// runs forward in topological position order (the event queue of
+    /// runs forward in topological position order (a [`TopoQueue`], as in
     /// [`ConeSim`]), evaluating each queued gate in every batch and queuing
     /// its readers only where some word changed. Every stored word then
     /// equals a fresh simulation's, lane for lane.
@@ -289,28 +285,20 @@ impl PackedTests {
             batch.good.reserve_exact(slots - batch.good.len());
             batch.good.resize(slots, 0);
         }
-        let mut queued = vec![false; slots];
-        let mut heap = BinaryHeap::new();
-        let mut enqueue = |g: GateId, heap: &mut BinaryHeap<Reverse<u32>>| {
-            if !std::mem::replace(&mut queued[g.index()], true) {
-                heap.push(Reverse(topo.pos(g) as u32));
-            }
-        };
+        let mut queue = TopoQueue::with_capacity(topo.order().len());
         for g in touched.gates().filter(|&g| !net.gate(g).is_dead()) {
-            enqueue(g, &mut heap);
+            queue.push(topo.pos(g));
         }
-        let mut pin_buf = Vec::new();
-        while let Some(Reverse(pos)) = heap.pop() {
-            let id = topo.order()[pos as usize];
+        while let Some(pos) = queue.pop() {
+            let id = topo.order()[pos];
             let g = net.gate(id);
-            if g.kind == kms_netlist::GateKind::Input {
+            if g.kind == GateKind::Input {
                 continue;
             }
             let mut moved = false;
             for batch in &mut self.batches {
-                pin_buf.clear();
-                pin_buf.extend(g.pins.iter().map(|p| batch.good[p.src.index()]));
-                let word = kms_netlist::eval_gate_words(g.kind, &pin_buf);
+                let good = &batch.good;
+                let word = eval_gate_words(g.kind, g.pins.iter().map(|p| good[p.src.index()]));
                 let mask = batch.mask(total);
                 let slot = &mut batch.good[id.index()];
                 if word != *slot {
@@ -323,7 +311,7 @@ impl PackedTests {
             }
             if moved {
                 for c in topo.fanouts(id) {
-                    enqueue(c.gate, &mut heap);
+                    queue.push(topo.pos(c.gate));
                 }
             }
         }
@@ -341,7 +329,8 @@ impl PackedTests {
 /// re-simulation and [`ConeSim::first_detecting`] is an event-driven
 /// faulty-cone walk with no allocation: per batch, only gates whose faulty
 /// word differs from the good word in a lane that holds a test propagate,
-/// in topological order.
+/// in topological order (a [`TopoQueue`] over the positions of the
+/// cached [`Topology`]), and each queued gate folds its pin words in place.
 ///
 /// One walk serves two stop rules:
 ///
@@ -356,41 +345,19 @@ pub struct ConeSim<'n> {
     topo: &'n Topology,
     tests: PackedTests,
     /// Per slot, the faulty word of the current walk; valid only where
-    /// the slot's state says it differs, and the good word elsewhere.
+    /// `differs` holds the walk's stamp, and the good word elsewhere.
     faulty: Vec<u64>,
+    /// Per slot, the stamp of the last walk in which the gate's faulty
+    /// word differed from its good word.
+    differs: Vec<u32>,
     /// One stamp per (fault, batch) walk, so no per-walk clearing.
     stamp: u32,
-    queue: EventQueue,
-    pin_buf: Vec<u64>,
+    /// The topological positions the walk has yet to evaluate. A gate
+    /// queues only its readers, whose positions lie above its own, so a
+    /// walk never queues a gate it has already evaluated.
+    queue: TopoQueue,
     /// Per slot, whether the gate drives a primary output.
     drives_output: Vec<bool>,
-}
-
-/// The gates a walk has yet to evaluate, smallest topological position
-/// first, each queued at most once per walk.
-struct EventQueue {
-    /// Per slot, `2·stamp` once walk `stamp` queued it, `2·stamp + 1` once
-    /// its faulty word differs in that walk; older values mean neither.
-    state: Vec<u32>,
-    heap: BinaryHeap<Reverse<u32>>,
-}
-
-impl EventQueue {
-    /// Queues each reader of `g` not yet queued in walk `stamp`.
-    fn push_fanouts(&mut self, topo: &Topology, g: kms_netlist::GateId, stamp: u32) {
-        for c in topo.fanouts(g) {
-            let i = c.gate.index();
-            if self.state[i] >> 1 != stamp {
-                self.state[i] = stamp << 1;
-                self.heap.push(Reverse(topo.pos(c.gate) as u32));
-            }
-        }
-    }
-
-    /// Whether `g`'s faulty word differs in walk `stamp`.
-    fn differs(&self, g: usize, stamp: u32) -> bool {
-        self.state[g] == stamp << 1 | 1
-    }
 }
 
 impl<'n> ConeSim<'n> {
@@ -416,12 +383,9 @@ impl<'n> ConeSim<'n> {
             topo,
             tests,
             faulty: vec![0u64; slots],
+            differs: vec![0; slots],
             stamp: 0,
-            queue: EventQueue {
-                state: vec![0; slots],
-                heap: BinaryHeap::new(),
-            },
-            pin_buf: Vec::new(),
+            queue: TopoQueue::with_capacity(topo.order().len()),
             drives_output,
         }
     }
@@ -491,33 +455,35 @@ impl<'n> ConeSim<'n> {
         use crate::fault::FaultSite;
 
         self.tests.refresh(self.net, self.topo);
+        let (net, topo) = (self.net, self.topo);
         let o = fault.observing_gate();
         let stuck_word = if fault.stuck { !0u64 } else { 0u64 };
         let total = self.tests.len();
-        let order = self.topo.order();
+        let order = topo.order();
         for batch in &self.tests.batches {
-            self.stamp += 1;
-            if self.stamp > u32::MAX >> 1 {
-                self.queue.state.fill(0);
-                self.stamp = 1;
+            if self.stamp == u32::MAX {
+                self.differs.fill(0);
+                self.stamp = 0;
             }
+            self.stamp += 1;
             let stamp = self.stamp;
             let mask = batch.mask(total);
             let gv = &batch.good;
             let word = match fault.site {
                 FaultSite::GateOutput(_) => stuck_word,
                 FaultSite::Conn(c) => {
-                    let gate = self.net.gate(o);
-                    self.pin_buf.clear();
-                    self.pin_buf
-                        .extend(gate.pins.iter().enumerate().map(|(pi, p)| {
+                    let gate = net.gate(o);
+                    let pins = gate.pins.iter().enumerate();
+                    eval_gate_words(
+                        gate.kind,
+                        pins.map(|(pi, p)| {
                             if pi == c.pin {
                                 stuck_word
                             } else {
                                 gv[p.src.index()]
                             }
-                        }));
-                    kms_netlist::eval_gate_words(gate.kind, &self.pin_buf)
+                        }),
+                    )
                 }
             };
             let mut next = Some((o, word));
@@ -525,34 +491,36 @@ impl<'n> ConeSim<'n> {
                 let diff = (word ^ gv[g.index()]) & mask;
                 if diff != 0 {
                     if stop_at_output && self.drives_output[g.index()] {
-                        self.queue.heap.clear();
+                        self.queue.clear();
                         return Some(batch.start + diff.trailing_zeros() as usize);
                     }
                     self.faulty[g.index()] = word;
-                    self.queue.state[g.index()] = stamp << 1 | 1;
-                    self.queue.push_fanouts(self.topo, g, stamp);
+                    self.differs[g.index()] = stamp;
+                    for c in topo.fanouts(g) {
+                        self.queue.push(topo.pos(c.gate));
+                    }
                 }
-                next = self.queue.heap.pop().map(|Reverse(pos)| {
-                    let g = order[pos as usize];
-                    let gate = self.net.gate(g);
-                    self.pin_buf.clear();
-                    for p in &gate.pins {
+                next = self.queue.pop().map(|pos| {
+                    let g = order[pos];
+                    let gate = net.gate(g);
+                    let (faulty, differs) = (&self.faulty, &self.differs);
+                    let pins = gate.pins.iter().map(|p| {
                         let i = p.src.index();
-                        self.pin_buf.push(if self.queue.differs(i, stamp) {
-                            self.faulty[i]
+                        if differs[i] == stamp {
+                            faulty[i]
                         } else {
                             gv[i]
-                        });
-                    }
-                    (g, kms_netlist::eval_gate_words(gate.kind, &self.pin_buf))
+                        }
+                    });
+                    (g, eval_gate_words(gate.kind, pins))
                 });
             }
             if stop_at_output {
                 continue; // no output driver differs in this batch
             }
-            for out in self.net.outputs() {
+            for out in net.outputs() {
                 let src = out.src.index();
-                if self.queue.differs(src, stamp) {
+                if self.differs[src] == stamp {
                     let diff = (gv[src] ^ self.faulty[src]) & mask;
                     return Some(batch.start + diff.trailing_zeros() as usize);
                 }
@@ -707,10 +675,10 @@ mod tests {
         for (&fault, &want) in faults.iter().zip(&reference.detected_by) {
             let what = format!("{} {fault}", net.name());
             assert_eq!(sim.detects(fault), want.is_some(), "{what}");
-            assert!(sim.queue.heap.is_empty(), "{what}: queue left");
+            assert!(sim.queue.is_empty(), "{what}: queue left");
             assert_eq!(sim.first_detecting(fault), want, "{what}");
             assert_eq!(sim.detects(fault), want.is_some(), "{what}");
-            assert!(sim.queue.heap.is_empty(), "{what}: queue left");
+            assert!(sim.queue.is_empty(), "{what}: queue left");
         }
         reference
     }

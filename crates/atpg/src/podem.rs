@@ -8,10 +8,7 @@
 //! monotone in the unknowns, which is what makes the activation,
 //! D-frontier, and X-path prunes sound.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use kms_netlist::{eval_gate3, ConnRef, GateId, GateKind, Network, Topology, Value};
+use kms_netlist::{eval_gate3, ConnRef, GateId, GateKind, Network, TopoQueue, Topology, Value};
 
 use crate::fault::{Fault, FaultSite};
 
@@ -74,16 +71,14 @@ impl Pair {
 const IN_REGION: u8 = 1;
 /// In the fault's transitive fanout.
 const IN_TFO: u8 = 1 << 1;
-/// Awaiting re-evaluation in [`PodemScratch::queue`].
-const QUEUED: u8 = 1 << 2;
 /// Drives a primary output (set on transitive-fanout gates only, the only
 /// ones the X-path check asks about).
-const PO_DRIVER: u8 = 1 << 3;
+const PO_DRIVER: u8 = 1 << 2;
 /// Visited by the current X-path walk.
-const SEEN: u8 = 1 << 4;
+const SEEN: u8 = 1 << 3;
 /// A primary input assigned 0 or 1; neither bit means `X`.
-const PI_ZERO: u8 = 1 << 5;
-const PI_ONE: u8 = 1 << 6;
+const PI_ZERO: u8 = 1 << 4;
+const PI_ONE: u8 = 1 << 5;
 
 /// The memory of a [`Podem`] run, kept for the next run: once its tables
 /// have grown to the network, a run allocates nothing and fills nothing in
@@ -104,9 +99,9 @@ pub struct PodemScratch {
     /// Sources of the primary outputs inside the transitive fanout: no
     /// other output can observe the fault.
     tfo_outputs: Vec<GateId>,
-    /// Topo positions of the gates awaiting re-evaluation (a min-heap, so
-    /// every gate is evaluated after all of its changed fanins).
-    queue: BinaryHeap<Reverse<u32>>,
+    /// Topo positions of the gates awaiting re-evaluation, smallest
+    /// first, so every gate is evaluated after all of its changed fanins.
+    queue: TopoQueue,
     stack: Vec<GateId>,
     /// Gates the current X-path walk marked `SEEN`.
     visited: Vec<GateId>,
@@ -119,8 +114,9 @@ pub struct PodemScratch {
 }
 
 impl PodemScratch {
-    /// Clears the last run's slots and sizes the tables for `slots`.
-    fn reset(&mut self, slots: usize) {
+    /// Clears the last run's slots and sizes the tables for `slots` gate
+    /// slots and `positions` topological positions.
+    fn reset(&mut self, slots: usize, positions: usize) {
         for &id in &self.region {
             self.flags[id.index()] = 0;
         }
@@ -128,6 +124,7 @@ impl PodemScratch {
         self.tfo.clear();
         self.tfo_outputs.clear();
         self.queue.clear();
+        self.queue.grow(positions);
         if self.flags.len() < slots {
             self.flags.resize(slots, 0);
             self.pairs.resize(slots, Pair::X);
@@ -149,11 +146,15 @@ impl PodemScratch {
     /// Queues region gate `id` for re-evaluation; gates outside the
     /// region are never evaluated.
     fn enqueue(&mut self, topo: &Topology, id: GateId) {
-        let f = &mut self.flags[id.index()];
-        if *f & (IN_REGION | QUEUED) == IN_REGION {
-            *f |= QUEUED;
-            self.queue.push(Reverse(topo.pos(id) as u32));
+        if self.flags[id.index()] & IN_REGION != 0 {
+            self.queue.push(topo.pos(id));
         }
+    }
+
+    /// Takes the last run's transitive fanout, in topological order,
+    /// leaving an empty list behind.
+    pub(crate) fn take_tfo(&mut self) -> Vec<GateId> {
+        std::mem::take(&mut self.tfo)
     }
 
     fn pi_value(&self, id: GateId) -> Value {
@@ -206,7 +207,7 @@ impl<'a> Podem<'a> {
         backtrack_limit: u64,
     ) -> Self {
         let s = scratch;
-        s.reset(net.num_gate_slots());
+        s.reset(net.num_gate_slots(), topo.order().len());
         // The transitive fanout, over fanouts...
         s.stack.clear();
         s.stack.push(fault.observing_gate());
@@ -323,9 +324,8 @@ impl<'a> Podem<'a> {
     /// topological order, queueing a gate's fanouts in the region only
     /// when its pair changed.
     fn imply(&mut self) {
-        while let Some(Reverse(pos)) = self.s.queue.pop() {
-            let id = self.topo.order()[pos as usize];
-            self.s.flags[id.index()] &= !QUEUED;
+        while let Some(pos) = self.s.queue.pop() {
+            let id = self.topo.order()[pos];
             let pair = self.eval_pair(id);
             if pair != self.s.pairs[id.index()] {
                 self.s.pairs[id.index()] = pair;
@@ -597,9 +597,6 @@ impl<'a> Podem<'a> {
     #[cfg(any(test, feature = "debug-invariants"))]
     fn imply_reference(&mut self) {
         self.s.queue.clear();
-        for &id in &self.s.region {
-            self.s.flags[id.index()] &= !QUEUED;
-        }
         self.s.pairs.fill(Pair::X);
         for &id in self.topo.order() {
             self.s.pairs[id.index()] = self.eval_both(id);
@@ -824,6 +821,43 @@ mod tests {
             }
         }
         redundant
+    }
+
+    /// One scratch serves a large network, then a small one, then the
+    /// large one again, so each network meets tables (the queue's bit
+    /// array among them) sized for the other. Each network hands the
+    /// next an unrun search, whose seed sits at the network's highest
+    /// observing position, beyond every position of the small network.
+    /// Every run still returns what a whole-network reference in a fresh
+    /// scratch returns.
+    #[test]
+    fn scratch_reused_across_network_sizes_matches_reference() {
+        let spec = |inputs, gates, outputs| RandomNetworkSpec {
+            inputs,
+            gates,
+            outputs,
+            max_fanin: 3,
+            max_delay: 1,
+        };
+        let large = random_network(11, spec(10, 160, 6));
+        let small = random_network(12, spec(4, 12, 2));
+        assert!(large.num_gate_slots() > 2 * small.num_gate_slots());
+        let mut scratch = PodemScratch::default();
+        let mut runs = 0;
+        for net in [&large, &small, &large] {
+            let topo = Topology::build(net);
+            let faults = collapsed_faults(net);
+            for &f in &faults {
+                let fast = Podem::new(net, &topo, &mut scratch, f, 128).run();
+                let reference =
+                    Podem::new(net, &topo, &mut PodemScratch::default(), f, 128).run_reference();
+                assert_eq!(fast, reference, "{} {f}", net.name());
+                runs += 1;
+            }
+            let last = faults.iter().max_by_key(|f| topo.pos(f.observing_gate()));
+            let _unrun = Podem::new(net, &topo, &mut scratch, *last.unwrap(), 128);
+        }
+        assert!(runs > 2 * collapsed_faults(&large).len());
     }
 
     /// A random network in the `restart_heavy` shape at small size: two

@@ -15,10 +15,7 @@
 //! deliberately not attempted (this is a cache key, not an equivalence
 //! prover).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use kms_netlist::{FxHashMap, GateId, GateKind, Network, Topology};
+use kms_netlist::{FxHashMap, GateId, GateKind, Network, TopoQueue, Topology};
 
 /// The interned shape of one node. Grounded in input positions and
 /// constants; `Gate` children are signatures, sorted when the kind is
@@ -199,10 +196,11 @@ impl SignatureInterner {
     ///
     /// Each changed gate is re-signed, and each gate whose signature
     /// moved queues its readers (from `topo`, the caller's [`Topology`] of
-    /// `net` as it is now); nothing else is visited. Gates are visited in
-    /// ascending position of `topo`'s order, so every child is final when
-    /// its reader is re-signed, and the shapes new to the table are met in
-    /// the full pass's relative order. A gate whose shape is new must have
+    /// `net` as it is now); nothing else is visited. Gates are visited
+    /// once each, in ascending position of `topo`'s order (a
+    /// [`TopoQueue`]), so every child is final when its reader is
+    /// re-signed, and the shapes new to the table are met in the full
+    /// pass's relative order. A gate whose shape is new must have
     /// been visited (its kind, pins or a child's signature changed), and a
     /// gate the pass skips would only have found its shape in the table,
     /// so new shapes receive the ids the full pass would give them.
@@ -215,23 +213,18 @@ impl SignatureInterner {
     ) {
         let by_slot = &mut sigs.by_slot;
         by_slot.resize(net.num_gate_slots(), Signatures::DEAD);
-        let mut queue: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+        let order = topo.order();
+        let mut queue = TopoQueue::with_capacity(order.len());
         for &id in changed {
             if net.gate(id).is_dead() {
                 // Its readers dropped it or died too, so they are changed.
                 by_slot[id.index()] = Signatures::DEAD;
             } else {
-                queue.push(Reverse(topo.pos(id) as u32));
+                queue.push(topo.pos(id));
             }
         }
-        let order = topo.order();
-        let mut last = None;
-        while let Some(Reverse(pos)) = queue.pop() {
-            if last == Some(pos) {
-                continue; // queued twice: visited already
-            }
-            last = Some(pos);
-            let id = order[pos as usize];
+        while let Some(pos) = queue.pop() {
+            let id = order[pos];
             let sig = self.sign_gate(net, by_slot, id, || {
                 net.inputs()
                     .iter()
@@ -239,11 +232,9 @@ impl SignatureInterner {
                     .expect("an input") as u32
             });
             if std::mem::replace(&mut by_slot[id.index()], sig) != sig {
-                queue.extend(
-                    topo.fanouts(id)
-                        .iter()
-                        .map(|c| Reverse(topo.pos(c.gate) as u32)),
-                );
+                for c in topo.fanouts(id) {
+                    queue.push(topo.pos(c.gate));
+                }
             }
         }
     }

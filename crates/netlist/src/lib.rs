@@ -63,4 +63,4 @@ pub use path::Path;
 pub use serialize::{escape_token, unescape_token};
 pub use sim::{eval_gate3, eval_gate_words, Cube, ParseCubeError, Value};
 pub use stats::NetworkStats;
-pub use topo::{Fanouts, Topology};
+pub use topo::{Fanouts, TopoQueue, Topology};

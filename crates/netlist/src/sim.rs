@@ -164,22 +164,35 @@ impl FromStr for Cube {
 }
 
 /// Word-parallel evaluation of one gate: bit `k` of the result is the
-/// gate's output for the `k`-th of 64 packed input vectors. Exposed for
-/// cone-restricted fault simulators that splice their own fanin words.
-pub fn eval_gate_words(kind: GateKind, pins: &[u64]) -> u64 {
+/// gate's output for the `k`-th of 64 packed input vectors. The pin words
+/// are folded as `pins` yields them, in pin order, so a cone-restricted
+/// fault simulator splices its own fanin words in without copying them
+/// into a buffer.
+///
+/// # Panics
+///
+/// Panics on [`GateKind::Input`] (inputs are seeded), and if `pins`
+/// yields fewer words than a buffer, inverter or mux reads.
+#[inline]
+pub fn eval_gate_words(kind: GateKind, pins: impl IntoIterator<Item = u64>) -> u64 {
+    let mut pins = pins.into_iter();
+    let mut pin = || pins.next().expect("a pin word per pin");
     match kind {
         GateKind::Input => unreachable!("inputs are seeded"),
         GateKind::Const(false) => 0,
         GateKind::Const(true) => !0,
-        GateKind::Buf => pins[0],
-        GateKind::Not => !pins[0],
-        GateKind::And => pins.iter().fold(!0u64, |a, &b| a & b),
-        GateKind::Or => pins.iter().fold(0u64, |a, &b| a | b),
-        GateKind::Nand => !pins.iter().fold(!0u64, |a, &b| a & b),
-        GateKind::Nor => !pins.iter().fold(0u64, |a, &b| a | b),
-        GateKind::Xor => pins.iter().fold(0u64, |a, &b| a ^ b),
-        GateKind::Xnor => !pins.iter().fold(0u64, |a, &b| a ^ b),
-        GateKind::Mux => (pins[0] & pins[2]) | (!pins[0] & pins[1]),
+        GateKind::Buf => pin(),
+        GateKind::Not => !pin(),
+        GateKind::Mux => {
+            let (select, d0, d1) = (pin(), pin(), pin());
+            (select & d1) | (!select & d0)
+        }
+        GateKind::And => pins.fold(!0u64, |a, b| a & b),
+        GateKind::Or => pins.fold(0u64, |a, b| a | b),
+        GateKind::Nand => !pins.fold(!0u64, |a, b| a & b),
+        GateKind::Nor => !pins.fold(0u64, |a, b| a | b),
+        GateKind::Xor => pins.fold(0u64, |a, b| a ^ b),
+        GateKind::Xnor => !pins.fold(0u64, |a, b| a ^ b),
     }
 }
 
@@ -281,15 +294,12 @@ impl Network {
         for (i, &id) in self.inputs().iter().enumerate() {
             vals[id.index()] = input_words[i];
         }
-        let mut pin_buf = Vec::new();
         for id in self.topo_order() {
             let g = self.gate(id);
             if g.kind == GateKind::Input {
                 continue;
             }
-            pin_buf.clear();
-            pin_buf.extend(g.pins.iter().map(|p| vals[p.src.index()]));
-            vals[id.index()] = eval_gate_words(g.kind, &pin_buf);
+            vals[id.index()] = eval_gate_words(g.kind, g.pins.iter().map(|p| vals[p.src.index()]));
         }
         vals
     }

@@ -16,6 +16,10 @@
 //! * **topo positions** — `pos(g)` gives `g`'s index in the order without a
 //!   `HashMap` (the sentinel `u32::MAX` marks dead slots).
 //!
+//! [`TopoQueue`] is the event queue of the walks over those positions
+//! (fault simulation, PODEM's implication, re-simulation and re-signing):
+//! a set of positions that pops the smallest first.
+//!
 //! # Invalidation
 //!
 //! A [`Fanouts`] table or a [`Topology`] built from a network is exact for
@@ -213,6 +217,100 @@ impl Topology {
     }
 }
 
+/// A set of topological positions that pops the smallest first: the
+/// event queue of a forward walk over a [`Topology`], where evaluating a
+/// gate queues its readers and every gate must come after its changed
+/// fanins.
+///
+/// One bit per position, so a push sets a bit and a repeated push is a
+/// no-op. All set bits lie in the words from `cursor` up to `high`
+/// (exclusive): a pop scans forward from `cursor` with a trailing-zero
+/// count, and [`TopoQueue::clear`] zeroes only that span. A push below
+/// the cursor moves the cursor back. The queue allocates only when
+/// [`TopoQueue::grow`] widens it.
+#[derive(Clone, Debug)]
+pub struct TopoQueue {
+    bits: Vec<u64>,
+    /// Every word below `cursor` is zero (`usize::MAX` when empty).
+    cursor: usize,
+    /// Every word from `high` up is zero.
+    high: usize,
+}
+
+impl Default for TopoQueue {
+    /// An empty queue of no capacity.
+    fn default() -> TopoQueue {
+        TopoQueue {
+            bits: Vec::new(),
+            cursor: usize::MAX,
+            high: 0,
+        }
+    }
+}
+
+impl TopoQueue {
+    /// An empty queue for positions `0..positions`.
+    pub fn with_capacity(positions: usize) -> TopoQueue {
+        let mut queue = TopoQueue::default();
+        queue.grow(positions);
+        queue
+    }
+
+    /// Widens the queue to hold positions `0..positions`; never narrows
+    /// it, and keeps what is queued.
+    pub fn grow(&mut self, positions: usize) {
+        let words = positions.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+    }
+
+    /// Queues position `pos`; queuing it again before it pops does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is beyond the capacity [`TopoQueue::grow`] gave.
+    #[inline]
+    pub fn push(&mut self, pos: usize) {
+        let w = pos / 64;
+        self.bits[w] |= 1 << (pos % 64);
+        self.cursor = self.cursor.min(w);
+        self.high = self.high.max(w + 1);
+    }
+
+    /// Removes and returns the smallest queued position.
+    #[inline]
+    pub fn pop(&mut self) -> Option<usize> {
+        while self.cursor < self.high {
+            let word = &mut self.bits[self.cursor];
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.cursor * 64 + bit);
+            }
+            self.cursor += 1;
+        }
+        self.cursor = usize::MAX;
+        self.high = 0;
+        None
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.cursor >= self.high || self.bits[self.cursor..self.high].iter().all(|&w| w == 0)
+    }
+
+    /// Empties the queue, zeroing only the words that can hold a bit.
+    pub fn clear(&mut self) {
+        let (lo, hi) = (self.cursor, self.high);
+        if lo < hi {
+            self.bits[lo..hi].fill(0);
+        }
+        self.cursor = usize::MAX;
+        self.high = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +363,78 @@ mod tests {
             assert_eq!(topo.fanouts(GateId::from_index(i)), want.as_slice());
         }
         assert!(fo[x.index()].is_empty() && fo[y.index()].is_empty());
+    }
+
+    /// One step of a [`TopoQueue`] run; positions are taken modulo the
+    /// capacity at the time of the push.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push(usize),
+        Pop,
+        Clear,
+        Grow(usize),
+    }
+
+    /// Pushes six times in twelve, pops four times, clears once and grows
+    /// once.
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        (0u8..12, any::<usize>()).prop_map(|(k, x)| match k {
+            0..=5 => Op::Push(x),
+            6..=9 => Op::Pop,
+            10 => Op::Clear,
+            _ => Op::Grow(x % 600),
+        })
+    }
+
+    proptest::proptest! {
+        /// Over random interleavings of pushes (duplicates and pushes
+        /// below the cursor included), pops, clears in mid-walk and
+        /// growth, the queue pops what a min-heap that skips positions
+        /// already queued pops, in the same order.
+        #[test]
+        fn topo_queue_pops_like_a_deduplicated_min_heap(
+            start in 1usize..300,
+            ops in proptest::collection::vec(op(), 0..400),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::{BTreeSet, BinaryHeap};
+            let mut queue = TopoQueue::with_capacity(start);
+            let mut capacity = start;
+            let mut heap = BinaryHeap::new();
+            let mut queued = BTreeSet::new();
+            for op in ops {
+                match op {
+                    Op::Push(raw) => {
+                        let pos = raw % capacity;
+                        queue.push(pos);
+                        if queued.insert(pos) {
+                            heap.push(Reverse(pos));
+                        }
+                    }
+                    Op::Pop => {
+                        let want = heap.pop().map(|Reverse(p)| p);
+                        if let Some(p) = want {
+                            queued.remove(&p);
+                        }
+                        proptest::prop_assert_eq!(queue.pop(), want);
+                    }
+                    Op::Clear => {
+                        queue.clear();
+                        heap.clear();
+                        queued.clear();
+                    }
+                    Op::Grow(n) => {
+                        queue.grow(n);
+                        capacity = capacity.max(n);
+                    }
+                }
+                proptest::prop_assert_eq!(queue.is_empty(), heap.is_empty());
+            }
+            while let Some(Reverse(p)) = heap.pop() {
+                proptest::prop_assert_eq!(queue.pop(), Some(p));
+            }
+            proptest::prop_assert_eq!(queue.pop(), None);
+        }
     }
 }
